@@ -14,7 +14,6 @@ from .material import (
     Material,
     PRESETS,
     driving_force,
-    driving_force_integral,
     invert_strain,
     load_material,
     rarefaction_integral,
@@ -64,7 +63,7 @@ __all__ = [
     "CflViolation",
     "strain", "strain_prime", "strain_second", "wave_speed",
     "rarefaction_integral", "tangent_point", "driving_force",
-    "driving_force_integral", "invert_strain", "load_material",
+    "invert_strain", "load_material",
     "backward_v", "forward_v", "decompose_backward", "decompose_forward",
     "shock_speed",
     "solve", "solve_linear", "solve_zero_velocity", "thresholds",

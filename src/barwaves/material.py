@@ -21,14 +21,18 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 from .errors import MaterialError, RootNotBracketed
 
 BACKWARD = "backward"
 FORWARD = "forward"
 
-_QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+#: Gauss-Legendre nodes and weights on [-1, 1] (Golub & Welsch 1969) for the
+#: fan integral, as plain floats: the rule runs in pure Python.  Sixteen
+#: nodes per graded panel reach ~1e-15 relative against 40-digit quadrature
+#: for 0.5 <= n <= 3.5 and stresses from 1e-6 to 1e3.
+_GL_NODES, _GL_WEIGHTS = (tuple(float(x) for x in a) for a in leggauss(16))
 
 
 @dataclass(frozen=True)
@@ -48,6 +52,11 @@ class Material:
     linear_mode: bool = False
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma", "n", "rho"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise MaterialError(f"material requires a finite {name}, "
+                                    f"got {value}")
         if not self.alpha > 0.0:
             raise MaterialError("material requires alpha > 0")
         if not self.beta < 0.0:
@@ -148,13 +157,73 @@ def wave_speed(m: Material, T: float, family: str) -> float:
 
 def rarefaction_integral(m: Material, T_a: float, T_b: float) -> float:
     """Velocity change across a fan: integral of sqrt(strain_prime/rho)
-    from T_a to T_b, by adaptive quadrature to ~1e-12 absolute."""
+    from T_a to T_b.
+
+    The integrand is even, so the integral is an odd antiderivative G(|T|)
+    signed by T, evaluated without cancellation: in closed form for n = 1,
+    by the fixed-node rule of _even_fan otherwise.
+    """
     if T_a == T_b:
         return 0.0
-    rho = m.rho
-    val, _ = quad(lambda tau: math.sqrt(strain_prime(m, tau) / rho),
-                  T_a, T_b, **_QUAD_KW)
-    return val
+    if m.linear_mode:
+        return (T_b - T_a) * math.sqrt((m.alpha + m.beta) / m.rho)
+    if m.n == 1.0:
+        return _cubic_fan(m, T_a, T_b)
+    u_a, u_b = abs(T_a), abs(T_b)
+    if min(T_a, T_b) < 0.0 < max(T_a, T_b):
+        return math.copysign(_even_fan(m, 0.0, u_a) + _even_fan(m, 0.0, u_b),
+                             T_b)
+    sign = math.copysign(1.0, T_a if T_a != 0.0 else T_b)
+    if u_a <= u_b:
+        return sign * _even_fan(m, u_a, u_b)
+    return -sign * _even_fan(m, u_b, u_a)
+
+
+def _cubic_fan(m: Material, T_a: float, T_b: float) -> float:
+    # strain_prime = a + b*T**2 for n = 1, whose antiderivative of the root
+    # is T*s(T)/2 + a/(2*sqrt(b))*asinh(sqrt(b/a)*T), s = sqrt(a + b*T**2).
+    a = m.alpha + m.beta
+    b = 1.5 * m.alpha * m.gamma
+    rb = math.sqrt(b)
+    s_a = math.sqrt(a + b * T_a * T_a)
+    s_b = math.sqrt(a + b * T_b * T_b)
+    if min(T_a, T_b) < 0.0 < max(T_a, T_b):
+        # opposite signs: both differences add magnitudes
+        k = math.sqrt(b / a)
+        lin = T_b * s_b - T_a * s_a
+        arc = math.asinh(k * T_b) - math.asinh(k * T_a)
+    else:
+        # same side: rewrite each difference as (T_b - T_a)*(T_b + T_a)
+        # over a sum of like-signed terms; grouping the sum with its
+        # quotient keeps tiny stresses from underflowing
+        d, p = T_b - T_a, T_b + T_a
+        lin = d * (p / (T_b * s_b + T_a * s_a)) * (
+            a + b * (T_a * T_a + T_b * T_b))
+        arc = math.asinh(rb * d * (p / (T_b * s_a + T_a * s_b)))
+    return (0.5 * lin + 0.5 * a / rb * arc) / math.sqrt(m.rho)
+
+
+def _even_fan(m: Material, u_0: float, u_1: float) -> float:
+    """Integral of sqrt(strain_prime/rho) over [u_0, u_1], 0 <= u_0 <= u_1.
+
+    Gauss-Legendre on panels graded away from 0: a panel starting at x is
+    at most 2*x + c long, where c = sqrt((alpha+beta)/(alpha*gamma)) is the
+    order of the distance of the complex zeros of strain_prime from 0, so
+    every panel stays a fixed ratio away from the integrand's singularities.
+    """
+    c = math.sqrt((m.alpha + m.beta) / (m.alpha * m.gamma))
+    total = 0.0
+    x = u_0
+    while x < u_1:
+        end = min(u_1, 3.0 * x + c)
+        h = 0.5 * (end - x)
+        mid = x + h
+        panel = 0.0
+        for t, w in zip(_GL_NODES, _GL_WEIGHTS):
+            panel += w * math.sqrt(strain_prime(m, mid + h * t))
+        total += h * panel
+        x = end
+    return total / math.sqrt(m.rho)
 
 
 @lru_cache(maxsize=200_000)
@@ -173,64 +242,42 @@ def tangent_point(m: Material, T_anchor: float) -> float:
             "tangency is undefined for a linear material (no convexity change)")
     if T_anchor > 0.0:
         return -tangent_point(m, -T_anchor)
-    if abs(T_anchor) <= 1e-7:
-        # the strain is locally cubic, where the tangency sits at exactly
-        # -T_anchor/2; the relative error is O((gamma*T_anchor**2)**2)
-        return -0.5 * T_anchor
+    A = -T_anchor
+    if m.n == 1.0 or 0.5 * m.gamma * A * A <= 1e-32:
+        # a cubic strain, exactly or to roundoff (the correction is
+        # O(gamma*T_anchor**2) relative)
+        return 0.5 * A
 
-    eps_a = strain(m, T_anchor)
+    # strain = (alpha+beta)*T + alpha*r(T) with r(T) = (q**n - 1)*T and
+    # q = 1 + gamma*T**2/2; the linear part drops out of the tangency
+    # condition, which leaves no cancellation for small stresses.
+    def r(T):
+        u = 0.5 * m.gamma * T * T
+        excess = math.expm1(m.n * math.log1p(u))
+        return excess * T, excess + 2.0 * m.n * u * (1.0 + u) ** (m.n - 1.0)
 
-    def g(T):
-        # Chord slope minus tangent slope, times (T - T_anchor); g is
-        # strictly decreasing on T > 0 and has exactly one positive root.
-        return strain(m, T) - eps_a - strain_prime(m, T) * (T - T_anchor)
-
-    # The even, U-shaped strain_prime puts the root strictly inside
-    # (0, |T_anchor|); shrink the lower end until the bracket straddles it.
-    hi = abs(T_anchor)
-    g_hi = g(hi)
-    lo = hi / 16.0
-    g_lo = g(lo)
-    for _ in range(600):
-        if g_lo > 0.0 >= g_hi:
-            break
-        lo *= 0.25
-        g_lo = g(lo)
-        if lo == 0.0:
-            raise RootNotBracketed(
-                f"tangency bracket search failed for anchor {T_anchor}")
-    else:
-        raise RootNotBracketed(
-            f"tangency bracket search failed for anchor {T_anchor}")
-
-    # Guard the uniqueness assumption: scan for extra sign changes.
-    changes = 0
-    prev = g_lo
-    for i in range(1, 65):
-        cur = g(lo + (hi - lo) * i / 64.0)
-        if (prev > 0.0) != (cur > 0.0):
-            changes += 1
-        prev = cur
-    if changes != 1:
-        raise RootNotBracketed(
-            f"tangency equation has {changes} sign changes; expected one")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if g(mid) > 0.0:
-            lo = mid
+    r_a = r(T_anchor)[0]
+    # g = (chord slope - tangent slope)*(T - T_anchor)/alpha is strictly
+    # decreasing on T > 0, positive at 0 and negative at A.
+    lo, hi = 0.0, A
+    T = 0.5 * A
+    for _ in range(100):
+        r_T, dr_T = r(T)
+        g = r_T - r_a - dr_T * (T + A)
+        if g > 0.0:
+            lo = T
+        elif g < 0.0:
+            hi = T
         else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    # One Newton polish; g'(T) = -strain_second(T)*(T - T_anchor).
-    gp = -strain_second(m, root) * (root - T_anchor)
-    if gp != 0.0:
-        step = g(root) / gp
-        if abs(step) < 0.5 * abs(root):
-            root -= step
-    return root
+            return T
+        dg = -strain_second(m, T) * (T + A) / m.alpha
+        T_new = T - g / dg
+        if not lo < T_new < hi:
+            T_new = 0.5 * (lo + hi)
+        if abs(T_new - T) <= 4.0 * math.ulp(T):
+            return T_new
+        T = T_new
+    return T
 
 
 def driving_force(m: Material, T_l: float, T_r: float) -> float:
@@ -246,15 +293,6 @@ def driving_force(m: Material, T_l: float, T_r: float) -> float:
             1.0 - 0.5 * n * g * x * x + 0.5 * (n + 1.0) * g * x * y)
 
     return m.alpha / ((n + 1.0) * g) * (F(T_l, T_r) - F(T_r, T_l))
-
-
-def driving_force_integral(m: Material, T_l: float, T_r: float) -> float:
-    """Quadrature form of the driving force: area between the chord and the
-    strain curve.  Independent of the closed form; used as its oracle."""
-    if T_l == T_r:
-        return 0.0
-    val, _ = quad(lambda y: strain(m, y), T_r, T_l, **_QUAD_KW)
-    return val + 0.5 * (strain(m, T_r) + strain(m, T_l)) * (T_r - T_l)
 
 
 def invert_strain(m: Material, eps: float) -> float:

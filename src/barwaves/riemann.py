@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .errors import NoBracket, NonMonotone, RootNotBracketed
 from .material import (
     BACKWARD,
@@ -100,7 +98,14 @@ class WavePattern:
 
 def _wave_from_leg(m: Material, leg: CurveLeg) -> Wave:
     if leg.kind == SHOCK:
-        s = shock_speed(m, leg.start.T, leg.end.T, leg.family)
+        # a degenerate shock travels with the characteristic at its tangency
+        # state, so it shares its ray with the attached fan edge bit for bit
+        if leg.degenerate == "left":
+            s = wave_speed(m, leg.start.T, leg.family)
+        elif leg.degenerate == "right":
+            s = wave_speed(m, leg.end.T, leg.family)
+        else:
+            s = shock_speed(m, leg.start.T, leg.end.T, leg.family)
         return Wave(SHOCK, leg.family, leg.start, leg.end, s, s,
                     leg.degenerate)
     head = wave_speed(m, leg.start.T, leg.family)
@@ -109,8 +114,50 @@ def _wave_from_leg(m: Material, leg: CurveLeg) -> Wave:
                 leg.degenerate)
 
 
+def _newton_bisect(fn, dfn, lo: float, hi: float, f_lo: float,
+                   f_hi: float) -> float:
+    """Root of an increasing function inside [lo, hi], f_lo < 0 < f_hi.
+
+    Newton steps with the analytic derivative dfn, replaced by bisection
+    when a step leaves the bracket or fails to halve the one before the
+    last.  It stops on an exact zero, on a Newton step within two ulps, on
+    a Newton step that rounding keeps from shrinking |f|, or when the
+    bracket has no float left inside: no residual tolerance is involved,
+    so the root is resolved to full precision at every magnitude.
+    """
+    x, f = (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
+    step_old = step = hi - lo
+    for _ in range(200):
+        d = dfn(x)
+        newton = f / d if d > 0.0 else math.inf
+        if abs(newton) <= 2.0 * math.ulp(x):
+            return x - newton
+        if lo < x - newton < hi and abs(newton) <= 0.5 * abs(step_old):
+            step_old, step = step, newton
+            x_new = x - newton
+            f_new = fn(x_new)
+            if (f_new > 0.0) == (f > 0.0) and abs(f_new) >= abs(f):
+                # a step toward the root that stays on its side must
+                # shrink |f| of an increasing function; only rounding
+                # keeps it from doing so
+                return x
+        else:
+            step_old, step = step, 0.5 * (hi - lo)
+            x_new = lo + step
+            if x_new == lo or x_new == hi:
+                return x_new
+            f_new = fn(x_new)
+        x, f = x_new, f_new
+        if f == 0.0:
+            return x
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+    return x
+
+
 def _find_middle_stress(m: Material, U_l: State, U_r: State) -> float:
-    scale = max(1.0, abs(U_l.v), abs(U_r.v))
     samples: list[tuple[float, float]] = []
 
     def g(T_bar: float) -> float:
@@ -118,6 +165,10 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State) -> float:
                + forward_delta(m, T_bar, U_r.T) - U_r.v)
         samples.append((T_bar, val))
         return val
+
+    def dg(T_bar: float) -> float:
+        return (backward_dv(m, U_l, T_bar)
+                + forward_delta_dstart(m, T_bar, U_r.T))
 
     # Expanding bracket around T_l; the residual is strictly increasing and
     # unbounded both ways, so a sign change always exists.
@@ -143,29 +194,21 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State) -> float:
     elif g_hi == 0.0:
         root = hi
     else:
-        root = brentq(g, lo, hi, xtol=1e-14, rtol=8.882e-16, maxiter=200)
+        root = _newton_bisect(g, dg, lo, hi, g_lo, g_hi)
 
-    # Newton polish down to the velocity-residual target.
-    tol = 1e-12 * scale
-    for _ in range(8):
-        val = (backward_v(m, U_l, root)
-               + forward_delta(m, root, U_r.T) - U_r.v)
-        if abs(val) <= tol:
-            break
-        deriv = (backward_dv(m, U_l, root)
-                 + forward_delta_dstart(m, root, U_r.T))
-        if not deriv > 0.0:
-            break
-        root -= val / deriv
-
+    # Judge residuals against the velocity scale of the data and of both
+    # wave curves at the root, so the checks hold at every magnitude.
+    v_back = backward_v(m, U_l, root)
+    dv_fwd = forward_delta(m, root, U_r.T)
+    scale = max(1.0, abs(U_l.v), abs(U_r.v), abs(v_back - U_l.v),
+                abs(dv_fwd))
     samples.sort(key=lambda p: p[0])
     slack = 1e-8 * scale
     for (_, v_a), (_, v_b) in zip(samples, samples[1:]):
         if v_b < v_a - slack:
             raise NonMonotone(
                 "sampled residuals are not monotone in the middle stress")
-    final = (backward_v(m, U_l, root)
-             + forward_delta(m, root, U_r.T) - U_r.v)
+    final = v_back + dv_fwd - U_r.v
     if abs(final) > 1e-11 * scale:
         raise NoBracket(
             f"middle-stress residual {final} misses the tolerance")
@@ -210,11 +253,14 @@ _REGION_MAPS = {
 
 
 def _region_label(m: Material, U_l: State, U_r: State, T_bar: float,
-                  back: list[CurveLeg], fwd: list[CurveLeg]) -> str:
+                  back: list[CurveLeg], fwd: list[CurveLeg],
+                  v_back: float, v_fwd: float) -> str:
+    """Label of U_r; v_back and v_fwd are the velocities of the backward
+    and forward curves through U_l at U_r.T, as solve computed them."""
     # Dividing-curve membership first (tolerance in velocity).
-    if abs(U_r.v - backward_v(m, U_l, U_r.T)) <= BOUNDARY_TOL:
+    if abs(U_r.v - v_back) <= BOUNDARY_TOL:
         return "on-W1"
-    if abs(U_r.v - forward_v(m, U_l, U_r.T)) <= BOUNDARY_TOL:
+    if abs(U_r.v - v_fwd) <= BOUNDARY_TOL:
         return "on-W2"
     if U_l.T != 0.0:
         zero_pt = State(0.0, backward_v(m, U_l, 0.0))
@@ -242,68 +288,45 @@ def thresholds(m: Material, T_l: float) -> Thresholds:
     """Zero-velocity stress thresholds for a left stress of the given sign.
 
     T_star solves T*strain(T) = T_l*strain(T_l) on the opposite side of
-    zero (hence equals -T_l); T_star_star solves the equal-velocity
+    zero, so it equals -T_l exactly; T_star_star solves the equal-velocity
     condition (T - Tt)(strain(T) - strain(Tt)) = (Tt - T_l)**2 *
     strain_prime(Tt) beyond the tangency stress Tt of T_l.
     """
+    if not math.isfinite(T_l):
+        raise ValueError(f"thresholds require a finite left stress, got {T_l}")
     if T_l == 0.0:
         raise ValueError("thresholds require a nonzero left stress")
     if T_l > 0.0:
         mirrored = thresholds(m, -T_l)
         return Thresholds(-mirrored.T_star, -mirrored.T_star_star)
 
-    target = T_l * strain(m, T_l)
-
-    def h(T):
-        return T * strain(m, T) - target
-
-    T_star = _increasing_root(h, 1e-8, max(2.0 * abs(T_l), 1.0),
-                              what="equal-jump threshold")
-    # Newton polish; d/dT [T*strain] = strain + T*strain_prime.
-    for _ in range(3):
-        hp = strain(m, T_star) + T_star * strain_prime(m, T_star)
-        if hp == 0.0:
-            break
-        T_star -= h(T_star) / hp
-
+    # Solve for t = T/|T_l|, with each factor of the condition divided by
+    # |T_l|, so that no product underflows for tiny left stresses.
+    A = -T_l
     Tt = tangent_point(m, T_l)
+    t_t = Tt / A
     eps_t = strain(m, Tt)
-    rhs = (Tt - T_l) ** 2 * strain_prime(m, Tt)
+    rhs = (t_t + 1.0) ** 2 * strain_prime(m, Tt)
 
-    def k(T):
-        return (T - Tt) * (strain(m, T) - eps_t) - rhs
+    def k(t):
+        return (t - t_t) * ((strain(m, A * t) - eps_t) / A) - rhs
 
-    T_ss = _increasing_root(k, Tt * (1.0 + 1e-12) + 1e-12,
-                            max(4.0 * abs(T_l), 2.0 * Tt, 1.0),
-                            what="equal-velocity threshold")
-    for _ in range(3):
-        kp = (strain(m, T_ss) - eps_t) + (T_ss - Tt) * strain_prime(m, T_ss)
-        if kp == 0.0:
-            break
-        T_ss -= k(T_ss) / kp
-    return Thresholds(T_star, T_ss)
+    def dk(t):
+        return (strain(m, A * t) - eps_t) / A + (t - t_t) * strain_prime(
+            m, A * t)
 
-
-def _increasing_root(fn, lo: float, hi: float, what: str) -> float:
-    f_lo, f_hi = fn(lo), fn(hi)
-    for _ in range(200):
-        if f_lo <= 0.0 <= f_hi:
-            break
-        if f_lo > 0.0:
-            lo *= 0.25
-            f_lo = fn(lo)
-        if f_hi < 0.0:
-            hi *= 2.0
-            f_hi = fn(hi)
-        if hi > 1e150 or (lo != 0.0 and lo < 1e-300):
-            raise RootNotBracketed(f"bracket search failed for {what}")
-    else:
-        raise RootNotBracketed(f"bracket search failed for {what}")
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    return brentq(fn, lo, hi, xtol=1e-15, rtol=8.882e-16, maxiter=200)
+    # k(t_t) = -rhs < 0 and k grows without bound beyond t_t
+    lo, hi = t_t, 4.0
+    k_hi = k(hi)
+    while not k_hi >= 0.0:
+        if hi > 1e300:
+            raise RootNotBracketed(
+                "bracket search failed for the equal-velocity threshold "
+                f"of {T_l}")
+        lo, hi = hi, 2.0 * hi
+        k_hi = k(hi)
+    t_ss = hi if k_hi == 0.0 else _newton_bisect(k, dk, lo, hi, k(lo), k_hi)
+    return Thresholds(A, A * t_ss)
 
 
 def zero_velocity_case(m: Material, T_l: float, T_r: float) -> str | None:
@@ -337,6 +360,10 @@ def zero_velocity_case(m: Material, T_l: float, T_r: float) -> str | None:
 
 def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
     """Unique admissible self-similar solution joining U_l to U_r."""
+    for name, x in (("T_l", U_l.T), ("v_l", U_l.v), ("T_r", U_r.T),
+                    ("v_r", U_r.v)):
+        if not math.isfinite(x):
+            raise ValueError(f"solve requires finite states, got {name}={x}")
     if U_l == U_r:
         return WavePattern(m, U_l, (), (), "trivial")
     if m.linear_mode:
@@ -344,9 +371,11 @@ def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
 
     # Data on a wave curve solves as the single-family pattern (boundary
     # convention); this also keeps roundoff from leaving a zero-width leg.
-    if abs(U_r.v - backward_v(m, U_l, U_r.T)) <= BOUNDARY_TOL:
+    v_back = backward_v(m, U_l, U_r.T)
+    v_fwd = forward_v(m, U_l, U_r.T)
+    if abs(U_r.v - v_back) <= BOUNDARY_TOL:
         T_bar = U_r.T
-    elif abs(U_r.v - forward_v(m, U_l, U_r.T)) <= BOUNDARY_TOL:
+    elif abs(U_r.v - v_fwd) <= BOUNDARY_TOL:
         T_bar = U_l.T
     else:
         T_bar = _find_middle_stress(m, U_l, U_r)
@@ -361,7 +390,7 @@ def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
 
     waves = tuple(_wave_from_leg(m, leg) for leg in back + fwd)
     middles = tuple(w.right for w in waves[:-1])
-    label = _region_label(m, U_l, U_r, T_bar, back, fwd)
+    label = _region_label(m, U_l, U_r, T_bar, back, fwd, v_back, v_fwd)
     case = None
     if U_l.v == 0.0 and U_r.v == 0.0:
         case = zero_velocity_case(m, U_l.T, U_r.T)

@@ -124,8 +124,10 @@ def _backward_dv_neg(m: Material, T_l: float, T: float) -> float:
     Tt = tangent_point(m, T_l)
     if T <= Tt:
         de = strain(m, T) - strain(m, T_l)
-        return ((de + (T - T_l) * strain_prime(m, T))
-                / (2.0 * math.sqrt(m.rho * (T - T_l) * de)))
+        denom = 2.0 * math.sqrt(max(m.rho * (T - T_l) * de, 0.0))
+        if denom > 0.0:
+            return (de + (T - T_l) * strain_prime(m, T)) / denom
+        # a shock of roundoff width: its characteristic limit
     return math.sqrt(strain_prime(m, T) / m.rho)
 
 
@@ -197,7 +199,7 @@ def forward_delta(m: Material, T_0: float, T: float) -> float:
 
 def forward_delta_dstart(m: Material, T_0: float, T: float) -> float:
     """Partial derivative of forward_delta with respect to T_0 at fixed T;
-    strictly positive (the solver's Newton polish uses it)."""
+    strictly positive (the solver's Newton steps use it)."""
     if T_0 > 0.0:
         return forward_delta_dstart(m, -T_0, -T)
     if T == T_0:

@@ -9,8 +9,9 @@ paths and frozen into the tests.
 import math
 
 import pytest
+from scipy.integrate import quad
 
-from barwaves import Material, PRESETS
+from barwaves import Material, PRESETS, strain
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +50,14 @@ def cubic_fan_integral(a, b):
 
 def make_material(alpha, beta, gamma, n, rho):
     return Material(alpha=alpha, beta=beta, gamma=gamma, n=n, rho=rho)
+
+
+def driving_force_integral(m, T_l, T_r):
+    """Quadrature form of the driving force: area between the chord and the
+    strain curve, by adaptive quadrature.  Independent of the closed form
+    in barwaves.driving_force; used as its oracle."""
+    if T_l == T_r:
+        return 0.0
+    val, _ = quad(lambda y: strain(m, y), T_r, T_l,
+                  epsabs=1e-12, epsrel=1e-12, limit=200)
+    return val + 0.5 * (strain(m, T_r) + strain(m, T_l)) * (T_r - T_l)

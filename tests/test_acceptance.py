@@ -19,7 +19,6 @@ from barwaves import (
     State,
     backward_v,
     driving_force,
-    driving_force_integral,
     invert_strain,
     sample,
     solve,
@@ -37,6 +36,7 @@ from barwaves.verify import (
     refinement_study,
     run_invariant_suite,
 )
+from conftest import driving_force_integral
 
 CUBIC = PRESETS["cubic"]
 QUINTIC = PRESETS["quintic"]

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -60,6 +63,28 @@ def test_solver_failure_exits_3(capsys):
     # tangency (and hence thresholds) are undefined for a linear material
     rc = main(["thresholds", "--material", "linear", "--tl", "-1"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_stress_exits_2(capsys, value):
+    rc = main(["solve", "--material", "cubic", "--tl", value, "--tr", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "T_l" in err
+
+
+def test_import_leaves_scipy_unloaded():
+    import barwaves
+    src = os.path.dirname(os.path.dirname(os.path.abspath(barwaves.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, barwaves, barwaves.cli; "
+            "print(sorted(k for k in sys.modules "
+            "if k == 'scipy' or k.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
 
 
 def test_profile_csv(capsys, tmp_path):

@@ -1,6 +1,8 @@
 import json
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,6 @@ from barwaves import (
     PRESETS,
     RootNotBracketed,
     driving_force,
-    driving_force_integral,
     invert_strain,
     load_material,
     rarefaction_integral,
@@ -22,7 +23,7 @@ from barwaves import (
     tangent_point,
     wave_speed,
 )
-from conftest import cubic_fan_integral, make_material
+from conftest import cubic_fan_integral, driving_force_integral, make_material
 
 stress = st.floats(-5.0, 5.0)
 
@@ -159,6 +160,81 @@ def test_rarefaction_integral_additive(cubic, quintic, a, b, c):
         assert split == pytest.approx(whole, abs=1e-11)
 
 
+@pytest.mark.parametrize("T", [1e-8, 1e-160, 1e-310, 5e-324])
+def test_rarefaction_integral_linear_limit_at_tiny_stress(cubic, quintic, T):
+    # near T = 0 the integrand is sqrt((alpha+beta)/rho) up to O(T**2)
+    for m in (cubic, quintic):
+        slope = math.sqrt((m.alpha + m.beta) / m.rho)
+        for a, b in ((0.0, T), (-T, 0.0), (T, 3.0 * T), (-T, T)):
+            assert rarefaction_integral(m, a, b) == pytest.approx(
+                slope * (b - a), rel=1e-12)
+            assert rarefaction_integral(m, b, a) == -rarefaction_integral(
+                m, a, b)
+
+
+#: Materials for the high-precision oracles: both presets, near-hyperbolic
+#: (alpha + beta = 1e-3) with n = 1 and n = 2, small and large n, stiff gamma.
+ORACLE_MATERIALS = {
+    "cubic": PRESETS["cubic"],
+    "quintic": PRESETS["quintic"],
+    "near-hyperbolic-n1": make_material(1.0, -0.999, 1.0, 1.0, 1.0),
+    "near-hyperbolic-n2": make_material(1.0, -0.999, 1.0, 2.0, 1.0),
+    "n0.5": make_material(1.0, -0.5, 1.0, 0.5, 1.3),
+    "n3.5": make_material(1.0, -0.5, 1.0, 3.5, 0.7),
+    "gamma100": make_material(1.0, -0.5, 100.0, 2.0, 1.0),
+}
+
+
+def mp_strain_prime(m, T):
+    """strain_prime at 40 digits, differentiated by hand from strain."""
+    alpha, beta, gamma, n = (mpmath.mpf(x) for x in (m.alpha, m.beta,
+                                                      m.gamma, m.n))
+    T = mpmath.mpf(T)
+    q = 1 + gamma * T * T / 2
+    return beta + alpha * (q ** n + n * gamma * T * T * q ** (n - 1))
+
+
+def mp_strain(m, T):
+    alpha, beta, gamma, n = (mpmath.mpf(x) for x in (m.alpha, m.beta,
+                                                      m.gamma, m.n))
+    T = mpmath.mpf(T)
+    return beta * T + alpha * (1 + gamma * T * T / 2) ** n * T
+
+
+def mp_fan(m, T_a, T_b):
+    """Fan integral from 40-digit tanh-sinh quadrature of the even integrand
+    over [0, |T|], split on a geometric grid so that each piece stays clear
+    of the complex zeros of strain_prime near 0."""
+    with mpmath.workdps(40):
+        def G(T):
+            u = abs(T)
+            cuts = [mpmath.mpf(0)] + [mpmath.mpf(u) / 8 ** k
+                                      for k in range(7, -1, -1)]
+            val = mpmath.quad(
+                lambda t: mpmath.sqrt(mp_strain_prime(m, t) / m.rho), cuts)
+            return math.copysign(1.0, T) * val
+        return float(G(T_b) - G(T_a))
+
+
+def random_fans(rng, count):
+    for i in range(count):
+        a = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 3.0)
+        b = math.copysign(10.0 ** rng.uniform(-6.0, 3.0), a)
+        if i % 3 == 0:
+            b = -b  # cross-zero fan
+        yield a, b
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MATERIALS))
+def test_rarefaction_integral_matches_40_digit_quadrature(name):
+    m = ORACLE_MATERIALS[name]
+    rng = random.Random(name)
+    for T_a, T_b in random_fans(rng, 9):
+        exact = mp_fan(m, T_a, T_b)
+        got = rarefaction_integral(m, T_a, T_b)
+        assert abs(got - exact) <= 1e-13 * abs(exact), (T_a, T_b)
+
+
 # ---------------------------------------------------------------------------
 # tangency
 
@@ -188,6 +264,38 @@ def test_tangent_point_residual(quintic):
         assert abs(chord - strain_prime(quintic, t)) < 1e-12 * scale
         assert t * anchor < 0.0
         assert abs(t) < abs(anchor)
+
+
+def mp_tangency_residual(m, anchor, T):
+    """Chord slope minus tangent slope, times (T - anchor), at 40 digits."""
+    with mpmath.workdps(40):
+        T = mpmath.mpf(T)
+        return (mp_strain(m, T) - mp_strain(m, anchor)
+                - mp_strain_prime(m, T) * (T - anchor))
+
+
+@pytest.mark.parametrize("name", sorted(
+    k for k, m in ORACLE_MATERIALS.items() if m.n != 1.0))
+def test_tangent_point_matches_bisection_with_one_sign_change(name):
+    m = ORACLE_MATERIALS[name]
+    rng = random.Random(name)
+    for _ in range(6):
+        anchor = -10.0 ** rng.uniform(-6.0, 3.0)
+        A = -anchor
+        # the tangency equation changes sign exactly once inside (0, A)
+        signs = [mp_tangency_residual(m, anchor, A * i / 200) > 0
+                 for i in range(1, 200)]
+        assert sum(a != b for a, b in zip(signs, signs[1:])) == 1
+        lo, hi = 0.0, A
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if mp_tangency_residual(m, anchor, mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        got = tangent_point(m, anchor)
+        assert abs(got - lo) <= 1e-13 * A, (anchor, got, lo)
+        assert tangent_point(m, A) == -got
 
 
 def test_tangent_point_requires_nonzero_anchor(cubic):
@@ -272,6 +380,15 @@ def test_invert_strain_round_trip(cubic, quintic, T):
 ])
 def test_material_invariants(kwargs, needle):
     with pytest.raises(MaterialError, match=needle):
+        Material(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "n", "rho"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_material_rejects_non_finite_constants(name, bad):
+    kwargs = dict(alpha=1.0, beta=-0.5, gamma=1.0, n=1.0, rho=1.0)
+    kwargs[name] = bad
+    with pytest.raises(MaterialError, match=f"finite {name}"):
         Material(**kwargs)
 
 

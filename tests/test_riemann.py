@@ -7,6 +7,7 @@ from barwaves import (
     BACKWARD,
     FORWARD,
     Material,
+    PRESETS,
     RAREFACTION,
     SHOCK,
     State,
@@ -24,7 +25,8 @@ from barwaves import (
     wave_speed,
     zero_velocity_case,
 )
-from barwaves.verify import continuity_probe, speeds_ordered
+from barwaves.riemann import _newton_bisect
+from barwaves.verify import check_rh, continuity_probe, speeds_ordered
 from barwaves.wave_curves import forward_delta
 from conftest import cubic_fan_integral
 
@@ -94,6 +96,71 @@ def test_solver_is_deterministic(cubic):
     assert a.region_label == b.region_label
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["T_l", "v_l", "T_r", "v_r"])
+def test_non_finite_state_is_rejected_by_name(cubic, field, bad):
+    values = dict(T_l=-1.0, v_l=0.0, T_r=1.0, v_r=0.0)
+    values[field] = bad
+    with pytest.raises(ValueError, match=f"{field}="):
+        solve(cubic, State(values["T_l"], values["v_l"]),
+              State(values["T_r"], values["v_r"]))
+
+
+# Wide-magnitude data whose roundoff-level residual failed a tolerance of
+# 1e-11*max(1, |v_l|, |v_r|): the velocity jumps across the waves reach
+# 1e4..1e8, far beyond the data velocities.
+WIDE_CASES = [
+    ("cubic", State(373.4276696042438, 0.013557686496180794),
+     State(0.8569062739358501, -0.002839270015331959)),
+    ("quintic", State(77.61214386803783, -0.0008829782322669264),
+     State(-784.2906164406229, -0.0006267466876654476)),
+    ("quintic", State(-299.17782775523455, -0.12495052758894433),
+     State(-535.6915037856523, 71.74723825046313)),
+    ("near-hyperbolic", State(-844.2865473672682, 0.15339541584982855),
+     State(24.237944609506386, 0.2755183891137422)),
+]
+
+
+@pytest.mark.parametrize("name,U_l,U_r", WIDE_CASES)
+def test_wide_magnitude_solves_meet_scaled_residual(name, U_l, U_r):
+    m = (Material(1.0, -0.999, 1.0, 1.0, 1.0) if name == "near-hyperbolic"
+         else PRESETS[name])
+    p = solve(m, U_l, U_r)
+    assert_chained(p)
+    assert p.right_state.T == U_r.T
+    jumps = max(abs(w.right.v - w.left.v) for w in p.waves)
+    assert abs(p.right_state.v - U_r.v) <= 1e-11 * max(1.0, jumps)
+    assert check_rh(p) < 1e-9
+
+
+def test_tiny_magnitude_solve_is_resolved_to_its_own_scale(quintic):
+    # a residual target of 1e-12*max(1, |v|) is absolute at this scale and
+    # passes velocity errors of 5e-7 relative to the data; the root finder
+    # must resolve the middle stress relative to the data instead
+    U_l, U_r = State(-3e-5, 2e-6), State(4e-5, -1e-6)
+    p = solve(quintic, U_l, U_r)
+    assert abs(p.right_state.v - U_r.v) <= 1e-12 * 3e-6
+    T_mid = middle_stress(p)
+    v_mid = backward_v(quintic, U_l, T_mid)
+    assert v_mid + forward_delta(quintic, T_mid, U_r.T) == pytest.approx(
+        U_r.v, rel=1e-12)
+
+
+def test_newton_bisect_resolves_roots_at_any_magnitude():
+    for root in (1e-200, -3e-9, 0.75, 2e150):
+        def fn(x):
+            return x - root
+
+        def dfn(x):
+            return 1.0
+        lo, hi = -2.0 * abs(root), 2.0 * abs(root)
+        assert _newton_bisect(fn, dfn, lo, hi, fn(lo), fn(hi)) == root
+    # a curved function whose Newton iterates approach from one side
+    got = _newton_bisect(lambda x: x ** 3 - 2.0, lambda x: 3.0 * x * x,
+                         0.0, 4.0, -2.0, 62.0)
+    assert got == pytest.approx(2.0 ** (1.0 / 3.0), rel=4e-16)
+
+
 # ---------------------------------------------------------------------------
 # thresholds
 
@@ -120,6 +187,29 @@ def test_threshold_cubic_value_and_residual(cubic):
                                    - strain(cubic, Tt))
     rhs = (Tt + 1.0) ** 2 * strain_prime(cubic, Tt)
     assert abs(lhs - rhs) < 1e-10
+
+
+def test_threshold_first_is_exactly_minus_left_stress(quintic):
+    for T_l in (-2.7, -0.3, 1.9):
+        assert thresholds(quintic, T_l).T_star == -T_l
+
+
+@pytest.mark.parametrize("T_l", [-1e-50, -1e-170, 1e-170])
+def test_thresholds_at_tiny_left_stress(cubic, T_l):
+    # at tiny stresses the strain is linear, where T* = |T_l| and
+    # T** = 2*|T_l| (tangency at -T_l/2, equal velocities beyond it)
+    th = thresholds(cubic, T_l)
+    assert th.T_star == -T_l
+    assert th.T_star_star / abs(T_l) == pytest.approx(
+        -math.copysign(2.0, T_l), rel=1e-12)
+
+
+def test_solve_zero_velocity_with_tiny_left_stress(cubic):
+    p = solve(cubic, State(-1e-130, 0.0), State(1.0, 0.0))
+    assert p.zero_velocity_case == "V"
+    assert p.right_state.T == 1.0
+    assert abs(p.right_state.v) <= 1e-12
+    assert_chained(p)
 
 
 def test_threshold_requires_nonzero(cubic):
@@ -218,6 +308,32 @@ def test_case_five_has_degenerate_backward_composite(cubic):
     assert lead.speed_head == pytest.approx(
         wave_speed(cubic, 0.5, BACKWARD), rel=1e-12)
     assert_chained(p)
+
+
+@pytest.mark.parametrize("m_name,U_l,U_r", [
+    ("cubic", State(-1.0, 0.0), State(1.6, 0.0)),      # backward composite
+    ("cubic", State(-1.0, 0.0), State(0.8, -2.9)),     # forward composite
+    ("quintic", State(-1.2, 0.0), State(2.0, 0.0)),
+    ("quintic", State(1.1, 0.0), State(-2.4, 0.0)),    # mirrored
+    ("quintic", State(-1.5, 0.0), State(0.9, -2.0)),
+])
+def test_degenerate_shock_shares_the_fan_ray_exactly(m_name, U_l, U_r):
+    m = PRESETS[m_name]
+    p = solve(m, U_l, U_r)
+    tied = 0
+    for a, b in zip(p.waves, p.waves[1:]):
+        if a.kind == RAREFACTION and b.degenerate == "left":
+            assert b.speed_head == a.speed_tail
+            tied += 1
+        if a.degenerate == "right" and b.kind == RAREFACTION:
+            assert a.speed_tail == b.speed_head
+            tied += 1
+    for w in p.shocks():
+        if w.degenerate == "left":
+            assert w.speed_head == wave_speed(m, w.left.T, w.family)
+        elif w.degenerate == "right":
+            assert w.speed_head == wave_speed(m, w.right.T, w.family)
+    assert tied >= 1
 
 
 def test_zero_velocity_case_bands(cubic):
