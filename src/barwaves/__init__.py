@@ -27,10 +27,8 @@ from .riemann import (
     Thresholds,
     Wave,
     WavePattern,
-    classify_region,
     solve,
     solve_linear,
-    solve_zero_velocity,
     thresholds,
     zero_velocity_case,
 )
@@ -66,8 +64,7 @@ __all__ = [
     "invert_strain", "load_material",
     "backward_v", "forward_v", "decompose_backward", "decompose_forward",
     "shock_speed",
-    "solve", "solve_linear", "solve_zero_velocity", "thresholds",
-    "zero_velocity_case", "classify_region",
+    "solve", "solve_linear", "thresholds", "zero_velocity_case",
     "sample", "profile",
     "check_rh", "check_dissipation", "check_lax", "check_liu",
     "fv_reference", "l1_distance",

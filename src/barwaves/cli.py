@@ -133,27 +133,19 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
     return [0.0 if abs(p) <= 1e-9 * max(1.0, abs(span)) else p for p in pts]
 
 
-def _atlas_point(payload):
-    m, T_l, T_r = payload
+def _atlas_row(m: Material, T_l: float, T_r: float) -> tuple:
     if abs(T_l - T_r) <= 1e-13:
         return (T_l, T_r, "-", "-")
     pattern = solve(m, State(T_l, 0.0), State(T_r, 0.0))
-    case = pattern.zero_velocity_case or "-"
-    return (T_l, T_r, case, pattern.region_label)
+    return (T_l, T_r, pattern.zero_velocity_case or "-", pattern.region_label)
 
 
 def cmd_atlas(args, m: Material) -> int:
     if args.res < 2:
         raise ValueError("atlas requires --res >= 2")
-    tl_grid = _grid(args.tl_min, args.tl_max, args.res)
-    tr_grid = _grid(args.tr_min, args.tr_max, args.res)
-    jobs = [(m, tl, tr) for tl in tl_grid for tr in tr_grid]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_atlas_point, jobs, chunksize=64))
-    else:
-        rows = [_atlas_point(job) for job in jobs]
+    rows = [_atlas_row(m, tl, tr)
+            for tl in _grid(args.tl_min, args.tl_max, args.res)
+            for tr in _grid(args.tr_min, args.tr_max, args.res)]
     cases = {r[2] for r in rows if r[2] != "-"}
     ordered = [c for c in _CASE_ORDER if c in cases]
     ordered += sorted(c for c in cases if c not in _CASE_ORDER)
@@ -251,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tr-min", type=float, default=-3.0)
     p.add_argument("--tr-max", type=float, default=3.0)
     p.add_argument("--res", type=int, default=81)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_atlas)
 

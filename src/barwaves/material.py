@@ -28,11 +28,11 @@ from .errors import MaterialError, RootNotBracketed
 BACKWARD = "backward"
 FORWARD = "forward"
 
-#: Gauss-Legendre nodes and weights on [-1, 1] (Golub & Welsch 1969) for the
-#: fan integral, as plain floats: the rule runs in pure Python.  Sixteen
-#: nodes per graded panel reach ~1e-15 relative against 40-digit quadrature
-#: for 0.5 <= n <= 3.5 and stresses from 1e-6 to 1e3.
-_GL_NODES, _GL_WEIGHTS = (tuple(float(x) for x in a) for a in leggauss(16))
+#: (node, weight) pairs of the Gauss-Legendre rule on [-1, 1] (Golub & Welsch
+#: 1969), as plain floats: the rule runs in pure Python.  Sixteen nodes per
+#: graded panel reach ~1e-15 relative against 40-digit quadrature for the
+#: fan integral with 0.5 <= n <= 3.5 and stresses from 1e-6 to 1e3.
+_GL_RULE = tuple((float(t), float(w)) for t, w in zip(*leggauss(16)))
 
 
 @dataclass(frozen=True)
@@ -204,12 +204,19 @@ def _cubic_fan(m: Material, T_a: float, T_b: float) -> float:
 
 
 def _even_fan(m: Material, u_0: float, u_1: float) -> float:
-    """Integral of sqrt(strain_prime/rho) over [u_0, u_1], 0 <= u_0 <= u_1.
+    """Integral of sqrt(strain_prime/rho) over [u_0, u_1], 0 <= u_0 <= u_1."""
+    return _graded(m, lambda u: math.sqrt(strain_prime(m, u)), u_0,
+                   u_1) / math.sqrt(m.rho)
+
+
+def _graded(m: Material, fn, u_0: float, u_1: float) -> float:
+    """Integral of fn(u) over [u_0, u_1], 0 <= u_0 <= u_1.
 
     Gauss-Legendre on panels graded away from 0: a panel starting at x is
     at most 2*x + c long, where c = sqrt((alpha+beta)/(alpha*gamma)) is the
     order of the distance of the complex zeros of strain_prime from 0, so
-    every panel stays a fixed ratio away from the integrand's singularities.
+    every panel stays a fixed ratio away from the singularities of the
+    constitutive functions.
     """
     c = math.sqrt((m.alpha + m.beta) / (m.alpha * m.gamma))
     total = 0.0
@@ -219,11 +226,57 @@ def _even_fan(m: Material, u_0: float, u_1: float) -> float:
         h = 0.5 * (end - x)
         mid = x + h
         panel = 0.0
-        for t, w in zip(_GL_NODES, _GL_WEIGHTS):
-            panel += w * math.sqrt(strain_prime(m, mid + h * t))
+        for t, w in _GL_RULE:
+            panel += w * fn(mid + h * t)
         total += h * panel
         x = end
-    return total / math.sqrt(m.rho)
+    return total
+
+
+def _newton_bisect(fn, dfn, lo: float, hi: float, f_lo: float,
+                   f_hi: float) -> float:
+    """Root of an increasing function inside [lo, hi], f_lo <= 0 <= f_hi.
+
+    Safeguarded Newton ("rtsafe", Press et al., Numerical Recipes 9.4):
+    Newton steps with the analytic derivative dfn, replaced by bisection
+    when the slope is not positive and finite, or when a step leaves the
+    bracket or fails to halve the one before the last.  It stops on an
+    exact zero, on a Newton step within two ulps, on a Newton step that
+    rounding keeps from shrinking |f|, or when the bracket has no float
+    left inside: no residual tolerance is involved, so the root is resolved
+    to full precision at every magnitude.  It is the package's only scalar
+    root finder.
+    """
+    x, f = (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
+    step_old = step = hi - lo
+    for _ in range(200):
+        if f == 0.0:
+            return x
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        d = dfn(x)
+        newton = f / d if 0.0 < d < math.inf else math.inf
+        if abs(newton) <= 2.0 * math.ulp(x):
+            return x - newton
+        if lo < x - newton < hi and abs(newton) <= 0.5 * abs(step_old):
+            step_old, step = step, newton
+            x_new = x - newton
+            f_new = fn(x_new)
+            if (f_new > 0.0) == (f > 0.0) and abs(f_new) >= abs(f):
+                # a step toward the root that stays on its side must
+                # shrink |f| of an increasing function; only rounding
+                # keeps it from doing so
+                return x
+        else:
+            step_old, step = step, 0.5 * (hi - lo)
+            x_new = lo + step
+            if x_new == lo or x_new == hi:
+                return x_new
+            f_new = fn(x_new)
+        x, f = x_new, f_new
+    return x
 
 
 @lru_cache(maxsize=200_000)
@@ -256,43 +309,47 @@ def tangent_point(m: Material, T_anchor: float) -> float:
         excess = math.expm1(m.n * math.log1p(u))
         return excess * T, excess + 2.0 * m.n * u * (1.0 + u) ** (m.n - 1.0)
 
-    r_a = r(T_anchor)[0]
-    # g = (chord slope - tangent slope)*(T - T_anchor)/alpha is strictly
-    # decreasing on T > 0, positive at 0 and negative at A.
-    lo, hi = 0.0, A
-    T = 0.5 * A
-    for _ in range(100):
+    r_a, dr_a = r(T_anchor)
+
+    # The tangency condition with the linear part removed,
+    # k = (tangent slope - chord slope)*(T - T_anchor)/alpha, is strictly
+    # increasing on 0 < T < A, negative at 0 and positive at A.
+    def k(T):
         r_T, dr_T = r(T)
-        g = r_T - r_a - dr_T * (T + A)
-        if g > 0.0:
-            lo = T
-        elif g < 0.0:
-            hi = T
-        else:
-            return T
-        dg = -strain_second(m, T) * (T + A) / m.alpha
-        T_new = T - g / dg
-        if not lo < T_new < hi:
-            T_new = 0.5 * (lo + hi)
-        if abs(T_new - T) <= 4.0 * math.ulp(T):
-            return T_new
-        T = T_new
-    return T
+        return dr_T * (T + A) + r_a - r_T
+
+    def dk(T):
+        return strain_second(m, T) * (T + A) / m.alpha
+
+    return _newton_bisect(k, dk, 0.0, A, r_a, 2.0 * (r_a + A * dr_a))
 
 
 def driving_force(m: Material, T_l: float, T_r: float) -> float:
-    """Configurational force per unit area across a stress jump T_l -> T_r,
-    in closed form.  Its product with the jump speed is the dissipation
-    rate, and sign(driving_force) = sign(T_r**2 - T_l**2)."""
+    """Configurational force per unit area across a stress jump T_l -> T_r.
+    Its product with the jump speed is the dissipation rate, and
+    sign(driving_force) = sign(T_r**2 - T_l**2).
+
+    It equals the trapezoid of the strain minus its integral,
+    (1/2) * integral from T_l to T_r of (T - T_l)*(T_r - T)*strain_second(T),
+    evaluated on |T| with the oddness of strain_second so that every part
+    of the integrand has the sign of the result: no cancellation, at any
+    magnitude.  With k = min(|T_l|, |T_r|) and D = ||T_r| - |T_l||, the
+    part beyond k is taken in s = |T| - k over [0, D].  For data of
+    opposite signs, the two halves over |T| < k combine into the weight
+    2*(|T_r| - |T_l|)*|T|.
+    """
     if m.linear_mode:
         return 0.0
-    g, n = m.gamma, m.n
-
-    def F(x, y):
-        return (1.0 + 0.5 * g * x * x) ** n * (
-            1.0 - 0.5 * n * g * x * x + 0.5 * (n + 1.0) * g * x * y)
-
-    return m.alpha / ((n + 1.0) * g) * (F(T_l, T_r) - F(T_r, T_l))
+    a, b = abs(T_l), abs(T_r)
+    k, D = min(a, b), abs(b - a)
+    cross = min(T_l, T_r) < 0.0 < max(T_l, T_r)
+    e = 2.0 * k if cross else 0.0
+    total = _graded(
+        m, lambda s: (s + e) * (D - s) * strain_second(m, k + s), 0.0, D)
+    if cross:
+        total += 2.0 * D * _graded(
+            m, lambda u: u * strain_second(m, u), 0.0, k)
+    return math.copysign(0.5 * total, b - a)
 
 
 def invert_strain(m: Material, eps: float) -> float:
@@ -301,23 +358,14 @@ def invert_strain(m: Material, eps: float) -> float:
         return 0.0
     if eps < 0.0:
         return -invert_strain(m, -eps)
-    # strain(T) >= (alpha+beta)*T on T >= 0 brackets the root from above.
-    lo, hi = 0.0, eps / (m.alpha + m.beta)
-    T = min(hi, eps / strain_prime(m, 0.5 * hi))
-    tol = 1e-15 * max(1.0, eps)
-    for _ in range(200):
-        f = strain(m, T) - eps
-        if abs(f) <= tol:
-            return T
-        if f > 0.0:
-            hi = T
-        else:
-            lo = T
-        step = f / strain_prime(m, T)
-        T_new = T - step
-        if not lo < T_new < hi:
-            T_new = 0.5 * (lo + hi)
-        if T_new == T:
-            return T
-        T = T_new
-    return T
+    # On T >= 0, strain(T) >= (alpha+beta)*T*q**n with q = 1 + gamma*T**2/2,
+    # and q**n >= max(1, gamma*T**2/2)**n: both bounds hold the root from
+    # above.  Taken in logs and doubled, they neither overflow nor cut it.
+    log_hi = math.log(eps) - math.log(m.alpha + m.beta)
+    if not m.linear_mode:
+        log_hi = min(log_hi, (log_hi + m.n * math.log(2.0 / m.gamma))
+                     / (2.0 * m.n + 1.0))
+    hi = 2.0 * math.exp(log_hi)
+    return _newton_bisect(lambda T: strain(m, T) - eps,
+                          lambda T: strain_prime(m, T),
+                          0.0, hi, -eps, strain(m, hi) - eps)

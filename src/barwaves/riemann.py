@@ -11,7 +11,9 @@ on every call instead of assuming it.
 Region labels: the phase plane around a left state with T_l < 0 splits into
 twelve regions A1..A12 (B1..B12 for T_l > 0, C1..C6 for T_l = 0) according
 to the kind of each wave and the sign of the middle stress.  A right state
-within 1e-9 (in velocity) of a dividing curve gets a boundary label instead.
+within BOUNDARY_TOL of a dividing curve, relative to the velocity jumps
+from U_l to U_r and to the curves through U_l at its stress (relative to
+the data stresses for the zero-stress line), gets a boundary label instead.
 Labels are derived from the constructed pattern, never from a separate
 geometric test, so label and pattern cannot disagree.
 
@@ -30,6 +32,7 @@ from .material import (
     BACKWARD,
     FORWARD,
     Material,
+    _newton_bisect,
     strain,
     strain_prime,
     tangent_point,
@@ -50,8 +53,8 @@ from .wave_curves import (
     shock_speed,
 )
 
-#: Velocity distance below which a right state counts as lying on a
-#: dividing curve of the phase plane.
+#: Distance, relative to the velocity jumps of the problem, below which a
+#: right state counts as lying on a dividing curve of the phase plane.
 BOUNDARY_TOL = 1e-9
 
 
@@ -114,101 +117,62 @@ def _wave_from_leg(m: Material, leg: CurveLeg) -> Wave:
                 leg.degenerate)
 
 
-def _newton_bisect(fn, dfn, lo: float, hi: float, f_lo: float,
-                   f_hi: float) -> float:
-    """Root of an increasing function inside [lo, hi], f_lo < 0 < f_hi.
-
-    Newton steps with the analytic derivative dfn, replaced by bisection
-    when a step leaves the bracket or fails to halve the one before the
-    last.  It stops on an exact zero, on a Newton step within two ulps, on
-    a Newton step that rounding keeps from shrinking |f|, or when the
-    bracket has no float left inside: no residual tolerance is involved,
-    so the root is resolved to full precision at every magnitude.
-    """
-    x, f = (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
-    step_old = step = hi - lo
-    for _ in range(200):
-        d = dfn(x)
-        newton = f / d if d > 0.0 else math.inf
-        if abs(newton) <= 2.0 * math.ulp(x):
-            return x - newton
-        if lo < x - newton < hi and abs(newton) <= 0.5 * abs(step_old):
-            step_old, step = step, newton
-            x_new = x - newton
-            f_new = fn(x_new)
-            if (f_new > 0.0) == (f > 0.0) and abs(f_new) >= abs(f):
-                # a step toward the root that stays on its side must
-                # shrink |f| of an increasing function; only rounding
-                # keeps it from doing so
-                return x
+def _bracket(fn, lo: float, hi: float, step: float, tries: int):
+    """Widen [lo, hi] until the increasing fn changes sign in it: the end on
+    the wrong side becomes the other end and moves out by `step`, which
+    doubles each time.  Returns (lo, hi, fn(lo), fn(hi)), or None after
+    `tries` steps."""
+    f_lo, f_hi = fn(lo), fn(hi)
+    for _ in range(tries):
+        if f_lo <= 0.0 <= f_hi:
+            return lo, hi, f_lo, f_hi
+        if f_lo > 0.0:
+            hi, f_hi = lo, f_lo
+            lo -= step
+            f_lo = fn(lo)
         else:
-            step_old, step = step, 0.5 * (hi - lo)
-            x_new = lo + step
-            if x_new == lo or x_new == hi:
-                return x_new
-            f_new = fn(x_new)
-        x, f = x_new, f_new
-        if f == 0.0:
-            return x
-        if f < 0.0:
-            lo = x
-        else:
-            hi = x
-    return x
+            lo, f_lo = hi, f_hi
+            hi += step
+            f_hi = fn(hi)
+        step *= 2.0
+    return None
 
 
 def _find_middle_stress(m: Material, U_l: State, U_r: State) -> float:
-    samples: list[tuple[float, float]] = []
+    # (T_bar, residual, backward_v, forward_delta) of every evaluation
+    samples: list[tuple[float, float, float, float]] = []
 
     def g(T_bar: float) -> float:
-        val = (backward_v(m, U_l, T_bar)
-               + forward_delta(m, T_bar, U_r.T) - U_r.v)
-        samples.append((T_bar, val))
+        v_back = backward_v(m, U_l, T_bar)
+        dv_fwd = forward_delta(m, T_bar, U_r.T)
+        val = v_back + dv_fwd - U_r.v
+        samples.append((T_bar, val, v_back, dv_fwd))
         return val
 
     def dg(T_bar: float) -> float:
         return (backward_dv(m, U_l, T_bar)
                 + forward_delta_dstart(m, T_bar, U_r.T))
 
-    # Expanding bracket around T_l; the residual is strictly increasing and
-    # unbounded both ways, so a sign change always exists.
-    step = 1.0
-    lo, hi = U_l.T - step, U_l.T + step
-    g_lo, g_hi = g(lo), g(hi)
-    for _ in range(60):
-        if g_lo <= 0.0 <= g_hi:
-            break
-        step *= 2.0
-        if g_lo > 0.0:
-            lo -= step
-            g_lo = g(lo)
-        if g_hi < 0.0:
-            hi += step
-            g_hi = g(hi)
-    else:
-        raise NoBracket(
-            f"no bracket for middle stress between {lo} and {hi}")
-
-    if g_lo == 0.0:
-        root = lo
-    elif g_hi == 0.0:
-        root = hi
-    else:
-        root = _newton_bisect(g, dg, lo, hi, g_lo, g_hi)
+    # The residual is strictly increasing and unbounded both ways, so a
+    # bracket around T_l always exists.
+    found = _bracket(g, U_l.T - 1.0, U_l.T + 1.0, 2.0, 60)
+    if found is None:
+        raise NoBracket(f"no bracket for middle stress around {U_l.T}")
+    root = _newton_bisect(g, dg, *found)
 
     # Judge residuals against the velocity scale of the data and of both
-    # wave curves at the root, so the checks hold at every magnitude.
-    v_back = backward_v(m, U_l, root)
-    dv_fwd = forward_delta(m, root, U_r.T)
+    # wave curves, at the evaluation nearest the root (the root itself
+    # unless the last Newton step was within two ulps), so the checks hold
+    # at every magnitude.
+    _, final, v_back, dv_fwd = min(samples, key=lambda p: abs(p[0] - root))
     scale = max(1.0, abs(U_l.v), abs(U_r.v), abs(v_back - U_l.v),
                 abs(dv_fwd))
     samples.sort(key=lambda p: p[0])
     slack = 1e-8 * scale
-    for (_, v_a), (_, v_b) in zip(samples, samples[1:]):
-        if v_b < v_a - slack:
+    for a, b in zip(samples, samples[1:]):
+        if b[1] < a[1] - slack:
             raise NonMonotone(
                 "sampled residuals are not monotone in the middle stress")
-    final = v_back + dv_fwd - U_r.v
     if abs(final) > 1e-11 * scale:
         raise NoBracket(
             f"middle-stress residual {final} misses the tolerance")
@@ -254,23 +218,24 @@ _REGION_MAPS = {
 
 def _region_label(m: Material, U_l: State, U_r: State, T_bar: float,
                   back: list[CurveLeg], fwd: list[CurveLeg],
-                  v_back: float, v_fwd: float) -> str:
+                  v_back: float, v_fwd: float, tol: float) -> str:
     """Label of U_r; v_back and v_fwd are the velocities of the backward
-    and forward curves through U_l at U_r.T, as solve computed them."""
-    # Dividing-curve membership first (tolerance in velocity).
-    if abs(U_r.v - v_back) <= BOUNDARY_TOL:
+    and forward curves through U_l at U_r.T and tol the on-curve velocity
+    distance, as solve computed them."""
+    # Dividing-curve membership first.
+    if abs(U_r.v - v_back) <= tol:
         return "on-W1"
-    if abs(U_r.v - v_fwd) <= BOUNDARY_TOL:
+    if abs(U_r.v - v_fwd) <= tol:
         return "on-W2"
     if U_l.T != 0.0:
         zero_pt = State(0.0, backward_v(m, U_l, 0.0))
-        if abs(U_r.v - forward_v(m, zero_pt, U_r.T)) <= BOUNDARY_TOL:
+        if abs(U_r.v - forward_v(m, zero_pt, U_r.T)) <= tol:
             return "on-W2F" if U_l.T < 0.0 else "on-W2E"
         Tt = tangent_point(m, U_l.T)
         tgt_pt = State(Tt, backward_v(m, U_l, Tt))
-        if abs(U_r.v - forward_v(m, tgt_pt, U_r.T)) <= BOUNDARY_TOL:
+        if abs(U_r.v - forward_v(m, tgt_pt, U_r.T)) <= tol:
             return "on-W2B" if U_l.T < 0.0 else "on-W2C"
-    if abs(U_r.T) <= BOUNDARY_TOL:
+    if abs(U_r.T) <= BOUNDARY_TOL * max(abs(U_l.T), abs(U_r.T)):
         return "on-T0"
 
     system = "A" if U_l.T < 0.0 else ("B" if U_l.T > 0.0 else "C")
@@ -316,17 +281,11 @@ def thresholds(m: Material, T_l: float) -> Thresholds:
             m, A * t)
 
     # k(t_t) = -rhs < 0 and k grows without bound beyond t_t
-    lo, hi = t_t, 4.0
-    k_hi = k(hi)
-    while not k_hi >= 0.0:
-        if hi > 1e300:
-            raise RootNotBracketed(
-                "bracket search failed for the equal-velocity threshold "
-                f"of {T_l}")
-        lo, hi = hi, 2.0 * hi
-        k_hi = k(hi)
-    t_ss = hi if k_hi == 0.0 else _newton_bisect(k, dk, lo, hi, k(lo), k_hi)
-    return Thresholds(A, A * t_ss)
+    found = _bracket(k, t_t, 4.0, 4.0, 1000)
+    if found is None:
+        raise RootNotBracketed(
+            f"bracket search failed for the equal-velocity threshold of {T_l}")
+    return Thresholds(A, A * _newton_bisect(k, dk, *found))
 
 
 def zero_velocity_case(m: Material, T_l: float, T_r: float) -> str | None:
@@ -373,13 +332,20 @@ def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
     # convention); this also keeps roundoff from leaving a zero-width leg.
     v_back = backward_v(m, U_l, U_r.T)
     v_fwd = forward_v(m, U_l, U_r.T)
-    if abs(U_r.v - v_back) <= BOUNDARY_TOL:
+    # velocity jumps, not velocities: a common shift of v (Galilean
+    # invariance) must leave the solution's shape unchanged
+    tol = BOUNDARY_TOL * max(abs(U_r.v - U_l.v), abs(v_back - U_l.v),
+                             abs(v_fwd - U_l.v))
+    if tol == math.inf:
+        raise NoBracket(
+            f"wave-curve velocities overflow between {U_l} and {U_r}")
+    if abs(U_r.v - v_back) <= tol:
         T_bar = U_r.T
-    elif abs(U_r.v - v_fwd) <= BOUNDARY_TOL:
+    elif abs(U_r.v - v_fwd) <= tol:
         T_bar = U_l.T
     else:
         T_bar = _find_middle_stress(m, U_l, U_r)
-        snap = 1e-12 * max(1.0, abs(U_l.T), abs(U_r.T))
+        snap = 1e-12 * max(abs(U_l.T), abs(U_r.T))
         if abs(T_bar - U_l.T) <= snap:
             T_bar = U_l.T
         elif abs(T_bar - U_r.T) <= snap:
@@ -390,16 +356,11 @@ def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
 
     waves = tuple(_wave_from_leg(m, leg) for leg in back + fwd)
     middles = tuple(w.right for w in waves[:-1])
-    label = _region_label(m, U_l, U_r, T_bar, back, fwd, v_back, v_fwd)
+    label = _region_label(m, U_l, U_r, T_bar, back, fwd, v_back, v_fwd, tol)
     case = None
     if U_l.v == 0.0 and U_r.v == 0.0:
         case = zero_velocity_case(m, U_l.T, U_r.T)
     return WavePattern(m, U_l, waves, middles, label, case)
-
-
-def solve_zero_velocity(m: Material, T_l: float, T_r: float) -> WavePattern:
-    """Riemann solution for the released-bar experiment (velocities zero)."""
-    return solve(m, State(T_l, 0.0), State(T_r, 0.0))
 
 
 def solve_linear(m: Material, U_l: State, U_r: State) -> WavePattern:
@@ -420,8 +381,3 @@ def solve_linear(m: Material, U_l: State, U_r: State) -> WavePattern:
         waves.append(Wave(SHOCK, FORWARD, mid, U_r, c, c, "both"))
     middles = tuple(w.right for w in waves[:-1])
     return WavePattern(m, U_l, tuple(waves), middles, "linear")
-
-
-def classify_region(m: Material, U_l: State, U_r: State) -> str:
-    """Region label of U_r relative to U_l; boundary labels within 1e-9."""
-    return solve(m, U_l, U_r).region_label

@@ -8,14 +8,18 @@ position exactly, the right limit is returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .material import rarefaction_integral, wave_speed
+from .material import (
+    _newton_bisect,
+    rarefaction_integral,
+    strain_prime,
+    strain_second,
+    wave_speed,
+)
 from .riemann import Wave, WavePattern
 from .wave_curves import BACKWARD, SHOCK, State
-
-#: Residual target for fan inversion, |wave_speed(T) - xi|.
-FAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,24 +41,23 @@ class Profile:
 def _invert_fan(pattern: WavePattern, wave: Wave, xi: float) -> State:
     m = pattern.material
     a, b = wave.left.T, wave.right.T
-    # wave_speed is strictly monotone from speed_head (at a) to speed_tail
-    # (at b) along the fan, whichever way T runs.
-    T = 0.5 * (a + b)
-    for _ in range(200):
-        lam = wave_speed(m, T, wave.family)
-        if abs(lam - xi) <= FAN_TOL:
-            break
-        if lam < xi:
-            a = T
-        else:
-            b = T
-        T_next = 0.5 * (a + b)
-        if T_next == T:
-            break
-        T = T_next
-    sign = 1.0 if wave.family == BACKWARD else -1.0
-    v = wave.left.v + sign * rarefaction_integral(m, wave.left.T, T)
-    return State(T, v)
+    # wave_speed = sigma/sqrt(rho*strain_prime) is strictly monotone from
+    # speed_head (at a) to speed_tail (at b) along the fan, whichever way T
+    # runs; k orients it to increase with T.
+    sigma = -1.0 if wave.family == BACKWARD else 1.0
+    k = math.copysign(1.0, b - a)
+
+    def f(T: float) -> float:
+        return k * (wave_speed(m, T, wave.family) - xi)
+
+    def df(T: float) -> float:
+        s1 = strain_prime(m, T)
+        return (-0.5 * k * sigma * strain_second(m, T)
+                / (s1 * math.sqrt(m.rho * s1)))
+
+    lo, hi = min(a, b), max(a, b)
+    T = _newton_bisect(f, df, lo, hi, f(lo), f(hi))
+    return State(T, wave.left.v - sigma * rarefaction_integral(m, a, T))
 
 
 def sample(pattern: WavePattern, xi: float) -> State:

@@ -389,14 +389,14 @@ def refinement_study(m: Material, T_l: float, T_r: float,
                      cells_list, cfl: float, t_end: float) -> list[float]:
     """L1 distances between the reference scheme and the exact solution at
     each resolution."""
-    from .riemann import solve_zero_velocity
+    from .riemann import solve
     from .sampler import profile
 
-    pattern = solve_zero_velocity(m, T_l, T_r)
+    U_l, U_r = State(T_l, 0.0), State(T_r, 0.0)
+    pattern = solve(m, U_l, U_r)
     dists = []
     for cells in cells_list:
-        fv = fv_reference(m, State(T_l, 0.0), State(T_r, 0.0),
-                          cells, cfl, t_end)
+        fv = fv_reference(m, U_l, U_r, cells, cfl, t_end)
         exact = profile(pattern, fv.xi[0], fv.xi[-1], 4001)
         dists.append(l1_distance(exact, fv))
     return dists

@@ -143,14 +143,10 @@ def backward_v(m: Material, U_l: State, T: float) -> float:
 def backward_dv(m: Material, U_l: State, T: float) -> float:
     """d(backward_v)/dT; strictly positive."""
     if U_l.T > 0.0:
-        return _backward_dv_neg_mirror(m, U_l.T, T)
+        return _backward_dv_neg(m, -U_l.T, -T)
     if U_l.T == 0.0:
         return math.sqrt(strain_prime(m, T) / m.rho)
     return _backward_dv_neg(m, U_l.T, T)
-
-
-def _backward_dv_neg_mirror(m: Material, T_l: float, T: float) -> float:
-    return _backward_dv_neg(m, -T_l, -T)
 
 
 def decompose_backward(m: Material, U_l: State, T: float) -> list[CurveLeg]:

@@ -22,7 +22,6 @@ from barwaves import (
     invert_strain,
     sample,
     solve,
-    solve_zero_velocity,
     strain,
     strain_prime,
     tangent_point,
@@ -68,7 +67,7 @@ def test_criterion_01_twelve_pattern_atlas():
         for T_r in tr_grid:
             if abs(T_l - T_r) <= 1e-13:
                 continue
-            p = solve_zero_velocity(CUBIC, T_l, T_r)
+            p = solve(CUBIC, State(T_l, 0.0), State(T_r, 0.0))
             cases.add(p.zero_velocity_case)
             if T_l == 0.0:
                 zero_row_regions.add(p.region_label)
@@ -218,8 +217,8 @@ def test_criterion_10_round_trips():
             assert abs(back - T) <= 1e-12 * max(1.0, abs(T))
     # fan inversion residual at sampled interior points of every fan
     patterns = [
-        solve_zero_velocity(CUBIC, -0.5, -1.0),
-        solve_zero_velocity(CUBIC, -1.0, 1.6),
+        solve(CUBIC, State(-0.5, 0.0), State(-1.0, 0.0)),
+        solve(CUBIC, State(-1.0, 0.0), State(1.6, 0.0)),
         solve(CUBIC, State(-1.0, 0.0), State(0.8, -2.9)),
         solve(QUINTIC, State(0.0, 0.0), State(0.0, 3.0)),
     ]

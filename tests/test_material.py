@@ -4,7 +4,7 @@ import random
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from barwaves import (
     BACKWARD,
@@ -26,6 +26,9 @@ from barwaves import (
 from conftest import cubic_fan_integral, driving_force_integral, make_material
 
 stress = st.floats(-5.0, 5.0)
+#: |T| log-uniform over 1e-300..1e50, either sign
+wide_stress = st.builds(lambda e, s: s * 10.0 ** e, st.floats(-300.0, 50.0),
+                        st.sampled_from((-1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +334,7 @@ def test_driving_force_cubic_hand_value(cubic):
 
 @given(T_l=st.floats(-3.0, 3.0), T_r=st.floats(-3.0, 3.0))
 @settings(deadline=None, max_examples=80)
+@example(T_l=6.103515625e-05, T_r=0.0)
 def test_driving_force_matches_integral_and_sign(cubic, quintic, T_l, T_r):
     for m in (cubic, quintic):
         closed = driving_force(m, T_l, T_r)
@@ -340,6 +344,41 @@ def test_driving_force_matches_integral_and_sign(cubic, quintic, T_l, T_r):
         sign = T_r * T_r - T_l * T_l
         if abs(sign) > 1e-9:
             assert math.copysign(1.0, closed) == math.copysign(1.0, sign)
+
+
+def mp_driving_force(m, T_l, T_r):
+    """Trapezoid of the strain minus its exact integral, at 120 digits: the
+    antiderivative carries the constant alpha/((n+1)*gamma), so a force of
+    1e-52 between stresses near 1e-8 needs about 70 of them."""
+    with mpmath.workdps(120):
+        alpha, beta, gamma, n = (mpmath.mpf(x) for x in (m.alpha, m.beta,
+                                                          m.gamma, m.n))
+
+        def E(T):
+            return (beta * T * T / 2 + alpha * (1 + gamma * T * T / 2)
+                    ** (n + 1) / ((n + 1) * gamma))
+
+        a, b = mpmath.mpf(T_l), mpmath.mpf(T_r)
+        return float((mp_strain(m, a) + mp_strain(m, b)) * (b - a) / 2
+                     - (E(b) - E(a)))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MATERIALS))
+def test_driving_force_matches_high_precision(name):
+    m = ORACLE_MATERIALS[name]
+    rng = random.Random(name)
+    pairs = [tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 3.0)
+                   for _ in range(2)) for _ in range(12)]
+    # jumps between nearly equal magnitudes, where the halves of the
+    # integral would cancel, and to zero, where the closed form
+    # F(T_l, T_r) - F(T_r, T_l) lost the sign
+    pairs += [(T, f * T) for T in (3e-8, 0.7, 450.0)
+              for f in (-1.0 - 1e-9, -1.0 + 1e-6, 1.0 + 1e-7)]
+    pairs += [(1e-4, 0.0), (0.0, 1e-4)]
+    for T_l, T_r in pairs:
+        exact = mp_driving_force(m, T_l, T_r)
+        got = driving_force(m, T_l, T_r)
+        assert abs(got - exact) <= 1e-13 * abs(exact), (T_l, T_r)
 
 
 def test_driving_force_linear_mode_vanishes(linear):
@@ -357,12 +396,26 @@ def test_invert_strain_basics(cubic):
     assert invert_strain(cubic, 3.0) == pytest.approx(1.0, rel=1e-13)
 
 
-@given(T=stress)
+@given(T=st.one_of(stress, wide_stress))
 @settings(deadline=None)
+@example(T=1e5)
+@example(T=1e16)
+@example(T=1e18)
 def test_invert_strain_round_trip(cubic, quintic, T):
     for m in (cubic, quintic):
         assert invert_strain(m, strain(m, T)) == pytest.approx(
             T, abs=1e-12, rel=1e-12)
+
+
+@given(T=wide_stress)
+@settings(deadline=None)
+@example(T=1e-300)
+@example(T=-5e-200)
+def test_invert_strain_round_trip_is_relative_at_every_magnitude(
+        cubic, quintic, T):
+    # the absolute bound above passes any result for |T| below 1e-12
+    for m in (cubic, quintic):
+        assert abs(invert_strain(m, strain(m, T)) - T) <= 4e-15 * abs(T)
 
 
 # ---------------------------------------------------------------------------

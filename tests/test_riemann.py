@@ -7,17 +7,16 @@ from barwaves import (
     BACKWARD,
     FORWARD,
     Material,
+    NoBracket,
     PRESETS,
     RAREFACTION,
     SHOCK,
     State,
     backward_v,
-    classify_region,
     forward_v,
     rarefaction_integral,
     solve,
     solve_linear,
-    solve_zero_velocity,
     strain,
     strain_prime,
     tangent_point,
@@ -25,7 +24,7 @@ from barwaves import (
     wave_speed,
     zero_velocity_case,
 )
-from barwaves.riemann import _newton_bisect
+from barwaves.material import _newton_bisect
 from barwaves.verify import check_rh, continuity_probe, speeds_ordered
 from barwaves.wave_curves import forward_delta
 from conftest import cubic_fan_integral
@@ -133,6 +132,68 @@ def test_wide_magnitude_solves_meet_scaled_residual(name, U_l, U_r):
     assert check_rh(p) < 1e-9
 
 
+def test_tiny_data_is_not_taken_for_a_point_on_a_wave_curve():
+    # both velocities are 0 while the backward curve through U_l reaches
+    # 3.5e-10 at T_r: an absolute on-curve tolerance of 1e-9 took U_r for a
+    # point on it and returned that velocity as the right state
+    m = Material(1.0, -0.999, 1.0, 2.0, 1.0)
+    U_l = State(2.0895667501753925e-09, 0.0)
+    U_r = State(1.3037929629910263e-08, 0.0)
+    p = solve(m, U_l, U_r)
+    assert p.region_label == "B12"
+    assert p.zero_velocity_case == "VI"
+    assert p.right_state.T == U_r.T
+    jumps = max(abs(w.right.v - w.left.v) for w in p.waves)
+    assert abs(p.right_state.v) <= 1e-11 * jumps
+    assert_chained(p)
+
+
+@pytest.mark.parametrize("name,U_l,T_r,dv", [
+    ("cubic", State(-1.0, 0.0), -1.0001, 0.0),
+    ("cubic", State(-1.0, 0.0), -1.0001, "on-W1"),
+    ("cubic", State(0.5, 1e-4), 0.5001, -2e-4),
+    ("quintic", State(-0.3, 0.0), 0.3, 0.0),
+    ("quintic", State(2.0, -1e-3), 1.999, "on-W2"),
+])
+@pytest.mark.parametrize("V", [1e6, -1e6])
+def test_common_velocity_shift_only_shifts_the_solution(name, U_l, T_r,
+                                                        dv, V):
+    # the system is Galilean in v, so an on-curve tolerance taken from
+    # velocities instead of velocity jumps would take U_r for a point on a
+    # wave curve once |v| dwarfs the jumps
+    m = PRESETS[name]
+    if dv == "on-W1":
+        dv = backward_v(m, U_l, T_r) - U_l.v
+    elif dv == "on-W2":
+        dv = forward_v(m, U_l, T_r) - U_l.v
+    U_r = State(T_r, U_l.v + dv)
+    p = solve(m, U_l, U_r)
+    q = solve(m, State(U_l.T, U_l.v + V), State(U_r.T, U_r.v + V))
+    assert q.region_label == p.region_label
+    assert q.zero_velocity_case is None
+    assert q.right_state.T == U_r.T
+    assert q.right_state.v == pytest.approx(U_r.v + V, abs=1e-9)
+    assert [(w.kind, w.family) for w in q.waves] == [
+        (w.kind, w.family) for w in p.waves]
+    for w, w0 in zip(q.waves, p.waves):
+        # a few ulps of V, against velocity jumps of 1e-4 and more
+        for s, s0 in ((w.left, w0.left), (w.right, w0.right)):
+            assert s.T == pytest.approx(s0.T, abs=1e-9)
+            assert s.v - V == pytest.approx(s0.v, abs=1e-9)
+        assert w.speed_head == pytest.approx(w0.speed_head, rel=1e-6)
+        assert w.speed_tail == pytest.approx(w0.speed_tail, rel=1e-6)
+    assert_chained(q)
+
+
+@pytest.mark.parametrize("name,T_l", [("quintic", -1e60),
+                                       ("cubic", -1e100)])
+def test_overflowing_curve_velocities_raise_a_typed_error(name, T_l):
+    # the backward curve reaches T_r = 1 at an infinite velocity; an
+    # on-curve tolerance scaled by it must not accept that as a solution
+    with pytest.raises(NoBracket, match="overflow"):
+        solve(PRESETS[name], State(T_l, 0.0), State(1.0, 0.0))
+
+
 def test_tiny_magnitude_solve_is_resolved_to_its_own_scale(quintic):
     # a residual target of 1e-12*max(1, |v|) is absolute at this scale and
     # passes velocity errors of 5e-7 relative to the data; the root finder
@@ -159,6 +220,15 @@ def test_newton_bisect_resolves_roots_at_any_magnitude():
     got = _newton_bisect(lambda x: x ** 3 - 2.0, lambda x: 3.0 * x * x,
                          0.0, 4.0, -2.0, 62.0)
     assert got == pytest.approx(2.0 ** (1.0 / 3.0), rel=4e-16)
+
+
+@pytest.mark.parametrize("slope", [math.inf, math.nan, 0.0, -1.0])
+def test_newton_bisect_bisects_on_a_slope_that_is_not_positive_finite(slope):
+    # an overflowed slope gives a zero Newton step, which must not be taken
+    # for convergence at the bracket end
+    got = _newton_bisect(lambda x: x - 0.3, lambda x: slope, 0.0, 1.0,
+                         -0.3, 0.7)
+    assert abs(got - 0.3) <= math.ulp(0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +341,7 @@ def test_solve_linear_requires_linear_mode(cubic):
 
 def test_case_one_structure_and_intermediate_state(cubic):
     T_l, T_r = -0.5, -1.0
-    p = solve_zero_velocity(cubic, T_l, T_r)
+    p = solve(cubic, State(T_l, 0.0), State(T_r, 0.0))
     assert p.zero_velocity_case == "I"
     assert [(w.kind, w.family) for w in p.waves] == [
         (RAREFACTION, BACKWARD), (SHOCK, FORWARD)]
@@ -290,7 +360,7 @@ def test_case_one_structure_and_intermediate_state(cubic):
 
 
 def test_case_four_is_two_shocks(cubic):
-    p = solve_zero_velocity(cubic, -0.5, 0.65)
+    p = solve(cubic, State(-0.5, 0.0), State(0.65, 0.0))
     assert p.zero_velocity_case == "IV"
     assert [(w.kind, w.family) for w in p.waves] == [
         (SHOCK, BACKWARD), (SHOCK, FORWARD)]
@@ -298,7 +368,7 @@ def test_case_four_is_two_shocks(cubic):
 
 
 def test_case_five_has_degenerate_backward_composite(cubic):
-    p = solve_zero_velocity(cubic, -1.0, 1.6)
+    p = solve(cubic, State(-1.0, 0.0), State(1.6, 0.0))
     assert p.zero_velocity_case == "V"
     assert [(w.kind, w.family) for w in p.waves] == [
         (SHOCK, BACKWARD), (RAREFACTION, BACKWARD), (SHOCK, FORWARD)]
@@ -337,14 +407,18 @@ def test_degenerate_shock_shares_the_fan_ray_exactly(m_name, U_l, U_r):
 
 
 def test_zero_velocity_case_bands(cubic):
-    for T_r, case in [(-2.0, "I"), (-0.5, "II"), (0.5, "III"),
-                      (1.2, "IV"), (1.5, "V")]:
-        assert solve_zero_velocity(cubic, -1.0, T_r).zero_velocity_case == case
-    for T_r, case in [(2.0, "VI"), (0.5, "VII"), (-0.7, "VIII"),
-                      (-1.2, "IX"), (-2.0, "X")]:
-        assert solve_zero_velocity(cubic, 1.0, T_r).zero_velocity_case == case
-    assert solve_zero_velocity(cubic, 0.0, -1.0).zero_velocity_case == "XI"
-    assert solve_zero_velocity(cubic, 0.0, 1.0).zero_velocity_case == "XII"
+    def case(T_l, T_r):
+        return solve(cubic, State(T_l, 0.0),
+                     State(T_r, 0.0)).zero_velocity_case
+
+    for T_r, label in [(-2.0, "I"), (-0.5, "II"), (0.5, "III"),
+                       (1.2, "IV"), (1.5, "V")]:
+        assert case(-1.0, T_r) == label
+    for T_r, label in [(2.0, "VI"), (0.5, "VII"), (-0.7, "VIII"),
+                       (-1.2, "IX"), (-2.0, "X")]:
+        assert case(1.0, T_r) == label
+    assert case(0.0, -1.0) == "XI"
+    assert case(0.0, 1.0) == "XII"
     assert zero_velocity_case(cubic, -1.0, -1.0) is None
 
 
@@ -378,7 +452,6 @@ def test_region_labels_negative_left_stress(cubic, label, T_mid, T_r):
     p = solve(cubic, U_l, U_r)
     assert p.region_label == label
     assert middle_stress(p) == pytest.approx(T_mid, abs=1e-9)
-    assert classify_region(cubic, U_l, U_r) == label
 
 
 def test_region_band_above_backward_curve(cubic):
@@ -392,7 +465,7 @@ def test_region_band_above_backward_curve(cubic):
 
 
 def test_rarefaction_wave_speeds_are_edge_characteristics(cubic):
-    p = solve_zero_velocity(cubic, -1.0, 1.6)
+    p = solve(cubic, State(-1.0, 0.0), State(1.6, 0.0))
     for w in p.waves:
         if w.kind == RAREFACTION:
             assert w.speed_head == wave_speed(cubic, w.left.T, w.family)

@@ -7,14 +7,13 @@ from barwaves import (
     profile,
     sample,
     solve,
-    solve_zero_velocity,
     wave_speed,
 )
 
 
 @pytest.fixture()
 def case_one(cubic):
-    return solve_zero_velocity(cubic, -0.5, -1.0)
+    return solve(cubic, State(-0.5, 0.0), State(-1.0, 0.0))
 
 
 def test_constant_states_outside_wave_range(cubic, case_one):
@@ -51,7 +50,7 @@ def test_fan_edges_reproduce_end_states(cubic, case_one):
 
 
 def test_fan_monotone_in_similarity_coordinate(cubic):
-    p = solve_zero_velocity(cubic, -1.0, 1.6)  # has a backward fan
+    p = solve(cubic, State(-1.0, 0.0), State(1.6, 0.0))  # has a backward fan
     fan = next(w for w in p.waves if w.kind == RAREFACTION)
     xs = [fan.speed_head + (fan.speed_tail - fan.speed_head) * i / 50
           for i in range(51)]

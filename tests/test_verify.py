@@ -18,7 +18,6 @@ from barwaves import (
     l1_distance,
     shock_speed,
     solve,
-    solve_zero_velocity,
     strain,
     tangent_point,
     wave_speed,
@@ -56,13 +55,13 @@ def test_rh_empty_pattern_is_zero(cubic):
 
 
 def test_rh_on_constructed_case(cubic):
-    p = solve_zero_velocity(cubic, -0.5, -1.0)
+    p = solve(cubic, State(-0.5, 0.0), State(-1.0, 0.0))
     assert check_rh(p) < 1e-12
 
 
 def test_rh_detects_corrupted_speed(cubic):
     from dataclasses import replace
-    p = solve_zero_velocity(cubic, -0.5, -1.0)
+    p = solve(cubic, State(-0.5, 0.0), State(-1.0, 0.0))
     bad = tuple(replace(w, speed_head=w.speed_head + 1e-3,
                         speed_tail=w.speed_tail + 1e-3)
                 if w.kind == SHOCK else w for w in p.waves)
@@ -103,7 +102,7 @@ def test_lax_strict_for_classical_forward_shock(cubic):
 
 
 def test_lax_equality_for_degenerate_backward_shock(cubic):
-    p = solve_zero_velocity(cubic, -1.0, 1.6)
+    p = solve(cubic, State(-1.0, 0.0), State(1.6, 0.0))
     lead = p.waves[0]
     assert lead.degenerate == "right"
     assert check_lax(cubic, lead)
@@ -221,7 +220,7 @@ def test_fv_confirms_tangency_composite(cubic):
 
 
 def test_l1_identical_profiles(cubic):
-    p = solve_zero_velocity(cubic, -0.5, -1.0)
+    p = solve(cubic, State(-0.5, 0.0), State(-1.0, 0.0))
     prof = profile(p, -2.0, 2.0, 101)
     assert l1_distance(prof, prof) == 0.0
 
@@ -233,7 +232,7 @@ def test_l1_rectangle_area():
 
 
 def test_l1_symmetric_under_swap(cubic):
-    p = solve_zero_velocity(cubic, -0.5, -1.0)
+    p = solve(cubic, State(-0.5, 0.0), State(-1.0, 0.0))
     a = profile(p, -2.0, 2.0, 57)
     b = fv_reference(cubic, State(-0.5, 0.0), State(-1.0, 0.0),
                      cells=80, cfl=0.5, t_end=0.5)
@@ -279,7 +278,7 @@ def test_invariant_suite_inject_fails_rh(cubic):
 
 
 def test_mirror_and_negation_deviation_detect_mismatch(cubic):
-    p = solve_zero_velocity(cubic, -0.5, -1.0)
-    q = solve_zero_velocity(cubic, -0.5, -0.9)
+    p = solve(cubic, State(-0.5, 0.0), State(-1.0, 0.0))
+    q = solve(cubic, State(-0.5, 0.0), State(-0.9, 0.0))
     assert mirror_deviation(p, p) == math.inf  # families do not swap
     assert negation_deviation(p, q) > 1e-3
