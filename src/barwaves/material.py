@@ -209,16 +209,21 @@ def _even_fan(m: Material, u_0: float, u_1: float) -> float:
                    u_1) / math.sqrt(m.rho)
 
 
+def _knee_stress(m: Material) -> float:
+    """c = sqrt((alpha+beta)/(alpha*gamma)): strain_prime stays near
+    alpha + beta for |T| << c and grows like |T|**(2n) beyond, and c is the
+    order of the distance of the complex zeros of strain_prime from 0."""
+    return math.sqrt((m.alpha + m.beta) / (m.alpha * m.gamma))
+
+
 def _graded(m: Material, fn, u_0: float, u_1: float) -> float:
     """Integral of fn(u) over [u_0, u_1], 0 <= u_0 <= u_1.
 
     Gauss-Legendre on panels graded away from 0: a panel starting at x is
-    at most 2*x + c long, where c = sqrt((alpha+beta)/(alpha*gamma)) is the
-    order of the distance of the complex zeros of strain_prime from 0, so
-    every panel stays a fixed ratio away from the singularities of the
-    constitutive functions.
+    at most 2*x + c long, where c = _knee_stress(m), so every panel stays a
+    fixed ratio away from the singularities of the constitutive functions.
     """
-    c = math.sqrt((m.alpha + m.beta) / (m.alpha * m.gamma))
+    c = _knee_stress(m)
     total = 0.0
     x = u_0
     while x < u_1:

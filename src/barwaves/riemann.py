@@ -10,12 +10,12 @@ on every call instead of assuming it.
 
 Region labels: the phase plane around a left state with T_l < 0 splits into
 twelve regions A1..A12 (B1..B12 for T_l > 0, C1..C6 for T_l = 0) according
-to the kind of each wave and the sign of the middle stress.  A right state
-within BOUNDARY_TOL of a dividing curve, relative to the velocity jumps
-from U_l to U_r and to the curves through U_l at its stress (relative to
-the data stresses for the zero-stress line), gets a boundary label instead.
-Labels are derived from the constructed pattern, never from a separate
-geometric test, so label and pattern cannot disagree.
+to the kind of each wave and the sign of the middle stress.  Each dividing
+curve is the set of right states with one middle stress (T_r on W1, T_l on
+W2, 0 on W2F/W2E, the tangency stress of T_l on W2B/W2C), so the residual
+there is the distance from it: within BOUNDARY_TOL of the velocity jumps it
+gives a boundary label (on-T0 is relative to the data stresses), and these
+samples seed the bracket.  Other labels come from the constructed pattern.
 
 For the experiment with both initial velocities zero, the solution type is
 a function of the initial stresses alone, classified I..XII by comparing
@@ -32,6 +32,7 @@ from .material import (
     BACKWARD,
     FORWARD,
     Material,
+    _knee_stress,
     _newton_bisect,
     strain,
     strain_prime,
@@ -49,7 +50,6 @@ from .wave_curves import (
     decompose_forward,
     forward_delta,
     forward_delta_dstart,
-    forward_v,
     shock_speed,
 )
 
@@ -117,13 +117,13 @@ def _wave_from_leg(m: Material, leg: CurveLeg) -> Wave:
                 leg.degenerate)
 
 
-def _bracket(fn, lo: float, hi: float, step: float, tries: int):
-    """Widen [lo, hi] until the increasing fn changes sign in it: the end on
-    the wrong side becomes the other end and moves out by `step`, which
-    doubles each time.  Returns (lo, hi, fn(lo), fn(hi)), or None after
-    `tries` steps."""
-    f_lo, f_hi = fn(lo), fn(hi)
-    for _ in range(tries):
+def _bracket(fn, lo: float, hi: float, f_lo: float, f_hi: float,
+             step: float):
+    """Widen [lo, hi], where the increasing fn takes f_lo and f_hi, until fn
+    changes sign in it: the end on the wrong side becomes the other end and
+    moves out by `step`, which doubles each time.  Returns (lo, hi, f_lo,
+    f_hi), or None after 2100 doublings, which cross the float range."""
+    for _ in range(2100):
         if f_lo <= 0.0 <= f_hi:
             return lo, hi, f_lo, f_hi
         if f_lo > 0.0:
@@ -138,7 +138,14 @@ def _bracket(fn, lo: float, hi: float, step: float, tries: int):
     return None
 
 
-def _find_middle_stress(m: Material, U_l: State, U_r: State) -> float:
+def _find_middle_stress(m: Material, U_l: State,
+                        U_r: State) -> tuple[float, str]:
+    """Middle stress of the solution and the boundary label of U_r ('' off
+    the dividing curves).  Each dividing curve holds the right states whose
+    middle stress is one dividing stress T_d, so the residual g(T_d) is the
+    velocity distance of U_r from it.  One sample of g at each T_d decides
+    the label and its tolerance, brackets the root and joins the
+    monotonicity check."""
     # (T_bar, residual, backward_v, forward_delta) of every evaluation
     samples: list[tuple[float, float, float, float]] = []
 
@@ -153,30 +160,62 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State) -> float:
         return (backward_dv(m, U_l, T_bar)
                 + forward_delta_dstart(m, T_bar, U_r.T))
 
-    # The residual is strictly increasing and unbounded both ways, so a
-    # bracket around T_l always exists.
-    found = _bracket(g, U_l.T - 1.0, U_l.T + 1.0, 2.0, 60)
+    # W1, W2 and, for T_l != 0, the forward curves from the zero-stress and
+    # the tangency points of the backward curve, in order of precedence
+    dividing = [(U_r.T, "on-W1"), (U_l.T, "on-W2")]
+    if U_l.T < 0.0:
+        dividing += [(0.0, "on-W2F"), (tangent_point(m, U_l.T), "on-W2B")]
+    elif U_l.T > 0.0:
+        dividing += [(0.0, "on-W2E"), (tangent_point(m, U_l.T), "on-W2C")]
+    residuals = [g(T_d) for T_d, _ in dividing]
+    # the velocity jumps from U_l to U_r and along both curves through U_l
+    # to T_r, not velocities: a common shift of v (Galilean invariance) must
+    # leave the solution's shape unchanged
+    tol = BOUNDARY_TOL * max(abs(U_r.v - U_l.v), abs(samples[0][2] - U_l.v),
+                             abs(samples[1][3]))
+    if tol == math.inf or not all(map(math.isfinite, residuals)):
+        raise OverflowError("wave-curve velocity")
+    for (T_d, label), r in zip(dividing, residuals):
+        if abs(r) <= tol:
+            return T_d, label
+
+    # g is strictly increasing and unbounded both ways: the samples bracket
+    # the root, or the search widens from the outermost one by the Newton
+    # step there, at most the stress scale of the data and of the strain's
+    # knee, beyond which g steepens and the Newton step overshoots.
+    lo = max((p for p in samples if p[1] < 0.0), default=None)
+    hi = min((p for p in samples if p[1] > 0.0), default=None)
+    step = 0.0
+    if lo is None or hi is None:
+        lo = hi = lo or hi
+        cap = max(abs(U_l.T), abs(U_r.T), _knee_stress(m))
+        newton = abs(lo[1]) / dg(lo[0])
+        step = newton if 0.0 < newton < cap else cap
+    found = _bracket(g, lo[0], hi[0], lo[1], hi[1], step)
     if found is None:
         raise NoBracket(f"no bracket for middle stress around {U_l.T}")
     root = _newton_bisect(g, dg, *found)
 
     # Judge residuals against the velocity scale of the data and of both
-    # wave curves, at the evaluation nearest the root (the root itself
-    # unless the last Newton step was within two ulps), so the checks hold
-    # at every magnitude.
+    # wave curves at the evaluation nearest the root (the root itself unless
+    # the last Newton step was within two ulps): it holds at every magnitude.
     _, final, v_back, dv_fwd = min(samples, key=lambda p: abs(p[0] - root))
     scale = max(1.0, abs(U_l.v), abs(U_r.v), abs(v_back - U_l.v),
                 abs(dv_fwd))
-    samples.sort(key=lambda p: p[0])
-    slack = 1e-8 * scale
+    samples.sort()
     for a, b in zip(samples, samples[1:]):
-        if b[1] < a[1] - slack:
+        if b[1] < a[1] - 1e-8 * scale:
             raise NonMonotone(
                 "sampled residuals are not monotone in the middle stress")
     if abs(final) > 1e-11 * scale:
         raise NoBracket(
             f"middle-stress residual {final} misses the tolerance")
-    return root
+    snap = 1e-12 * max(abs(U_l.T), abs(U_r.T))
+    if abs(root - U_l.T) <= snap:
+        return U_l.T, ""
+    if abs(root - U_r.T) <= snap:
+        return U_r.T, ""
+    return root, ""
 
 
 def _leg_summary(legs: list[CurveLeg]) -> str:
@@ -216,25 +255,10 @@ _REGION_MAPS = {
 }
 
 
-def _region_label(m: Material, U_l: State, U_r: State, T_bar: float,
-                  back: list[CurveLeg], fwd: list[CurveLeg],
-                  v_back: float, v_fwd: float, tol: float) -> str:
-    """Label of U_r; v_back and v_fwd are the velocities of the backward
-    and forward curves through U_l at U_r.T and tol the on-curve velocity
-    distance, as solve computed them."""
-    # Dividing-curve membership first.
-    if abs(U_r.v - v_back) <= tol:
-        return "on-W1"
-    if abs(U_r.v - v_fwd) <= tol:
-        return "on-W2"
-    if U_l.T != 0.0:
-        zero_pt = State(0.0, backward_v(m, U_l, 0.0))
-        if abs(U_r.v - forward_v(m, zero_pt, U_r.T)) <= tol:
-            return "on-W2F" if U_l.T < 0.0 else "on-W2E"
-        Tt = tangent_point(m, U_l.T)
-        tgt_pt = State(Tt, backward_v(m, U_l, Tt))
-        if abs(U_r.v - forward_v(m, tgt_pt, U_r.T)) <= tol:
-            return "on-W2B" if U_l.T < 0.0 else "on-W2C"
+def _region_label(U_l: State, U_r: State, T_bar: float,
+                  back: list[CurveLeg], fwd: list[CurveLeg]) -> str:
+    """Label of U_r off the dividing curves, which _find_middle_stress
+    labels from its residual samples: on-T0 or the region of the legs."""
     if abs(U_r.T) <= BOUNDARY_TOL * max(abs(U_l.T), abs(U_r.T)):
         return "on-T0"
 
@@ -244,8 +268,7 @@ def _region_label(m: Material, U_l: State, U_r: State, T_bar: float,
     if entry is None:
         return "unclassified"
     if isinstance(entry, tuple):
-        neg, pos = entry
-        return neg if T_bar < 0.0 else pos
+        return entry[0] if T_bar < 0.0 else entry[1]
     return entry
 
 
@@ -261,31 +284,33 @@ def thresholds(m: Material, T_l: float) -> Thresholds:
         raise ValueError(f"thresholds require a finite left stress, got {T_l}")
     if T_l == 0.0:
         raise ValueError("thresholds require a nonzero left stress")
-    if T_l > 0.0:
-        mirrored = thresholds(m, -T_l)
-        return Thresholds(-mirrored.T_star, -mirrored.T_star_star)
 
-    # Solve for t = T/|T_l|, with each factor of the condition divided by
-    # |T_l|, so that no product underflows for tiny left stresses.
-    A = -T_l
-    Tt = tangent_point(m, T_l)
-    t_t = Tt / A
-    eps_t = strain(m, Tt)
-    rhs = (t_t + 1.0) ** 2 * strain_prime(m, Tt)
+    # Solve the mirror image with left stress -|T_l| for t = T/|T_l|, with
+    # each factor of the condition divided by |T_l| so that no product
+    # underflows for tiny left stresses; the thresholds are -T_l*(1, t).
+    A = abs(T_l)
+    try:
+        Tt = tangent_point(m, -A)
+        t_t = Tt / A
+        eps_t = strain(m, Tt)
+        rhs = (t_t + 1.0) ** 2 * strain_prime(m, Tt)
 
-    def k(t):
-        return (t - t_t) * ((strain(m, A * t) - eps_t) / A) - rhs
+        def k(t):
+            return (t - t_t) * ((strain(m, A * t) - eps_t) / A) - rhs
 
-    def dk(t):
-        return (strain(m, A * t) - eps_t) / A + (t - t_t) * strain_prime(
-            m, A * t)
+        def dk(t):
+            return (strain(m, A * t) - eps_t) / A + (t - t_t) * strain_prime(
+                m, A * t)
 
-    # k(t_t) = -rhs < 0 and k grows without bound beyond t_t
-    found = _bracket(k, t_t, 4.0, 4.0, 1000)
-    if found is None:
+        # k(t_t) = -rhs < 0 and k grows without bound beyond t_t
+        found = _bracket(k, t_t, 4.0, -rhs, k(4.0), 4.0)
+        if found is None:
+            raise RootNotBracketed("bracket search failed for the "
+                                   f"equal-velocity threshold of {T_l}")
+        return Thresholds(-T_l, -T_l * _newton_bisect(k, dk, *found))
+    except OverflowError as exc:
         raise RootNotBracketed(
-            f"bracket search failed for the equal-velocity threshold of {T_l}")
-    return Thresholds(A, A * _newton_bisect(k, dk, *found))
+            f"constitutive functions overflow at left stress {T_l}") from exc
 
 
 def zero_velocity_case(m: Material, T_l: float, T_r: float) -> str | None:
@@ -328,35 +353,16 @@ def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
     if m.linear_mode:
         return solve_linear(m, U_l, U_r)
 
-    # Data on a wave curve solves as the single-family pattern (boundary
-    # convention); this also keeps roundoff from leaving a zero-width leg.
-    v_back = backward_v(m, U_l, U_r.T)
-    v_fwd = forward_v(m, U_l, U_r.T)
-    # velocity jumps, not velocities: a common shift of v (Galilean
-    # invariance) must leave the solution's shape unchanged
-    tol = BOUNDARY_TOL * max(abs(U_r.v - U_l.v), abs(v_back - U_l.v),
-                             abs(v_fwd - U_l.v))
-    if tol == math.inf:
+    try:
+        T_bar, label = _find_middle_stress(m, U_l, U_r)
+        back = decompose_backward(m, U_l, T_bar)
+        fwd = decompose_forward(m, back[-1].end if back else U_l, U_r.T)
+        waves = tuple(_wave_from_leg(m, leg) for leg in back + fwd)
+    except OverflowError as exc:
         raise NoBracket(
-            f"wave-curve velocities overflow between {U_l} and {U_r}")
-    if abs(U_r.v - v_back) <= tol:
-        T_bar = U_r.T
-    elif abs(U_r.v - v_fwd) <= tol:
-        T_bar = U_l.T
-    else:
-        T_bar = _find_middle_stress(m, U_l, U_r)
-        snap = 1e-12 * max(abs(U_l.T), abs(U_r.T))
-        if abs(T_bar - U_l.T) <= snap:
-            T_bar = U_l.T
-        elif abs(T_bar - U_r.T) <= snap:
-            T_bar = U_r.T
-    back = decompose_backward(m, U_l, T_bar)
-    middle = back[-1].end if back else U_l
-    fwd = decompose_forward(m, middle, U_r.T)
-
-    waves = tuple(_wave_from_leg(m, leg) for leg in back + fwd)
+            f"wave-curve velocities overflow between {U_l} and {U_r}") from exc
     middles = tuple(w.right for w in waves[:-1])
-    label = _region_label(m, U_l, U_r, T_bar, back, fwd, v_back, v_fwd, tol)
+    label = label or _region_label(U_l, U_r, T_bar, back, fwd)
     case = None
     if U_l.v == 0.0 and U_r.v == 0.0:
         case = zero_velocity_case(m, U_l.T, U_r.T)

@@ -14,6 +14,8 @@ and recovers stress by inverting the strain curve pointwise.
 from __future__ import annotations
 
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,9 +28,9 @@ from .material import (
     strain_prime,
     wave_speed,
 )
-from .riemann import Wave, WavePattern
-from .sampler import Profile
-from .wave_curves import BACKWARD, SHOCK, State
+from .riemann import Wave, WavePattern, solve
+from .sampler import Profile, profile, sample
+from .wave_curves import BACKWARD, SHOCK, State, backward_v
 
 
 def _shock_scale(w: Wave) -> float:
@@ -297,7 +299,6 @@ def speeds_ordered(pattern: WavePattern, tol: float = 1e-12) -> bool:
 
 
 def _corrupt_speeds(pattern: WavePattern) -> WavePattern:
-    from dataclasses import replace
     waves = tuple(
         replace(w, speed_head=w.speed_head + 1e-3,
                 speed_tail=w.speed_tail + 1e-3)
@@ -313,10 +314,6 @@ def run_invariant_suite(materials, seed: int, trials: int,
     `materials`.  Returns (check name, passed, detail) rows.  With
     `inject`, shock speeds are perturbed by 1e-3 before the jump-condition
     check, which must then fail (sensitivity control)."""
-    import random
-
-    from .riemann import solve
-
     rng = random.Random(seed)
     worst_rh = 0.0
     worst_slack = math.inf
@@ -362,11 +359,6 @@ def run_invariant_suite(materials, seed: int, trials: int,
 def continuity_probe(m: Material, step: float = 1e-6) -> float:
     """Largest profile change when the right state crosses the backward
     wave curve by +-step in velocity; O(step) for a continuous solver."""
-    from .riemann import solve
-    from .sampler import sample
-
-    from .wave_curves import backward_v
-
     U_l = State(-1.0, 0.0)
     T_r = 0.3
     v_on = backward_v(m, U_l, T_r)
@@ -389,9 +381,6 @@ def refinement_study(m: Material, T_l: float, T_r: float,
                      cells_list, cfl: float, t_end: float) -> list[float]:
     """L1 distances between the reference scheme and the exact solution at
     each resolution."""
-    from .riemann import solve
-    from .sampler import profile
-
     U_l, U_r = State(T_l, 0.0), State(T_r, 0.0)
     pattern = solve(m, U_l, U_r)
     dists = []

@@ -65,6 +65,16 @@ def test_solver_failure_exits_3(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("args", [["solve", "--tr", "1"], ["thresholds"]])
+def test_constitutive_overflow_exits_3(capsys, args):
+    # the quintic strain and its tangency overflow a float at this stress;
+    # exit 1 is reserved for verification failures
+    rc = main([args[0], "--material", "quintic", "--tl=-1e80", *args[1:]])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "solver failure" in err and "-1e+80" in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_stress_exits_2(capsys, value):
     rc = main(["solve", "--material", "cubic", "--tl", value, "--tr", "1"])

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from barwaves import (
     NoBracket,
     PRESETS,
     RAREFACTION,
+    RootNotBracketed,
     SHOCK,
     State,
     backward_v,
@@ -117,6 +119,10 @@ WIDE_CASES = [
      State(-535.6915037856523, 71.74723825046313)),
     ("near-hyperbolic", State(-844.2865473672682, 0.15339541584982855),
      State(24.237944609506386, 0.2755183891137422)),
+    # middle stresses of order 1e20: beyond 2**53 a unit offset from T_l
+    # rounds away, so the bracket search must take its steps from the data
+    ("cubic", State(-1e20, 0.0), State(-2e20, 0.0)),
+    ("quintic", State(-1e20, 0.0), State(3e20, 0.0)),
 ]
 
 
@@ -186,12 +192,23 @@ def test_common_velocity_shift_only_shifts_the_solution(name, U_l, T_r,
 
 
 @pytest.mark.parametrize("name,T_l", [("quintic", -1e60),
-                                       ("cubic", -1e100)])
+                                       ("cubic", -1e100),
+                                       ("quintic", -1e80),
+                                       ("quintic", 1e80)])
 def test_overflowing_curve_velocities_raise_a_typed_error(name, T_l):
     # the backward curve reaches T_r = 1 at an infinite velocity; an
-    # on-curve tolerance scaled by it must not accept that as a solution
-    with pytest.raises(NoBracket, match="overflow"):
-        solve(PRESETS[name], State(T_l, 0.0), State(1.0, 0.0))
+    # on-curve tolerance scaled by it must not accept that as a solution.
+    # At |T_l| = 1e80 the quintic strain and tangency overflow a float.
+    U_l, U_r = State(T_l, 0.0), State(1.0, 0.0)
+    with pytest.raises(NoBracket, match=re.escape(f"overflow between {U_l} "
+                                                  f"and {U_r}")):
+        solve(PRESETS[name], U_l, U_r)
+
+
+@pytest.mark.parametrize("T_l", [-1e80, 1e80])
+def test_constitutive_overflow_in_thresholds_is_a_typed_error(quintic, T_l):
+    with pytest.raises(RootNotBracketed, match=re.escape(f"{T_l}")):
+        thresholds(quintic, T_l)
 
 
 def test_tiny_magnitude_solve_is_resolved_to_its_own_scale(quintic):
@@ -533,6 +550,42 @@ def test_boundary_labels(cubic):
     E = State(0.0, backward_v(cubic, mirrored_l, 0.0))
     assert solve(cubic, mirrored_l, State(
         -0.9, forward_v(cubic, E, -0.9))).region_label == "on-W2E"
+    Tc = tangent_point(cubic, 1.0)
+    C = State(Tc, backward_v(cubic, mirrored_l, Tc))
+    assert solve(cubic, mirrored_l, State(
+        -1.3, forward_v(cubic, C, -1.3))).region_label == "on-W2C"
+    # T_l = 0: only W1, W2 and the zero-stress line divide the plane
+    Z = State(0.0, 0.5)
+    for T_r in (1.2, -0.8):
+        assert solve(cubic, Z, State(
+            T_r, backward_v(cubic, Z, T_r))).region_label == "on-W1"
+        assert solve(cubic, Z, State(
+            T_r, forward_v(cubic, Z, T_r))).region_label == "on-W2"
+    assert solve(cubic, Z, State(0.0, 1.5)).region_label == "on-T0"
+
+
+@pytest.mark.parametrize("name", ["cubic", "quintic"])
+@pytest.mark.parametrize("T_l", [-2.3, -0.6, 0.4, 1.7])
+def test_right_state_on_the_tangency_curve_leaves_no_roundoff_fan(name, T_l):
+    # U_r on the forward curve from the tangency point (Tt, v_t) of the
+    # backward curve (W2B for T_l < 0, W2C for T_l > 0) has middle stress
+    # Tt: the backward wave is one degenerate shock ending there.  A root
+    # found an ulp beyond Tt instead adds a fan of roundoff width.
+    m = PRESETS[name]
+    U_l = State(T_l, 0.3)
+    Tt = tangent_point(m, T_l)
+    tangency = State(Tt, backward_v(m, U_l, Tt))
+    for T_r in (-2.9, -1.1, -0.35, 0.05, 0.8, 2.6):
+        p = solve(m, U_l, State(T_r, forward_v(m, tangency, T_r)))
+        assert p.region_label == ("on-W2B" if T_l < 0.0 else "on-W2C")
+        for w in p.waves:
+            if w.kind == RAREFACTION:
+                assert abs(w.right.T - w.left.T) > 1e-12 * max(
+                    abs(w.left.T), abs(w.right.T))
+        back = [w for w in p.waves if w.family == BACKWARD]
+        assert [(w.kind, w.degenerate, w.right.T) for w in back] == [
+            (SHOCK, "right", Tt)]
+        assert_chained(p)
 
 
 def test_patterns_pass_verification_batch(cubic, quintic):
