@@ -2,7 +2,6 @@
 strain is a monotone, non-convex function of the Cauchy stress."""
 
 from .errors import (
-    CflViolation,
     MaterialError,
     NoBracket,
     NonMonotone,
@@ -58,7 +57,6 @@ __all__ = [
     "Material", "PRESETS", "State", "CurveLeg", "Wave", "WavePattern",
     "Thresholds", "Profile",
     "MaterialError", "RootNotBracketed", "NoBracket", "NonMonotone",
-    "CflViolation",
     "strain", "strain_prime", "strain_second", "wave_speed",
     "rarefaction_integral", "tangent_point", "driving_force",
     "invert_strain", "load_material",

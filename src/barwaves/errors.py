@@ -27,7 +27,3 @@ class NonMonotone(ArithmeticError):
     Monotone coverage is a structural property of the wave-curve family;
     this error is a diagnostic for numerical breakdown.
     """
-
-
-class CflViolation(RuntimeError):
-    """The finite-volume wave-speed estimate was exceeded mid-run."""

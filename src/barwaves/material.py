@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from numpy.polynomial.legendre import leggauss
 
@@ -284,27 +283,28 @@ def _newton_bisect(fn, dfn, lo: float, hi: float, f_lo: float,
     return x
 
 
-@lru_cache(maxsize=200_000)
 def tangent_point(m: Material, T_anchor: float) -> float:
     """Stress on the other convexity branch where the chord from
     (T_anchor, strain(T_anchor)) is tangent to the strain curve.
 
     For T_anchor < 0 the result is positive, mirrored for T_anchor > 0;
     since strain_prime is even and U-shaped, |result| < |T_anchor| always.
-    For a cubic strain (n = 1) the root is exactly -T_anchor/2.
+    For a cubic strain (n = 1) the root is exactly -T_anchor/2; otherwise
+    each call solves the tangency condition afresh (nothing is cached: a
+    solve needs at most two tangency stresses, which its wave curves keep).
     """
     if T_anchor == 0.0:
         raise ValueError("tangent_point requires a nonzero anchor stress")
     if m.linear_mode:
         raise RootNotBracketed(
             "tangency is undefined for a linear material (no convexity change)")
-    if T_anchor > 0.0:
-        return -tangent_point(m, -T_anchor)
-    A = -T_anchor
+    # solve the mirror image with anchor -A < 0, whose root lies in (0, A)
+    A = abs(T_anchor)
+    sign = -1.0 if T_anchor > 0.0 else 1.0
     if m.n == 1.0 or 0.5 * m.gamma * A * A <= 1e-32:
         # a cubic strain, exactly or to roundoff (the correction is
         # O(gamma*T_anchor**2) relative)
-        return 0.5 * A
+        return sign * (0.5 * A)
 
     # strain = (alpha+beta)*T + alpha*r(T) with r(T) = (q**n - 1)*T and
     # q = 1 + gamma*T**2/2; the linear part drops out of the tangency
@@ -314,10 +314,10 @@ def tangent_point(m: Material, T_anchor: float) -> float:
         excess = math.expm1(m.n * math.log1p(u))
         return excess * T, excess + 2.0 * m.n * u * (1.0 + u) ** (m.n - 1.0)
 
-    r_a, dr_a = r(T_anchor)
+    r_a, dr_a = r(-A)
 
     # The tangency condition with the linear part removed,
-    # k = (tangent slope - chord slope)*(T - T_anchor)/alpha, is strictly
+    # k = (tangent slope - chord slope)*(T + A)/alpha, is strictly
     # increasing on 0 < T < A, negative at 0 and positive at A.
     def k(T):
         r_T, dr_T = r(T)
@@ -326,7 +326,7 @@ def tangent_point(m: Material, T_anchor: float) -> float:
     def dk(T):
         return strain_second(m, T) * (T + A) / m.alpha
 
-    return _newton_bisect(k, dk, 0.0, A, r_a, 2.0 * (r_a + A * dr_a))
+    return sign * _newton_bisect(k, dk, 0.0, A, r_a, 2.0 * (r_a + A * dr_a))
 
 
 def driving_force(m: Material, T_l: float, T_r: float) -> float:

@@ -42,14 +42,10 @@ from .material import (
 from .wave_curves import (
     RAREFACTION,
     SHOCK,
+    BackwardCurve,
     CurveLeg,
+    ForwardCurve,
     State,
-    backward_dv,
-    backward_v,
-    decompose_backward,
-    decompose_forward,
-    forward_delta,
-    forward_delta_dstart,
     shock_speed,
 )
 
@@ -138,84 +134,90 @@ def _bracket(fn, lo: float, hi: float, f_lo: float, f_hi: float,
     return None
 
 
-def _find_middle_stress(m: Material, U_l: State,
-                        U_r: State) -> tuple[float, str]:
-    """Middle stress of the solution and the boundary label of U_r ('' off
-    the dividing curves).  Each dividing curve holds the right states whose
-    middle stress is one dividing stress T_d, so the residual g(T_d) is the
-    velocity distance of U_r from it.  One sample of g at each T_d decides
-    the label and its tolerance, brackets the root and joins the
-    monotonicity check."""
-    # (T_bar, residual, backward_v, forward_delta) of every evaluation
-    samples: list[tuple[float, float, float, float]] = []
+def _find_middle_stress(m: Material, U_l: State, U_r: State,
+                        back: BackwardCurve,
+                        fwd: ForwardCurve) -> tuple[float, float, str]:
+    """Middle stress of the solution, the backward curve's velocity there
+    and the boundary label of U_r ('' off the dividing curves).  Each
+    dividing curve holds the right states whose middle stress is one
+    dividing stress T_d, so the residual g(T_d) is the velocity distance of
+    U_r from it.  One sample of g at each T_d decides the label and its
+    tolerance, brackets the root and joins the monotonicity check."""
+    # (residual, backward_v, forward delta) at every evaluated stress
+    samples: dict[float, tuple[float, float, float]] = {}
 
     def g(T_bar: float) -> float:
-        v_back = backward_v(m, U_l, T_bar)
-        dv_fwd = forward_delta(m, T_bar, U_r.T)
+        v_back = back.v(T_bar)
+        dv_fwd = fwd.delta(T_bar)
         val = v_back + dv_fwd - U_r.v
-        samples.append((T_bar, val, v_back, dv_fwd))
+        samples[T_bar] = (val, v_back, dv_fwd)
         return val
 
     def dg(T_bar: float) -> float:
-        return (backward_dv(m, U_l, T_bar)
-                + forward_delta_dstart(m, T_bar, U_r.T))
+        return back.slope(T_bar) + fwd.slope(T_bar)
 
     # W1, W2 and, for T_l != 0, the forward curves from the zero-stress and
     # the tangency points of the backward curve, in order of precedence
     dividing = [(U_r.T, "on-W1"), (U_l.T, "on-W2")]
     if U_l.T < 0.0:
-        dividing += [(0.0, "on-W2F"), (tangent_point(m, U_l.T), "on-W2B")]
+        dividing += [(0.0, "on-W2F"), (back.tangency, "on-W2B")]
     elif U_l.T > 0.0:
-        dividing += [(0.0, "on-W2E"), (tangent_point(m, U_l.T), "on-W2C")]
+        dividing += [(0.0, "on-W2E"), (back.tangency, "on-W2C")]
     residuals = [g(T_d) for T_d, _ in dividing]
     # the velocity jumps from U_l to U_r and along both curves through U_l
     # to T_r, not velocities: a common shift of v (Galilean invariance) must
     # leave the solution's shape unchanged
-    tol = BOUNDARY_TOL * max(abs(U_r.v - U_l.v), abs(samples[0][2] - U_l.v),
-                             abs(samples[1][3]))
+    tol = BOUNDARY_TOL * max(abs(U_r.v - U_l.v),
+                             abs(samples[U_r.T][1] - U_l.v),
+                             abs(samples[U_l.T][2]))
     if tol == math.inf or not all(map(math.isfinite, residuals)):
         raise OverflowError("wave-curve velocity")
     for (T_d, label), r in zip(dividing, residuals):
         if abs(r) <= tol:
-            return T_d, label
+            return T_d, samples[T_d][1], label
 
     # g is strictly increasing and unbounded both ways: the samples bracket
     # the root, or the search widens from the outermost one by the Newton
     # step there, at most the stress scale of the data and of the strain's
     # knee, beyond which g steepens and the Newton step overshoots.
-    lo = max((p for p in samples if p[1] < 0.0), default=None)
-    hi = min((p for p in samples if p[1] > 0.0), default=None)
+    lo = max((T for T, p in samples.items() if p[0] < 0.0), default=None)
+    hi = min((T for T, p in samples.items() if p[0] > 0.0), default=None)
     step = 0.0
     if lo is None or hi is None:
-        lo = hi = lo or hi
+        lo = hi = hi if lo is None else lo
         cap = max(abs(U_l.T), abs(U_r.T), _knee_stress(m))
-        newton = abs(lo[1]) / dg(lo[0])
+        newton = abs(samples[lo][0]) / dg(lo)
         step = newton if 0.0 < newton < cap else cap
-    found = _bracket(g, lo[0], hi[0], lo[1], hi[1], step)
+    found = _bracket(g, lo, hi, samples[lo][0], samples[hi][0], step)
     if found is None:
-        raise NoBracket(f"no bracket for middle stress around {U_l.T}")
+        raise NoBracket(
+            f"no bracket for the middle stress between {U_l} and {U_r}")
     root = _newton_bisect(g, dg, *found)
+    if root not in samples:
+        # the last Newton step was within two ulps, so never evaluated
+        g(root)
 
     # Judge residuals against the velocity scale of the data and of both
-    # wave curves at the evaluation nearest the root (the root itself unless
-    # the last Newton step was within two ulps): it holds at every magnitude.
-    _, final, v_back, dv_fwd = min(samples, key=lambda p: abs(p[0] - root))
+    # wave curves at the root: it holds at every magnitude.
+    final, v_back, dv_fwd = samples[root]
     scale = max(1.0, abs(U_l.v), abs(U_r.v), abs(v_back - U_l.v),
                 abs(dv_fwd))
-    samples.sort()
-    for a, b in zip(samples, samples[1:]):
-        if b[1] < a[1] - 1e-8 * scale:
-            raise NonMonotone(
-                "sampled residuals are not monotone in the middle stress")
+    ordered = sorted(samples.items())
+    for (_, a), (_, b) in zip(ordered, ordered[1:]):
+        if b[0] < a[0] - 1e-8 * scale:
+            raise NonMonotone("sampled residuals are not monotone in the "
+                              f"middle stress between {U_l} and {U_r}")
     if abs(final) > 1e-11 * scale:
-        raise NoBracket(
-            f"middle-stress residual {final} misses the tolerance")
+        if not all(math.isfinite(p[0]) for p in samples.values()):
+            # the root lies where the constitutive functions overflow
+            raise OverflowError("wave-curve velocity")
+        raise NoBracket(f"middle-stress residual {final} between {U_l} "
+                        f"and {U_r} misses the tolerance")
     snap = 1e-12 * max(abs(U_l.T), abs(U_r.T))
-    if abs(root - U_l.T) <= snap:
-        return U_l.T, ""
-    if abs(root - U_r.T) <= snap:
-        return U_r.T, ""
-    return root, ""
+    for T_d in (U_l.T, U_r.T):
+        if abs(root - T_d) <= snap:
+            return T_d, samples[T_d][1], ""
+    return root, v_back, ""
 
 
 def _leg_summary(legs: list[CurveLeg]) -> str:
@@ -272,13 +274,15 @@ def _region_label(U_l: State, U_r: State, T_bar: float,
     return entry
 
 
-def thresholds(m: Material, T_l: float) -> Thresholds:
+def thresholds(m: Material, T_l: float, *,
+               tangency: float | None = None) -> Thresholds:
     """Zero-velocity stress thresholds for a left stress of the given sign.
 
     T_star solves T*strain(T) = T_l*strain(T_l) on the opposite side of
     zero, so it equals -T_l exactly; T_star_star solves the equal-velocity
     condition (T - Tt)(strain(T) - strain(Tt)) = (Tt - T_l)**2 *
-    strain_prime(Tt) beyond the tangency stress Tt of T_l.
+    strain_prime(Tt) beyond the tangency stress Tt of T_l.  A caller that
+    already has tangent_point(m, -|T_l|) passes it as `tangency`.
     """
     if not math.isfinite(T_l):
         raise ValueError(f"thresholds require a finite left stress, got {T_l}")
@@ -290,7 +294,7 @@ def thresholds(m: Material, T_l: float) -> Thresholds:
     # underflows for tiny left stresses; the thresholds are -T_l*(1, t).
     A = abs(T_l)
     try:
-        Tt = tangent_point(m, -A)
+        Tt = tangent_point(m, -A) if tangency is None else tangency
         t_t = Tt / A
         eps_t = strain(m, Tt)
         rhs = (t_t + 1.0) ** 2 * strain_prime(m, Tt)
@@ -313,8 +317,10 @@ def thresholds(m: Material, T_l: float) -> Thresholds:
             f"constitutive functions overflow at left stress {T_l}") from exc
 
 
-def zero_velocity_case(m: Material, T_l: float, T_r: float) -> str | None:
-    """Solution type I..XII for data with both velocities zero."""
+def zero_velocity_case(m: Material, T_l: float, T_r: float, *,
+                       tangency: float | None = None) -> str | None:
+    """Solution type I..XII for data with both velocities zero; `tangency`
+    as in thresholds."""
     if m.linear_mode or T_l == T_r:
         return None
     if T_l == 0.0:
@@ -324,7 +330,7 @@ def zero_velocity_case(m: Material, T_l: float, T_r: float) -> str | None:
             return "I"
         if T_r <= 0.0:
             return "II"
-        th = thresholds(m, T_l)
+        th = thresholds(m, T_l, tangency=tangency)
         if T_r < th.T_star:
             return "III"
         if T_r <= th.T_star_star:
@@ -334,7 +340,7 @@ def zero_velocity_case(m: Material, T_l: float, T_r: float) -> str | None:
         return "VI"
     if T_r >= 0.0:
         return "VII"
-    th = thresholds(m, T_l)
+    th = thresholds(m, T_l, tangency=tangency)
     if T_r > th.T_star:
         return "VIII"
     if T_r >= th.T_star_star:
@@ -354,18 +360,21 @@ def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
         return solve_linear(m, U_l, U_r)
 
     try:
-        T_bar, label = _find_middle_stress(m, U_l, U_r)
-        back = decompose_backward(m, U_l, T_bar)
-        fwd = decompose_forward(m, back[-1].end if back else U_l, U_r.T)
-        waves = tuple(_wave_from_leg(m, leg) for leg in back + fwd)
+        back = BackwardCurve(m, U_l)
+        fwd = ForwardCurve(m, U_r.T)
+        T_bar, v_bar, label = _find_middle_stress(m, U_l, U_r, back, fwd)
+        middle = State(T_bar, v_bar)
+        back_legs = back.legs(middle)
+        fwd_legs = fwd.legs(middle, U_r)
+        waves = tuple(_wave_from_leg(m, leg) for leg in back_legs + fwd_legs)
     except OverflowError as exc:
         raise NoBracket(
             f"wave-curve velocities overflow between {U_l} and {U_r}") from exc
     middles = tuple(w.right for w in waves[:-1])
-    label = label or _region_label(U_l, U_r, T_bar, back, fwd)
+    label = label or _region_label(U_l, U_r, T_bar, back_legs, fwd_legs)
     case = None
     if U_l.v == 0.0 and U_r.v == 0.0:
-        case = zero_velocity_case(m, U_l.T, U_r.T)
+        case = zero_velocity_case(m, U_l.T, U_r.T, tangency=back.Tt)
     return WavePattern(m, U_l, waves, middles, label, case)
 
 

@@ -19,7 +19,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import CflViolation
 from .material import (
     Material,
     driving_force,
@@ -151,9 +150,11 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
     Deliberately crude but independent of the exact solver: conservative in
     (strain, momentum), outflow ghost cells.  The half-width covers the
     fastest wave plus the scheme's diffusion length, so the smeared wave
-    feet stay away from the boundary.  Raises CflViolation if the
-    precomputed speed bound (hull maximum plus 5% headroom) is ever
-    exceeded.
+    feet stay away from the boundary.  The dissipation speed starts at the
+    hull maximum plus 5% headroom; velocity data can lift the middle stress
+    outside the hull, so whenever a step's largest characteristic speed
+    exceeds it, the following steps use that speed plus 5%.  It never
+    shrinks, so data within the hull runs at the initial speed throughout.
 
     When a dict is passed as `tallies`, the accumulated boundary fluxes and
     the initial/final conserved sums are stored in it (keys flux_eps,
@@ -207,8 +208,7 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
         T = _invert_strain_grid(m, eps, T)
         speed_now = 1.0 / math.sqrt(m.rho * float(np.min(strain_prime(m, T))))
         if speed_now > a:
-            raise CflViolation(
-                f"wave speed {speed_now} exceeded the estimate {a}")
+            a = 1.05 * speed_now
         t += dt
 
     if tallies is not None:

@@ -44,7 +44,17 @@ branches are taken to extend for arbitrarily large terminal stress: every
 formula above stays well-defined, the fan speed keeps growing
 monotonically, and no further convexity change exists to interrupt them.
 
-All functions are pure; concurrent use is unrestricted.
+Within one solve there are only two tangency stresses: Tt of T_l on the
+backward curve, and Tj of T_r on the forward curves, all of which end at
+T_r.  A solve therefore builds one curve pair, a BackwardCurve anchored at
+U_l and a ForwardCurve ending at T_r.  Each is sign-normalised once and
+holds its tangency stress (one tangent_point call, closed form for n = 1)
+and its degenerate shock's velocity jump; the residual of the middle
+stress, its slope and the legs of the solution all read from the pair.
+Nothing is cached between solves.  The module-level functions evaluate a
+curve once.
+
+A curve is never modified once built; concurrent use is unrestricted.
 """
 
 from __future__ import annotations
@@ -101,120 +111,165 @@ def _jump_v(m: Material, T_a: float, T_b: float) -> float:
     return math.sqrt(max(prod, 0.0) / m.rho)
 
 
-# ---------------------------------------------------------------------------
-# backward family
-
-
-def _backward_delta_neg(m: Material, T_l: float, T: float) -> float:
-    # velocity change along the backward curve from (T_l, .), T_l < 0
-    if T == T_l:
-        return 0.0
-    if T < T_l:
-        return rarefaction_integral(m, T_l, T)
-    Tt = tangent_point(m, T_l)
-    if T <= Tt:
-        return _jump_v(m, T_l, T)
-    vt = (Tt - T_l) * math.sqrt(strain_prime(m, Tt) / m.rho)
-    return vt + rarefaction_integral(m, Tt, T)
-
-
-def _backward_dv_neg(m: Material, T_l: float, T: float) -> float:
-    if T <= T_l:
-        return math.sqrt(strain_prime(m, T) / m.rho)
-    Tt = tangent_point(m, T_l)
-    if T <= Tt:
-        de = strain(m, T) - strain(m, T_l)
-        denom = 2.0 * math.sqrt(max(m.rho * (T - T_l) * de, 0.0))
-        if denom > 0.0:
-            return (de + (T - T_l) * strain_prime(m, T)) / denom
-        # a shock of roundoff width: its characteristic limit
+def _w(m: Material, T: float) -> float:
+    """sqrt(strain_prime/rho) = 1/(rho*|characteristic speed|): the fan
+    integrand."""
     return math.sqrt(strain_prime(m, T) / m.rho)
+
+
+# ---------------------------------------------------------------------------
+# the curve pair of one solve
+
+
+class BackwardCurve:
+    """The backward wave curve through U_l, as a function of its terminal
+    stress T.  Built once, with the mirror (T, v) -> (-T, -v) that makes
+    the anchor A = s*T_l <= 0 and the constants of the composite branch:
+    the tangency stress Tt of A and the velocity jump vt = (Tt - A)*w(Tt)
+    of the degenerate shock to it.  For T_l = 0 the curve is a rarefaction
+    both ways, which Tt = vt = 0 reproduces."""
+
+    __slots__ = ("m", "U_l", "s", "A", "Tt", "vt")
+
+    def __init__(self, m: Material, U_l: State):
+        self.m, self.U_l = m, U_l
+        self.s = -1.0 if U_l.T > 0.0 else 1.0
+        self.A = A = self.s * U_l.T
+        if A == 0.0:
+            self.Tt = self.vt = 0.0
+        else:
+            self.Tt = Tt = tangent_point(m, A)
+            self.vt = (Tt - A) * _w(m, Tt)
+
+    @property
+    def tangency(self) -> float:
+        """The tangency stress of T_l (unmirrored)."""
+        return self.s * self.Tt
+
+    def v(self, T: float) -> float:
+        """Velocity at terminal stress T."""
+        m, A, Tt, y = self.m, self.A, self.Tt, self.s * T
+        if y <= A:
+            d = rarefaction_integral(m, A, y)
+        elif y <= Tt:
+            d = _jump_v(m, A, y)
+        else:
+            d = self.vt + rarefaction_integral(m, Tt, y)
+        return self.U_l.v + self.s * d
+
+    def slope(self, T: float) -> float:
+        """dv/dT; strictly positive."""
+        m, A, y = self.m, self.A, self.s * T
+        if A < y <= self.Tt:
+            de = strain(m, y) - strain(m, A)
+            denom = 2.0 * math.sqrt(max(m.rho * (y - A) * de, 0.0))
+            if denom > 0.0:
+                return (de + (y - A) * strain_prime(m, y)) / denom
+            # a shock of roundoff width: its characteristic limit
+        return _w(m, y)
+
+    def legs(self, end: State) -> list[CurveLeg]:
+        """Legs (0, 1 or 2) from U_l to `end`, a point of the curve.  A
+        composite's junction is U_l plus the degenerate shock's jump."""
+        U_l, A, Tt, y = self.U_l, self.A, self.Tt, self.s * end.T
+        if end.T == U_l.T:
+            return []
+        if y < A or A == 0.0:
+            return [CurveLeg(RAREFACTION, BACKWARD, U_l, end)]
+        if y < Tt:
+            return [CurveLeg(SHOCK, BACKWARD, U_l, end)]
+        if y == Tt:
+            return [CurveLeg(SHOCK, BACKWARD, U_l, end, degenerate="right")]
+        junction = State(self.s * Tt, U_l.v + self.s * self.vt)
+        return [CurveLeg(SHOCK, BACKWARD, U_l, junction, degenerate="right"),
+                CurveLeg(RAREFACTION, BACKWARD, junction, end)]
+
+
+class ForwardCurve:
+    """The forward wave curves that end at stress T_r, as a function of
+    their start stress T_0: delta(T_0) is the velocity change from T_0 to
+    T_r.  Built once, with the mirror that makes R = s*T_r >= 0 and the
+    constants of the composite branch: the tangency stress Tj of R and the
+    velocity jump vj = (R - Tj)*w(Tj) of the degenerate shock from it.  For
+    T_r = 0 the composite is a bare fan, which Tj = vj = 0 reproduces."""
+
+    __slots__ = ("m", "s", "R", "Tj", "vj")
+
+    def __init__(self, m: Material, T_r: float):
+        self.m = m
+        self.s = -1.0 if T_r < 0.0 else 1.0
+        self.R = R = self.s * T_r
+        if R == 0.0:
+            self.Tj = self.vj = 0.0
+        else:
+            self.Tj = Tj = tangent_point(m, R)
+            self.vj = (R - Tj) * _w(m, Tj)
+
+    def delta(self, T_0: float) -> float:
+        """Velocity change from T_0 to T_r: a fan for |T_0| beyond T_r on
+        its side, a shock (classical, or cross-zero once the fan is
+        swallowed) down to the tangency stress, a composite below it."""
+        m, R, Tj, x = self.m, self.R, self.Tj, self.s * T_0
+        if x > R:
+            d = -rarefaction_integral(m, x, R)
+        elif x >= Tj:
+            d = -_jump_v(m, x, R)
+        else:
+            d = -rarefaction_integral(m, x, Tj) - self.vj
+        return self.s * d
+
+    def slope(self, T_0: float) -> float:
+        """d(delta)/dT_0; strictly positive (the solver's Newton steps use
+        it)."""
+        m, R, x = self.m, self.R, self.s * T_0
+        if self.Tj <= x < R:
+            # differentiate -sqrt((R - x) * de / rho) in x
+            de = strain(m, R) - strain(m, x)
+            dP = -de - (R - x) * strain_prime(m, x)
+            denom = 2.0 * math.sqrt(max((R - x) * de, 0.0) * m.rho)
+            if denom != 0.0:
+                return -dP / denom
+        return _w(m, x)
+
+    def legs(self, start: State, U_r: State) -> list[CurveLeg]:
+        """Legs (0, 1 or 2) from `start` to U_r (U_r.T = T_r), built back
+        from U_r: a composite's junction is U_r minus the degenerate
+        shock's velocity jump, so every leg's jump comes from its own outer
+        state."""
+        R, Tj, x = self.R, self.Tj, self.s * start.T
+        if start.T == U_r.T:
+            return []
+        if x > R:
+            return [CurveLeg(RAREFACTION, FORWARD, start, U_r)]
+        if x > Tj:
+            return [CurveLeg(SHOCK, FORWARD, start, U_r)]
+        if x == Tj:
+            return [CurveLeg(SHOCK, FORWARD, start, U_r, degenerate="left")]
+        if R == 0.0:
+            return [CurveLeg(RAREFACTION, FORWARD, start, U_r)]
+        junction = State(self.s * Tj, U_r.v + self.s * self.vj)
+        return [CurveLeg(RAREFACTION, FORWARD, start, junction),
+                CurveLeg(SHOCK, FORWARD, junction, U_r, degenerate="left")]
+
+
+# ---------------------------------------------------------------------------
+# single evaluations
 
 
 def backward_v(m: Material, U_l: State, T: float) -> float:
     """Velocity on the backward wave curve through U_l at terminal stress T."""
-    if U_l.T > 0.0:
-        return -backward_v(m, State(-U_l.T, -U_l.v), -T)
-    if U_l.T == 0.0:
-        return U_l.v + rarefaction_integral(m, 0.0, T)
-    return U_l.v + _backward_delta_neg(m, U_l.T, T)
-
-
-def backward_dv(m: Material, U_l: State, T: float) -> float:
-    """d(backward_v)/dT; strictly positive."""
-    if U_l.T > 0.0:
-        return _backward_dv_neg(m, -U_l.T, -T)
-    if U_l.T == 0.0:
-        return math.sqrt(strain_prime(m, T) / m.rho)
-    return _backward_dv_neg(m, U_l.T, T)
+    return BackwardCurve(m, U_l).v(T)
 
 
 def decompose_backward(m: Material, U_l: State, T: float) -> list[CurveLeg]:
     """Explicit leg sequence (0, 1 or 2 legs) realizing backward_v."""
-    if U_l.T > 0.0:
-        return [_mirror_leg(leg)
-                for leg in decompose_backward(m, State(-U_l.T, -U_l.v), -T)]
-    if T == U_l.T:
-        return []
-    end = State(T, backward_v(m, U_l, T))
-    if U_l.T == 0.0 or T < U_l.T:
-        return [CurveLeg(RAREFACTION, BACKWARD, U_l, end)]
-    Tt = tangent_point(m, U_l.T)
-    if T < Tt:
-        return [CurveLeg(SHOCK, BACKWARD, U_l, end)]
-    if T == Tt:
-        return [CurveLeg(SHOCK, BACKWARD, U_l, end, degenerate="right")]
-    junction = State(Tt, backward_v(m, U_l, Tt))
-    return [CurveLeg(SHOCK, BACKWARD, U_l, junction, degenerate="right"),
-            CurveLeg(RAREFACTION, BACKWARD, junction, end)]
-
-
-# ---------------------------------------------------------------------------
-# forward family
+    curve = BackwardCurve(m, U_l)
+    return curve.legs(State(T, curve.v(T)))
 
 
 def forward_delta(m: Material, T_0: float, T: float) -> float:
     """Velocity change along the forward wave curve from stress T_0 to T."""
-    if T_0 > 0.0:
-        return -forward_delta(m, -T_0, -T)
-    if T == T_0:
-        return 0.0
-    if T_0 == 0.0:
-        return -math.copysign(1.0, T) * math.sqrt(
-            max(T * strain(m, T), 0.0) / m.rho)
-    if T < T_0:
-        return _jump_v(m, T_0, T)
-    if T <= 0.0:
-        return -rarefaction_integral(m, T_0, T)
-    Tj = tangent_point(m, T)
-    if Tj > T_0:
-        return (-rarefaction_integral(m, T_0, Tj)
-                - (T - Tj) * math.sqrt(strain_prime(m, Tj) / m.rho))
-    return -_jump_v(m, T_0, T)
-
-
-def forward_delta_dstart(m: Material, T_0: float, T: float) -> float:
-    """Partial derivative of forward_delta with respect to T_0 at fixed T;
-    strictly positive (the solver's Newton steps use it)."""
-    if T_0 > 0.0:
-        return forward_delta_dstart(m, -T_0, -T)
-    if T == T_0:
-        return math.sqrt(strain_prime(m, T_0) / m.rho)
-    if T_0 < 0.0 and T_0 < T <= 0.0:
-        return math.sqrt(strain_prime(m, T_0) / m.rho)
-    if T_0 < 0.0 < T:
-        Tj = tangent_point(m, T)
-        if Tj > T_0:
-            return math.sqrt(strain_prime(m, T_0) / m.rho)
-    # shock branches (same-side or cross-zero): differentiate
-    # (+-)sqrt((T - T_0) * de / rho) in T_0
-    de = strain(m, T) - strain(m, T_0)
-    dP = -de - (T - T_0) * strain_prime(m, T_0)
-    P = (T - T_0) * de
-    denom = 2.0 * math.sqrt(max(P, 0.0) * m.rho)
-    if denom == 0.0:
-        return math.sqrt(strain_prime(m, T_0) / m.rho)
-    return dP / denom if T < T_0 else -dP / denom
+    return ForwardCurve(m, T).delta(T_0)
 
 
 def forward_v(m: Material, U_0: State, T: float) -> float:
@@ -224,28 +279,5 @@ def forward_v(m: Material, U_0: State, T: float) -> float:
 
 def decompose_forward(m: Material, U_0: State, T: float) -> list[CurveLeg]:
     """Explicit leg sequence (0, 1 or 2 legs) realizing forward_v."""
-    if U_0.T > 0.0:
-        return [_mirror_leg(leg)
-                for leg in decompose_forward(m, State(-U_0.T, -U_0.v), -T)]
-    if T == U_0.T:
-        return []
-    end = State(T, forward_v(m, U_0, T))
-    if U_0.T == 0.0 or T < U_0.T:
-        return [CurveLeg(SHOCK, FORWARD, U_0, end)]
-    if T <= 0.0:
-        return [CurveLeg(RAREFACTION, FORWARD, U_0, end)]
-    Tj = tangent_point(m, T)
-    if Tj > U_0.T:
-        junction = State(Tj, forward_v(m, U_0, Tj))
-        return [CurveLeg(RAREFACTION, FORWARD, U_0, junction),
-                CurveLeg(SHOCK, FORWARD, junction, end, degenerate="left")]
-    if Tj == U_0.T:
-        return [CurveLeg(SHOCK, FORWARD, U_0, end, degenerate="left")]
-    return [CurveLeg(SHOCK, FORWARD, U_0, end)]
-
-
-def _mirror_leg(leg: CurveLeg) -> CurveLeg:
-    return CurveLeg(leg.kind, leg.family,
-                    State(-leg.start.T, -leg.start.v),
-                    State(-leg.end.T, -leg.end.v),
-                    degenerate=leg.degenerate)
+    curve = ForwardCurve(m, T)
+    return curve.legs(U_0, State(T, U_0.v + curve.delta(U_0.T)))

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from barwaves import (
     FORWARD,
     Material,
     NoBracket,
+    NonMonotone,
     PRESETS,
     RAREFACTION,
     RootNotBracketed,
@@ -26,9 +28,10 @@ from barwaves import (
     wave_speed,
     zero_velocity_case,
 )
+from barwaves import material, riemann
 from barwaves.material import _newton_bisect
 from barwaves.verify import check_rh, continuity_probe, speeds_ordered
-from barwaves.wave_curves import forward_delta
+from barwaves.wave_curves import ForwardCurve, forward_delta
 from conftest import cubic_fan_integral
 
 
@@ -123,6 +126,11 @@ WIDE_CASES = [
     # rounds away, so the bracket search must take its steps from the data
     ("cubic", State(-1e20, 0.0), State(-2e20, 0.0)),
     ("quintic", State(-1e20, 0.0), State(3e20, 0.0)),
+    # a middle velocity of 1.75e8 ahead of a final degenerate shock that
+    # jumps by 0.16: forward legs started from that velocity carried its
+    # rounding error into the right state (check_rh 1.1e-8)
+    ("quintic", State(-978.0301512129712, 0.005936805620052567),
+     State(0.25089392119498716, -0.001069518604520935)),
 ]
 
 
@@ -135,7 +143,132 @@ def test_wide_magnitude_solves_meet_scaled_residual(name, U_l, U_r):
     assert p.right_state.T == U_r.T
     jumps = max(abs(w.right.v - w.left.v) for w in p.waves)
     assert abs(p.right_state.v - U_r.v) <= 1e-11 * max(1.0, jumps)
+    if p.waves[-1].family == FORWARD:
+        assert p.right_state == U_r
     assert check_rh(p) < 1e-9
+
+
+def seed_2024_sweep():
+    """The acceptance sweep's problems (run_invariant_suite with seed 2024
+    and 1000 trials), each also mirrored and negated."""
+    rng = random.Random(2024)
+    for i in range(1000):
+        m = PRESETS[("cubic", "quintic")[i % 2]]
+        U_l = State(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
+        U_r = State(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
+        yield m, U_l, U_r
+        yield m, State(-U_r.T, U_r.v), State(-U_l.T, U_l.v)
+        yield m, State(-U_l.T, -U_l.v), State(-U_r.T, -U_r.v)
+
+
+def test_forward_legs_end_exactly_at_the_right_state():
+    # the forward legs are built back from U_r, so no rounding of the
+    # middle velocity reaches the right state
+    ending_forward = 0
+    for m, U_l, U_r in seed_2024_sweep():
+        p = solve(m, U_l, U_r)
+        if p.waves[-1].family == FORWARD:
+            assert p.right_state == U_r, (m, U_l, U_r)
+            ending_forward += 1
+    assert ending_forward > 2500
+
+
+def count_calls(monkeypatch, module, name):
+    """Calls of module.name, counted through every barwaves module that
+    imported it by name."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "barwaves" or mod_name.startswith("barwaves."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["cubic", "quintic"])
+def test_a_solve_makes_at_most_two_tangency_calls(monkeypatch, name):
+    # a solve needs the tangency stresses of T_l and T_r, each once (also
+    # for the zero-velocity thresholds); for n = 1 both are closed form
+    m = PRESETS[name]
+    tangencies = count_calls(monkeypatch, material, "tangent_point")
+    newton = []
+    root_finder = material._newton_bisect
+
+    def counted_newton(*args):
+        newton.append(args)
+        return root_finder(*args)
+
+    # only tangent_point (and invert_strain) read material's binding
+    monkeypatch.setattr(material, "_newton_bisect", counted_newton)
+    rng = random.Random(8)
+    for i in range(200):
+        v_max = 0.0 if i % 2 else 5.0
+        U_l = State(rng.uniform(-3.0, 3.0), rng.uniform(-v_max, v_max))
+        U_r = State(rng.uniform(-3.0, 3.0), rng.uniform(-v_max, v_max))
+        calls_before, newton_before = len(tangencies), len(newton)
+        solve(m, U_l, U_r)
+        assert len(tangencies) - calls_before <= 2
+        assert len(newton) - newton_before <= (0 if m.n == 1.0 else 2)
+    assert len(tangencies) > 300
+    assert (len(newton) > 0) == (m.n != 1.0)
+
+
+def assert_names_both_states(exc_info, U_l, U_r):
+    text = str(exc_info.value)
+    assert str(U_l) in text and str(U_r) in text, text
+
+
+# off every dividing curve: the bracket search and the root finder run
+OFF_CURVE = (State(-1.0, 0.3), State(1.2, -2.0))
+
+
+def test_no_bracket_error_names_both_states(monkeypatch, cubic):
+    monkeypatch.setattr(riemann, "_bracket", lambda *args: None)
+    with pytest.raises(NoBracket, match="^no bracket for the middle stress") \
+            as exc_info:
+        solve(cubic, *OFF_CURVE)
+    assert_names_both_states(exc_info, *OFF_CURVE)
+
+
+def test_missed_residual_error_names_both_states(monkeypatch, cubic):
+    # a root finder that returns the low end of its bracket
+    monkeypatch.setattr(riemann, "_newton_bisect", lambda *args: args[2])
+    with pytest.raises(NoBracket) as exc_info:
+        solve(cubic, *OFF_CURVE)
+    text = str(exc_info.value)
+    # bench/workloads.is_residual_fault matches both ends of the message
+    assert text.startswith("middle-stress residual")
+    assert text.endswith("misses the tolerance")
+    assert_names_both_states(exc_info, *OFF_CURVE)
+
+
+def test_non_monotone_error_names_both_states(monkeypatch, cubic):
+    class Wiggly(ForwardCurve):
+        __slots__ = ()
+
+        def delta(self, T_0):
+            return super().delta(T_0) + math.sin(40.0 * T_0)
+
+    monkeypatch.setattr(riemann, "ForwardCurve", Wiggly)
+    with pytest.raises(NonMonotone, match="^sampled residuals") as exc_info:
+        solve(cubic, *OFF_CURVE)
+    assert_names_both_states(exc_info, *OFF_CURVE)
+
+
+def test_overflow_inside_the_middle_stress_solve_is_typed(quintic):
+    # the root lies where the quintic strain overflows: the bracket probes
+    # return inf and the residual at the root misses its tolerance
+    U_l = State(-31.185142757827975, -7.485358560459473e+245)
+    U_r = State(2.8086719315782842e+25, 5.736544277669744e+66)
+    with pytest.raises(NoBracket, match=re.escape(f"overflow between {U_l} "
+                                                  f"and {U_r}")):
+        solve(quintic, U_l, U_r)
 
 
 def test_tiny_data_is_not_taken_for_a_point_on_a_wave_curve():

@@ -5,8 +5,8 @@ import pytest
 
 from barwaves import (
     BACKWARD,
-    CflViolation,
     FORWARD,
+    PRESETS,
     SHOCK,
     State,
     Wave,
@@ -22,10 +22,12 @@ from barwaves import (
     tangent_point,
     wave_speed,
 )
+from barwaves import verify
 from barwaves.riemann import WavePattern
 from barwaves.sampler import Profile, profile
 from barwaves.verify import (
     CANONICAL_LINEAR,
+    _hull_max_speed,
     mirror_deviation,
     negation_deviation,
     refinement_study,
@@ -167,6 +169,43 @@ def test_fv_is_conservative(cubic):
         t_end * ((-U_r.v) - (-U_l.v)), abs=1e-11)
     assert tallies["flux_mom"] == pytest.approx(
         t_end * ((-U_r.T) - (-U_l.T)), abs=1e-11)
+
+
+#: Data with |T|, |v| <= 2 (drawn from seed 1) whose middle stress lies
+#: outside the stress hull of the data, so a wave outruns the scheme's
+#: initial dissipation speed.
+FV_VELOCITY_CASES = [
+    ("quintic", State(0.15391518295137718, 0.49395781119002047),
+     State(0.44980985913090255, -0.16741279960110234)),
+    ("quintic", State(-0.7744535186670163, 1.4340576254262372),
+     State(-0.7585454905874638, 1.7571537285411298)),
+    ("quintic", State(-1.5829000079415456, -1.8434488056123577),
+     State(-1.7072263246706059, 1.4646734294662882)),
+    ("cubic", State(1.6535680686637617, 1.8792531073524623),
+     State(1.8791860179858797, -1.5545507594924324)),
+]
+
+
+@pytest.mark.parametrize("name,U_l,U_r", FV_VELOCITY_CASES)
+def test_fv_with_velocity_outruns_the_hull_speed_and_refines(
+        monkeypatch, name, U_l, U_r):
+    m = PRESETS[name]
+    pattern = solve(m, U_l, U_r)
+    fastest = max(abs(s) for w in pattern.waves
+                  for s in (w.speed_head, w.speed_tail))
+    assert fastest > 1.05 * _hull_max_speed(m, min(U_l.T, U_r.T),
+                                            max(U_l.T, U_r.T))
+
+    def no_exact_solver(*args):
+        raise AssertionError("the reference called the exact solver")
+
+    monkeypatch.setattr(verify, "solve", no_exact_solver)
+    dists = []
+    for cells in (400, 1600):
+        fv = fv_reference(m, U_l, U_r, cells, cfl=0.45, t_end=0.5)
+        exact = profile(pattern, fv.xi[0], fv.xi[-1], 4001)
+        dists.append(l1_distance(exact, fv))
+    assert dists[1] < dists[0]
 
 
 def test_fv_converges_on_linear_material(linear):
