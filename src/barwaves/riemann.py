@@ -42,10 +42,9 @@ from .material import (
 from .wave_curves import (
     RAREFACTION,
     SHOCK,
-    BackwardCurve,
     CurveLeg,
-    ForwardCurve,
     State,
+    WaveCurve,
     shock_speed,
 )
 
@@ -135,22 +134,22 @@ def _bracket(fn, lo: float, hi: float, f_lo: float, f_hi: float,
 
 
 def _find_middle_stress(m: Material, U_l: State, U_r: State,
-                        back: BackwardCurve,
-                        fwd: ForwardCurve) -> tuple[float, float, str]:
+                        back: WaveCurve,
+                        fwd: WaveCurve) -> tuple[float, float, str]:
     """Middle stress of the solution, the backward curve's velocity there
     and the boundary label of U_r ('' off the dividing curves).  Each
     dividing curve holds the right states whose middle stress is one
     dividing stress T_d, so the residual g(T_d) is the velocity distance of
     U_r from it.  One sample of g at each T_d decides the label and its
     tolerance, brackets the root and joins the monotonicity check."""
-    # (residual, backward_v, forward delta) at every evaluated stress
+    # (residual, back.v, fwd.v) at every evaluated stress
     samples: dict[float, tuple[float, float, float]] = {}
 
     def g(T_bar: float) -> float:
         v_back = back.v(T_bar)
-        dv_fwd = fwd.delta(T_bar)
-        val = v_back + dv_fwd - U_r.v
-        samples[T_bar] = (val, v_back, dv_fwd)
+        v_fwd = fwd.v(T_bar)
+        val = v_back - v_fwd
+        samples[T_bar] = (val, v_back, v_fwd)
         return val
 
     def dg(T_bar: float) -> float:
@@ -169,7 +168,7 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
     # leave the solution's shape unchanged
     tol = BOUNDARY_TOL * max(abs(U_r.v - U_l.v),
                              abs(samples[U_r.T][1] - U_l.v),
-                             abs(samples[U_l.T][2]))
+                             abs(samples[U_l.T][2] - U_r.v))
     if tol == math.inf or not all(map(math.isfinite, residuals)):
         raise OverflowError("wave-curve velocity")
     for (T_d, label), r in zip(dividing, residuals):
@@ -198,10 +197,15 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
         g(root)
 
     # Judge residuals against the velocity scale of the data and of both
-    # wave curves at the root: it holds at every magnitude.
-    final, v_back, dv_fwd = samples[root]
-    scale = max(1.0, abs(U_l.v), abs(U_r.v), abs(v_back - U_l.v),
-                abs(dv_fwd))
+    # wave curves at the root, with no absolute floor: it holds at every
+    # magnitude.  Two terms bound the roundoff of the residual: |v_l| and
+    # |v_r| under a common velocity shift, and T*w(T) at the larger data
+    # stress T for a narrow shock from it, whose strain difference cancels.
+    final, v_back, v_fwd = samples[root]
+    T_big = max(abs(U_l.T), abs(U_r.T))
+    scale = max(abs(U_l.v), abs(U_r.v), abs(v_back - U_l.v),
+                abs(v_fwd - U_r.v),
+                T_big * math.sqrt(strain_prime(m, T_big) / m.rho))
     ordered = sorted(samples.items())
     for (_, a), (_, b) in zip(ordered, ordered[1:]):
         if b[0] < a[0] - 1e-8 * scale:
@@ -317,35 +321,32 @@ def thresholds(m: Material, T_l: float, *,
             f"constitutive functions overflow at left stress {T_l}") from exc
 
 
+#: Solution types of zero-velocity data with T_l > 0, by the type of the
+#: negated data (T_l < 0).
+_NEGATED_CASE = {"I": "VI", "II": "VII", "III": "VIII", "IV": "IX", "V": "X"}
+
+
 def zero_velocity_case(m: Material, T_l: float, T_r: float, *,
                        tangency: float | None = None) -> str | None:
     """Solution type I..XII for data with both velocities zero; `tangency`
-    as in thresholds."""
+    as in thresholds.  Types VI..X (T_l > 0) are I..V of the negated data."""
     if m.linear_mode or T_l == T_r:
         return None
     if T_l == 0.0:
         return "XI" if T_r < 0.0 else "XII"
-    if T_l < 0.0:
-        if T_r < T_l:
-            return "I"
-        if T_r <= 0.0:
-            return "II"
-        th = thresholds(m, T_l, tangency=tangency)
-        if T_r < th.T_star:
-            return "III"
-        if T_r <= th.T_star_star:
-            return "IV"
-        return "V"
-    if T_r > T_l:
-        return "VI"
-    if T_r >= 0.0:
-        return "VII"
+    if T_l > 0.0:
+        return _NEGATED_CASE[zero_velocity_case(m, -T_l, -T_r,
+                                                tangency=tangency)]
+    if T_r < T_l:
+        return "I"
+    if T_r <= 0.0:
+        return "II"
     th = thresholds(m, T_l, tangency=tangency)
-    if T_r > th.T_star:
-        return "VIII"
-    if T_r >= th.T_star_star:
-        return "IX"
-    return "X"
+    if T_r < th.T_star:
+        return "III"
+    if T_r <= th.T_star_star:
+        return "IV"
+    return "V"
 
 
 def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
@@ -360,12 +361,12 @@ def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
         return solve_linear(m, U_l, U_r)
 
     try:
-        back = BackwardCurve(m, U_l)
-        fwd = ForwardCurve(m, U_r.T)
+        back = WaveCurve(m, U_l, BACKWARD)
+        fwd = WaveCurve(m, U_r, FORWARD)
         T_bar, v_bar, label = _find_middle_stress(m, U_l, U_r, back, fwd)
         middle = State(T_bar, v_bar)
         back_legs = back.legs(middle)
-        fwd_legs = fwd.legs(middle, U_r)
+        fwd_legs = fwd.legs(middle)
         waves = tuple(_wave_from_leg(m, leg) for leg in back_legs + fwd_legs)
     except OverflowError as exc:
         raise NoBracket(

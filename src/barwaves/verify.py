@@ -80,11 +80,12 @@ def check_dissipation(pattern: WavePattern) -> float:
 def check_lax(m: Material, shock: Wave) -> bool:
     """Characteristic-speed inequalities for one shock:
     lambda(left) >= s >= lambda(right) in the shock's own family, with a
-    1e-12 margin (equality is exactly the degenerate case)."""
-    tol = 1e-12 * max(1.0, abs(shock.speed_head))
+    margin of 1e-12 of the largest of the three speeds (equality is exactly
+    the degenerate case)."""
     lam_l = wave_speed(m, shock.left.T, shock.family)
     lam_r = wave_speed(m, shock.right.T, shock.family)
     s = shock.speed_head
+    tol = 1e-12 * max(abs(s), abs(lam_l), abs(lam_r))
     return lam_l >= s - tol and s >= lam_r - tol
 
 

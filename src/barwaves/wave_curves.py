@@ -22,20 +22,14 @@ Tt is the tangency stress of T_l (see material.tangent_point); the junction
 realizes the maximally dissipative kinetics and makes the two branches meet
 with second-order contact.
 
-Forward curve through U_0 = (T_0, v_0), terminal stress T (for T_0 < 0;
-mirrored for T_0 > 0; a pure shock both ways for T_0 = 0):
-
-  * T < T_0            classical shock, v = v_0 + sqrt((T - T_0)(de)/rho)
-  * T_0 < T <= 0       rarefaction, v = v_0 - integral of w
-  * T > 0              let Tj be the tangency stress of T (Tj < 0):
-                       - if Tj > T_0: composite, rarefaction from T_0 to Tj
-                         then a degenerate shock from (Tj, vj) to (T, v)
-                         whose speed equals the forward characteristic
-                         speed at Tj (the fan edge), so the pair is ordered
-                         in the similarity variable;
-                       - otherwise the fan is swallowed and the leg is a
-                         single cross-zero shock from (T_0, v_0) to (T, v),
-                         which then satisfies the strict Lax inequalities.
+Forward curves, by reflection: the system is invariant under x -> -x with
+T -> -T and v kept, which turns a forward wave from (T, v) to U_r into a
+backward wave from (-T_r, v_r) to (-T, v).  So the states from which a
+forward wave reaches U_r are the backward curve through (-T_r, v_r) read at
+-T, and each backward branch has a forward twin: a rarefaction, a shock up
+to the tangency stress of T_r (degenerate at its left state there; a
+cross-zero shock once the fan is swallowed), and beyond it a fan followed
+by that degenerate shock.
 
 Along the backward curve v is strictly increasing in T; along the forward
 curve strictly decreasing.  Both curves are twice continuously
@@ -44,15 +38,14 @@ branches are taken to extend for arbitrarily large terminal stress: every
 formula above stays well-defined, the fan speed keeps growing
 monotonically, and no further convexity change exists to interrupt them.
 
-Within one solve there are only two tangency stresses: Tt of T_l on the
-backward curve, and Tj of T_r on the forward curves, all of which end at
-T_r.  A solve therefore builds one curve pair, a BackwardCurve anchored at
-U_l and a ForwardCurve ending at T_r.  Each is sign-normalised once and
-holds its tangency stress (one tangent_point call, closed form for n = 1)
-and its degenerate shock's velocity jump; the residual of the middle
-stress, its slope and the legs of the solution all read from the pair.
-Nothing is cached between solves.  The module-level functions evaluate a
-curve once.
+Within one solve there are only two tangency stresses: that of T_l on the
+backward curve and that of T_r on the forward curves, all of which end at
+U_r.  A solve therefore builds one curve pair, WaveCurve(m, U_l, BACKWARD)
+and WaveCurve(m, U_r, FORWARD).  Each is sign-normalised once and holds its
+tangency stress (one tangent_point call, closed form for n = 1) and its
+degenerate shock's velocity jump; the residual of the middle stress, its
+slope and the legs of the solution all read from the pair.  Nothing is
+cached between solves.  The module-level functions evaluate a curve once.
 
 A curve is never modified once built; concurrent use is unrestricted.
 """
@@ -121,20 +114,25 @@ def _w(m: Material, T: float) -> float:
 # the curve pair of one solve
 
 
-class BackwardCurve:
-    """The backward wave curve through U_l, as a function of its terminal
-    stress T.  Built once, with the mirror (T, v) -> (-T, -v) that makes
-    the anchor A = s*T_l <= 0 and the constants of the composite branch:
-    the tangency stress Tt of A and the velocity jump vt = (Tt - A)*w(Tt)
-    of the degenerate shock to it.  For T_l = 0 the curve is a rarefaction
-    both ways, which Tt = vt = 0 reproduces."""
+class WaveCurve:
+    """The wave curve of one family anchored at U, as a function of the
+    stress T at its other end: the backward curve from U to T, or the
+    forward curves from T to U, which are the backward curve through
+    (-U.T, U.v) reflected in space.  Built once, with the mirror
+    (T, v) -> (-T, -v) that makes the anchor A = s*U.T <= 0 and the
+    constants of the composite branch: the tangency stress Tt of A and the
+    velocity jump vt = (Tt - A)*w(Tt) of the degenerate shock to it.  The
+    family sets the sign k of the velocity change (k = s backward, -s
+    forward).  For U.T = 0 the curve is a rarefaction both ways, which
+    Tt = vt = 0 reproduces."""
 
-    __slots__ = ("m", "U_l", "s", "A", "Tt", "vt")
+    __slots__ = ("m", "U", "family", "s", "k", "A", "Tt", "vt")
 
-    def __init__(self, m: Material, U_l: State):
-        self.m, self.U_l = m, U_l
-        self.s = -1.0 if U_l.T > 0.0 else 1.0
-        self.A = A = self.s * U_l.T
+    def __init__(self, m: Material, U: State, family: str):
+        self.m, self.U, self.family = m, U, family
+        self.s = -1.0 if U.T > 0.0 else 1.0
+        self.k = self.s if family == BACKWARD else -self.s
+        self.A = A = self.s * U.T
         if A == 0.0:
             self.Tt = self.vt = 0.0
         else:
@@ -143,11 +141,11 @@ class BackwardCurve:
 
     @property
     def tangency(self) -> float:
-        """The tangency stress of T_l (unmirrored)."""
+        """The tangency stress of U.T (unmirrored)."""
         return self.s * self.Tt
 
     def v(self, T: float) -> float:
-        """Velocity at terminal stress T."""
+        """Velocity at stress T."""
         m, A, Tt, y = self.m, self.A, self.Tt, self.s * T
         if y <= A:
             d = rarefaction_integral(m, A, y)
@@ -155,10 +153,11 @@ class BackwardCurve:
             d = _jump_v(m, A, y)
         else:
             d = self.vt + rarefaction_integral(m, Tt, y)
-        return self.U_l.v + self.s * d
+        return self.U.v + self.k * d
 
     def slope(self, T: float) -> float:
-        """dv/dT; strictly positive."""
+        """|dv/dT|; strictly positive (v increases along the backward
+        curve and decreases along the forward one)."""
         m, A, y = self.m, self.A, self.s * T
         if A < y <= self.Tt:
             de = strain(m, y) - strain(m, A)
@@ -169,87 +168,30 @@ class BackwardCurve:
         return _w(m, y)
 
     def legs(self, end: State) -> list[CurveLeg]:
-        """Legs (0, 1 or 2) from U_l to `end`, a point of the curve.  A
-        composite's junction is U_l plus the degenerate shock's jump."""
-        U_l, A, Tt, y = self.U_l, self.A, self.Tt, self.s * end.T
-        if end.T == U_l.T:
+        """Legs (0, 1 or 2) between U and `end`, a point of the curve: from
+        U to `end` backward, from `end` to U forward.  Both are built from
+        U, so a composite's junction is U plus the degenerate shock's jump
+        and every leg's jump comes from its own outer state."""
+        U, A, Tt, y = self.U, self.A, self.Tt, self.s * end.T
+        if end.T == U.T:
             return []
         if y < A or A == 0.0:
-            return [CurveLeg(RAREFACTION, BACKWARD, U_l, end)]
-        if y < Tt:
-            return [CurveLeg(SHOCK, BACKWARD, U_l, end)]
-        if y == Tt:
-            return [CurveLeg(SHOCK, BACKWARD, U_l, end, degenerate="right")]
-        junction = State(self.s * Tt, U_l.v + self.s * self.vt)
-        return [CurveLeg(SHOCK, BACKWARD, U_l, junction, degenerate="right"),
-                CurveLeg(RAREFACTION, BACKWARD, junction, end)]
-
-
-class ForwardCurve:
-    """The forward wave curves that end at stress T_r, as a function of
-    their start stress T_0: delta(T_0) is the velocity change from T_0 to
-    T_r.  Built once, with the mirror that makes R = s*T_r >= 0 and the
-    constants of the composite branch: the tangency stress Tj of R and the
-    velocity jump vj = (R - Tj)*w(Tj) of the degenerate shock from it.  For
-    T_r = 0 the composite is a bare fan, which Tj = vj = 0 reproduces."""
-
-    __slots__ = ("m", "s", "R", "Tj", "vj")
-
-    def __init__(self, m: Material, T_r: float):
-        self.m = m
-        self.s = -1.0 if T_r < 0.0 else 1.0
-        self.R = R = self.s * T_r
-        if R == 0.0:
-            self.Tj = self.vj = 0.0
+            legs = [(RAREFACTION, U, end, "")]
+        elif y < Tt:
+            legs = [(SHOCK, U, end, "")]
+        elif y == Tt:
+            legs = [(SHOCK, U, end, "right")]
         else:
-            self.Tj = Tj = tangent_point(m, R)
-            self.vj = (R - Tj) * _w(m, Tj)
-
-    def delta(self, T_0: float) -> float:
-        """Velocity change from T_0 to T_r: a fan for |T_0| beyond T_r on
-        its side, a shock (classical, or cross-zero once the fan is
-        swallowed) down to the tangency stress, a composite below it."""
-        m, R, Tj, x = self.m, self.R, self.Tj, self.s * T_0
-        if x > R:
-            d = -rarefaction_integral(m, x, R)
-        elif x >= Tj:
-            d = -_jump_v(m, x, R)
-        else:
-            d = -rarefaction_integral(m, x, Tj) - self.vj
-        return self.s * d
-
-    def slope(self, T_0: float) -> float:
-        """d(delta)/dT_0; strictly positive (the solver's Newton steps use
-        it)."""
-        m, R, x = self.m, self.R, self.s * T_0
-        if self.Tj <= x < R:
-            # differentiate -sqrt((R - x) * de / rho) in x
-            de = strain(m, R) - strain(m, x)
-            dP = -de - (R - x) * strain_prime(m, x)
-            denom = 2.0 * math.sqrt(max((R - x) * de, 0.0) * m.rho)
-            if denom != 0.0:
-                return -dP / denom
-        return _w(m, x)
-
-    def legs(self, start: State, U_r: State) -> list[CurveLeg]:
-        """Legs (0, 1 or 2) from `start` to U_r (U_r.T = T_r), built back
-        from U_r: a composite's junction is U_r minus the degenerate
-        shock's velocity jump, so every leg's jump comes from its own outer
-        state."""
-        R, Tj, x = self.R, self.Tj, self.s * start.T
-        if start.T == U_r.T:
-            return []
-        if x > R:
-            return [CurveLeg(RAREFACTION, FORWARD, start, U_r)]
-        if x > Tj:
-            return [CurveLeg(SHOCK, FORWARD, start, U_r)]
-        if x == Tj:
-            return [CurveLeg(SHOCK, FORWARD, start, U_r, degenerate="left")]
-        if R == 0.0:
-            return [CurveLeg(RAREFACTION, FORWARD, start, U_r)]
-        junction = State(self.s * Tj, U_r.v + self.s * self.vj)
-        return [CurveLeg(RAREFACTION, FORWARD, start, junction),
-                CurveLeg(SHOCK, FORWARD, junction, U_r, degenerate="left")]
+            junction = State(self.s * Tt, U.v + self.k * self.vt)
+            legs = [(SHOCK, U, junction, "right"),
+                    (RAREFACTION, junction, end, "")]
+        if self.family == BACKWARD:
+            return [CurveLeg(kind, BACKWARD, a, b, degenerate)
+                    for kind, a, b, degenerate in legs]
+        # reflected in space: each leg runs the other way, and a shock
+        # degenerate at its right state becomes one degenerate at its left
+        return [CurveLeg(kind, FORWARD, b, a, degenerate and "left")
+                for kind, a, b, degenerate in reversed(legs)]
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +200,18 @@ class ForwardCurve:
 
 def backward_v(m: Material, U_l: State, T: float) -> float:
     """Velocity on the backward wave curve through U_l at terminal stress T."""
-    return BackwardCurve(m, U_l).v(T)
+    return WaveCurve(m, U_l, BACKWARD).v(T)
 
 
 def decompose_backward(m: Material, U_l: State, T: float) -> list[CurveLeg]:
     """Explicit leg sequence (0, 1 or 2 legs) realizing backward_v."""
-    curve = BackwardCurve(m, U_l)
+    curve = WaveCurve(m, U_l, BACKWARD)
     return curve.legs(State(T, curve.v(T)))
 
 
 def forward_delta(m: Material, T_0: float, T: float) -> float:
     """Velocity change along the forward wave curve from stress T_0 to T."""
-    return ForwardCurve(m, T).delta(T_0)
+    return -WaveCurve(m, State(T, 0.0), FORWARD).v(T_0)
 
 
 def forward_v(m: Material, U_0: State, T: float) -> float:
@@ -279,5 +221,4 @@ def forward_v(m: Material, U_0: State, T: float) -> float:
 
 def decompose_forward(m: Material, U_0: State, T: float) -> list[CurveLeg]:
     """Explicit leg sequence (0, 1 or 2 legs) realizing forward_v."""
-    curve = ForwardCurve(m, T)
-    return curve.legs(U_0, State(T, U_0.v + curve.delta(U_0.T)))
+    return WaveCurve(m, State(T, forward_v(m, U_0, T)), FORWARD).legs(U_0)

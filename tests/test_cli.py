@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -165,6 +166,21 @@ def test_atlas_byte_stable(tmp_path):
     main(args + ["--out", str(a)])
     main(args + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def pinned_atlas_digests():
+    """(arguments, SHA-256) pairs from tests/atlas.sha256."""
+    path = os.path.join(os.path.dirname(__file__), "atlas.sha256")
+    with open(path, encoding="utf-8") as fh:
+        return [(line[66:].split(), line[:64]) for line in fh]
+
+
+@pytest.mark.parametrize("args,digest", pinned_atlas_digests())
+def test_default_atlas_bytes_are_pinned(tmp_path, args, digest):
+    # the default cubic and quintic sweeps, byte for byte
+    out_path = tmp_path / "atlas.csv"
+    assert main(args + ["--out", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 def test_solve_byte_stable(tmp_path):

@@ -1,0 +1,197 @@
+"""Both wave curves against 50-digit mpmath values on every branch.
+
+The oracle follows the branch lists of the paper for each family
+separately: the backward curve through U_l and the forward curve through
+U_0, each parameterized by its terminal stress.  It shares no code with
+the library: its fan integrals are tanh-sinh quadrature on panels graded
+away from zero, and its tangency stresses come from bisection.
+"""
+
+from functools import lru_cache
+
+import mpmath
+import pytest
+
+from barwaves import (
+    Material,
+    PRESETS,
+    State,
+    backward_v,
+    forward_v,
+    tangent_point,
+)
+
+SCALES = (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6)
+BOUND = 1e-13
+
+
+class Oracle:
+    """Wave curves of `m` in 50-digit arithmetic."""
+
+    def __init__(self, m):
+        self.alpha, self.beta, self.gamma, self.n, self.rho = (
+            mpmath.mpf(x) for x in (m.alpha, m.beta, m.gamma, m.n, m.rho))
+        # the complex zeros of strain_prime lie about this far from 0
+        self.knee = mpmath.sqrt((self.alpha + self.beta)
+                                / (self.alpha * self.gamma))
+
+    def strain(self, T):
+        q = 1 + self.gamma * T * T / 2
+        return self.beta * T + self.alpha * q ** self.n * T
+
+    def strain_prime(self, T):
+        q = 1 + self.gamma * T * T / 2
+        return self.beta + self.alpha * q ** (self.n - 1) * (
+            1 + (1 + 2 * self.n) * self.gamma * T * T / 2)
+
+    def w(self, T):
+        return mpmath.sqrt(self.strain_prime(T) / self.rho)
+
+    def fan(self, a, b):
+        """Integral of w from a to b, on panels whose length stays below
+        their distance from the singularities near 0."""
+        lo, hi = min(a, b), max(a, b)
+        cuts = [0] if lo < 0 < hi else []
+        x = self.knee
+        while x < max(-lo, hi):
+            cuts += [x, -x]
+            x *= 4
+        points = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
+        total = mpmath.quad(self.w, points)
+        return total if b >= a else -total
+
+    def jump(self, a, b):
+        """|velocity jump| across a shock between stresses a and b."""
+        return mpmath.sqrt((b - a) * (self.strain(b) - self.strain(a))
+                           / self.rho)
+
+    @lru_cache(maxsize=None)
+    def tangency(self, a):
+        """The stress Tt of the other sign with strain_prime(Tt) equal to
+        the chord slope from a to Tt; |Tt| < |a|."""
+        def excess(T):
+            return (self.strain_prime(T) * (T - a)
+                    - (self.strain(T) - self.strain(a)))
+        return self._bisect(excess, 0, -a)
+
+    def tangent_from(self, T_0):
+        """The stress T of the other sign whose tangency stress is T_0."""
+        def excess(T):
+            return (self.strain(T) - self.strain(T_0)
+                    - self.strain_prime(T_0) * (T - T_0))
+        return self._bisect(excess, -T_0, -4 * T_0)
+
+    @staticmethod
+    def _bisect(fn, a, b):
+        f_a = fn(a)
+        assert f_a * fn(b) < 0
+        for _ in range(190):
+            mid = (a + b) / 2
+            f_mid = fn(mid)
+            if (f_mid < 0) == (f_a < 0):
+                a, f_a = mid, f_mid
+            else:
+                b = mid
+        return (a + b) / 2
+
+    def backward(self, T_l, T):
+        """Velocity change along the backward curve from T_l to T."""
+        if T_l > 0:
+            return -self.backward(-T_l, -T)
+        Tt = self.tangency(T_l) if T_l < 0 else mpmath.mpf(0)
+        if T <= T_l:
+            return self.fan(T_l, T)
+        if T <= Tt:
+            return self.jump(T_l, T)
+        return (Tt - T_l) * self.w(Tt) + self.fan(Tt, T)
+
+    def forward(self, T_0, T):
+        """Velocity change along the forward curve from T_0 to T."""
+        if T_0 > 0:
+            return -self.forward(-T_0, -T)
+        if T <= T_0:
+            return self.jump(T_0, T)
+        if T <= 0:
+            return -self.fan(T_0, T)
+        Tj = self.tangency(T)
+        if Tj > T_0:
+            # the fan to the tangency stress, then the degenerate shock
+            return -self.fan(T_0, Tj) - (T - Tj) * self.w(Tj)
+        return -self.jump(T_0, T)  # the fan is swallowed
+
+
+def branch_cases(m, oracle, S):
+    """(name, family, anchor stress, terminal stress): every branch of both
+    curves, the two tangencies and the zero-stress anchor."""
+    Tt = tangent_point(m, -S)
+    with mpmath.workdps(50):
+        T_deg = float(oracle.tangent_from(mpmath.mpf(-S)))
+    return [
+        ("backward fan", "b", -S, -2.0 * S),
+        ("backward shock", "b", -S, -0.5 * S),
+        ("backward cross-zero shock", "b", -S, 0.5 * Tt),
+        ("backward degenerate shock", "b", -S, Tt),
+        ("backward composite", "b", -S, 2.0 * S),
+        ("backward mirrored composite", "b", S, -2.0 * S),
+        ("backward zero anchor", "b", 0.0, S),
+        ("backward zero anchor", "b", 0.0, -S),
+        ("forward shock", "f", -S, -2.0 * S),
+        ("forward fan", "f", -S, -0.5 * S),
+        ("forward composite", "f", -S, 0.5 * S),
+        ("forward degenerate shock", "f", -S, T_deg),
+        ("forward cross-zero shock, fan swallowed", "f", -S, 3.0 * S),
+        ("forward mirrored composite", "f", S, -0.5 * S),
+        ("forward zero anchor", "f", 0.0, S),
+        ("forward zero anchor", "f", 0.0, -S),
+    ]
+
+
+def worst_error(m):
+    oracle = Oracle(m)
+    worst = (0.0, None)
+    with mpmath.workdps(50):
+        for S in SCALES:
+            for name, family, T_0, T in branch_cases(m, oracle, S):
+                if family == "b":
+                    got = backward_v(m, State(T_0, 0.0), T)
+                    want = oracle.backward(mpmath.mpf(T_0), mpmath.mpf(T))
+                else:
+                    got = forward_v(m, State(T_0, 0.0), T)
+                    want = oracle.forward(mpmath.mpf(T_0), mpmath.mpf(T))
+                err = float(abs((got - want) / want))
+                if err > worst[0]:
+                    worst = (err, (name, T_0, T))
+    return worst
+
+
+def test_oracle_takes_every_forward_branch():
+    # the forward cases above land on the branches they are named for
+    cubic = Oracle(PRESETS["cubic"])
+    with mpmath.workdps(50):
+        T_0 = mpmath.mpf(-1)
+        assert cubic.tangency(mpmath.mpf(0.5)) > T_0        # composite
+        assert cubic.tangency(mpmath.mpf(3.0)) < T_0        # swallowed
+        assert cubic.tangent_from(T_0) == pytest.approx(2.0, rel=1e-40)
+
+
+MATERIALS = {
+    "cubic": PRESETS["cubic"],
+    "quintic": PRESETS["quintic"],
+    "n=1.5": Material(1.0, -0.5, 1.0, 1.5, 1.0),
+    "n=3.5": Material(1.0, -0.5, 1.0, 3.5, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", MATERIALS)
+def test_wave_curves_match_high_precision(name):
+    err, where = worst_error(MATERIALS[name])
+    assert err <= BOUND, f"{err:.2e} at {where}"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "strain and strain_prime sum beta*T and alpha*q**n*T, which cancel "
+    "down to (alpha+beta)*T: 1.6e-13 relative on shocks here"))
+def test_near_hyperbolic_wave_curves_match_high_precision():
+    m = Material(1.0, -0.999, 1.0, 1.0, 1.0)
+    err, where = worst_error(m)
+    assert err <= BOUND, f"{err:.2e} at {where}"

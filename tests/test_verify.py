@@ -112,6 +112,18 @@ def test_lax_equality_for_degenerate_backward_shock(cubic):
         wave_speed(cubic, lead.right.T, BACKWARD), rel=1e-12)
 
 
+def test_lax_margin_is_relative_to_the_speeds(quintic):
+    # at stresses of 1e6 the quintic's speeds are about 2.7e-13, so a
+    # margin of 1e-12 in absolute terms accepted any speed below it
+    from dataclasses import replace
+    p = solve(quintic, State(-1e6, 0.0), State(-2e6, 0.0))
+    shock = next(w for w in p.shocks() if not w.degenerate)
+    assert abs(shock.speed_head) < 1e-12
+    assert check_lax(quintic, shock)
+    s = 3.0 * shock.speed_head
+    assert not check_lax(quintic, replace(shock, speed_head=s, speed_tail=s))
+
+
 def test_liu_margin_nonnegative_on_solver_output(cubic):
     rng = random.Random(23)
     for _ in range(40):
