@@ -29,7 +29,6 @@ from .riemann import (
     solve,
     solve_linear,
     thresholds,
-    zero_velocity_case,
 )
 from .sampler import Profile, profile, sample
 from .verify import (
@@ -62,7 +61,7 @@ __all__ = [
     "invert_strain", "load_material",
     "backward_v", "forward_v", "decompose_backward", "decompose_forward",
     "shock_speed",
-    "solve", "solve_linear", "thresholds", "zero_velocity_case",
+    "solve", "solve_linear", "thresholds",
     "sample", "profile",
     "check_rh", "check_dissipation", "check_lax", "check_liu",
     "fv_reference", "l1_distance",

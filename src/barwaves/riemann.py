@@ -17,9 +17,9 @@ there is the distance from it: within BOUNDARY_TOL of the velocity jumps it
 gives a boundary label (on-T0 is relative to the data stresses), and these
 samples seed the bracket.  Other labels come from the constructed pattern.
 
-For the experiment with both initial velocities zero, the solution type is
-a function of the initial stresses alone, classified I..XII by comparing
-the right stress against two thresholds (see ``thresholds``).
+For the experiment with both initial velocities zero, the solution type
+I..XII is read off the solved waves (see ``_zero_velocity_case``);
+``thresholds`` solves the stress thresholds for ``barwaves thresholds``.
 """
 
 from __future__ import annotations
@@ -278,15 +278,14 @@ def _region_label(U_l: State, U_r: State, T_bar: float,
     return entry
 
 
-def thresholds(m: Material, T_l: float, *,
-               tangency: float | None = None) -> Thresholds:
+def thresholds(m: Material, T_l: float) -> Thresholds:
     """Zero-velocity stress thresholds for a left stress of the given sign.
 
     T_star solves T*strain(T) = T_l*strain(T_l) on the opposite side of
     zero, so it equals -T_l exactly; T_star_star solves the equal-velocity
     condition (T - Tt)(strain(T) - strain(Tt)) = (Tt - T_l)**2 *
-    strain_prime(Tt) beyond the tangency stress Tt of T_l.  A caller that
-    already has tangent_point(m, -|T_l|) passes it as `tangency`.
+    strain_prime(Tt) beyond the tangency stress Tt of T_l.  `solve` does
+    not call this: it reads the solution type off its waves.
     """
     if not math.isfinite(T_l):
         raise ValueError(f"thresholds require a finite left stress, got {T_l}")
@@ -298,7 +297,7 @@ def thresholds(m: Material, T_l: float, *,
     # underflows for tiny left stresses; the thresholds are -T_l*(1, t).
     A = abs(T_l)
     try:
-        Tt = tangent_point(m, -A) if tangency is None else tangency
+        Tt = tangent_point(m, -A)
         t_t = Tt / A
         eps_t = strain(m, Tt)
         rhs = (t_t + 1.0) ** 2 * strain_prime(m, Tt)
@@ -326,27 +325,23 @@ def thresholds(m: Material, T_l: float, *,
 _NEGATED_CASE = {"I": "VI", "II": "VII", "III": "VIII", "IV": "IX", "V": "X"}
 
 
-def zero_velocity_case(m: Material, T_l: float, T_r: float, *,
-                       tangency: float | None = None) -> str | None:
-    """Solution type I..XII for data with both velocities zero; `tangency`
-    as in thresholds.  Types VI..X (T_l > 0) are I..V of the negated data."""
-    if m.linear_mode or T_l == T_r:
-        return None
+def _zero_velocity_case(T_l: float, T_r: float, composite: bool) -> str:
+    """Solution type I..XII of data with both velocities zero and T_l !=
+    T_r.  For T_l < 0, T_r against T_l, 0 and the first threshold -T_l
+    gives I..III; beyond it V differs from IV only in its `composite`
+    backward wave (shock then fan).  Types VI..X (T_l > 0) are I..V of the
+    negated data, whose backward wave is the mirror image."""
     if T_l == 0.0:
         return "XI" if T_r < 0.0 else "XII"
     if T_l > 0.0:
-        return _NEGATED_CASE[zero_velocity_case(m, -T_l, -T_r,
-                                                tangency=tangency)]
+        return _NEGATED_CASE[_zero_velocity_case(-T_l, -T_r, composite)]
     if T_r < T_l:
         return "I"
     if T_r <= 0.0:
         return "II"
-    th = thresholds(m, T_l, tangency=tangency)
-    if T_r < th.T_star:
+    if T_r < -T_l:
         return "III"
-    if T_r <= th.T_star_star:
-        return "IV"
-    return "V"
+    return "V" if composite else "IV"
 
 
 def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
@@ -375,7 +370,8 @@ def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
     label = label or _region_label(U_l, U_r, T_bar, back_legs, fwd_legs)
     case = None
     if U_l.v == 0.0 and U_r.v == 0.0:
-        case = zero_velocity_case(m, U_l.T, U_r.T, tangency=back.Tt)
+        # a composite is the only two-leg backward wave
+        case = _zero_velocity_case(U_l.T, U_r.T, len(back_legs) == 2)
     return WavePattern(m, U_l, waves, middles, label, case)
 
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from barwaves import riemann
 from barwaves.cli import main
 
 
@@ -158,6 +159,18 @@ def test_atlas_rows_match_individual_solves(capsys, tmp_path):
         doc = json.loads(out)
         assert doc["zero_velocity_case"] == case
         assert doc["region_label"] == region
+
+
+def test_atlas_solves_no_thresholds(monkeypatch, tmp_path):
+    # the solution type is read off the solved waves; an atlas that
+    # solved T** per cell again would call thresholds
+    def forbidden(*args, **kwargs):
+        raise AssertionError("thresholds called on the solve path")
+
+    monkeypatch.setattr(riemann, "thresholds", forbidden)
+    rc = main(["atlas", "--material", "quintic", "--res", "9",
+               "--out", str(tmp_path / "atlas.csv")])
+    assert rc == 0
 
 
 def test_atlas_byte_stable(tmp_path):

@@ -26,8 +26,8 @@ from barwaves import (
     tangent_point,
     thresholds,
     wave_speed,
-    zero_velocity_case,
 )
+import barwaves
 from barwaves import material, riemann
 from barwaves.material import _newton_bisect
 from barwaves.verify import check_rh, continuity_probe, speeds_ordered
@@ -193,8 +193,8 @@ def count_calls(monkeypatch, module, name):
 
 @pytest.mark.parametrize("name", ["cubic", "quintic"])
 def test_a_solve_makes_at_most_two_tangency_calls(monkeypatch, name):
-    # a solve needs the tangency stresses of T_l and T_r, each once (also
-    # for the zero-velocity thresholds); for n = 1 both are closed form
+    # a solve needs the tangency stresses of T_l and T_r, each once; for
+    # n = 1 both are closed form
     m = PRESETS[name]
     tangencies = count_calls(monkeypatch, material, "tangent_point")
     newton = []
@@ -602,12 +602,111 @@ def test_zero_velocity_case_bands(cubic):
         assert case(1.0, T_r) == label
     assert case(0.0, -1.0) == "XI"
     assert case(0.0, 1.0) == "XII"
-    assert zero_velocity_case(cubic, -1.0, -1.0) is None
+    assert case(-1.0, -1.0) is None
 
 
 def test_nonzero_velocity_has_no_case_label(cubic):
     p = solve(cubic, State(-1.0, 0.1), State(1.0, 0.0))
     assert p.zero_velocity_case is None
+
+
+def test_public_names_resolve():
+    missing = [name for name in barwaves.__all__
+               if not hasattr(barwaves, name)]
+    assert not missing
+
+
+N_MATERIALS = {
+    "cubic": PRESETS["cubic"],
+    "quintic": PRESETS["quintic"],
+    "n0.5": Material(1.3, -0.4, 0.7, 0.5, 0.5),
+    "n1.5": Material(1.3, -0.4, 0.7, 1.5, 0.5),
+    "n3.5": Material(1.3, -0.4, 0.7, 3.5, 0.5),
+    "near-hyperbolic": Material(1.0, -0.999, 1.0, 1.0, 1.0),
+}
+
+
+def backward_is_composite(p):
+    kinds = [w.kind for w in p.waves if w.family == BACKWARD]
+    return kinds == [SHOCK, RAREFACTION]
+
+
+@pytest.mark.parametrize("m_name,T_l,T_r", [
+    ("cubic", -3.8076186995778967, 5.00156954931507),
+    ("cubic", 0.12368246175624581, -0.23687969797622757),
+    ("quintic", -0.9121040271546975, 1.2581368318882726),
+    ("n3.5", -0.1397209768759371, 0.2662193679398469),
+    ("near-hyperbolic", 0.24188866023101632, -0.31771911009178544),
+])
+def test_tangency_dividing_curve_is_case_four_or_nine(m_name, T_l, T_r):
+    # on the curve through the tangency state the middle stress is the
+    # tangency stress itself: the backward wave is one degenerate shock,
+    # with no fan, which is type IV (IX mirrored) and not V (X)
+    p = solve(N_MATERIALS[m_name], State(T_l, 0.0), State(T_r, 0.0))
+    assert p.region_label == ("on-W2B" if T_l < 0.0 else "on-W2C")
+    assert p.zero_velocity_case == ("IV" if T_l < 0.0 else "IX")
+    backward = [w for w in p.waves if w.family == BACKWARD]
+    assert [(w.kind, w.degenerate) for w in backward] == [(SHOCK, "right")]
+
+
+def test_case_five_or_ten_exactly_when_backward_wave_is_composite():
+    # half the right stresses lie within 1e-8 (relative) of T**, where the
+    # middle stress is at or next to the tangency stress
+    rng = random.Random(808)
+    seen = set()
+    for m in N_MATERIALS.values():
+        for _ in range(150):
+            T_l = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 2.0)
+            T_r = -T_l * rng.uniform(-2.0, 4.0)
+            if rng.random() < 0.5:
+                T_r = thresholds(m, T_l).T_star_star * (
+                    1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(
+                        -16.0, -8.0))
+            p = solve(m, State(T_l, 0.0), State(T_r, 0.0))
+            composite = backward_is_composite(p)
+            assert (p.zero_velocity_case in ("V", "X")) == composite
+            seen.add(composite)
+    assert seen == {True, False}
+
+
+def reference_case(m, T_l, T_r):
+    """Zero-velocity solution type from the thresholds alone."""
+    if T_l == 0.0:
+        return "XI" if T_r < 0.0 else "XII"
+    th = thresholds(m, T_l)
+    # T_l > 0 mirrors the bands of T_l < 0: compare the stresses times s
+    s = -1.0 if T_l > 0.0 else 1.0
+    t = s * T_r
+    hits = [t < s * T_l, t <= 0.0, t < s * th.T_star,
+            t <= s * th.T_star_star, True]
+    names = (["I", "II", "III", "IV", "V"] if s > 0.0
+             else ["VI", "VII", "VIII", "IX", "X"])
+    return names[hits.index(True)]
+
+
+def test_solve_case_matches_the_threshold_reference():
+    rng = random.Random(4242)
+    seen = set()
+    for m in N_MATERIALS.values():
+        for i in range(80):
+            T_l = 0.0 if i % 20 == 0 else (
+                rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 3.0))
+            if T_l == 0.0:
+                dividing = [0.0]
+                T_r = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 3.0)
+            else:
+                th = thresholds(m, T_l)
+                dividing = [T_l, 0.0, th.T_star, th.T_star_star]
+                T_r = -T_l * rng.uniform(-2.0, 1.2 * th.T_star_star / -T_l)
+            scale = max(abs(T_l), abs(T_r))
+            if any(abs(T_r - T_d) <= 1e-6 * scale for T_d in dividing):
+                continue
+            p = solve(m, State(T_l, 0.0), State(T_r, 0.0))
+            assert p.zero_velocity_case == reference_case(m, T_l, T_r), (
+                m, T_l, T_r)
+            seen.add(p.zero_velocity_case)
+    assert seen == {"I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX",
+                    "X", "XI", "XII"}
 
 
 # ---------------------------------------------------------------------------
