@@ -1,6 +1,7 @@
 """Exact Riemann solver for stress waves in elastic bars whose linearized
 strain is a monotone, non-convex function of the Cauchy stress."""
 
+from .batch import solve_many
 from .errors import (
     MaterialError,
     NoBracket,
@@ -61,7 +62,7 @@ __all__ = [
     "invert_strain", "load_material",
     "backward_v", "forward_v", "decompose_backward", "decompose_forward",
     "shock_speed",
-    "solve", "solve_linear", "thresholds",
+    "solve", "solve_linear", "solve_many", "thresholds",
     "sample", "profile",
     "check_rh", "check_dissipation", "check_lax", "check_liu",
     "fv_reference", "l1_distance",

@@ -15,6 +15,9 @@ import json
 import math
 import sys
 
+import numpy as np
+
+from .batch import solve_many
 from .errors import MaterialError, NoBracket, NonMonotone, RootNotBracketed
 from .material import Material, PRESETS, load_material, tangent_point
 from .riemann import (
@@ -128,30 +131,37 @@ def cmd_profile(args, m: Material) -> int:
 def _grid(lo: float, hi: float, n: int) -> list[float]:
     span = hi - lo
     pts = [lo + span * i / (n - 1) for i in range(n)]
-    # snap roundoff-level values to an exact zero: the zero-stress row uses
-    # a different (six-label) region system and must not be missed
-    return [0.0 if abs(p) <= 1e-9 * max(1.0, abs(span)) else p for p in pts]
-
-
-def _atlas_row(m: Material, T_l: float, T_r: float) -> tuple:
-    if abs(T_l - T_r) <= 1e-13:
-        return (T_l, T_r, "-", "-")
-    pattern = solve(m, State(T_l, 0.0), State(T_r, 0.0))
-    return (T_l, T_r, pattern.zero_velocity_case or "-", pattern.region_label)
+    # snap roundoff-level values, relative to the span, to an exact zero:
+    # the zero-stress row uses a different (six-label) region system and
+    # must not be missed
+    return [0.0 if abs(p) <= 1e-9 * abs(span) else p for p in pts]
 
 
 def cmd_atlas(args, m: Material) -> int:
     if args.res < 2:
         raise ValueError("atlas requires --res >= 2")
-    rows = [_atlas_row(m, tl, tr)
-            for tl in _grid(args.tl_min, args.tl_max, args.res)
-            for tr in _grid(args.tr_min, args.tr_max, args.res)]
-    cases = {r[2] for r in rows if r[2] != "-"}
-    ordered = [c for c in _CASE_ORDER if c in cases]
-    ordered += sorted(c for c in cases if c not in _CASE_ORDER)
+    cells = [(tl, tr)
+             for tl in _grid(args.tl_min, args.tl_max, args.res)
+             for tr in _grid(args.tr_min, args.tr_max, args.res)]
+    T_l, T_r = np.array(cells).T
+    # equal stresses up to the roundoff of the cell's own stresses
+    trivial = np.abs(T_l - T_r) <= 1e-13 * np.maximum(np.abs(T_l),
+                                                       np.abs(T_r))
+    sol = solve_many(m, T_l[~trivial], 0.0, T_r[~trivial], 0.0)
+    # the first failed cell in row-major order, as a cell-by-cell sweep
+    for error in sol.error:
+        if error is not None:
+            raise error
+    case = np.full(len(cells), "-", dtype=object)
+    region = np.full(len(cells), "-", dtype=object)
+    case[~trivial] = [c or "-" for c in sol.zero_velocity_case]
+    region[~trivial] = sol.region_label
+    distinct = set(case) - {"-"}
+    ordered = [c for c in _CASE_ORDER if c in distinct]
+    ordered += sorted(c for c in distinct if c not in _CASE_ORDER)
     lines = ["T_l,T_r,case_label,region_label"]
-    lines += [f"{_fmt(tl)},{_fmt(tr)},{case},{region}"
-              for tl, tr, case, region in rows]
+    lines += [f"{_fmt(tl)},{_fmt(tr)},{c},{r}"
+              for (tl, tr), c, r in zip(cells, case, region)]
     lines.append(f"# distinct_case_labels={len(ordered)}:{','.join(ordered)}")
     _write("\n".join(lines) + "\n", args.out)
     return 0

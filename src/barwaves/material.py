@@ -33,6 +33,10 @@ FORWARD = "forward"
 #: fan integral with 0.5 <= n <= 3.5 and stresses from 1e-6 to 1e3.
 _GL_RULE = tuple((float(t), float(w)) for t, w in zip(*leggauss(16)))
 
+#: gamma*T**2/2 at or below which the strain is cubic to roundoff, so the
+#: tangency takes its n = 1 closed form.
+_CUBIC_TO_ROUNDOFF = 1e-32
+
 
 @dataclass(frozen=True)
 class Material:
@@ -301,7 +305,7 @@ def tangent_point(m: Material, T_anchor: float) -> float:
     # solve the mirror image with anchor -A < 0, whose root lies in (0, A)
     A = abs(T_anchor)
     sign = -1.0 if T_anchor > 0.0 else 1.0
-    if m.n == 1.0 or 0.5 * m.gamma * A * A <= 1e-32:
+    if m.n == 1.0 or 0.5 * m.gamma * A * A <= _CUBIC_TO_ROUNDOFF:
         # a cubic strain, exactly or to roundoff (the correction is
         # O(gamma*T_anchor**2) relative)
         return sign * (0.5 * A)

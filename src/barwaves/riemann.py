@@ -20,6 +20,11 @@ samples seed the bracket.  Other labels come from the constructed pattern.
 For the experiment with both initial velocities zero, the solution type
 I..XII is read off the solved waves (see ``_zero_velocity_case``);
 ``thresholds`` solves the stress thresholds for ``barwaves thresholds``.
+
+``batch.solve_many`` is the batched twin of ``solve``, for many problems
+on numpy lanes (``barwaves atlas`` uses it).  It reads its tolerances and
+tables from here: BOUNDARY_TOL, RESIDUAL_GATE, MONOTONE_SLACK, SNAP_TOL,
+_REGION_MAPS and _zero_velocity_case (with _NEGATED_CASE).
 """
 
 from __future__ import annotations
@@ -51,6 +56,16 @@ from .wave_curves import (
 #: Distance, relative to the velocity jumps of the problem, below which a
 #: right state counts as lying on a dividing curve of the phase plane.
 BOUNDARY_TOL = 1e-9
+
+#: Largest middle-stress residual accepted at the root, and the largest
+#: decrease between neighbouring residual samples, relative to the
+#: velocity scale of the solve.
+RESIDUAL_GATE = 1e-11
+MONOTONE_SLACK = 1e-8
+
+#: Distance, relative to the data stresses, within which a middle stress
+#: snaps to T_l or T_r.
+SNAP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -208,16 +223,16 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
                 T_big * math.sqrt(strain_prime(m, T_big) / m.rho))
     ordered = sorted(samples.items())
     for (_, a), (_, b) in zip(ordered, ordered[1:]):
-        if b[0] < a[0] - 1e-8 * scale:
+        if b[0] < a[0] - MONOTONE_SLACK * scale:
             raise NonMonotone("sampled residuals are not monotone in the "
                               f"middle stress between {U_l} and {U_r}")
-    if abs(final) > 1e-11 * scale:
+    if abs(final) > RESIDUAL_GATE * scale:
         if not all(math.isfinite(p[0]) for p in samples.values()):
             # the root lies where the constitutive functions overflow
             raise OverflowError("wave-curve velocity")
         raise NoBracket(f"middle-stress residual {final} between {U_l} "
                         f"and {U_r} misses the tolerance")
-    snap = 1e-12 * max(abs(U_l.T), abs(U_r.T))
+    snap = SNAP_TOL * max(abs(U_l.T), abs(U_r.T))
     for T_d in (U_l.T, U_r.T):
         if abs(root - T_d) <= snap:
             return T_d, samples[T_d][1], ""

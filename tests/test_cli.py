@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from barwaves import riemann
+from barwaves import NoBracket, PRESETS, State, riemann
 from barwaves.cli import main
 
 
@@ -159,6 +159,46 @@ def test_atlas_rows_match_individual_solves(capsys, tmp_path):
         doc = json.loads(out)
         assert doc["zero_velocity_case"] == case
         assert doc["region_label"] == region
+
+
+def test_atlas_at_small_scale_matches_individual_solves(tmp_path):
+    # neither the zero snap of the grid nor the trivial-cell test may use
+    # an absolute floor: at this scale they made every row 0,0,-,-
+    out_path = tmp_path / "atlas.csv"
+    assert main(["atlas", "--material", "cubic", "--res", "3",
+                 "--tl-min=-1e-12", "--tl-max=1e-12", "--tr-min=-2e-12",
+                 "--tr-max=2e-12", "--out", str(out_path)]) == 0
+    rows = [line.split(",") for line
+            in out_path.read_text().strip().split("\n")[1:-1]]
+    assert len(rows) == 9
+    for T_l, T_r, case, region in rows:
+        if float(T_l) == float(T_r):
+            assert (case, region) == ("-", "-")
+            continue
+        pattern = riemann.solve(PRESETS["cubic"], State(float(T_l), 0.0),
+                                State(float(T_r), 0.0))
+        assert (case, region) == (pattern.zero_velocity_case,
+                                  pattern.region_label)
+    assert sum(r[2] == "-" for r in rows) == 1
+
+
+def test_atlas_reports_the_first_failed_cell(capsys):
+    # cells with |T_l| = 1e80 overflow the quintic strain; the sweep raises
+    # what a cell-by-cell solve meets first in row-major order
+    args = ["--tl-min=-1e80", "--tl-max=1e80", "--tr-min=-1",
+            "--tr-max=1", "--res", "3"]
+    first = None
+    for T_l in (-1e80, 0.0, 1e80):
+        for T_r in (-1.0, 0.0, 1.0):
+            try:
+                riemann.solve(PRESETS["quintic"], State(T_l, 0.0),
+                              State(T_r, 0.0))
+            except NoBracket as exc:
+                first = first or str(exc)
+    assert first is not None
+    rc = main(["atlas", "--material", "quintic", *args])
+    assert rc == 3
+    assert capsys.readouterr().err == f"solver failure: {first}\n"
 
 
 def test_atlas_solves_no_thresholds(monkeypatch, tmp_path):
