@@ -21,12 +21,10 @@ lanes still solve.
 The arithmetic is that of the scalar path, but numpy's power, asinh, expm1
 and log1p may round differently from ``math``'s, so states agree with
 ``solve`` to roundoff, not bit for bit.  Where the scalar path meets a
-power or expm1 that overflows, ``math`` raises and ``solve`` reports
-``NoBracket``; numpy returns inf instead, and a lane reports the same error
-at its first non-finite residual.  ``solve`` goes on where a product
-overflows to inf without raising, which takes data beyond about 1e150:
-there a lane fails where ``solve`` may return a state with an infinite
-velocity.
+power or expm1 that overflows, ``math`` raises; a product that overflows,
+which takes data beyond about 1e150, gives inf without raising.  Either
+way ``solve`` reports the overflow ``NoBracket`` at its first non-finite
+residual, and so does a lane, where numpy returns inf instead of raising.
 
 A batch of one costs far more than a scalar ``solve`` (numpy's per-call
 overhead), so single problems stay on the scalar path.

@@ -164,6 +164,10 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
         v_back = back.v(T_bar)
         v_fwd = fwd.v(T_bar)
         val = v_back - v_fwd
+        if not math.isfinite(val):
+            # a product overflows to inf without raising, unlike math's
+            # powers: the solve stops at its first non-finite residual
+            raise OverflowError("wave-curve velocity")
         samples[T_bar] = (val, v_back, v_fwd)
         return val
 
@@ -184,7 +188,7 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
     tol = BOUNDARY_TOL * max(abs(U_r.v - U_l.v),
                              abs(samples[U_r.T][1] - U_l.v),
                              abs(samples[U_l.T][2] - U_r.v))
-    if tol == math.inf or not all(map(math.isfinite, residuals)):
+    if tol == math.inf:
         raise OverflowError("wave-curve velocity")
     for (T_d, label), r in zip(dividing, residuals):
         if abs(r) <= tol:
@@ -227,9 +231,6 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
             raise NonMonotone("sampled residuals are not monotone in the "
                               f"middle stress between {U_l} and {U_r}")
     if abs(final) > RESIDUAL_GATE * scale:
-        if not all(math.isfinite(p[0]) for p in samples.values()):
-            # the root lies where the constitutive functions overflow
-            raise OverflowError("wave-curve velocity")
         raise NoBracket(f"middle-stress residual {final} between {U_l} "
                         f"and {U_r} misses the tolerance")
     snap = SNAP_TOL * max(abs(U_l.T), abs(U_r.T))

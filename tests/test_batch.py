@@ -160,6 +160,20 @@ def test_overflowing_lane_fails_alone():
     assert alone.v_bar.tolist() == sol.v_bar[[1, 3]].tolist()
 
 
+@pytest.mark.parametrize("m", [QUINTIC, Material(1.0, -0.5, 1.0, 3.5, 1.0)],
+                         ids=["quintic", "n=3.5"])
+def test_data_up_to_1e250_fail_alike(m):
+    # beyond about 1e150 a product overflows to inf without raising; both
+    # paths stop at the first non-finite residual with the overflow error
+    rng = random.Random(7)
+    problems = [tuple(log_uniform(rng, -9.0, 250.0) for _ in range(4))
+                for _ in range(600)]
+    sol = assert_parity(m, problems)
+    failed = [e for e in sol.error if e is not None]
+    assert 0 < len(failed) < len(problems)
+    assert all(isinstance(e, NoBracket) for e in failed)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_input_names_the_element(bad):
     with pytest.raises(ValueError, match=r"v_r\[2\]="):

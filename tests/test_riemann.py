@@ -295,12 +295,24 @@ def test_non_monotone_error_names_both_states(monkeypatch, cubic):
 
 
 def test_overflow_inside_the_middle_stress_solve_is_typed(quintic):
-    # the root lies where the quintic strain overflows: the bracket probes
-    # return inf and the residual at the root misses its tolerance
+    # the root lies where the quintic strain overflows: the solve stops at
+    # the first bracket probe whose residual is not finite
     U_l = State(-31.185142757827975, -7.485358560459473e+245)
     U_r = State(2.8086719315782842e+25, 5.736544277669744e+66)
     with pytest.raises(NoBracket, match=re.escape(f"overflow between {U_l} "
                                                   f"and {U_r}")):
+        solve(quintic, U_l, U_r)
+
+
+def test_infinite_curve_velocities_stop_the_bracket_search(quintic):
+    # a bracket probe at T = -1.12e77 meets a backward velocity of -inf and
+    # a forward one of +inf: products overflow to inf without raising.  The
+    # search took that residual as a bracket end and returned an A3 pattern
+    # whose fan ended at v = -inf.
+    U_l = State(-6.507205222389178e+36, -1.1115996510032625e+178)
+    U_r = State(1.106474216449548e+46, -3.2146656808712292e+240)
+    with pytest.raises(NoBracket, match=re.escape(
+            f"wave-curve velocities overflow between {U_l} and {U_r}")):
         solve(quintic, U_l, U_r)
 
 

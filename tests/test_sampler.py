@@ -1,14 +1,20 @@
+import random
+
 import pytest
 
 from barwaves import (
     BACKWARD,
+    PRESETS,
     RAREFACTION,
+    Material,
     State,
     profile,
+    rarefaction_integral,
     sample,
     solve,
     wave_speed,
 )
+from barwaves.verify import continuity_probe
 
 
 @pytest.fixture()
@@ -122,3 +128,83 @@ def test_composite_sampling_is_a_function_of_xi(cubic):
     assert shock.speed_head == pytest.approx(fan.speed_tail, rel=1e-12)
     at_ray = sample(p, shock.speed_head)
     assert at_ray == shock.right
+
+
+# ---------------------------------------------------------------------------
+# fan points on lanes, against the constitutive functions
+
+
+def _fan_problems():
+    """Seeded problems with at least one fan, on four materials: outward
+    backward fans, inward forward fans, composites and T_l = 0."""
+    rng = random.Random(2024)
+    mats = [PRESETS["cubic"], PRESETS["quintic"],
+            Material(1.0, -0.5, 1.0, 1.5, 1.0),
+            Material(1.0, -0.5, 1.0, 3.5, 1.0)]
+    problems = []
+    while len(problems) < 60:
+        m = mats[len(problems) % len(mats)]
+        T_l = 0.0 if rng.random() < 0.1 else rng.uniform(-2.0, 2.0)
+        U_l = State(T_l, rng.choice((0.0, rng.uniform(-2.0, 2.0))))
+        U_r = State(rng.uniform(-2.0, 2.0),
+                    rng.choice((0.0, rng.uniform(-2.0, 2.0))))
+        p = solve(m, U_l, U_r)
+        if any(w.kind == RAREFACTION for w in p.waves):
+            problems.append(p)
+    return problems
+
+
+FAN_PATTERNS = _fan_problems()
+
+
+def _scales(p):
+    """Largest stress, and largest velocity or velocity jump, of p."""
+    ends = [s for w in p.waves for s in (w.left, w.right)]
+    return (max(abs(s.T) for s in ends),
+            max([abs(s.v) for s in ends]
+                + [abs(w.right.v - w.left.v) for w in p.waves]))
+
+
+@pytest.mark.parametrize("p", FAN_PATTERNS)
+def test_profile_fan_points_sit_on_their_characteristic(p):
+    m = p.material
+    speeds = [s for w in p.waves for s in (w.speed_head, w.speed_tail)]
+    prof = profile(p, min(speeds) - 0.5, max(speeds) + 0.5, 4001)
+    _, v_scale = _scales(p)
+    fans = [w for w in p.waves if w.kind == RAREFACTION]
+    checked = 0
+    for fan in fans:
+        sigma = -1.0 if fan.family == BACKWARD else 1.0
+        for xi, s in zip(prof.xi, prof.states):
+            if not fan.speed_head < xi < fan.speed_tail:
+                continue
+            checked += 1
+            assert abs(wave_speed(m, s.T, fan.family) - xi) <= 1e-13 * abs(xi)
+            v = fan.left.v - sigma * rarefaction_integral(m, fan.left.T, s.T)
+            assert abs(s.v - v) <= 1e-14 * v_scale
+    spacing = (prof.xi[-1] - prof.xi[0]) / 4000
+    assert checked or all(w.speed_tail - w.speed_head < 2.0 * spacing
+                          for w in fans)
+
+
+@pytest.mark.parametrize("p", FAN_PATTERNS[:12])
+def test_sample_is_the_profile_at_one_point(p):
+    # constant states are the pattern's own objects; fan states agree to
+    # roundoff (numpy may round a lane of one differently from a longer one)
+    speeds = [s for w in p.waves for s in (w.speed_head, w.speed_tail)]
+    prof = profile(p, min(speeds) - 0.5, max(speeds) + 0.5, 301)
+    T_scale, v_scale = _scales(p)
+    fans = [w for w in p.waves if w.kind == RAREFACTION]
+    for xi, s in zip(prof.xi, prof.states):
+        one = sample(p, xi)
+        if any(w.speed_head < xi < w.speed_tail for w in fans):
+            assert abs(one.T - s.T) <= 1e-14 * T_scale
+            assert abs(one.v - s.v) <= 1e-14 * v_scale
+        else:
+            assert one is s
+
+
+def test_continuity_probe_is_unchanged(cubic):
+    # the value of the point-by-point sampler this lane sampler replaced
+    assert continuity_probe(cubic) == pytest.approx(2.000000000279556e-06,
+                                                    rel=0, abs=1e-12)

@@ -1,12 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from barwaves import (
     BACKWARD,
     FORWARD,
     PRESETS,
+    Material,
     SHOCK,
     State,
     Wave,
@@ -15,10 +17,12 @@ from barwaves import (
     check_liu,
     check_rh,
     fv_reference,
+    invert_strain,
     l1_distance,
     shock_speed,
     solve,
     strain,
+    strain_prime,
     tangent_point,
     wave_speed,
 )
@@ -181,6 +185,145 @@ def test_fv_is_conservative(cubic):
         t_end * ((-U_r.v) - (-U_l.v)), abs=1e-11)
     assert tallies["flux_mom"] == pytest.approx(
         t_end * ((-U_r.T) - (-U_l.T)), abs=1e-11)
+
+
+def stepwise_fv(m, U_l, U_r, cells, cfl, t_end):
+    """Oracle: the Lax-Friedrichs reference stepped as it was before the
+    residual and slope were kept across steps, with ghost cells by
+    concatenation and every inversion started from a fresh residual.
+    Returns xi, T, v and the Newton updates summed over the cells."""
+    a_hull = _hull_max_speed(m, min(U_l.T, U_r.T), max(U_l.T, U_r.T))
+    a = 1.05 * a_hull
+    L = 1.2 * t_end * a_hull
+    dx0 = 2.0 * L / cells
+    L += 8.0 * math.sqrt(a_hull * dx0 * t_end)
+    dx = 2.0 * L / cells
+    x = -L + dx * (np.arange(cells) + 0.5)
+    T = np.where(x < 0.0, U_l.T, U_r.T).astype(float)
+    eps = strain(m, T)
+    mom = np.where(x < 0.0, m.rho * U_l.v, m.rho * U_r.v).astype(float)
+    t = 0.0
+    updates = 0
+    while t < t_end:
+        dt = min(cfl * dx / a, t_end - t)
+        cons = []
+        for q, f in ((eps, -mom / m.rho), (mom, -T)):
+            q_e = np.concatenate(([q[0]], q, [q[-1]]))
+            f_e = np.concatenate(([f[0]], f, [f[-1]]))
+            fhat = 0.5 * (f_e[:-1] + f_e[1:]) - 0.5 * a * (q_e[1:] - q_e[:-1])
+            cons.append(q - (dt / dx) * (fhat[1:] - fhat[:-1]))
+        eps, mom = cons
+        tol = 1e-13 * np.maximum(1.0, np.abs(eps))
+        for _ in range(60):
+            res = strain(m, T) - eps
+            if np.all(np.abs(res) <= tol):
+                break
+            T = T - res / strain_prime(m, T)
+            updates += cells
+        for i in np.flatnonzero(np.abs(strain(m, T) - eps) > tol):
+            T[i] = invert_strain(m, float(eps[i]))
+        speed = 1.0 / math.sqrt(m.rho * float(np.min(strain_prime(m, T))))
+        if speed > a:
+            a = 1.05 * speed
+        t += dt
+    return x / t_end, T, mom / m.rho, updates
+
+
+#: Released-bar data on three materials, and data with velocities whose
+#: waves outrun the initial dissipation speed (FV_VELOCITY_CASES below).
+FV_ORACLE_CASES = [
+    (PRESETS["cubic"], State(-0.5, 0.0), State(1.0, 0.0)),
+    (PRESETS["quintic"], State(-1.7, 0.0), State(0.9, 0.0)),
+    (Material(1.0, -0.5, 1.0, 1.5, 1.0), State(1.2, 0.0), State(-1.9, 0.0)),
+    (PRESETS["cubic"], State(1.6535680686637617, 1.8792531073524623),
+     State(1.8791860179858797, -1.5545507594924324)),
+    (PRESETS["quintic"], State(-1.5829000079415456, -1.8434488056123577),
+     State(-1.7072263246706059, 1.4646734294662882)),
+]
+
+
+@pytest.mark.parametrize("m,U_l,U_r", FV_ORACLE_CASES)
+def test_fv_matches_the_stepwise_oracle(m, U_l, U_r):
+    tallies = {}
+    fv = fv_reference(m, U_l, U_r, cells=200, cfl=0.45, t_end=0.5,
+                      tallies=tallies)
+    xi, T, v, updates = stepwise_fv(m, U_l, U_r, cells=200, cfl=0.45,
+                                    t_end=0.5)
+    scale = max(abs(U_l.T), abs(U_r.T), abs(U_l.v), abs(U_r.v))
+    assert fv.xi == tuple(xi.tolist())
+    assert np.max(np.abs(np.array(fv.column("T")) - T)) <= 1e-12 * scale
+    assert np.max(np.abs(np.array(fv.column("v")) - v)) <= 1e-12 * scale
+    # the kept residual starts each inversion where a fresh one would
+    assert tallies["newton_steps"] == updates
+
+
+def record_fresh_residuals(monkeypatch) -> list:
+    """Wrap the per-step inversion so that each step appends its largest
+    residual strain(T) - eps, evaluated afresh at the stresses returned,
+    over the stopping tolerance 1e-13*max(1, |eps|)."""
+    ratios = []
+    invert = verify._invert_strain_grid
+
+    def checked(m, eps, T, r, slope):
+        out = invert(m, eps, T, r, slope)
+        res = strain(m, out[0]) - eps
+        ratios.append(np.max(np.abs(res)
+                             / (1e-13 * np.maximum(1.0, np.abs(eps)))))
+        return out
+
+    monkeypatch.setattr(verify, "_invert_strain_grid", checked)
+    return ratios
+
+
+@pytest.mark.parametrize("m,U_l,U_r", FV_ORACLE_CASES)
+def test_fv_stresses_meet_the_stopping_rule_afresh(monkeypatch, m, U_l,
+                                                    U_r):
+    ratios = record_fresh_residuals(monkeypatch)
+    tallies = {}
+    fv_reference(m, U_l, U_r, cells=200, cfl=0.45, t_end=0.5,
+                 tallies=tallies)
+    assert max(ratios) <= 1.0
+    assert tallies["steps"] == len(ratios) > 0
+    # every step of these data moves the waves, so every inversion updates
+    assert tallies["newton_steps"] % 200 == 0
+    assert tallies["newton_steps"] >= 200 * len(ratios)
+
+
+@pytest.mark.parametrize("m,U_l,U_r", FV_ORACLE_CASES)
+def test_fv_conservation_closes(m, U_l, U_r):
+    # the closure check of the benchmark's oracle (bench/oracles.check_fv)
+    cells = 200
+    tallies = {}
+    fv_reference(m, U_l, U_r, cells, cfl=0.45, t_end=0.5, tallies=tallies)
+    dx = tallies["dx"]
+    mags = {"eps": max(abs(strain(m, U_l.T)), abs(strain(m, U_r.T))),
+            "mom": m.rho * max(abs(U_l.v), abs(U_r.v))}
+    for name, mag in mags.items():
+        flux = tallies[f"flux_{name}"]
+        closure = dx * (tallies[f"sum_{name}"] - tallies[f"sum0_{name}"]) + flux
+        assert abs(closure) <= 1e-11 * (cells * dx * mag + abs(flux))
+
+
+def test_fv_rescues_cells_newton_leaves_unconverged(monkeypatch, cubic):
+    # a slope ten times too steep shrinks the residual by only 0.9 per
+    # update, so 60 updates leave cells for the scalar inversion
+    monkeypatch.setattr(verify, "strain_prime",
+                        lambda m, T: 10.0 * strain_prime(m, T))
+    rescued = []
+    invert = verify.invert_strain
+
+    def counted(m, eps):
+        rescued.append(eps)
+        return invert(m, eps)
+
+    monkeypatch.setattr(verify, "invert_strain", counted)
+    ratios = record_fresh_residuals(monkeypatch)
+    tallies = {}
+    fv_reference(cubic, State(-0.5, 0.0), State(1.0, 0.0), cells=60,
+                 cfl=0.45, t_end=0.1, tallies=tallies)
+    assert rescued
+    assert tallies["newton_steps"] == 60 * 60 * tallies["steps"]
+    assert max(ratios) <= 1.0
 
 
 #: Data with |T|, |v| <= 2 (drawn from seed 1) whose middle stress lies
