@@ -10,8 +10,9 @@ inequality keeps the equations of motion strictly hyperbolic.  strain is odd
 and strictly increasing, concave on T < 0 and convex on T > 0; the change of
 convexity at T = 0 is what produces composite (rarefaction + shock) waves.
 
-Everything here is a pure function of an immutable Material, so unrestricted
-concurrent use is safe.
+Everything here is a pure function of an immutable Material, apart from
+strain_residual_slope, which writes only into the caller's arrays, so
+unrestricted concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import MaterialError, RootNotBracketed
@@ -137,6 +139,32 @@ def strain_prime(m: Material, T):
     q = 1.0 + 0.5 * m.gamma * T * T
     return m.beta + m.alpha * q ** (m.n - 1.0) * (
         1.0 + 0.5 * (1.0 + 2.0 * m.n) * m.gamma * T * T)
+
+
+def strain_residual_slope(m: Material, T, eps, r, slope, tmp) -> None:
+    """Write strain(T) - eps into r and strain_prime(T) into slope, for
+    float arrays T and eps and caller buffers r, slope and tmp of their
+    shape that alias neither.  q = 1 + gamma*T**2/2 is computed once, held
+    in slope until its last use, and no temporary array is made.
+
+    The operations are those of strain and strain_prime, in the same order,
+    so both results match them bit for bit."""
+    q = np.multiply(T, 0.5 * m.gamma, out=slope)
+    np.multiply(q, T, out=q)
+    np.add(q, 1.0, out=q)
+    np.power(q, m.n, out=r)
+    np.multiply(r, m.alpha, out=r)
+    np.multiply(r, T, out=r)
+    np.multiply(T, m.beta, out=tmp)
+    np.add(tmp, r, out=r)
+    np.subtract(r, eps, out=r)
+    np.power(q, m.n - 1.0, out=slope)
+    np.multiply(slope, m.alpha, out=slope)
+    np.multiply(T, 0.5 * (1.0 + 2.0 * m.n) * m.gamma, out=tmp)
+    np.multiply(tmp, T, out=tmp)
+    np.add(tmp, 1.0, out=tmp)
+    np.multiply(slope, tmp, out=slope)
+    np.add(slope, m.beta, out=slope)
 
 
 def strain_second(m: Material, T):

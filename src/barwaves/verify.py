@@ -25,6 +25,7 @@ from .material import (
     invert_strain,
     strain,
     strain_prime,
+    strain_residual_slope,
     wave_speed,
 )
 from .riemann import Wave, WavePattern, solve
@@ -113,23 +114,34 @@ def check_liu(m: Material, shock: Wave, samples: int = 64) -> float:
 
 def _invert_strain_grid(m: Material, eps: np.ndarray, T: np.ndarray,
                         r: np.ndarray, slope: np.ndarray):
-    """Vectorized Newton for strain(T) = eps, warm-started at T with its
-    residual r = strain(T) - eps and slope = strain_prime(T).  Stops when
-    |r| <= 1e-13*max(1, |eps|) in every cell; cells still outside after 60
-    updates are inverted one by one.  Returns T, r and slope at the stress
-    found, and the number of Newton updates."""
-    tol = 1e-13 * np.maximum(1.0, np.abs(eps))
+    """Vectorized Newton for strain(T) = eps, in place: T is the warm
+    start, r = strain(T) - eps its residual and slope = strain_prime(T),
+    and all three are overwritten with their values at the stress found.
+    Each update T -= r/slope is followed by one strain_residual_slope pass.
+    Stops when |r| <= 1e-13*max(1, |eps|) in every cell; cells still
+    outside after 60 updates are inverted one by one by the scalar
+    invert_strain (the rescue).  Returns T, r, slope, the number of Newton
+    updates and the number of cells rescued."""
+    tol, work = np.empty((2, T.size))
+    ok = np.empty(T.size, dtype=bool)
+    np.abs(eps, out=tol)
+    np.maximum(tol, 1.0, out=tol)
+    np.multiply(tol, 1e-13, out=tol)
     updates = 0
-    while not (abs(r) <= tol).all():
+    # all() by count_nonzero, which skips the reduction machinery
+    while np.count_nonzero(np.less_equal(np.abs(r, out=work), tol,
+                                         out=ok)) < T.size:
         if updates == 60:
-            for i in np.flatnonzero(np.abs(r) > tol):
+            stuck = np.flatnonzero(work > tol)
+            for i in stuck:
                 T[i] = invert_strain(m, float(eps[i]))
-            return T, strain(m, T) - eps, strain_prime(m, T), updates
-        T = T - r / slope
-        r = strain(m, T) - eps
-        slope = strain_prime(m, T)
+            strain_residual_slope(m, T, eps, r, slope, work)
+            return T, r, slope, updates, stuck.size
+        np.divide(r, slope, out=work)
+        np.subtract(T, work, out=T)
+        strain_residual_slope(m, T, eps, r, slope, work)
         updates += 1
-    return T, r, slope, updates
+    return T, r, slope, updates, 0
 
 
 def _hull_max_speed(m: Material, T_lo: float, T_hi: float) -> float:
@@ -166,22 +178,32 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
     steps: the step moves eps by -d, so the next residual starts at r + d,
     and the slope gives both the next first Newton step and the step's
     largest characteristic speed.  So, outside the rescue, each Newton
-    update evaluates strain and strain_prime once and nothing else does.
+    update makes one strain_residual_slope pass and nothing else evaluates
+    the constitutive law.  The step runs in arrays allocated once per call,
+    with the operations of the textbook formulas in their order, so its
+    results do not depend on the buffering.
 
     When a dict is passed as `tallies`, the accumulated boundary fluxes and
     the initial/final conserved sums are stored in it (keys flux_eps,
     flux_mom, sum0_eps, sum0_mom, sum_eps, sum_mom, dx), letting callers
-    check discrete conservation exactly.  Two work counts join them:
-    `steps`, the number of time steps, and `newton_steps`, the Newton
-    updates summed over every cell's inversion in every step (the scalar
-    rescue of a cell is not counted).
+    check discrete conservation exactly.  Three work counts join them:
+    `steps`, the number of time steps; `newton_steps`, the Newton updates
+    summed over every cell's inversion in every step (the scalar rescue of
+    a cell is not counted); and `rescued`, the number of cell inversions
+    the scalar invert_strain made.  Each step that rescues cells logs one
+    DEBUG line on the `barwaves.verify` logger.
     """
+    for name, value in (("U_l", U_l), ("U_r", U_r)):
+        if not (math.isfinite(value.T) and math.isfinite(value.v)):
+            raise ValueError(f"fv_reference requires a finite {name}, "
+                             f"got {value}")
     if cells < 50:
         raise ValueError("fv_reference requires cells >= 50")
     if not 0.0 < cfl <= 0.9:
-        raise ValueError("fv_reference requires 0 < cfl <= 0.9")
-    if t_end <= 0.0:
-        raise ValueError("fv_reference requires t_end > 0")
+        raise ValueError(f"fv_reference requires 0 < cfl <= 0.9, got {cfl}")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"fv_reference requires a finite t_end > 0, "
+                         f"got {t_end}")
 
     T_lo = min(U_l.T, U_r.T)
     T_hi = max(U_l.T, U_r.T)
@@ -194,52 +216,79 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
     dx = 2.0 * L / cells
     x = -L + dx * (np.arange(cells) + 0.5)
 
-    T = np.where(x < 0.0, U_l.T, U_r.T).astype(float)
     # strain, momentum and stress, with one ghost cell at each end; the
     # first two rows are the conserved variables
     W = np.empty((3, cells + 2))
     U = W[:2]
-    U[0, 1:-1] = strain(m, T)
-    U[1, 1:-1] = np.where(x < 0.0, m.rho * U_l.v, m.rho * U_r.v)
-    eps, mom = U[0, 1:-1], U[1, 1:-1]
+    eps, mom, T = W[0, 1:-1], W[1, 1:-1], W[2, 1:-1]
+    T[:] = np.where(x < 0.0, U_l.T, U_r.T)
+    mom[:] = np.where(x < 0.0, m.rho * U_l.v, m.rho * U_r.v)
+    # the residual strain(T) - eps and strain_prime(T), kept across steps;
+    # the first pass writes strain(T) - 0 = strain(T) into eps
+    r = np.zeros(cells)
+    slope = np.empty(cells)
+    strain_residual_slope(m, T, r, eps, slope, np.empty(cells))
     sum0_eps = float(np.sum(eps))
     sum0_mom = float(np.sum(mom))
     # physical fluxes f(strain) = -v and f(momentum) = -T
     flux_scale = np.array([[-m.rho], [-1.0]])
+    F = np.empty((2, cells + 2))
+    fhat = np.empty((2, cells + 1))
+    jump = np.empty((2, cells + 1))
+    d = np.empty((2, cells))
+    # views of the step's operands, taken once: the ghost columns 0 and
+    # cells + 1 with the edge columns 1 and cells they copy, and the left
+    # and right neighbours of each interface
+    ghosts, edges = W[:, ::cells + 1], W[:, 1:cells + 1:cells - 1]
+    F_lo, F_hi = F[:, :-1], F[:, 1:]
+    U_lo, U_hi = U[:, :-1], U[:, 1:]
+    fhat_lo, fhat_hi = fhat[:, :-1], fhat[:, 1:]
+    U_in, r_shift = U[:, 1:-1], d[0]
     bflux = np.zeros(2)
-    # the residual strain(T) - eps and strain_prime(T), kept across steps
-    r = np.zeros(cells)
-    slope = strain_prime(m, T)
-    steps = newton_steps = 0
+    steps = newton_steps = rescued = 0
 
     t = 0.0
     while t < t_end:
         dt = min(cfl * dx / a, t_end - t)
-        W[2, 1:-1] = T
-        # ghost cells: copy (outflow)
-        W[:, 0] = W[:, 1]
-        W[:, -1] = W[:, -2]
-        F = W[1:] / flux_scale
-        # interface fluxes with global dissipation speed a
-        fhat = 0.5 * (F[:, :-1] + F[:, 1:]) - 0.5 * a * (U[:, 1:] - U[:, :-1])
-        d = (dt / dx) * (fhat[:, 1:] - fhat[:, :-1])
-        U[:, 1:-1] -= d
+        np.copyto(ghosts, edges)  # outflow
+        np.divide(W[1:], flux_scale, out=F)
+        # interface fluxes with global dissipation speed a:
+        # fhat = 0.5*(F_lo + F_hi) - 0.5*a*(U_hi - U_lo)
+        np.add(F_lo, F_hi, out=fhat)
+        np.multiply(fhat, 0.5, out=fhat)
+        np.subtract(U_hi, U_lo, out=jump)
+        np.multiply(jump, 0.5 * a, out=jump)
+        np.subtract(fhat, jump, out=fhat)
+        # d = (dt/dx)*(fhat_hi - fhat_lo)
+        np.subtract(fhat_hi, fhat_lo, out=d)
+        np.multiply(d, dt / dx, out=d)
+        U_in -= d
         bflux += dt * (fhat[:, -1] - fhat[:, 0])
         # eps moved by -d[0], so the kept residual moves by +d[0]
-        T, r, slope, updates = _invert_strain_grid(m, eps, T, r + d[0],
-                                                   slope)
+        r += r_shift
+        # T, r and slope are updated in place; T stays the stress row of W
+        *_, updates, stuck = _invert_strain_grid(m, eps, T, r, slope)
         speed_now = 1.0 / math.sqrt(m.rho * float(slope.min()))
         if speed_now > a:
             a = 1.05 * speed_now
         t += dt
         steps += 1
         newton_steps += updates * cells
+        if stuck:
+            rescued += stuck
+            # imported here: the rescue is rare, and logging costs import
+            # time on every start
+            import logging
+            logging.getLogger(__name__).debug(
+                "fv_reference step %d: the scalar rescue inverted %d of %d "
+                "cells", steps, stuck, cells)
 
     if tallies is not None:
         tallies.update(flux_eps=float(bflux[0]), flux_mom=float(bflux[1]),
                        sum0_eps=sum0_eps, sum0_mom=sum0_mom,
                        sum_eps=float(np.sum(eps)), sum_mom=float(np.sum(mom)),
-                       dx=dx, steps=steps, newton_steps=newton_steps)
+                       dx=dx, steps=steps, newton_steps=newton_steps,
+                       rescued=rescued)
 
     xi = x / t_end
     states = tuple(map(State, T.tolist(), (mom / m.rho).tolist()))

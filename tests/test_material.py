@@ -3,6 +3,7 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -23,6 +24,7 @@ from barwaves import (
     tangent_point,
     wave_speed,
 )
+from barwaves.material import strain_residual_slope
 from conftest import cubic_fan_integral, driving_force_integral, make_material
 
 stress = st.floats(-5.0, 5.0)
@@ -78,6 +80,25 @@ def test_strain_prime_positive_and_even(cubic, quintic, T):
         assert strain_prime(m, T) > 0.0
         assert strain_prime(m, -T) == pytest.approx(strain_prime(m, T),
                                                     rel=1e-14)
+
+
+@pytest.mark.parametrize("m", [
+    *PRESETS.values(),
+    # constants that are not powers of two, so that no product is exact
+    *(Material(1.3, -0.7, 0.9, n, 1.0) for n in (0.5, 1.5, 3.5)),
+    Material(1.0, -0.999, 1.0, 1.0, 1.0),
+], ids=[*PRESETS, "n=0.5", "n=1.5", "n=3.5", "near-hyperbolic"])
+def test_strain_residual_slope_is_strain_and_strain_prime_bit_for_bit(m):
+    # the array pass and the two kernels evaluated on the same array: a
+    # fix to one formula must land in both (numpy's power can differ from
+    # math's by an ulp, so Python-float calls are not compared)
+    mags = np.logspace(-8.0, 3.0, 221)
+    T = np.concatenate(([0.0], mags, -mags))
+    r, slope, tmp = np.empty((3, T.size))
+    for eps in (np.zeros(T.size), strain(m, T[::-1])):
+        strain_residual_slope(m, T, eps, r, slope, tmp)
+        assert r.tobytes() == (strain(m, T) - eps).tobytes()
+        assert slope.tobytes() == strain_prime(m, T).tobytes()
 
 
 def test_strain_second_zero_at_origin(cubic, quintic):

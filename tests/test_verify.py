@@ -1,4 +1,7 @@
+import hashlib
+import logging
 import math
+import os
 import random
 
 import numpy as np
@@ -168,6 +171,20 @@ def test_fv_argument_validation(cubic):
         fv_reference(cubic, U, V, cells=100, cfl=0.5, t_end=0.0)
 
 
+@pytest.mark.parametrize("arg", ["U_l", "U_r", "cfl", "t_end"])
+def test_fv_rejects_non_finite_arguments(cubic, arg):
+    good = dict(U_l=State(-0.5, 0.0), U_r=State(1.0, 0.0), cfl=0.45,
+                t_end=0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        if arg in ("U_l", "U_r"):
+            values = [State(bad, 0.0), State(0.0, bad)]
+        else:
+            values = [bad]
+        for value in values:
+            with pytest.raises(ValueError, match=arg):
+                fv_reference(cubic, cells=100, **{**good, arg: value})
+
+
 def test_fv_is_conservative(cubic):
     U_l, U_r = State(-0.5, 0.3), State(-1.0, -0.2)
     tallies = {}
@@ -284,6 +301,7 @@ def test_fv_stresses_meet_the_stopping_rule_afresh(monkeypatch, m, U_l,
                  tallies=tallies)
     assert max(ratios) <= 1.0
     assert tallies["steps"] == len(ratios) > 0
+    assert tallies["rescued"] == 0
     # every step of these data moves the waves, so every inversion updates
     assert tallies["newton_steps"] % 200 == 0
     assert tallies["newton_steps"] >= 200 * len(ratios)
@@ -304,11 +322,54 @@ def test_fv_conservation_closes(m, U_l, U_r):
         assert abs(closure) <= 1e-11 * (cells * dx * mag + abs(flux))
 
 
-def test_fv_rescues_cells_newton_leaves_unconverged(monkeypatch, cubic):
+#: Tally keys packed into the pinned digests, in order.
+FV_DIGEST_KEYS = ("flux_eps", "flux_mom", "sum0_eps", "sum0_mom", "sum_eps",
+                  "sum_mom", "dx", "steps", "newton_steps")
+
+#: (label in tests/fv_reference.sha256, material, U_l, U_r, cells)
+FV_DIGEST_CASES = [
+    (f"oracle-{i} cells=200", m, U_l, U_r, 200)
+    for i, (m, U_l, U_r) in enumerate(FV_ORACLE_CASES)
+] + [("canonical-linear cells=400", PRESETS["linear"],
+      State(CANONICAL_LINEAR[0], 0.0), State(CANONICAL_LINEAR[1], 0.0), 400)]
+
+
+def pinned_fv_digests():
+    """{label: SHA-256} from tests/fv_reference.sha256."""
+    path = os.path.join(os.path.dirname(__file__), "fv_reference.sha256")
+    with open(path, encoding="utf-8") as fh:
+        return {line[66:].strip(): line[:64] for line in fh}
+
+
+def test_fv_digests_cover_every_pinned_case():
+    assert sorted(pinned_fv_digests()) == sorted(
+        label for label, *_ in FV_DIGEST_CASES)
+
+
+@pytest.mark.parametrize("label,m,U_l,U_r,cells", FV_DIGEST_CASES,
+                         ids=[case[0] for case in FV_DIGEST_CASES])
+def test_fv_reference_output_is_pinned(label, m, U_l, U_r, cells):
+    # xi, T and v and the tallies, bit for bit as little-endian float64
+    tallies = {}
+    fv = fv_reference(m, U_l, U_r, cells, cfl=0.45, t_end=0.5,
+                      tallies=tallies)
+    packed = np.concatenate([fv.xi, fv.column("T"), fv.column("v"),
+                             [float(tallies[k]) for k in FV_DIGEST_KEYS]])
+    digest = hashlib.sha256(packed.astype("<f8").tobytes()).hexdigest()
+    assert digest == pinned_fv_digests()[label]
+
+
+def test_fv_rescues_cells_newton_leaves_unconverged(monkeypatch, caplog,
+                                                    cubic):
     # a slope ten times too steep shrinks the residual by only 0.9 per
     # update, so 60 updates leave cells for the scalar inversion
-    monkeypatch.setattr(verify, "strain_prime",
-                        lambda m, T: 10.0 * strain_prime(m, T))
+    residual_slope = verify.strain_residual_slope
+
+    def steep(m, T, eps, r, slope, tmp):
+        residual_slope(m, T, eps, r, slope, tmp)
+        slope *= 10.0
+
+    monkeypatch.setattr(verify, "strain_residual_slope", steep)
     rescued = []
     invert = verify.invert_strain
 
@@ -319,11 +380,17 @@ def test_fv_rescues_cells_newton_leaves_unconverged(monkeypatch, cubic):
     monkeypatch.setattr(verify, "invert_strain", counted)
     ratios = record_fresh_residuals(monkeypatch)
     tallies = {}
+    caplog.set_level(logging.DEBUG, logger="barwaves.verify")
     fv_reference(cubic, State(-0.5, 0.0), State(1.0, 0.0), cells=60,
                  cfl=0.45, t_end=0.1, tallies=tallies)
     assert rescued
     assert tallies["newton_steps"] == 60 * 60 * tallies["steps"]
     assert max(ratios) <= 1.0
+    assert tallies["rescued"] == len(rescued)
+    # one DEBUG line per rescuing step, carrying that step's count
+    steps_logged = [rec.args[0] for rec in caplog.records]
+    assert steps_logged == sorted(set(steps_logged))
+    assert sum(rec.args[1] for rec in caplog.records) == len(rescued)
 
 
 #: Data with |T|, |v| <= 2 (drawn from seed 1) whose middle stress lies
