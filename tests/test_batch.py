@@ -1,7 +1,9 @@
 """solve_many against scalar solve, lane by lane: the same labels, cases and
 errors, and middle states within 1e-13 of the pattern's scale."""
 
+import hashlib
 import math
+import os
 import random
 import re
 
@@ -23,6 +25,7 @@ from barwaves import (
     solve_many,
     tangent_point,
 )
+from barwaves.cli import _grid
 from barwaves.riemann import BOUNDARY_TOL
 
 CUBIC = PRESETS["cubic"]
@@ -235,3 +238,75 @@ def test_unbracketed_lane_is_the_lanes_error(monkeypatch):
     sol = solve_many(CUBIC, *zip(*OFF_CURVE))
     assert type(sol.error[0]) is NoBracket
     assert str(sol.error[0]) == f"no bracket for the middle stress {STATES}"
+
+
+# ---------------------------------------------------------------------------
+# both paths pinned bit for bit
+
+#: Materials of the pinned pools.  Their integer n keeps numpy's power and
+#: math's in agreement, so the digests hold on either path's kernels.
+PINNED = {"cubic": CUBIC, "quintic": QUINTIC,
+          "near-hyperbolic": NEAR_HYPERBOLIC}
+
+
+def pinned_pool(seed):
+    """A fixed pool of problems: the acceptance box, log-uniform magnitudes
+    1e-6..1e3, narrow waves, and a 41x41 zero-velocity grid as
+    `barwaves atlas --res 41` lays it out."""
+    rng = random.Random(seed)
+    pool = [(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0),
+             rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
+            for _ in range(200)]
+    pool += [tuple(log_uniform(rng, -6.0, 3.0) for _ in range(4))
+             for _ in range(200)]
+    for _ in range(100):
+        T_l = log_uniform(rng, -6.0, 3.0)
+        pool.append((T_l, 0.0, T_l * (1.0 + log_uniform(rng, -15.0, -9.0)),
+                     rng.choice((0.0, -0.0, 1e-12 * T_l))))
+    stresses = _grid(-2.0, 2.0, 41)
+    pool += [(a, 0.0, b, 0.0) for a in stresses for b in stresses]
+    return pool
+
+
+def solve_digest(m, pool):
+    """SHA-256 of every scalar solve's waves, labels and case, or its
+    error."""
+    h = hashlib.sha256()
+    for a, b, c, d in pool:
+        try:
+            p = solve(m, State(a, b), State(c, d))
+            text = repr((p.waves, p.region_label, p.zero_velocity_case))
+        except ArithmeticError as exc:
+            text = f"{type(exc).__name__}: {exc}"
+        h.update(text.encode() + b"\n")
+    return h.hexdigest()
+
+
+def solve_many_digest(m, pool):
+    """SHA-256 of one solve_many call on the pool: T_bar and v_bar as
+    little-endian float64, then every lane's labels, case and error."""
+    sol = solve_many(m, *np.array(pool, dtype=float).T)
+    h = hashlib.sha256(np.concatenate([sol.T_bar, sol.v_bar])
+                       .astype("<f8").tobytes())
+    for label, case, error in zip(sol.region_label, sol.zero_velocity_case,
+                                  sol.error):
+        text = repr((label, case, error and
+                     f"{type(error).__name__}: {error}"))
+        h.update(text.encode() + b"\n")
+    return h.hexdigest()
+
+
+def pinned_solve_digests():
+    """{label: SHA-256} from tests/solve.sha256."""
+    path = os.path.join(os.path.dirname(__file__), "solve.sha256")
+    with open(path, encoding="utf-8") as fh:
+        return {line[66:].strip(): line[:64] for line in fh}
+
+
+@pytest.mark.parametrize("path,digest", [("solve", solve_digest),
+                                         ("solve_many", solve_many_digest)])
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_solve_output_is_pinned(path, digest, name):
+    pool = pinned_pool(sorted(PINNED).index(name))
+    assert digest(PINNED[name], pool) == pinned_solve_digests()[
+        f"{path} {name}"]
