@@ -1,30 +1,30 @@
-"""Batched twin of ``riemann.solve``: many problems of one material in one
-call, each problem a lane of numpy arrays.
+"""Batched ``riemann.solve``: many problems of one material in one call,
+each problem a lane of numpy arrays.
 
-``solve_many`` runs the steps of ``solve`` on every lane at once:
+``solve_many`` runs the steps of ``solve`` on every lane at once: the
+curve pair with its tangency stresses, the residual at the four dividing
+stresses (boundary labels, their tolerance and the bracket seed), the
+widening of ``riemann._bracket``, masked rtsafe, the final-residual gate,
+the monotonicity check and the snap, then the region label from the leg
+summaries and the zero-velocity type.
 
-* the curve pair: the tangency stress in closed form for n = 1, otherwise
-  by masked rtsafe with the exit rules of ``material._newton_bisect``;
-* fan integrals: the n = 1 closed form, or the 16-node ``_GL_RULE`` on the
-  graded panels of ``material._graded``;
-* the residual at the four dividing stresses, which gives the boundary
-  labels, their tolerance and the bracket seed;
-* the widening of ``riemann._bracket``, then masked rtsafe;
-* the final-residual gate, the monotonicity check and the snap;
-* the region label from the leg summaries and the zero-velocity type.
+What this module keeps is the control flow on lanes: masks where the
+scalar path branches, and a failed lane that stops alone.  The formulas
+are shared.  The tangency condition, the fans and the lane root finder
+``_newton_bisect_many`` are ``material``'s; the shock jump, the fan
+integrand and the shock-branch slope are ``wave_curves``'; tolerances,
+tables, the zero-velocity type and the error of a failed search are
+``riemann``'s.  Each kernel is called with ``xp = numpy``, so a lane
+agrees with ``solve`` to the last-bit roundings that ``material``
+describes.
 
-Tolerances and tables are read from ``riemann`` and ``material``.  It
-returns the middle state and the labels of each lane, not its waves; a
+It returns the middle state and the labels of each lane, not its waves; a
 lane that fails carries the error ``solve`` raises for it, and the other
-lanes still solve.
-
-The arithmetic is that of the scalar path, but numpy's power, asinh, expm1
-and log1p may round differently from ``math``'s, so states agree with
-``solve`` to roundoff, not bit for bit.  Where the scalar path meets a
-power or expm1 that overflows, ``math`` raises; a product that overflows,
-which takes data beyond about 1e150, gives inf without raising.  Either
-way ``solve`` reports the overflow ``NoBracket`` at its first non-finite
-residual, and so does a lane, where numpy returns inf instead of raising.
+lanes still solve.  Where the scalar path meets a power or expm1 that
+overflows, ``math`` raises; a product that overflows, which takes data
+beyond about 1e150, gives inf without raising.  Either way ``solve``
+reports the overflow ``NoBracket`` at its first non-finite residual, and
+so does a lane, where numpy returns inf instead of raising.
 
 A batch of one costs far more than a scalar ``solve`` (numpy's per-call
 overhead), so single problems stay on the scalar path.
@@ -32,22 +32,20 @@ overhead), so single problems stay on the scalar path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NoBracket, NonMonotone
 from .material import (
     BACKWARD,
-    FORWARD,
     Material,
     _CUBIC_TO_ROUNDOFF,
-    _GL_RULE,
+    _excess,
+    _fan_lanes,
     _knee_stress,
-    strain,
-    strain_prime,
-    strain_second,
+    _newton_bisect_many,
+    _tangency_residual,
+    _tangency_slope,
 )
 from .riemann import (
     BOUNDARY_TOL,
@@ -55,13 +53,11 @@ from .riemann import (
     RESIDUAL_GATE,
     SNAP_TOL,
     _REGION_MAPS,
+    _middle_stress_error,
     _zero_velocity_case,
     solve_linear,
 )
-from .wave_curves import State
-
-_NODES = np.array([t for t, _ in _GL_RULE])
-_WEIGHTS = np.array([w for _, w in _GL_RULE])
+from .wave_curves import State, _jump_v, _shock_slope, _w
 
 # leg summaries (riemann._leg_summary) as codes, and the region of each
 # (system, backward, forward, middle stress >= 0)
@@ -156,7 +152,8 @@ def _solve_lanes(m, T_l, v_l, T_r, v_r, out: Solutions, lanes) -> None:
     solved, T_bar, v_bar, label = (
         a[keep] for a in (solved, T_bar, v_bar, label))
     for j, kind in failures.items():
-        out.error[lanes[j]] = _error(kind, *_states(T_l, v_l, T_r, v_r, j))
+        out.error[lanes[j]] = _middle_stress_error(
+            kind, *_states(T_l, v_l, T_r, v_r, j))
 
     T_l, v_l, T_r, v_r = T_l[solved], v_l[solved], T_r[solved], v_r[solved]
     back, fwd = back.take(solved), fwd.take(solved)
@@ -179,21 +176,6 @@ def _solve_lanes(m, T_l, v_l, T_r, v_r, out: Solutions, lanes) -> None:
         _zero_velocity_case(a, b, c) for a, b, c in zip(
             T_l[zero].tolist(), T_r[zero].tolist(),
             (b_code[zero] == _SR).tolist())]
-
-
-def _error(kind, U_l: State, U_r: State) -> Exception:
-    """The error `solve` raises for the lane U_l -> U_r."""
-    if kind == "overflow":
-        return NoBracket(
-            f"wave-curve velocities overflow between {U_l} and {U_r}")
-    if kind == "bracket":
-        return NoBracket(
-            f"no bracket for the middle stress between {U_l} and {U_r}")
-    if kind == "monotone":
-        return NonMonotone("sampled residuals are not monotone in the "
-                           f"middle stress between {U_l} and {U_r}")
-    return NoBracket(f"middle-stress residual {kind} between {U_l} "
-                     f"and {U_r} misses the tolerance")
 
 
 def _summary(c: "_Curves", T_bar, T_anchor, single, double):
@@ -312,7 +294,7 @@ def _judge(m, T_l, v_l, T_r, v_r, lanes, root, rec, vb, overflow,
     cols = np.arange(lanes.size)
     final, vb_root, vf_root = (a[last, cols] for a in (gs, v_back, v_fwd))
     T_big = np.maximum(np.abs(T_l[lanes]), np.abs(T_r[lanes]))
-    stress_term = T_big * np.sqrt(strain_prime(m, T_big) / m.rho)
+    stress_term = T_big * _w(m, T_big, np)
     overflow[lanes[~np.isfinite(stress_term)]] = True
     scale = np.maximum.reduce([
         np.abs(v_l[lanes]), np.abs(v_r[lanes]),
@@ -361,20 +343,18 @@ class _Curves:
         several rows)."""
         A, Tt = self.A[idx], self.Tt[idx]
         y = self.s[idx] * T
-        fan = _fan(m, np.where(y <= A, A, Tt), y)
-        d = np.where(y <= A, fan,
-                     np.where(y <= Tt, _jump_v(m, A, y), self.vt[idx] + fan))
+        fan = _fan_lanes(m, np.where(y <= A, A, Tt), y)
+        d = np.where(y <= A, fan, np.where(y <= Tt, _jump_v(m, A, y, np),
+                                           self.vt[idx] + fan))
         return self.v0[idx] + self.k[idx] * d
 
     def slope(self, m: Material, idx, T):
         """WaveCurve.slope of lanes idx at stresses T."""
         A = self.A[idx]
         y = self.s[idx] * T
-        de = strain(m, y) - strain(m, A)
-        denom = 2.0 * np.sqrt(np.maximum(m.rho * (y - A) * de, 0.0))
+        num, denom = _shock_slope(m, A, y, np)
         shock = (A < y) & (y <= self.Tt[idx]) & (denom > 0.0)
-        return np.where(shock, (de + (y - A) * strain_prime(m, y)) / denom,
-                        _w(m, y))
+        return np.where(shock, num / denom, _w(m, y, np))
 
 
 def _curve_pair(m, T_l, v_l, T_r, v_r):
@@ -386,7 +366,7 @@ def _curve_pair(m, T_l, v_l, T_r, v_r):
     s = np.where(T > 0.0, -1.0, 1.0)
     A = s * T
     Tt, overflow = _tangency(m, A)
-    vt = np.where(A == 0.0, 0.0, (Tt - A) * _w(m, Tt))
+    vt = np.where(A == 0.0, 0.0, (Tt - A) * _w(m, Tt, np))
     overflow |= ~np.isfinite(vt)
     k = np.concatenate([s[:n], -s[n:]])
     back = _Curves(s[:n], k[:n], A[:n], Tt[:n], vt[:n], v_l)
@@ -406,92 +386,18 @@ def _tangency(m, A):
     if not lanes.size:
         return Tt, overflow
     B = B[lanes]
-
-    # as in tangent_point: strain less its linear part is alpha*r(T)
-    def r(T):
-        u = 0.5 * m.gamma * T * T
-        excess = np.expm1(m.n * np.log1p(u))
-        return excess * T, excess + 2.0 * m.n * u * (1.0 + u) ** (m.n - 1.0)
-
-    r_a, dr_a = r(-B)
-
-    def k(pos, T):
-        r_T, dr_T = r(T)
-        return dr_T * (T + B[pos]) + r_a[pos] - r_T
-
-    def dk(pos, T):
-        return strain_second(m, T) * (T + B[pos]) / m.alpha
-
-    f_hi = 2.0 * (r_a + B * dr_a)
-    bad = ~(np.isfinite(r_a) & np.isfinite(dr_a))
+    r_B, dr_B = _excess(m, -B, np)
+    f_hi = 2.0 * (r_B + B * dr_B)
+    bad = ~(np.isfinite(r_B) & np.isfinite(dr_B))
     overflow[lanes[bad]] = True
     good = np.flatnonzero(~bad)
     if good.size:
+        B, r_B = B[good], r_B[good]
         Tt[lanes[good]] = _newton_bisect_many(
-            lambda pos, T: k(good[pos], T), lambda pos, T: dk(good[pos], T),
-            np.zeros(good.size), B[good], r_a[good], f_hi[good])
+            lambda pos, T: _tangency_residual(m, B[pos], r_B[pos], T, np),
+            lambda pos, T: _tangency_slope(m, B[pos], T),
+            np.zeros(good.size), B, r_B, f_hi[good])
     return Tt, overflow
-
-
-def _w(m, T):
-    """sqrt(strain_prime/rho) on lanes."""
-    return np.sqrt(strain_prime(m, T) / m.rho)
-
-
-def _jump_v(m, T_a, T_b):
-    """wave_curves._jump_v on lanes."""
-    prod = (T_b - T_a) * (strain(m, T_b) - strain(m, T_a))
-    return np.sqrt(np.maximum(prod, 0.0) / m.rho)
-
-
-# ---------------------------------------------------------------------------
-# fan integrals
-
-
-def _fan(m, T_a, T_b):
-    """rarefaction_integral on lanes, for the fans of a wave curve: they
-    run outward from T_a on one side of zero (T_a*T_b >= 0, |T_a| <=
-    |T_b|), the only case of the scalar function that the curves use."""
-    T_a, T_b = np.broadcast_arrays(T_a, T_b)
-    if m.n == 1.0:
-        d = _cubic_fan(m, T_a, T_b)
-    else:
-        side = np.copysign(1.0, np.where(T_a != 0.0, T_a, T_b))
-        d = side * _even_fan(m, np.abs(T_a).ravel(),
-                             np.abs(T_b).ravel()).reshape(T_a.shape)
-    return np.where(T_a == T_b, 0.0, d)
-
-
-def _cubic_fan(m, T_a, T_b):
-    """material._cubic_fan on lanes, for stresses on one side of zero."""
-    a = m.alpha + m.beta
-    b = 1.5 * m.alpha * m.gamma
-    rb = math.sqrt(b)
-    s_a = np.sqrt(a + b * T_a * T_a)
-    s_b = np.sqrt(a + b * T_b * T_b)
-    d, p = T_b - T_a, T_b + T_a
-    lin = d * (p / (T_b * s_b + T_a * s_a)) * (
-        a + b * (T_a * T_a + T_b * T_b))
-    arc = np.arcsinh(rb * d * (p / (T_b * s_a + T_a * s_b)))
-    return (0.5 * lin + 0.5 * a / rb * arc) / math.sqrt(m.rho)
-
-
-def _even_fan(m, u_0, u_1):
-    """material._even_fan on lanes: the integral of sqrt(strain_prime/rho)
-    over [u_0, u_1] by the 16-node rule on the graded panels of _graded."""
-    c = _knee_stress(m)
-    total = np.zeros(u_0.size)
-    x = u_0.copy()
-    live = np.flatnonzero(x < u_1)
-    while live.size:
-        start, stop = x[live], u_1[live]
-        end = np.minimum(stop, 3.0 * start + c)
-        h = 0.5 * (end - start)
-        nodes = (start + h)[:, None] + h[:, None] * _NODES
-        total[live] += h * (np.sqrt(strain_prime(m, nodes)) @ _WEIGHTS)
-        x[live] = end
-        live = live[end < stop]
-    return total / math.sqrt(m.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -520,51 +426,3 @@ def _bracket_many(fn, lo, hi, f_lo, f_hi, step):
         step[live] = 2.0 * s
         live = live[~np.isnan(f)]
     return lo, hi, f_lo, f_hi, found
-
-
-def _newton_bisect_many(fn, dfn, lo, hi, f_lo, f_hi):
-    """material._newton_bisect on lanes, with the same exit rules per lane:
-    an exact zero, a Newton step within two ulps, a Newton step that
-    rounding keeps from shrinking |f|, a collapsed bracket, or 200 steps.
-    fn(pos, x) and dfn(pos, x) evaluate the lanes pos.  A lane whose value
-    is NaN stops where it is, for its caller to report."""
-    first = -f_lo < f_hi
-    x = np.where(first, lo, hi)
-    f = np.where(first, f_lo, f_hi)
-    lo, hi = lo.copy(), hi.copy()
-    step_old = step = hi - lo
-    root = x.copy()
-    live = np.arange(x.size)
-    for _ in range(200):
-        done = f == 0.0
-        root[live[done]] = x[done]
-        keep = ~done
-        live, x, f, lo, hi, step_old, step = (
-            a[keep] for a in (live, x, f, lo, hi, step_old, step))
-        if not live.size:
-            break
-        below = f < 0.0
-        lo = np.where(below, x, lo)
-        hi = np.where(below, hi, x)
-        d = dfn(live, x)
-        newton = np.where((0.0 < d) & (d < np.inf), f / d, np.inf)
-        close = np.abs(newton) <= 2.0 * np.spacing(np.abs(x))
-        root[live[close]] = (x - newton)[close]
-        use = ((lo < x - newton) & (x - newton < hi)
-               & (np.abs(newton) <= 0.5 * np.abs(step_old)))
-        step_new = np.where(use, newton, 0.5 * (hi - lo))
-        x_new = np.where(use, x - newton, lo + step_new)
-        collapsed = ~close & ~use & ((x_new == lo) | (x_new == hi))
-        root[live[collapsed]] = x_new[collapsed]
-        go = ~close & ~collapsed
-        f_new = np.full(x.size, np.nan)
-        if go.any():
-            f_new[go] = fn(live[go], x_new[go])
-        stalled = go & (np.isnan(f_new) | (
-            use & ((f_new > 0.0) == (f > 0.0)) & (np.abs(f_new) >= np.abs(f))))
-        root[live[stalled]] = x[stalled]
-        keep = go & ~stalled
-        root[live[keep]] = x_new[keep]
-        live, x, f, lo, hi, step_old, step = (
-            a[keep] for a in (live, x_new, f_new, lo, hi, step, step_new))
-    return root

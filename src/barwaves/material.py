@@ -13,6 +13,19 @@ convexity at T = 0 is what produces composite (rarefaction + shock) waves.
 Everything here is a pure function of an immutable Material, apart from
 strain_residual_slope, which writes only into the caller's arrays, so
 unrestricted concurrent use is safe.
+
+The kernels that both the scalar solve and the lanes of
+``batch.solve_many`` evaluate (the tangency condition, the n = 1 fan
+here, the fan integrand, the shock jump and the shock-branch slope in
+``wave_curves``) have one body each, written against a namespace
+argument ``xp``: ``math`` for floats, ``numpy`` for arrays.  The
+arithmetic is the same on both paths, but numpy's array loops for
+``expm1``, ``log1p``, ``asinh`` and ``power`` may round an element
+differently from ``math``'s functions in the last bit: on log-spaced
+arguments about one value in twenty for expm1 and one in seven for asinh;
+for power about one stress in ten at n = 1.5, and almost never at integer
+n.  Square roots are correctly rounded on both.  So the lanes agree with
+the scalar path to roundoff, not bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +47,8 @@ FORWARD = "forward"
 #: graded panel reach ~1e-15 relative against 40-digit quadrature for the
 #: fan integral with 0.5 <= n <= 3.5 and stresses from 1e-6 to 1e3.
 _GL_RULE = tuple((float(t), float(w)) for t, w in zip(*leggauss(16)))
+_NODES = np.array([t for t, _ in _GL_RULE])
+_WEIGHTS = np.array([w for _, w in _GL_RULE])
 
 #: gamma*T**2/2 at or below which the strain is cubic to roundoff, so the
 #: tangency takes its n = 1 closed form.
@@ -210,15 +225,17 @@ def rarefaction_integral(m: Material, T_a: float, T_b: float) -> float:
     return -sign * _even_fan(m, u_b, u_a)
 
 
-def _cubic_fan(m: Material, T_a: float, T_b: float) -> float:
+def _cubic_fan(m: Material, T_a, T_b, xp=math):
+    """n = 1 closed form of rarefaction_integral.  Lanes (xp = numpy) take
+    stresses on one side of zero only."""
     # strain_prime = a + b*T**2 for n = 1, whose antiderivative of the root
     # is T*s(T)/2 + a/(2*sqrt(b))*asinh(sqrt(b/a)*T), s = sqrt(a + b*T**2).
     a = m.alpha + m.beta
     b = 1.5 * m.alpha * m.gamma
     rb = math.sqrt(b)
-    s_a = math.sqrt(a + b * T_a * T_a)
-    s_b = math.sqrt(a + b * T_b * T_b)
-    if min(T_a, T_b) < 0.0 < max(T_a, T_b):
+    s_a = xp.sqrt(a + b * T_a * T_a)
+    s_b = xp.sqrt(a + b * T_b * T_b)
+    if xp is math and min(T_a, T_b) < 0.0 < max(T_a, T_b):
         # opposite signs: both differences add magnitudes
         k = math.sqrt(b / a)
         lin = T_b * s_b - T_a * s_a
@@ -230,14 +247,52 @@ def _cubic_fan(m: Material, T_a: float, T_b: float) -> float:
         d, p = T_b - T_a, T_b + T_a
         lin = d * (p / (T_b * s_b + T_a * s_a)) * (
             a + b * (T_a * T_a + T_b * T_b))
-        arc = math.asinh(rb * d * (p / (T_b * s_a + T_a * s_b)))
+        arc = xp.asinh(rb * d * (p / (T_b * s_a + T_a * s_b)))
     return (0.5 * lin + 0.5 * a / rb * arc) / math.sqrt(m.rho)
 
 
 def _even_fan(m: Material, u_0: float, u_1: float) -> float:
-    """Integral of sqrt(strain_prime/rho) over [u_0, u_1], 0 <= u_0 <= u_1."""
-    return _graded(m, lambda u: math.sqrt(strain_prime(m, u)), u_0,
-                   u_1) / math.sqrt(m.rho)
+    """Integral of sqrt(strain_prime/rho) over [u_0, u_1], 0 <= u_0 <= u_1:
+    the rule of _graded with the integrand written out."""
+    total = 0.0
+    for mid, h in _panels(m, u_0, u_1):
+        panel = 0.0
+        for t, w in _GL_RULE:
+            panel += w * math.sqrt(strain_prime(m, mid + h * t))
+        total += h * panel
+    return total / math.sqrt(m.rho)
+
+
+def _fan_lanes(m: Material, T_a, T_b):
+    """rarefaction_integral on lanes, for fans that run outward from T_a on
+    one side of zero (T_a*T_b >= 0, |T_a| <= |T_b|), the only ones the
+    wave curves build."""
+    T_a, T_b = np.broadcast_arrays(T_a, T_b)
+    if m.n == 1.0:
+        d = _cubic_fan(m, T_a, T_b, np)
+    else:
+        side = np.copysign(1.0, np.where(T_a != 0.0, T_a, T_b))
+        d = side * _even_fan_lanes(m, np.abs(T_a).ravel(),
+                                   np.abs(T_b).ravel()).reshape(T_a.shape)
+    return np.where(T_a == T_b, 0.0, d)
+
+
+def _even_fan_lanes(m: Material, u_0, u_1):
+    """_even_fan on lanes: the 16-node rule on the panels of _panels, each
+    lane's panel sum taken as a dot product."""
+    c = _knee_stress(m)
+    total = np.zeros(u_0.size)
+    x = u_0.copy()
+    live = np.flatnonzero(x < u_1)
+    while live.size:
+        start, stop = x[live], u_1[live]
+        end = np.minimum(stop, 3.0 * start + c)
+        h = 0.5 * (end - start)
+        nodes = (start + h)[:, None] + h[:, None] * _NODES
+        total[live] += h * (np.sqrt(strain_prime(m, nodes)) @ _WEIGHTS)
+        x[live] = end
+        live = live[end < stop]
+    return total / math.sqrt(m.rho)
 
 
 def _knee_stress(m: Material) -> float:
@@ -247,25 +302,29 @@ def _knee_stress(m: Material) -> float:
     return math.sqrt((m.alpha + m.beta) / (m.alpha * m.gamma))
 
 
-def _graded(m: Material, fn, u_0: float, u_1: float) -> float:
-    """Integral of fn(u) over [u_0, u_1], 0 <= u_0 <= u_1.
-
-    Gauss-Legendre on panels graded away from 0: a panel starting at x is
-    at most 2*x + c long, where c = _knee_stress(m), so every panel stays a
-    fixed ratio away from the singularities of the constitutive functions.
-    """
+def _panels(m: Material, u_0: float, u_1: float):
+    """(midpoint, half-width) of the panels of [u_0, u_1], 0 <= u_0 <= u_1,
+    graded away from 0: a panel starting at x is at most 2*x + c long,
+    where c = _knee_stress(m), so every panel stays a fixed ratio away from
+    the singularities of the constitutive functions."""
     c = _knee_stress(m)
-    total = 0.0
     x = u_0
     while x < u_1:
         end = min(u_1, 3.0 * x + c)
         h = 0.5 * (end - x)
-        mid = x + h
+        yield x + h, h
+        x = end
+
+
+def _graded(m: Material, fn, u_0: float, u_1: float) -> float:
+    """Integral of fn(u) over [u_0, u_1], 0 <= u_0 <= u_1: Gauss-Legendre
+    on the graded panels of _panels."""
+    total = 0.0
+    for mid, h in _panels(m, u_0, u_1):
         panel = 0.0
         for t, w in _GL_RULE:
             panel += w * fn(mid + h * t)
         total += h * panel
-        x = end
     return total
 
 
@@ -276,12 +335,11 @@ def _newton_bisect(fn, dfn, lo: float, hi: float, f_lo: float,
     Safeguarded Newton ("rtsafe", Press et al., Numerical Recipes 9.4):
     Newton steps with the analytic derivative dfn, replaced by bisection
     when the slope is not positive and finite, or when a step leaves the
-    bracket or fails to halve the one before the last.  It stops on an
-    exact zero, on a Newton step within two ulps, on a Newton step that
-    rounding keeps from shrinking |f|, or when the bracket has no float
-    left inside: no residual tolerance is involved, so the root is resolved
-    to full precision at every magnitude.  It is the package's only scalar
-    root finder.
+    bracket or fails to halve the one before the last.  Its exits, shared
+    with _newton_bisect_many, are the table ROOT_FINDER_EXITS of
+    tests/test_material.py; none involves a residual tolerance, so the root
+    is resolved to full precision at every magnitude.  It is the package's
+    only scalar root finder.
     """
     x, f = (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
     step_old = step = hi - lo
@@ -315,6 +373,76 @@ def _newton_bisect(fn, dfn, lo: float, hi: float, f_lo: float,
     return x
 
 
+def _newton_bisect_many(fn, dfn, lo, hi, f_lo, f_hi):
+    """_newton_bisect on lanes, with its steps and exits per lane (the
+    table ROOT_FINDER_EXITS of tests/test_material.py).  fn(pos, x) and
+    dfn(pos, x) evaluate the lanes pos.  A lane whose value is NaN stops
+    where it is, for its caller to report."""
+    first = -f_lo < f_hi
+    x = np.where(first, lo, hi)
+    f = np.where(first, f_lo, f_hi)
+    lo, hi = lo.copy(), hi.copy()
+    step_old = step = hi - lo
+    root = x.copy()
+    live = np.arange(x.size)
+    for _ in range(200):
+        done = f == 0.0
+        root[live[done]] = x[done]
+        keep = ~done
+        live, x, f, lo, hi, step_old, step = (
+            a[keep] for a in (live, x, f, lo, hi, step_old, step))
+        if not live.size:
+            break
+        below = f < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        d = dfn(live, x)
+        newton = np.where((0.0 < d) & (d < np.inf), f / d, np.inf)
+        close = np.abs(newton) <= 2.0 * np.spacing(np.abs(x))
+        root[live[close]] = (x - newton)[close]
+        use = ((lo < x - newton) & (x - newton < hi)
+               & (np.abs(newton) <= 0.5 * np.abs(step_old)))
+        step_new = np.where(use, newton, 0.5 * (hi - lo))
+        x_new = np.where(use, x - newton, lo + step_new)
+        collapsed = ~close & ~use & ((x_new == lo) | (x_new == hi))
+        root[live[collapsed]] = x_new[collapsed]
+        go = ~close & ~collapsed
+        f_new = np.full(x.size, np.nan)
+        if go.any():
+            f_new[go] = fn(live[go], x_new[go])
+        stalled = go & (np.isnan(f_new) | (
+            use & ((f_new > 0.0) == (f > 0.0)) & (np.abs(f_new) >= np.abs(f))))
+        root[live[stalled]] = x[stalled]
+        keep = go & ~stalled
+        root[live[keep]] = x_new[keep]
+        live, x, f, lo, hi, step_old, step = (
+            a[keep] for a in (live, x_new, f_new, lo, hi, step, step_new))
+    return root
+
+
+def _excess(m: Material, T, xp=math):
+    """r(T) = (q**n - 1)*T with q = 1 + gamma*T**2/2, and r'(T): strain
+    less its linear part is alpha*r(T).  The expm1/log1p form leaves no
+    cancellation for small stresses."""
+    u = 0.5 * m.gamma * T * T
+    excess = xp.expm1(m.n * xp.log1p(u))
+    return excess * T, excess + 2.0 * m.n * u * (1.0 + u) ** (m.n - 1.0)
+
+
+def _tangency_residual(m: Material, B, r_B, T, xp=math):
+    """The tangency condition of the anchor -B < 0 with the linear part
+    removed, k = (tangent slope - chord slope)*(T + B)/alpha, given
+    r_B = r(-B) of _excess.  It is strictly increasing on 0 < T < B,
+    negative at 0 and positive at B."""
+    r_T, dr_T = _excess(m, T, xp)
+    return dr_T * (T + B) + r_B - r_T
+
+
+def _tangency_slope(m: Material, B, T):
+    """d/dT of _tangency_residual."""
+    return strain_second(m, T) * (T + B) / m.alpha
+
+
 def tangent_point(m: Material, T_anchor: float) -> float:
     """Stress on the other convexity branch where the chord from
     (T_anchor, strain(T_anchor)) is tangent to the strain curve.
@@ -338,27 +466,11 @@ def tangent_point(m: Material, T_anchor: float) -> float:
         # O(gamma*T_anchor**2) relative)
         return sign * (0.5 * A)
 
-    # strain = (alpha+beta)*T + alpha*r(T) with r(T) = (q**n - 1)*T and
-    # q = 1 + gamma*T**2/2; the linear part drops out of the tangency
-    # condition, which leaves no cancellation for small stresses.
-    def r(T):
-        u = 0.5 * m.gamma * T * T
-        excess = math.expm1(m.n * math.log1p(u))
-        return excess * T, excess + 2.0 * m.n * u * (1.0 + u) ** (m.n - 1.0)
-
-    r_a, dr_a = r(-A)
-
-    # The tangency condition with the linear part removed,
-    # k = (tangent slope - chord slope)*(T + A)/alpha, is strictly
-    # increasing on 0 < T < A, negative at 0 and positive at A.
-    def k(T):
-        r_T, dr_T = r(T)
-        return dr_T * (T + A) + r_a - r_T
-
-    def dk(T):
-        return strain_second(m, T) * (T + A) / m.alpha
-
-    return sign * _newton_bisect(k, dk, 0.0, A, r_a, 2.0 * (r_a + A * dr_a))
+    r_a, dr_a = _excess(m, -A)
+    return sign * _newton_bisect(
+        lambda T: _tangency_residual(m, A, r_a, T),
+        lambda T: _tangency_slope(m, A, T), 0.0, A, r_a,
+        2.0 * (r_a + A * dr_a))
 
 
 def driving_force(m: Material, T_l: float, T_r: float) -> float:

@@ -21,10 +21,10 @@ For the experiment with both initial velocities zero, the solution type
 I..XII is read off the solved waves (see ``_zero_velocity_case``);
 ``thresholds`` solves the stress thresholds for ``barwaves thresholds``.
 
-``batch.solve_many`` is the batched twin of ``solve``, for many problems
-on numpy lanes (``barwaves atlas`` uses it).  It reads its tolerances and
-tables from here: BOUNDARY_TOL, RESIDUAL_GATE, MONOTONE_SLACK, SNAP_TOL,
-_REGION_MAPS and _zero_velocity_case (with _NEGATED_CASE).
+``batch.solve_many`` runs the same solve on numpy lanes (``barwaves
+atlas`` uses it).  The tolerances, the region table, the zero-velocity type
+and the error of a failed middle-stress search (_middle_stress_error) are
+defined here once and serve both paths.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .wave_curves import (
     CurveLeg,
     State,
     WaveCurve,
+    _w,
     shock_speed,
 )
 
@@ -208,8 +209,7 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
         step = newton if 0.0 < newton < cap else cap
     found = _bracket(g, lo, hi, samples[lo][0], samples[hi][0], step)
     if found is None:
-        raise NoBracket(
-            f"no bracket for the middle stress between {U_l} and {U_r}")
+        raise _middle_stress_error("bracket", U_l, U_r)
     root = _newton_bisect(g, dg, *found)
     if root not in samples:
         # the last Newton step was within two ulps, so never evaluated
@@ -223,21 +223,35 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
     final, v_back, v_fwd = samples[root]
     T_big = max(abs(U_l.T), abs(U_r.T))
     scale = max(abs(U_l.v), abs(U_r.v), abs(v_back - U_l.v),
-                abs(v_fwd - U_r.v),
-                T_big * math.sqrt(strain_prime(m, T_big) / m.rho))
+                abs(v_fwd - U_r.v), T_big * _w(m, T_big))
     ordered = sorted(samples.items())
     for (_, a), (_, b) in zip(ordered, ordered[1:]):
         if b[0] < a[0] - MONOTONE_SLACK * scale:
-            raise NonMonotone("sampled residuals are not monotone in the "
-                              f"middle stress between {U_l} and {U_r}")
+            raise _middle_stress_error("monotone", U_l, U_r)
     if abs(final) > RESIDUAL_GATE * scale:
-        raise NoBracket(f"middle-stress residual {final} between {U_l} "
-                        f"and {U_r} misses the tolerance")
+        raise _middle_stress_error(final, U_l, U_r)
     snap = SNAP_TOL * max(abs(U_l.T), abs(U_r.T))
     for T_d in (U_l.T, U_r.T):
         if abs(root - T_d) <= snap:
             return T_d, samples[T_d][1], ""
     return root, v_back, ""
+
+
+def _middle_stress_error(kind, U_l: State, U_r: State) -> Exception:
+    """The error of a middle-stress search from U_l to U_r that failed:
+    kind is 'overflow', 'bracket', 'monotone', or the final residual that
+    missed the gate."""
+    if kind == "overflow":
+        return NoBracket(
+            f"wave-curve velocities overflow between {U_l} and {U_r}")
+    if kind == "bracket":
+        return NoBracket(
+            f"no bracket for the middle stress between {U_l} and {U_r}")
+    if kind == "monotone":
+        return NonMonotone("sampled residuals are not monotone in the "
+                           f"middle stress between {U_l} and {U_r}")
+    return NoBracket(f"middle-stress residual {kind} between {U_l} "
+                     f"and {U_r} misses the tolerance")
 
 
 def _leg_summary(legs: list[CurveLeg]) -> str:
@@ -380,8 +394,7 @@ def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
         fwd_legs = fwd.legs(middle)
         waves = tuple(_wave_from_leg(m, leg) for leg in back_legs + fwd_legs)
     except OverflowError as exc:
-        raise NoBracket(
-            f"wave-curve velocities overflow between {U_l} and {U_r}") from exc
+        raise _middle_stress_error("overflow", U_l, U_r) from exc
     middles = tuple(w.right for w in waves[:-1])
     label = label or _region_label(U_l, U_r, T_bar, back_legs, fwd_legs)
     case = None

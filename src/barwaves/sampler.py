@@ -7,9 +7,10 @@ position exactly, the right limit is returned.
 
 Every point is evaluated on numpy lanes by one routine, ``_sample_lanes``:
 ``sample`` is a call with one point, and ``profile`` inverts all of its
-fan points at once with ``batch._newton_bisect_many``.  A 4001-point
-profile of a pattern with a fan takes about 0.6 ms on one Xeon core (2.2 ms
-point by point).
+fan points at once.  The lane root finder and the lane fan integral are
+``material``'s, the ones ``solve_many`` uses.  A 4001-point profile of a
+pattern with a fan takes about 0.6 ms on one Xeon core (2.2 ms point by
+point).
 """
 
 from __future__ import annotations
@@ -19,8 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import _fan, _newton_bisect_many
-from .material import strain_prime, strain_second
+from .material import (
+    _fan_lanes,
+    _newton_bisect_many,
+    strain_prime,
+    strain_second,
+)
 from .riemann import Wave, WavePattern
 from .wave_curves import BACKWARD, SHOCK, State
 
@@ -104,9 +109,9 @@ def _fan_states(pattern: WavePattern, wave: Wave,
     with np.errstate(divide="ignore", invalid="ignore"):
         T = _newton_bisect_many(f, df, lo, hi, f(everyone, lo),
                                 f(everyone, hi))
-        # batch._fan takes fans running outward from zero stress; a fan
+        # _fan_lanes takes fans running outward from zero stress; a fan
         # that runs inward is the negated outward one
-        d = _fan(m, a, T) if abs(a) <= abs(b) else -_fan(m, T, a)
+        d = _fan_lanes(m, a, T) if abs(a) <= abs(b) else -_fan_lanes(m, T, a)
     return T, wave.left.v - sigma * d
 
 

@@ -98,16 +98,26 @@ def shock_speed(m: Material, T_a: float, T_b: float, family: str) -> float:
     return -c if family == BACKWARD else c
 
 
-def _jump_v(m: Material, T_a: float, T_b: float) -> float:
+def _jump_v(m: Material, T_a, T_b, xp=math):
     """|velocity jump| across a shock between T_a and T_b."""
     prod = (T_b - T_a) * (strain(m, T_b) - strain(m, T_a))
-    return math.sqrt(max(prod, 0.0) / m.rho)
+    return xp.sqrt(prod * (prod > 0.0) / m.rho)
 
 
-def _w(m: Material, T: float) -> float:
+def _w(m: Material, T, xp=math):
     """sqrt(strain_prime/rho) = 1/(rho*|characteristic speed|): the fan
     integrand."""
-    return math.sqrt(strain_prime(m, T) / m.rho)
+    return xp.sqrt(strain_prime(m, T) / m.rho)
+
+
+def _shock_slope(m: Material, A, y, xp=math):
+    """|dv/dT| of the shock branch from A to y, as a numerator and a
+    denominator; the denominator is not positive for a shock of roundoff
+    width, whose slope is its characteristic limit _w(m, y)."""
+    de = strain(m, y) - strain(m, A)
+    prod = m.rho * (y - A) * de
+    return de + (y - A) * strain_prime(m, y), 2.0 * xp.sqrt(
+        prod * (prod > 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +170,9 @@ class WaveCurve:
         curve and decreases along the forward one)."""
         m, A, y = self.m, self.A, self.s * T
         if A < y <= self.Tt:
-            de = strain(m, y) - strain(m, A)
-            denom = 2.0 * math.sqrt(max(m.rho * (y - A) * de, 0.0))
+            num, denom = _shock_slope(m, A, y)
             if denom > 0.0:
-                return (de + (y - A) * strain_prime(m, y)) / denom
-            # a shock of roundoff width: its characteristic limit
+                return num / denom
         return _w(m, y)
 
     def legs(self, end: State) -> list[CurveLeg]:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import types
 
 import mpmath
 import numpy as np
@@ -491,3 +492,146 @@ def test_load_material_presets():
     assert load_material("cubic") is PRESETS["cubic"]
     with pytest.raises(MaterialError):
         Material.from_dict({"alpha": 1.0})
+
+
+# ---------------------------------------------------------------------------
+# kernels shared by the scalar solve and the lanes of solve_many
+
+KERNEL_MATERIALS = {"cubic": PRESETS["cubic"], "quintic": PRESETS["quintic"],
+                    "near-hyperbolic": Material(1.0, -0.999, 1.0, 1.0, 1.0)}
+
+
+def kernel_stresses(count):
+    mags = np.logspace(-8.0, 3.0, count)
+    return np.concatenate(([0.0], mags, -mags))
+
+
+#: numpy's arithmetic with math's elementary functions, element by element.
+#: numpy's own expm1, log1p and asinh may round an array element
+#: differently from math's (see barwaves.material); with these, an array
+#: call of a shared kernel must give the bits of its float calls.
+MATH_ON_LANES = types.SimpleNamespace(**{
+    name: np.vectorize(getattr(math, name), otypes=[float])
+    for name in ("sqrt", "expm1", "log1p", "asinh")})
+
+
+def assert_float_calls_match_array_call(kernel, m, *args, xp=MATH_ON_LANES):
+    """kernel(m, *args, xp=math) element by element against one array call
+    kernel(m, *args, xp=xp), bit for bit (each result may be a tuple)."""
+    got = kernel(m, *args, xp=xp)
+    got = got if isinstance(got, tuple) else (got,)
+    for i, row in enumerate(zip(*(a.tolist() for a in args))):
+        want = kernel(m, *row, xp=math)
+        want = want if isinstance(want, tuple) else (want,)
+        assert np.array(want).tobytes() == np.array(
+            [g[i] for g in got]).tobytes(), (row, want)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MATERIALS))
+def test_shared_kernels_give_the_same_bits_on_floats_and_arrays(name):
+    from barwaves.material import _cubic_fan, _excess, _tangency_residual
+    from barwaves.wave_curves import _jump_v, _shock_slope, _w
+    m = KERNEL_MATERIALS[name]
+    T = kernel_stresses(221)
+    # every ordered pair of a coarser grid
+    a, b = (x.ravel() for x in np.meshgrid(kernel_stresses(23),
+                                            kernel_stresses(23)))
+    # square roots are correctly rounded and integer n keeps numpy's power
+    # at math's bits, so these three hold with numpy itself
+    for xp in (MATH_ON_LANES, np):
+        assert_float_calls_match_array_call(_w, m, T, xp=xp)
+        assert_float_calls_match_array_call(_jump_v, m, a, b, xp=xp)
+        assert_float_calls_match_array_call(_shock_slope, m, a, b, xp=xp)
+    assert_float_calls_match_array_call(_excess, m, T)
+    B = np.abs(a[a != 0.0])
+    r_B = _excess(m, -B, np)[0]
+    assert_float_calls_match_array_call(
+        _tangency_residual, m, B, r_B, np.abs(b[a != 0.0]))
+    if m.n == 1.0:
+        # the lanes take the fans on one side of zero
+        same = (a * b > 0.0) & (np.abs(a) <= np.abs(b))
+        assert_float_calls_match_array_call(_cubic_fan, m, a[same], b[same])
+
+
+def quantized(x):
+    """x on a 2**-26 grid less 0.3: a staircase of slope 1, never zero."""
+    return (x + 1e8) - 1e8 - 0.3
+
+
+def adjacent_bracket(points, root):
+    """True if root and a float next to it were evaluated with opposite
+    signs: the bracket collapsed on the root."""
+    return any(math.nextafter(root, to) in points
+               and points[root] * points[math.nextafter(root, to)] < 0.0
+               for to in (-math.inf, math.inf))
+
+
+#: The exits of _newton_bisect and _newton_bisect_many, one row each:
+#: (exit, fn, dfn, lo, hi, test of the evaluated points {x: fn(x)} and the
+#: root that shows the row took that exit).
+ROOT_FINDER_EXITS = [
+    ("exact zero", lambda x: x - 0.5, lambda x: 1.0, 0.0, 1.0,
+     lambda pts, root: pts.get(root) == 0.0),
+    # its last two Newton steps are 2.8 and 0.6 ulps long
+    ("Newton step within two ulps", lambda x: x * x - 13.0,
+     lambda x: 2.0 * x, 0.0, 14.0,
+     lambda pts, root: root not in pts and 0.0 not in pts.values()),
+    ("rounding keeps a Newton step from shrinking |f|", quantized,
+     lambda x: 1.0, 0.0, 1.0,
+     lambda pts, root: len(pts) == 2 and abs(list(pts.values())[-1])
+     >= abs(pts[root])),
+    ("collapsed bracket", lambda x: x * x - 2.0, lambda x: math.nan, 0.0,
+     2.0, adjacent_bracket),
+    ("200 steps", lambda x: x - 1e-300, lambda x: math.nan, 0.0, 1e300,
+     lambda pts, root: len(pts) == 200),
+]
+
+
+@pytest.mark.parametrize("row", ROOT_FINDER_EXITS,
+                         ids=[row[0] for row in ROOT_FINDER_EXITS])
+def test_both_root_finders_take_each_exit_alike(row):
+    from barwaves.material import _newton_bisect, _newton_bisect_many
+    _, fn, dfn, lo, hi, took_exit = row
+    scalar, lanes = {}, []
+
+    def recorded(x):
+        scalar[x] = fn(x)
+        return scalar[x]
+
+    root = _newton_bisect(recorded, dfn, lo, hi, fn(lo), fn(hi))
+    assert took_exit(scalar, root)
+
+    def lane_fn(pos, x):
+        lanes.extend(x.tolist())
+        return np.array([fn(v) for v in x.tolist()])
+
+    with np.errstate(divide="ignore"):
+        got = _newton_bisect_many(
+            lane_fn, lambda pos, x: np.array([dfn(v) for v in x.tolist()]),
+            np.array([lo]), np.array([hi]), np.array([fn(lo)]),
+            np.array([fn(hi)]))
+    assert got.tolist() == [root]
+    assert lanes == list(scalar)
+
+
+def test_lane_root_finder_runs_every_exit_at_once_and_stops_at_nan():
+    from barwaves.material import _newton_bisect, _newton_bisect_many
+    rows = [(fn, dfn, lo, hi) for _, fn, dfn, lo, hi, _ in ROOT_FINDER_EXITS]
+    # a lane whose value turns NaN stops at its last finite point: from
+    # x = 1, Newton proposes 0.2, where this function is undefined
+    rows.append((lambda x: x - 0.2 if x > 0.5 else math.nan,
+                 lambda x: 1.0, 0.0, 1.0))
+    lo, hi = (np.array([r[i] for r in rows]) for i in (2, 3))
+
+    def fn(pos, x):
+        return np.array([rows[p][0](v) for p, v in zip(pos, x.tolist())])
+
+    def dfn(pos, x):
+        return np.array([rows[p][1](v) for p, v in zip(pos, x.tolist())])
+
+    everyone = np.arange(len(rows))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = _newton_bisect_many(fn, dfn, lo, hi, fn(everyone, lo),
+                                  fn(everyone, hi))
+    want = [_newton_bisect(f, d, a, b, f(a), f(b)) for f, d, a, b in rows[:-1]]
+    assert got.tolist() == want + [1.0]
