@@ -172,10 +172,9 @@ def _solve_lanes(m, T_l, v_l, T_r, v_r, out: Solutions, lanes) -> None:
     out.region_label[dest] = label
     # a composite is the only two-leg backward wave
     zero = np.flatnonzero((v_l == 0.0) & (v_r == 0.0))
-    out.zero_velocity_case[dest[zero]] = [
-        _zero_velocity_case(a, b, c) for a, b, c in zip(
-            T_l[zero].tolist(), T_r[zero].tolist(),
-            (b_code[zero] == _SR).tolist())]
+    out.zero_velocity_case[dest[zero]] = list(map(
+        _zero_velocity_case, T_l[zero].tolist(), T_r[zero].tolist(),
+        T_bar[zero].tolist(), (b_code[zero] == _SR).tolist()))
 
 
 def _summary(c: "_Curves", T_bar, T_anchor, single, double):

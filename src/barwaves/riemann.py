@@ -355,21 +355,26 @@ def thresholds(m: Material, T_l: float) -> Thresholds:
 _NEGATED_CASE = {"I": "VI", "II": "VII", "III": "VIII", "IV": "IX", "V": "X"}
 
 
-def _zero_velocity_case(T_l: float, T_r: float, composite: bool) -> str:
+def _zero_velocity_case(T_l: float, T_r: float, T_bar: float,
+                        composite: bool) -> str:
     """Solution type I..XII of data with both velocities zero and T_l !=
-    T_r.  For T_l < 0, T_r against T_l, 0 and the first threshold -T_l
-    gives I..III; beyond it V differs from IV only in its `composite`
-    backward wave (shock then fan).  Types VI..X (T_l > 0) are I..V of the
+    T_r, from the solved middle stress T_bar and whether the backward wave
+    is `composite` (shock then fan).  For T_l < 0, T_r against T_l and 0
+    gives I and II; for T_r > 0 the middle stress is negative in III and
+    at or above zero beyond the first threshold -T_l, where it sits on the
+    zero-stress dividing curve, and V differs from IV only in its
+    composite backward wave.  Types VI..X (T_l > 0) are I..V of the
     negated data, whose backward wave is the mirror image."""
     if T_l == 0.0:
         return "XI" if T_r < 0.0 else "XII"
     if T_l > 0.0:
-        return _NEGATED_CASE[_zero_velocity_case(-T_l, -T_r, composite)]
+        return _NEGATED_CASE[_zero_velocity_case(-T_l, -T_r, -T_bar,
+                                                 composite)]
     if T_r < T_l:
         return "I"
     if T_r <= 0.0:
         return "II"
-    if T_r < -T_l:
+    if T_bar < 0.0:
         return "III"
     return "V" if composite else "IV"
 
@@ -400,7 +405,7 @@ def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
     case = None
     if U_l.v == 0.0 and U_r.v == 0.0:
         # a composite is the only two-leg backward wave
-        case = _zero_velocity_case(U_l.T, U_r.T, len(back_legs) == 2)
+        case = _zero_velocity_case(U_l.T, U_r.T, T_bar, len(back_legs) == 2)
     return WavePattern(m, U_l, waves, middles, label, case)
 
 

@@ -21,6 +21,7 @@ from barwaves import (
     rarefaction_integral,
     solve,
     solve_linear,
+    solve_many,
     strain,
     strain_prime,
     tangent_point,
@@ -615,6 +616,35 @@ def test_zero_velocity_case_bands(cubic):
     assert case(0.0, -1.0) == "XI"
     assert case(0.0, 1.0) == "XII"
     assert case(-1.0, -1.0) is None
+
+
+#: Default atlas cells (cubic at --res 81, quintic at --res 41) whose right
+#: stress lies within an ulp of the first threshold -T_l and whose middle
+#: stress is zero: type IV (IX mirrored), as their waves are.
+ON_THE_FIRST_THRESHOLD = [
+    ("cubic", -1.8, 1.7999999999999998, "on-W2F", "IV"),
+    ("cubic", -1.3500000000000001, 1.3499999999999996, "on-W2F", "IV"),
+    ("cubic", -1.05, 1.0499999999999998, "on-W2F", "IV"),
+    ("cubic", -0.30000000000000004, 0.29999999999999982, "on-W2F", "IV"),
+    ("cubic", 1.2000000000000002, -1.2, "on-W2E", "IX"),
+    ("cubic", 1.9500000000000002, -1.95, "on-W2E", "IX"),
+    ("quintic", -1.8, 1.7999999999999998, "on-W2F", "IV"),
+    ("quintic", -0.30000000000000004, 0.29999999999999982, "on-W2F", "IV"),
+    ("quintic", 1.2000000000000002, -1.2, "on-W2E", "IX"),
+]
+
+
+@pytest.mark.parametrize("name,T_l,T_r,label,case", ON_THE_FIRST_THRESHOLD)
+def test_zero_middle_stress_is_past_the_first_threshold(name, T_l, T_r,
+                                                        label, case):
+    # the type is read off the middle stress, not off T_r against -T_l
+    m = PRESETS[name]
+    p = solve(m, State(T_l, 0.0), State(T_r, 0.0))
+    assert (p.region_label, p.zero_velocity_case) == (label, case)
+    assert p.waves[0].right.T == 0.0
+    sol = solve_many(m, T_l, 0.0, T_r, 0.0)
+    assert (sol.region_label, sol.zero_velocity_case) == (label, case)
+    assert sol.T_bar == 0.0
 
 
 def test_nonzero_velocity_has_no_case_label(cubic):
