@@ -14,6 +14,7 @@ and recovers stress by inverting the strain curve pointwise.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import replace
 
@@ -197,8 +198,10 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
         if not (math.isfinite(value.T) and math.isfinite(value.v)):
             raise ValueError(f"fv_reference requires a finite {name}, "
                              f"got {value}")
-    if cells < 50:
-        raise ValueError("fv_reference requires cells >= 50")
+    if not isinstance(cells, numbers.Integral) or cells < 50:
+        raise ValueError(f"fv_reference requires an integer cells >= 50, "
+                         f"got {cells!r}")
+    cells = int(cells)
     if not 0.0 < cfl <= 0.9:
         raise ValueError(f"fv_reference requires 0 < cfl <= 0.9, got {cfl}")
     if not 0.0 < t_end < math.inf:

@@ -171,6 +171,21 @@ def test_fv_argument_validation(cubic):
         fv_reference(cubic, U, V, cells=100, cfl=0.5, t_end=0.0)
 
 
+@pytest.mark.parametrize("cells", [math.nan, 100.5, math.inf, 49])
+def test_fv_rejects_cells_that_are_not_an_integer_of_50_or_more(cubic,
+                                                                 cells):
+    with pytest.raises(ValueError, match=r"integer cells >= 50, got "):
+        fv_reference(cubic, State(-0.5, 0.0), State(1.0, 0.0), cells,
+                     cfl=0.45, t_end=0.5)
+
+
+def test_fv_accepts_numpy_integer_cells(cubic):
+    U_l, U_r = State(-0.5, 0.0), State(1.0, 0.0)
+    want = fv_reference(cubic, U_l, U_r, 60, cfl=0.45, t_end=0.5)
+    assert fv_reference(cubic, U_l, U_r, np.int64(60), cfl=0.45,
+                        t_end=0.5) == want
+
+
 @pytest.mark.parametrize("arg", ["U_l", "U_r", "cfl", "t_end"])
 def test_fv_rejects_non_finite_arguments(cubic, arg):
     good = dict(U_l=State(-0.5, 0.0), U_r=State(1.0, 0.0), cfl=0.45,
