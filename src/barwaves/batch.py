@@ -382,20 +382,17 @@ def _tangency(m, A):
     if m.n == 1.0:
         return Tt, overflow
     lanes = np.flatnonzero(0.5 * m.gamma * B * B > _CUBIC_TO_ROUNDOFF)
-    if not lanes.size:
-        return Tt, overflow
     B = B[lanes]
     r_B, dr_B = _excess(m, -B, np)
     f_hi = 2.0 * (r_B + B * dr_B)
     bad = ~(np.isfinite(r_B) & np.isfinite(dr_B))
     overflow[lanes[bad]] = True
     good = np.flatnonzero(~bad)
-    if good.size:
-        B, r_B = B[good], r_B[good]
-        Tt[lanes[good]] = _newton_bisect_many(
-            lambda pos, T: _tangency_residual(m, B[pos], r_B[pos], T, np),
-            lambda pos, T: _tangency_slope(m, B[pos], T),
-            np.zeros(good.size), B, r_B, f_hi[good])
+    B, r_B = B[good], r_B[good]
+    Tt[lanes[good]] = _newton_bisect_many(
+        lambda pos, T: _tangency_residual(m, B[pos], r_B[pos], T, np),
+        lambda pos, T: _tangency_slope(m, B[pos], T),
+        np.zeros(good.size), B, r_B, f_hi[good])
     return Tt, overflow
 
 

@@ -14,18 +14,13 @@ Everything here is a pure function of an immutable Material, apart from
 strain_residual_slope, which writes only into the caller's arrays, so
 unrestricted concurrent use is safe.
 
-The kernels that both the scalar solve and the lanes of
-``batch.solve_many`` evaluate (the tangency condition, the n = 1 fan
-here, the fan integrand, the shock jump and the shock-branch slope in
-``wave_curves``) have one body each, written against a namespace
-argument ``xp``: ``math`` for floats, ``numpy`` for arrays.  The
-arithmetic is the same on both paths, but numpy's array loops for
-``expm1``, ``log1p``, ``asinh`` and ``power`` may round an element
-differently from ``math``'s functions in the last bit: on log-spaced
-arguments about one value in twenty for expm1 and one in seven for asinh;
-for power about one stress in ten at n = 1.5, and almost never at integer
-n.  Square roots are correctly rounded on both.  So the lanes agree with
-the scalar path to roundoff, not bit for bit.
+Kernels that the scalar solve and the lanes of ``batch.solve_many`` both
+evaluate have one body each, written against a namespace argument ``xp``:
+``math`` for floats, ``numpy`` for arrays.  The arithmetic is the same,
+but numpy's array loops for ``expm1``, ``log1p``, ``asinh`` and ``power``
+(often at non-integer n, rarely at integer n) may round an element
+differently from ``math`` in the last bit, so the lanes agree with the
+scalar path to roundoff.
 """
 
 from __future__ import annotations

@@ -358,13 +358,10 @@ _NEGATED_CASE = {"I": "VI", "II": "VII", "III": "VIII", "IV": "IX", "V": "X"}
 def _zero_velocity_case(T_l: float, T_r: float, T_bar: float,
                         composite: bool) -> str:
     """Solution type I..XII of data with both velocities zero and T_l !=
-    T_r, from the solved middle stress T_bar and whether the backward wave
-    is `composite` (shock then fan).  For T_l < 0, T_r against T_l and 0
-    gives I and II; for T_r > 0 the middle stress is negative in III and
-    at or above zero beyond the first threshold -T_l, where it sits on the
-    zero-stress dividing curve, and V differs from IV only in its
-    composite backward wave.  Types VI..X (T_l > 0) are I..V of the
-    negated data, whose backward wave is the mirror image."""
+    T_r.  For T_l < 0, T_r against T_l and 0 gives I and II; for T_r > 0
+    the middle stress T_bar is negative in III, and V differs from IV only
+    in its `composite` backward wave (shock then fan).  Types VI..X
+    (T_l > 0) are I..V of the negated data."""
     if T_l == 0.0:
         return "XI" if T_r < 0.0 else "XII"
     if T_l > 0.0:
