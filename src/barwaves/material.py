@@ -12,7 +12,13 @@ convexity at T = 0 is what produces composite (rarefaction + shock) waves.
 
 Everything here is a pure function of an immutable Material, apart from
 strain_residual_slope, which writes only into the caller's arrays, so
-unrestricted concurrent use is safe.
+unrestricted concurrent use is safe.  strain_residual_slope follows the
+dispatch rule of the finite-volume step, where numpy's per-call cost and
+not the arithmetic sets the time: array operands and a positional out in
+every elementwise call (about twice as fast to dispatch as a Python-float
+operand), but Python-float exponents, since numpy's power rounds
+differently with an array exponent (power(q, 2.0) is q*q, an array of
+2.0 is not).
 
 Kernels that the scalar solve and the lanes of ``batch.solve_many`` both
 evaluate have one body each, written against a namespace argument ``xp``:
@@ -30,18 +36,31 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import MaterialError, RootNotBracketed
 
 BACKWARD = "backward"
 FORWARD = "forward"
 
-#: (node, weight) pairs of the Gauss-Legendre rule on [-1, 1] (Golub & Welsch
-#: 1969), as plain floats: the rule runs in pure Python.  Sixteen nodes per
-#: graded panel reach ~1e-15 relative against 40-digit quadrature for the
-#: fan integral with 0.5 <= n <= 3.5 and stresses from 1e-6 to 1e3.
-_GL_RULE = tuple((float(t), float(w)) for t, w in zip(*leggauss(16)))
+#: The (node, weight) pairs of the 16-node Gauss-Legendre rule on [-1, 1]
+#: (Golub & Welsch 1969) with node > 0, to 17 digits: the values of numpy's
+#: leggauss(16), which is symmetric bit for bit, written out so that import
+#: does not load numpy.polynomial.
+_GL_HALF = (
+    (0.095012509837637441, 0.18945061045506864),
+    (0.28160355077925892, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.61787624440264377, 0.14959598881657671),
+    (0.755404408355003, 0.12462897125553407),
+    (0.86563120238783176, 0.095158511682492605),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.98940093499164994, 0.027152459411754176),
+)
+#: The whole rule in ascending node order, as plain floats: it runs in pure
+#: Python.  Sixteen nodes per graded panel reach ~1e-15 relative against
+#: 40-digit quadrature for the fan integral with 0.5 <= n <= 3.5 and
+#: stresses from 1e-6 to 1e3.
+_GL_RULE = tuple((-t, w) for t, w in reversed(_GL_HALF)) + _GL_HALF
 _NODES = np.array([t for t, _ in _GL_RULE])
 _WEIGHTS = np.array([w for _, w in _GL_RULE])
 
@@ -151,30 +170,43 @@ def strain_prime(m: Material, T):
         1.0 + 0.5 * (1.0 + 2.0 * m.n) * m.gamma * T * T)
 
 
-def strain_residual_slope(m: Material, T, eps, r, slope, tmp) -> None:
+def residual_slope_rows(m: Material, size: int) -> tuple:
+    """The constant operands k of strain_residual_slope for arrays of
+    `size` elements: rows holding 0.5*gamma, 1, alpha, beta and
+    0.5*(1 + 2n)*gamma, in that order, views of one array."""
+    return tuple(np.repeat(
+        [[0.5 * m.gamma], [1.0], [m.alpha], [m.beta],
+         [0.5 * (1.0 + 2.0 * m.n) * m.gamma]], size, axis=1))
+
+
+def strain_residual_slope(m: Material, T, eps, r, slope, tmp, k) -> None:
     """Write strain(T) - eps into r and strain_prime(T) into slope, for
-    float arrays T and eps and caller buffers r, slope and tmp of their
-    shape that alias neither.  q = 1 + gamma*T**2/2 is computed once, held
-    in slope until its last use, and no temporary array is made.
+    float arrays T and eps, caller buffers r, slope and tmp of their shape
+    that alias neither, and the rows k = residual_slope_rows(m, T.size).
+    q = 1 + gamma*T**2/2 is computed once, held in slope until its last
+    use, and no temporary array is made.
 
     The operations are those of strain and strain_prime, in the same order,
-    so both results match them bit for bit."""
-    q = np.multiply(T, 0.5 * m.gamma, out=slope)
-    np.multiply(q, T, out=q)
-    np.add(q, 1.0, out=q)
-    np.power(q, m.n, out=r)
-    np.multiply(r, m.alpha, out=r)
-    np.multiply(r, T, out=r)
-    np.multiply(T, m.beta, out=tmp)
-    np.add(tmp, r, out=r)
-    np.subtract(r, eps, out=r)
-    np.power(q, m.n - 1.0, out=slope)
-    np.multiply(slope, m.alpha, out=slope)
-    np.multiply(T, 0.5 * (1.0 + 2.0 * m.n) * m.gamma, out=tmp)
-    np.multiply(tmp, T, out=tmp)
-    np.add(tmp, 1.0, out=tmp)
-    np.multiply(slope, tmp, out=slope)
-    np.add(slope, m.beta, out=slope)
+    so both results match them bit for bit.  The constants come from the
+    rows k, and the exponents n and n - 1 stay Python floats (see the
+    module notes)."""
+    half_gamma, one, alpha, beta, c = k
+    q = np.multiply(T, half_gamma, slope)
+    np.multiply(q, T, q)
+    np.add(q, one, q)
+    np.power(q, m.n, r)
+    np.multiply(r, alpha, r)
+    np.multiply(r, T, r)
+    np.multiply(T, beta, tmp)
+    np.add(tmp, r, r)
+    np.subtract(r, eps, r)
+    np.power(q, m.n - 1.0, slope)
+    np.multiply(slope, alpha, slope)
+    np.multiply(T, c, tmp)
+    np.multiply(tmp, T, tmp)
+    np.add(tmp, one, tmp)
+    np.multiply(slope, tmp, slope)
+    np.add(slope, beta, slope)
 
 
 def strain_second(m: Material, T):

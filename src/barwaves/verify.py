@@ -24,14 +24,14 @@ from .material import (
     Material,
     driving_force,
     invert_strain,
+    residual_slope_rows,
     strain,
-    strain_prime,
     strain_residual_slope,
     wave_speed,
 )
 from .riemann import Wave, WavePattern, solve
 from .sampler import Profile, _sample_lanes, profile
-from .wave_curves import BACKWARD, SHOCK, State, backward_v
+from .wave_curves import BACKWARD, FORWARD, SHOCK, State, backward_v
 
 
 def _shock_scale(w: Wave) -> float:
@@ -114,33 +114,35 @@ def check_liu(m: Material, shock: Wave, samples: int = 64) -> float:
 
 
 def _invert_strain_grid(m: Material, eps: np.ndarray, T: np.ndarray,
-                        r: np.ndarray, slope: np.ndarray):
+                        r: np.ndarray, slope: np.ndarray, k: tuple,
+                        rel: np.ndarray, tol: np.ndarray, work: np.ndarray,
+                        ok: np.ndarray):
     """Vectorized Newton for strain(T) = eps, in place: T is the warm
     start, r = strain(T) - eps its residual and slope = strain_prime(T),
     and all three are overwritten with their values at the stress found.
-    Each update T -= r/slope is followed by one strain_residual_slope pass.
-    Stops when |r| <= 1e-13*max(1, |eps|) in every cell; cells still
-    outside after 60 updates are inverted one by one by the scalar
-    invert_strain (the rescue).  Returns T, r, slope, the number of Newton
+    Each update T -= r/slope is followed by one strain_residual_slope pass,
+    with its rows k (whose second is all ones).  Stops when
+    |r| <= 1e-13*max(1, |eps|) in every cell, where rel holds the 1e-13;
+    cells still outside after 60 updates are inverted one by one by the
+    scalar invert_strain (the rescue).  tol, work (float) and ok (bool) are
+    buffers of eps's size.  Returns T, r, slope, the number of Newton
     updates and the number of cells rescued."""
-    tol, work = np.empty((2, T.size))
-    ok = np.empty(T.size, dtype=bool)
-    np.abs(eps, out=tol)
-    np.maximum(tol, 1.0, out=tol)
-    np.multiply(tol, 1e-13, out=tol)
+    np.abs(eps, tol)
+    # maximum, unlike the other ufuncs, deprecates a positional out
+    np.maximum(tol, k[1], out=tol)
+    np.multiply(tol, rel, tol)
     updates = 0
     # all() by count_nonzero, which skips the reduction machinery
-    while np.count_nonzero(np.less_equal(np.abs(r, out=work), tol,
-                                         out=ok)) < T.size:
+    while np.count_nonzero(np.less_equal(np.abs(r, work), tol, ok)) < T.size:
         if updates == 60:
             stuck = np.flatnonzero(work > tol)
             for i in stuck:
                 T[i] = invert_strain(m, float(eps[i]))
-            strain_residual_slope(m, T, eps, r, slope, work)
+            strain_residual_slope(m, T, eps, r, slope, work, k)
             return T, r, slope, updates, stuck.size
-        np.divide(r, slope, out=work)
-        np.subtract(T, work, out=T)
-        strain_residual_slope(m, T, eps, r, slope, work)
+        np.divide(r, slope, work)
+        np.subtract(T, work, T)
+        strain_residual_slope(m, T, eps, r, slope, work, k)
         updates += 1
     return T, r, slope, updates, 0
 
@@ -155,7 +157,7 @@ def _hull_max_speed(m: Material, T_lo: float, T_hi: float) -> float:
         T_at = T_hi
     else:
         T_at = T_lo
-    return 1.0 / math.sqrt(m.rho * strain_prime(m, T_at))
+    return wave_speed(m, T_at, FORWARD)
 
 
 def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
@@ -183,6 +185,14 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
     the constitutive law.  The step runs in arrays allocated once per call,
     with the operations of the textbook formulas in their order, so its
     results do not depend on the buffering.
+
+    numpy's per-call dispatch, not the arithmetic, sets the step's time, so
+    every elementwise call takes array operands and a positional out (about
+    twice as fast as a Python-float operand): the step's constants are
+    arrays of their partners' shapes, made once per call, and the boundary
+    fluxes are summed in Python floats read off the edge columns (the same
+    IEEE operations).  The exceptions are np.maximum, which deprecates a
+    positional out, and the exponents of strain_residual_slope.
 
     When a dict is passed as `tallies`, the accumulated boundary fluxes and
     the initial/final conserved sums are stored in it (keys flux_eps,
@@ -226,54 +236,73 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
     eps, mom, T = W[0, 1:-1], W[1, 1:-1], W[2, 1:-1]
     T[:] = np.where(x < 0.0, U_l.T, U_r.T)
     mom[:] = np.where(x < 0.0, m.rho * U_l.v, m.rho * U_r.v)
-    # the residual strain(T) - eps and strain_prime(T), kept across steps;
-    # the first pass writes strain(T) - 0 = strain(T) into eps
+    # the residual strain(T) - eps and strain_prime(T), kept across steps,
+    # and the inversion's buffers; the first pass writes strain(T) - 0 =
+    # strain(T) into eps
+    k = residual_slope_rows(m, cells)
     r = np.zeros(cells)
-    slope = np.empty(cells)
-    strain_residual_slope(m, T, r, eps, slope, np.empty(cells))
+    slope, tol, work = np.empty((3, cells))
+    ok = np.empty(cells, dtype=bool)
+    strain_residual_slope(m, T, r, eps, slope, work, k)
     sum0_eps = float(np.sum(eps))
     sum0_mom = float(np.sum(mom))
-    # physical fluxes f(strain) = -v and f(momentum) = -T
-    flux_scale = np.array([[-m.rho], [-1.0]])
     F = np.empty((2, cells + 2))
     fhat = np.empty((2, cells + 1))
     jump = np.empty((2, cells + 1))
     d = np.empty((2, cells))
+    # the constant operands, of their partners' shapes: the stopping
+    # rule's 1e-13; the scales -rho and -1 of the physical fluxes
+    # f(strain) = -v and f(momentum) = -T; the 0.5 of the flux average;
+    # and 0.5*a and dt/dx, refilled when a or dt changes
+    rel = np.full(cells, 1e-13)
+    flux_scale = np.repeat([[-m.rho], [-1.0]], cells + 2, axis=1)
+    half = np.full((2, cells + 1), 0.5)
+    half_a = np.full((2, cells + 1), 0.5 * a)
+    dt_dx = np.empty((2, cells))
+    dt_set = None
     # views of the step's operands, taken once: the ghost columns 0 and
-    # cells + 1 with the edge columns 1 and cells they copy, and the left
-    # and right neighbours of each interface
+    # cells + 1 with the edge columns 1 and cells they copy, the left and
+    # right neighbours of each interface, and the boundary fluxes
     ghosts, edges = W[:, ::cells + 1], W[:, 1:cells + 1:cells - 1]
     F_lo, F_hi = F[:, :-1], F[:, 1:]
     U_lo, U_hi = U[:, :-1], U[:, 1:]
     fhat_lo, fhat_hi = fhat[:, :-1], fhat[:, 1:]
-    U_in, r_shift = U[:, 1:-1], d[0]
-    bflux = np.zeros(2)
+    U_in, W_flux, r_shift = U[:, 1:-1], W[1:], d[0]
+    fhat_ends = fhat[:, ::cells]
+    flux_eps = flux_mom = 0.0
     steps = newton_steps = rescued = 0
 
     t = 0.0
     while t < t_end:
         dt = min(cfl * dx / a, t_end - t)
+        if dt != dt_set:
+            dt_set = dt
+            dt_dx.fill(dt / dx)
         np.copyto(ghosts, edges)  # outflow
-        np.divide(W[1:], flux_scale, out=F)
+        np.divide(W_flux, flux_scale, F)
         # interface fluxes with global dissipation speed a:
         # fhat = 0.5*(F_lo + F_hi) - 0.5*a*(U_hi - U_lo)
-        np.add(F_lo, F_hi, out=fhat)
-        np.multiply(fhat, 0.5, out=fhat)
-        np.subtract(U_hi, U_lo, out=jump)
-        np.multiply(jump, 0.5 * a, out=jump)
-        np.subtract(fhat, jump, out=fhat)
+        np.add(F_lo, F_hi, fhat)
+        np.multiply(fhat, half, fhat)
+        np.subtract(U_hi, U_lo, jump)
+        np.multiply(jump, half_a, jump)
+        np.subtract(fhat, jump, fhat)
         # d = (dt/dx)*(fhat_hi - fhat_lo)
-        np.subtract(fhat_hi, fhat_lo, out=d)
-        np.multiply(d, dt / dx, out=d)
-        U_in -= d
-        bflux += dt * (fhat[:, -1] - fhat[:, 0])
+        np.subtract(fhat_hi, fhat_lo, d)
+        np.multiply(d, dt_dx, d)
+        np.subtract(U_in, d, U_in)
+        (lo_eps, hi_eps), (lo_mom, hi_mom) = fhat_ends.tolist()
+        flux_eps += dt * (hi_eps - lo_eps)
+        flux_mom += dt * (hi_mom - lo_mom)
         # eps moved by -d[0], so the kept residual moves by +d[0]
-        r += r_shift
+        np.add(r, r_shift, r)
         # T, r and slope are updated in place; T stays the stress row of W
-        *_, updates, stuck = _invert_strain_grid(m, eps, T, r, slope)
+        *_, updates, stuck = _invert_strain_grid(m, eps, T, r, slope, k,
+                                                 rel, tol, work, ok)
         speed_now = 1.0 / math.sqrt(m.rho * float(slope.min()))
         if speed_now > a:
             a = 1.05 * speed_now
+            half_a.fill(0.5 * a)
         t += dt
         steps += 1
         newton_steps += updates * cells
@@ -287,7 +316,7 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
                 "cells", steps, stuck, cells)
 
     if tallies is not None:
-        tallies.update(flux_eps=float(bflux[0]), flux_mom=float(bflux[1]),
+        tallies.update(flux_eps=flux_eps, flux_mom=flux_mom,
                        sum0_eps=sum0_eps, sum0_mom=sum0_mom,
                        sum_eps=float(np.sum(eps)), sum_mom=float(np.sum(mom)),
                        dx=dx, steps=steps, newton_steps=newton_steps,
@@ -471,11 +500,12 @@ def l1_distance(a: Profile, b: Profile) -> float:
     hi = min(a.xi[-1], b.xi[-1])
     if not lo < hi:
         raise ValueError("profiles do not overlap")
-    grid = np.union1d(np.asarray(a.xi), np.asarray(b.xi))
+    xi_a, xi_b = np.asarray(a.xi), np.asarray(b.xi)
+    grid = np.union1d(xi_a, xi_b)
     grid = grid[(grid >= lo) & (grid <= hi)]
-    Ta = np.interp(grid, a.xi, a.column("T"))
-    Tb = np.interp(grid, b.xi, b.column("T"))
-    va = np.interp(grid, a.xi, a.column("v"))
-    vb = np.interp(grid, b.xi, b.column("v"))
+    Ta = np.interp(grid, xi_a, a.column("T"))
+    Tb = np.interp(grid, xi_b, b.column("T"))
+    va = np.interp(grid, xi_a, a.column("v"))
+    vb = np.interp(grid, xi_b, b.column("v"))
     integrand = np.abs(Ta - Tb) + np.abs(va - vb)
     return float(np.trapezoid(integrand, grid))

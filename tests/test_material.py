@@ -25,7 +25,13 @@ from barwaves import (
     tangent_point,
     wave_speed,
 )
-from barwaves.material import strain_residual_slope
+from barwaves.material import (
+    _GL_RULE,
+    _NODES,
+    _WEIGHTS,
+    residual_slope_rows,
+    strain_residual_slope,
+)
 from conftest import cubic_fan_integral, driving_force_integral, make_material
 
 stress = st.floats(-5.0, 5.0)
@@ -83,6 +89,19 @@ def test_strain_prime_positive_and_even(cubic, quintic, T):
                                                     rel=1e-14)
 
 
+def residual_slope_stresses(m):
+    """Stresses of both signs, log-spaced over 1e-8..1e3, and those where
+    q = 1 + gamma*T**2/2 runs through 1..100 in 2001 even steps: there
+    numpy's power with an array exponent rounds differently from its
+    Python-float exponent (on 166 of the quintic preset's 4002 values), so
+    an array of n in strain_residual_slope fails the test below."""
+    mags = np.logspace(-8.0, 3.0, 221)
+    if not m.linear_mode:
+        q = np.linspace(1.0, 100.0, 2001)
+        mags = np.concatenate((mags, np.sqrt(2.0 * (q - 1.0) / m.gamma)))
+    return np.concatenate(([0.0], mags, -mags))
+
+
 @pytest.mark.parametrize("m", [
     *PRESETS.values(),
     # constants that are not powers of two, so that no product is exact
@@ -93,13 +112,23 @@ def test_strain_residual_slope_is_strain_and_strain_prime_bit_for_bit(m):
     # the array pass and the two kernels evaluated on the same array: a
     # fix to one formula must land in both (numpy's power can differ from
     # math's by an ulp, so Python-float calls are not compared)
-    mags = np.logspace(-8.0, 3.0, 221)
-    T = np.concatenate(([0.0], mags, -mags))
+    T = residual_slope_stresses(m)
     r, slope, tmp = np.empty((3, T.size))
+    k = residual_slope_rows(m, T.size)
     for eps in (np.zeros(T.size), strain(m, T[::-1])):
-        strain_residual_slope(m, T, eps, r, slope, tmp)
+        strain_residual_slope(m, T, eps, r, slope, tmp, k)
         assert r.tobytes() == (strain(m, T) - eps).tobytes()
         assert slope.tobytes() == strain_prime(m, T).tobytes()
+
+
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
+    # the rule is written out to keep numpy.polynomial out of the import
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(16)
+    assert _NODES.tobytes() == nodes.tobytes()
+    assert _WEIGHTS.tobytes() == weights.tobytes()
+    assert _GL_RULE == tuple(zip(nodes.tolist(), weights.tolist()))
 
 
 def test_strain_second_zero_at_origin(cubic, quintic):

@@ -296,8 +296,8 @@ def record_fresh_residuals(monkeypatch) -> list:
     ratios = []
     invert = verify._invert_strain_grid
 
-    def checked(m, eps, T, r, slope):
-        out = invert(m, eps, T, r, slope)
+    def checked(m, eps, T, r, slope, *rows_and_buffers):
+        out = invert(m, eps, T, r, slope, *rows_and_buffers)
         res = strain(m, out[0]) - eps
         ratios.append(np.max(np.abs(res)
                              / (1e-13 * np.maximum(1.0, np.abs(eps)))))
@@ -380,8 +380,8 @@ def test_fv_rescues_cells_newton_leaves_unconverged(monkeypatch, caplog,
     # update, so 60 updates leave cells for the scalar inversion
     residual_slope = verify.strain_residual_slope
 
-    def steep(m, T, eps, r, slope, tmp):
-        residual_slope(m, T, eps, r, slope, tmp)
+    def steep(m, T, eps, r, slope, tmp, k):
+        residual_slope(m, T, eps, r, slope, tmp, k)
         slope *= 10.0
 
     monkeypatch.setattr(verify, "strain_residual_slope", steep)
