@@ -221,17 +221,26 @@ def test_atlas_byte_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def pinned_atlas_digests():
-    """(arguments, SHA-256) pairs from tests/atlas.sha256."""
-    path = os.path.join(os.path.dirname(__file__), "atlas.sha256")
+def pinned_digests(name):
+    """(arguments, SHA-256) pairs from tests/<name>.sha256."""
+    path = os.path.join(os.path.dirname(__file__), f"{name}.sha256")
     with open(path, encoding="utf-8") as fh:
         return [(line[66:].split(), line[:64]) for line in fh]
 
 
-@pytest.mark.parametrize("args,digest", pinned_atlas_digests())
+@pytest.mark.parametrize("args,digest", pinned_digests("atlas"))
 def test_default_atlas_bytes_are_pinned(tmp_path, args, digest):
     # the default cubic and quintic sweeps, byte for byte
     out_path = tmp_path / "atlas.csv"
+    assert main(args + ["--out", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args,digest", pinned_digests("profile"))
+def test_profile_bytes_are_pinned(tmp_path, args, digest):
+    # cubic and quintic patterns with a backward fan and a forward
+    # composite (fan and degenerate shock on one ray), byte for byte
+    out_path = tmp_path / "profile.csv"
     assert main(args + ["--out", str(out_path)]) == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
