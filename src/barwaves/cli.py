@@ -122,8 +122,8 @@ def cmd_profile(args, m: Material) -> int:
     pattern = solve(m, State(args.tl, args.vl), State(args.tr, args.vr))
     prof = profile(pattern, args.xi_min, args.xi_max, args.count)
     lines = ["xi,T,v"]
-    for xi, s in zip(prof.xi, prof.states):
-        lines.append(f"{_fmt(xi)},{_fmt(s.T)},{_fmt(s.v)}")
+    for xi, T, v in zip(prof.xi.tolist(), prof.T.tolist(), prof.v.tolist()):
+        lines.append(f"{_fmt(xi)},{_fmt(T)},{_fmt(v)}")
     _write("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -217,10 +217,15 @@ def strain_second(m: Material, T):
             * q ** (m.n - 2.0))
 
 
+def _slope_speed(m: Material, slope, xp=math):
+    """1/sqrt(rho*slope): the forward speed at slope = strain_prime(T)."""
+    return 1.0 / xp.sqrt(m.rho * slope)
+
+
 def wave_speed(m: Material, T: float, family: str) -> float:
     """Characteristic speed at stress T: negative for the backward family,
     positive for the forward family."""
-    c = 1.0 / math.sqrt(m.rho * strain_prime(m, T))
+    c = _slope_speed(m, strain_prime(m, T))
     if family == BACKWARD:
         return -c
     if family == FORWARD:

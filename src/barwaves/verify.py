@@ -22,6 +22,7 @@ import numpy as np
 
 from .material import (
     Material,
+    _slope_speed,
     driving_force,
     invert_strain,
     residual_slope_rows,
@@ -151,13 +152,7 @@ def _hull_max_speed(m: Material, T_lo: float, T_hi: float) -> float:
     """Largest characteristic speed over the stress hull [T_lo, T_hi];
     strain_prime is even and minimized at 0, so the maximum sits at the
     hull point nearest zero."""
-    if T_lo <= 0.0 <= T_hi:
-        T_at = 0.0
-    elif T_hi < 0.0:
-        T_at = T_hi
-    else:
-        T_at = T_lo
-    return wave_speed(m, T_at, FORWARD)
+    return wave_speed(m, min(max(0.0, T_lo), T_hi), FORWARD)
 
 
 def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
@@ -299,7 +294,7 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
         # T, r and slope are updated in place; T stays the stress row of W
         *_, updates, stuck = _invert_strain_grid(m, eps, T, r, slope, k,
                                                  rel, tol, work, ok)
-        speed_now = 1.0 / math.sqrt(m.rho * float(slope.min()))
+        speed_now = _slope_speed(m, float(slope.min()))
         if speed_now > a:
             a = 1.05 * speed_now
             half_a.fill(0.5 * a)
@@ -322,9 +317,10 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
                        dx=dx, steps=steps, newton_steps=newton_steps,
                        rescued=rescued)
 
-    xi = x / t_end
-    states = tuple(map(State, T.tolist(), (mom / m.rho).tolist()))
-    return Profile(tuple(xi.tolist()), states)
+    prof = Profile(x / t_end, T.copy(), mom / m.rho)  # T is a row of W
+    for field in (prof.xi, prof.T, prof.v):
+        field.flags.writeable = False
+    return prof
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +468,8 @@ def continuity_probe(m: Material, step: float = 1e-6) -> float:
                       for s in (w.speed_head, w.speed_tail)])
     xi = -3.0 + 6.0 * np.arange(201) / 200
     xi = xi[(np.abs(xi[:, None] - edges) >= 1e-3).all(axis=1)]
-    a = _sample_lanes(lo, xi)
-    b = _sample_lanes(hi, xi)
-    return max((max(abs(p.T - q.T), abs(p.v - q.v)) for p, q in zip(a, b)),
-               default=0.0)
+    diff = np.subtract(_sample_lanes(lo, xi), _sample_lanes(hi, xi))
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 def refinement_study(m: Material, T_l: float, T_r: float,
@@ -500,12 +494,11 @@ def l1_distance(a: Profile, b: Profile) -> float:
     hi = min(a.xi[-1], b.xi[-1])
     if not lo < hi:
         raise ValueError("profiles do not overlap")
-    xi_a, xi_b = np.asarray(a.xi), np.asarray(b.xi)
-    grid = np.union1d(xi_a, xi_b)
+    grid = np.union1d(a.xi, b.xi)
     grid = grid[(grid >= lo) & (grid <= hi)]
-    Ta = np.interp(grid, xi_a, a.column("T"))
-    Tb = np.interp(grid, xi_b, b.column("T"))
-    va = np.interp(grid, xi_a, a.column("v"))
-    vb = np.interp(grid, xi_b, b.column("v"))
+    Ta = np.interp(grid, a.xi, a.T)
+    Tb = np.interp(grid, b.xi, b.T)
+    va = np.interp(grid, a.xi, a.v)
+    vb = np.interp(grid, b.xi, b.v)
     integrand = np.abs(Ta - Tb) + np.abs(va - vb)
     return float(np.trapezoid(integrand, grid))

@@ -125,6 +125,14 @@ def test_profile_constant_data_two_lines(capsys):
         assert float(T) == 0.3 and float(v) == 1.0
 
 
+def test_profile_infinite_bound_exits_2(capsys):
+    rc = main(["profile", "--material", "cubic", "--tl", "-0.5",
+               "--tr", "-1.0", "--xi-max", "inf"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "invalid arguments" in err and "xi_max" in err
+
+
 def test_atlas_small_grid(capsys, tmp_path):
     out_path = tmp_path / "atlas.csv"
     rc = main(["atlas", "--material", "cubic", "--res", "9",

@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from barwaves import (
@@ -14,7 +16,7 @@ from barwaves import (
     solve,
     wave_speed,
 )
-from barwaves.verify import continuity_probe
+from barwaves.verify import continuity_probe, fv_reference
 
 
 @pytest.fixture()
@@ -33,7 +35,7 @@ def test_empty_pattern_profile_is_constant(cubic):
     p = solve(cubic, State(0.4, 1.0), State(0.4, 1.0))
     prof = profile(p, -1.0, 1.0, 5)
     assert len(prof.xi) == 5
-    assert all(s == State(0.4, 1.0) for s in prof.states)
+    assert all(prof.T == 0.4) and all(prof.v == 1.0)
 
 
 def test_fan_inversion_residual(cubic, case_one):
@@ -77,9 +79,8 @@ def test_case_one_profile_has_single_jump(cubic, case_one):
     shock = case_one.waves[-1]
     jump = abs(shock.right.T - shock.left.T)
     prof = profile(case_one, -2.0, 2.0, 201)
-    idx = prof.xi.index(shock.speed_head)
-    assert prof.states[idx].T - prof.states[idx - 1].T == pytest.approx(
-        -jump, abs=1e-4)
+    idx = prof.xi.tolist().index(shock.speed_head)
+    assert prof.T[idx] - prof.T[idx - 1] == pytest.approx(-jump, abs=1e-4)
 
 
 def test_profile_grid_and_edges(cubic, case_one):
@@ -90,8 +91,8 @@ def test_profile_grid_and_edges(cubic, case_one):
     assert all(b > a for a, b in zip(prof.xi, prof.xi[1:]))
     for e in edges:
         assert e in prof.xi
-    assert prof.states[0] == case_one.left_state
-    assert prof.states[-1] == case_one.right_state
+    assert State(prof.T[0], prof.v[0]) == case_one.left_state
+    assert State(prof.T[-1], prof.v[-1]) == case_one.right_state
 
 
 def test_profile_argument_validation(cubic, case_one):
@@ -101,13 +102,42 @@ def test_profile_argument_validation(cubic, case_one):
         profile(case_one, -1.0, 1.0, 1)
 
 
-def test_profile_column_accessors(cubic, case_one):
-    prof = profile(case_one, -2.0, 2.0, 11)
-    assert prof.column("xi") == list(prof.xi)
-    assert prof.column("T") == [s.T for s in prof.states]
-    assert prof.column("v") == [s.v for s in prof.states]
-    with pytest.raises(KeyError):
-        prof.column("w")
+@pytest.mark.parametrize("xi_min,xi_max,name", [
+    (-1.0, math.inf, "xi_max"),
+    (-math.inf, 1.0, "xi_min"),
+    (math.nan, 1.0, "xi_min"),
+    (-1.0, math.nan, "xi_max"),
+])
+def test_profile_rejects_non_finite_bounds(case_one, xi_min, xi_max, name):
+    with pytest.raises(ValueError, match=name):
+        profile(case_one, xi_min, xi_max, 11)
+
+
+@pytest.mark.parametrize("real", [float, np.float64])
+def test_profile_rejects_an_overflowing_span(case_one, real):
+    with pytest.raises(ValueError, match="span"):
+        profile(case_one, real(-1e308), real(1e308), 11)
+
+
+@pytest.mark.parametrize("count", [2.5, math.nan, 2.0, "11", 0, -3])
+def test_profile_requires_an_integer_count_of_two_or_more(case_one, count):
+    with pytest.raises(ValueError, match="count"):
+        profile(case_one, -1.0, 1.0, count)
+
+
+def test_profile_fields_are_read_only_float_arrays(cubic, case_one):
+    fv = fv_reference(cubic, State(-0.5, 0.0), State(-1.0, 0.0),
+                      cells=64, cfl=0.5, t_end=0.3)
+    for prof in (profile(case_one, -2.0, 2.0, 11), fv):
+        fields = (prof.xi, prof.T, prof.v)
+        assert len({a.shape for a in fields}) == 1
+        for a in fields:
+            assert isinstance(a, np.ndarray)
+            assert a.ndim == 1 and a.dtype == np.float64
+            assert not a.flags.writeable
+        assert np.all(np.diff(prof.xi) > 0.0)
+    # the finite-volume fields own their data, not the step's buffer
+    assert all(a.base is None for a in (fv.xi, fv.T, fv.v))
 
 
 def test_sampling_linear_contacts(linear):
@@ -128,6 +158,16 @@ def test_composite_sampling_is_a_function_of_xi(cubic):
     assert shock.speed_head == pytest.approx(fan.speed_tail, rel=1e-12)
     at_ray = sample(p, shock.speed_head)
     assert at_ray == shock.right
+
+
+def test_sample_at_infinity_gives_the_end_states(case_one):
+    assert sample(case_one, -math.inf) == case_one.left_state
+    assert sample(case_one, math.inf) == case_one.right_state
+
+
+def test_sample_rejects_nan(case_one):
+    with pytest.raises(ValueError, match="xi"):
+        sample(case_one, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +215,14 @@ def test_profile_fan_points_sit_on_their_characteristic(p):
     checked = 0
     for fan in fans:
         sigma = -1.0 if fan.family == BACKWARD else 1.0
-        for xi, s in zip(prof.xi, prof.states):
+        for xi, T, v in zip(prof.xi.tolist(), prof.T.tolist(),
+                            prof.v.tolist()):
             if not fan.speed_head < xi < fan.speed_tail:
                 continue
             checked += 1
-            assert abs(wave_speed(m, s.T, fan.family) - xi) <= 1e-13 * abs(xi)
-            v = fan.left.v - sigma * rarefaction_integral(m, fan.left.T, s.T)
-            assert abs(s.v - v) <= 1e-14 * v_scale
+            assert abs(wave_speed(m, T, fan.family) - xi) <= 1e-13 * abs(xi)
+            v_fan = fan.left.v - sigma * rarefaction_integral(m, fan.left.T, T)
+            assert abs(v - v_fan) <= 1e-14 * v_scale
     spacing = (prof.xi[-1] - prof.xi[0]) / 4000
     assert checked or all(w.speed_tail - w.speed_head < 2.0 * spacing
                           for w in fans)
@@ -189,19 +230,19 @@ def test_profile_fan_points_sit_on_their_characteristic(p):
 
 @pytest.mark.parametrize("p", FAN_PATTERNS[:12])
 def test_sample_is_the_profile_at_one_point(p):
-    # constant states are the pattern's own objects; fan states agree to
-    # roundoff (numpy may round a lane of one differently from a longer one)
+    # constant states are exact; fan states agree to roundoff (numpy may
+    # round a lane of one differently from a longer one)
     speeds = [s for w in p.waves for s in (w.speed_head, w.speed_tail)]
     prof = profile(p, min(speeds) - 0.5, max(speeds) + 0.5, 301)
     T_scale, v_scale = _scales(p)
     fans = [w for w in p.waves if w.kind == RAREFACTION]
-    for xi, s in zip(prof.xi, prof.states):
+    for xi, T, v in zip(prof.xi.tolist(), prof.T.tolist(), prof.v.tolist()):
         one = sample(p, xi)
         if any(w.speed_head < xi < w.speed_tail for w in fans):
-            assert abs(one.T - s.T) <= 1e-14 * T_scale
-            assert abs(one.v - s.v) <= 1e-14 * v_scale
+            assert abs(one.T - T) <= 1e-14 * T_scale
+            assert abs(one.v - v) <= 1e-14 * v_scale
         else:
-            assert one is s
+            assert one.T == T and one.v == v
 
 
 def test_continuity_probe_is_unchanged(cubic):

@@ -156,8 +156,8 @@ def test_liu_rejects_overextended_backward_shock(cubic):
 def test_fv_preserves_constant_state(cubic):
     U = State(-0.7, 0.4)
     prof = fv_reference(cubic, U, U, cells=64, cfl=0.5, t_end=0.3)
-    assert all(s.T == pytest.approx(-0.7, abs=1e-13) for s in prof.states)
-    assert all(s.v == pytest.approx(0.4, abs=1e-13) for s in prof.states)
+    assert np.all(np.abs(prof.T + 0.7) <= 1e-13)
+    assert np.all(np.abs(prof.v - 0.4) <= 1e-13)
 
 
 def test_fv_argument_validation(cubic):
@@ -182,8 +182,9 @@ def test_fv_rejects_cells_that_are_not_an_integer_of_50_or_more(cubic,
 def test_fv_accepts_numpy_integer_cells(cubic):
     U_l, U_r = State(-0.5, 0.0), State(1.0, 0.0)
     want = fv_reference(cubic, U_l, U_r, 60, cfl=0.45, t_end=0.5)
-    assert fv_reference(cubic, U_l, U_r, np.int64(60), cfl=0.45,
-                        t_end=0.5) == want
+    got = fv_reference(cubic, U_l, U_r, np.int64(60), cfl=0.45, t_end=0.5)
+    for name in ("xi", "T", "v"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 @pytest.mark.parametrize("arg", ["U_l", "U_r", "cfl", "t_end"])
@@ -282,9 +283,9 @@ def test_fv_matches_the_stepwise_oracle(m, U_l, U_r):
     xi, T, v, updates = stepwise_fv(m, U_l, U_r, cells=200, cfl=0.45,
                                     t_end=0.5)
     scale = max(abs(U_l.T), abs(U_r.T), abs(U_l.v), abs(U_r.v))
-    assert fv.xi == tuple(xi.tolist())
-    assert np.max(np.abs(np.array(fv.column("T")) - T)) <= 1e-12 * scale
-    assert np.max(np.abs(np.array(fv.column("v")) - v)) <= 1e-12 * scale
+    assert np.array_equal(fv.xi, xi)
+    assert np.max(np.abs(fv.T - T)) <= 1e-12 * scale
+    assert np.max(np.abs(fv.v - v)) <= 1e-12 * scale
     # the kept residual starts each inversion where a fresh one would
     assert tallies["newton_steps"] == updates
 
@@ -368,7 +369,7 @@ def test_fv_reference_output_is_pinned(label, m, U_l, U_r, cells):
     tallies = {}
     fv = fv_reference(m, U_l, U_r, cells, cfl=0.45, t_end=0.5,
                       tallies=tallies)
-    packed = np.concatenate([fv.xi, fv.column("T"), fv.column("v"),
+    packed = np.concatenate([fv.xi, fv.T, fv.v,
                              [float(tallies[k]) for k in FV_DIGEST_KEYS]])
     digest = hashlib.sha256(packed.astype("<f8").tobytes()).hexdigest()
     assert digest == pinned_fv_digests()[label]
@@ -477,11 +478,9 @@ def test_fv_confirms_tangency_composite(cubic):
     zero_ray = wave_speed(cubic, 0.0, FORWARD)
     assert shock.speed_head < zero_ray  # the disputed ray interval exists
     fv = fv_reference(cubic, U_l, U_r, cells=800, cfl=0.45, t_end=0.5)
-    xi = np.asarray(fv.xi)
-    T = np.asarray([s.T for s in fv.states])
-    window = (xi > shock.speed_head + 0.05) & (xi < zero_ray - 0.02)
+    window = (fv.xi > shock.speed_head + 0.05) & (fv.xi < zero_ray - 0.02)
     assert window.any()
-    assert np.all(np.abs(T[window] - T_r) < 0.02)
+    assert np.all(np.abs(fv.T[window] - T_r) < 0.02)
     # and the L1 distance to this construction refines monotonically
     dists = []
     for cells in (200, 400, 800):
@@ -502,8 +501,9 @@ def test_l1_identical_profiles(cubic):
 
 
 def test_l1_rectangle_area():
-    a = Profile((0.0, 1.0, 2.0), (State(1.0, 0.0),) * 3)
-    b = Profile((0.0, 1.0, 2.0), (State(1.5, 0.0),) * 3)
+    xi, zero = np.array([0.0, 1.0, 2.0]), np.zeros(3)
+    a = Profile(xi, np.full(3, 1.0), zero)
+    b = Profile(xi, np.full(3, 1.5), zero)
     assert l1_distance(a, b) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -516,8 +516,9 @@ def test_l1_symmetric_under_swap(cubic):
 
 
 def test_l1_requires_overlap():
-    a = Profile((0.0, 1.0), (State(0.0, 0.0),) * 2)
-    b = Profile((2.0, 3.0), (State(0.0, 0.0),) * 2)
+    zero = np.zeros(2)
+    a = Profile(np.array([0.0, 1.0]), zero, zero)
+    b = Profile(np.array([2.0, 3.0]), zero, zero)
     with pytest.raises(ValueError):
         l1_distance(a, b)
 
