@@ -11,7 +11,8 @@ and strictly increasing, concave on T < 0 and convex on T > 0; the change of
 convexity at T = 0 is what produces composite (rarefaction + shock) waves.
 
 Everything here is a pure function of an immutable Material, apart from
-strain_residual_slope, which writes only into the caller's arrays, so
+strain_residual_slope, which writes only into the caller's arrays, and the
+fans of _fan_from, which grow their own panel sums (one fan per thread), so
 unrestricted concurrent use is safe.  strain_residual_slope follows the
 dispatch rule of the finite-volume step, where numpy's per-call cost and
 not the arithmetic sets the time: array operands and a positional out in
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,7 +241,7 @@ def rarefaction_integral(m: Material, T_a: float, T_b: float) -> float:
 
     The integrand is even, so the integral is an odd antiderivative G(|T|)
     signed by T, evaluated without cancellation: in closed form for n = 1,
-    by the fixed-node rule of _even_fan otherwise.
+    otherwise by a fresh walk of _even_fan, which a wave curve keeps.
     """
     if T_a == T_b:
         return 0.0
@@ -249,12 +251,12 @@ def rarefaction_integral(m: Material, T_a: float, T_b: float) -> float:
         return _cubic_fan(m, T_a, T_b)
     u_a, u_b = abs(T_a), abs(T_b)
     if min(T_a, T_b) < 0.0 < max(T_a, T_b):
-        return math.copysign(_even_fan(m, 0.0, u_a) + _even_fan(m, 0.0, u_b),
-                             T_b)
+        fan = _even_fan(m, 0.0)
+        return math.copysign(fan(u_a) + fan(u_b), T_b)
     sign = math.copysign(1.0, T_a if T_a != 0.0 else T_b)
     if u_a <= u_b:
-        return sign * _even_fan(m, u_a, u_b)
-    return -sign * _even_fan(m, u_b, u_a)
+        return sign * _even_fan(m, u_a)(u_b)
+    return -sign * _even_fan(m, u_b)(u_a)
 
 
 def _cubic_fan(m: Material, T_a, T_b, xp=math):
@@ -283,16 +285,38 @@ def _cubic_fan(m: Material, T_a, T_b, xp=math):
     return (0.5 * lin + 0.5 * a / rb * arc) / math.sqrt(m.rho)
 
 
-def _even_fan(m: Material, u_0: float, u_1: float) -> float:
-    """Integral of sqrt(strain_prime/rho) over [u_0, u_1], 0 <= u_0 <= u_1:
-    the rule of _graded with the integrand written out."""
-    total = 0.0
-    for mid, h in _panels(m, u_0, u_1):
-        panel = 0.0
-        for t, w in _GL_RULE:
-            panel += w * math.sqrt(strain_prime(m, mid + h * t))
-        total += h * panel
-    return total / math.sqrt(m.rho)
+def _fan_from(m: Material, T_0: float):
+    """rarefaction_integral(m, T_0, T) for n != 1 and the fans outward from
+    T_0 (the wave curves'), whose calls all share one _even_fan walk."""
+    fan = _even_fan(m, abs(T_0))
+    return lambda T: 0.0 if T == T_0 else math.copysign(fan(abs(T)), T)
+
+
+def _even_fan(m: Material, u_0: float):
+    """Integral of sqrt(strain_prime/rho) over [u_0, u], 0 <= u_0 <= u, as a
+    function of u: _fan_panel over _panels, keeping the running totals of
+    the full panels, so an end adds the panels past them and one partial
+    panel, in a fresh walk's order and so to its value bit for bit."""
+    starts, totals = [u_0], [0.0]
+    def fan(u: float) -> float:
+        for x, end in _panels(m, starts[-1], u):
+            if end < u:
+                totals.append(totals[-1] + _fan_panel(m, x, end))
+                starts.append(end)
+        i = bisect_left(starts, u) - 1
+        total = totals[i] + _fan_panel(m, starts[i], u) if i >= 0 else 0.0
+        return total / math.sqrt(m.rho)
+    return fan
+
+
+def _fan_panel(m: Material, x: float, end: float) -> float:
+    """The rule of _graded on the panel [x, end] for the integrand
+    sqrt(strain_prime), written out."""
+    h = 0.5 * (end - x)
+    panel = 0.0
+    for t, w in _GL_RULE:
+        panel += w * math.sqrt(strain_prime(m, x + h + h * t))
+    return h * panel
 
 
 def _fan_lanes(m: Material, T_a, T_b):
@@ -335,16 +359,15 @@ def _knee_stress(m: Material) -> float:
 
 
 def _panels(m: Material, u_0: float, u_1: float):
-    """(midpoint, half-width) of the panels of [u_0, u_1], 0 <= u_0 <= u_1,
-    graded away from 0: a panel starting at x is at most 2*x + c long,
-    where c = _knee_stress(m), so every panel stays a fixed ratio away from
-    the singularities of the constitutive functions."""
+    """(start, end) of the panels of [u_0, u_1], 0 <= u_0 <= u_1, graded
+    away from 0: a panel starting at x ends at 3*x + c or at u_1, whichever
+    comes first, where c = _knee_stress(m), so every panel stays a fixed
+    ratio away from the singularities of the constitutive functions."""
     c = _knee_stress(m)
     x = u_0
     while x < u_1:
         end = min(u_1, 3.0 * x + c)
-        h = 0.5 * (end - x)
-        yield x + h, h
+        yield x, end
         x = end
 
 
@@ -352,10 +375,11 @@ def _graded(m: Material, fn, u_0: float, u_1: float) -> float:
     """Integral of fn(u) over [u_0, u_1], 0 <= u_0 <= u_1: Gauss-Legendre
     on the graded panels of _panels."""
     total = 0.0
-    for mid, h in _panels(m, u_0, u_1):
+    for x, end in _panels(m, u_0, u_1):
+        h = 0.5 * (end - x)
         panel = 0.0
         for t, w in _GL_RULE:
-            panel += w * fn(mid + h * t)
+            panel += w * fn(x + h + h * t)
         total += h * panel
     return total
 

@@ -39,6 +39,7 @@ from .material import (
     Material,
     _knee_stress,
     _newton_bisect,
+    _slope_speed,
     strain,
     strain_prime,
     tangent_point,
@@ -413,7 +414,7 @@ def solve_linear(m: Material, U_l: State, U_r: State) -> WavePattern:
     if U_l == U_r:
         return WavePattern(m, U_l, (), (), "trivial")
     k = m.alpha + m.beta
-    c = 1.0 / math.sqrt(m.rho * k)
+    c = _slope_speed(m, k)
     T_mid = 0.5 * (U_r.T + U_l.T) + 0.5 * math.sqrt(m.rho / k) * (U_r.v - U_l.v)
     v_mid = 0.5 * (U_r.v + U_l.v) + 0.5 * math.sqrt(k / m.rho) * (U_r.T - U_l.T)
     mid = State(T_mid, v_mid)

@@ -44,10 +44,11 @@ U_r.  A solve therefore builds one curve pair, WaveCurve(m, U_l, BACKWARD)
 and WaveCurve(m, U_r, FORWARD).  Each is sign-normalised once and holds its
 tangency stress (one tangent_point call, closed form for n = 1) and its
 degenerate shock's velocity jump; the residual of the middle stress, its
-slope and the legs of the solution all read from the pair.  Nothing is
-cached between solves.  The module-level functions evaluate a curve once.
-
-A curve is never modified once built; concurrent use is unrestricted.
+slope and the legs of the solution all read from the pair.  For n != 1 a
+curve keeps the panel sums of its fans from A and Tt, so a residual adds
+one partial panel and the panels past those summed.  A curve therefore
+serves one thread, but nothing is cached between solves: each builds its
+own pair.  The module-level functions evaluate a curve once.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ from .material import (
     BACKWARD,
     FORWARD,
     Material,
+    _fan_from,
+    _slope_speed,
     rarefaction_integral,
     strain,
     strain_prime,
@@ -93,8 +96,7 @@ def shock_speed(m: Material, T_a: float, T_b: float, family: str) -> float:
     if abs(T_b - T_a) <= 1e-14 * max(1.0, abs(T_a), abs(T_b)):
         # the chord slope cancels catastrophically; use the tangent limit
         return wave_speed(m, T_a, family)
-    slope = (strain(m, T_b) - strain(m, T_a)) / (T_b - T_a)
-    c = 1.0 / math.sqrt(m.rho * slope)
+    c = _slope_speed(m, (strain(m, T_b) - strain(m, T_a)) / (T_b - T_a))
     return -c if family == BACKWARD else c
 
 
@@ -136,7 +138,7 @@ class WaveCurve:
     forward).  For U.T = 0 the curve is a rarefaction both ways, which
     Tt = vt = 0 reproduces."""
 
-    __slots__ = ("m", "U", "family", "s", "k", "A", "Tt", "vt")
+    __slots__ = ("m", "U", "family", "s", "k", "A", "Tt", "vt", "fans")
 
     def __init__(self, m: Material, U: State, family: str):
         self.m, self.U, self.family = m, U, family
@@ -148,6 +150,8 @@ class WaveCurve:
         else:
             self.Tt = Tt = tangent_point(m, A)
             self.vt = (Tt - A) * _w(m, Tt)
+        self.fans = None if m.n == 1.0 or m.linear_mode else (
+            _fan_from(m, A), _fan_from(m, self.Tt))
 
     @property
     def tangency(self) -> float:
@@ -156,13 +160,14 @@ class WaveCurve:
 
     def v(self, T: float) -> float:
         """Velocity at stress T."""
-        m, A, Tt, y = self.m, self.A, self.Tt, self.s * T
+        m, A, Tt, fans, y = self.m, self.A, self.Tt, self.fans, self.s * T
         if y <= A:
-            d = rarefaction_integral(m, A, y)
+            d = fans[0](y) if fans else rarefaction_integral(m, A, y)
         elif y <= Tt:
             d = _jump_v(m, A, y)
         else:
-            d = self.vt + rarefaction_integral(m, Tt, y)
+            d = self.vt + (fans[1](y) if fans
+                           else rarefaction_integral(m, Tt, y))
         return self.U.v + self.k * d
 
     def slope(self, T: float) -> float:

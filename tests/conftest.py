@@ -55,9 +55,15 @@ def make_material(alpha, beta, gamma, n, rho):
 def driving_force_integral(m, T_l, T_r):
     """Quadrature form of the driving force: area between the chord and the
     strain curve, by adaptive quadrature.  Independent of the closed form
-    in barwaves.driving_force; used as its oracle."""
+    in barwaves.driving_force; used as its oracle.  Data of opposite signs
+    are split at 0, so that each piece has a one-signed integrand: across
+    0 the odd strain cancels, and quad reports roundoff on such data."""
     if T_l == T_r:
         return 0.0
-    val, _ = quad(lambda y: strain(m, y), T_r, T_l,
-                  epsabs=1e-12, epsrel=1e-12, limit=200)
+    cuts = [T_r, T_l]
+    if min(T_l, T_r) < 0.0 < max(T_l, T_r):
+        cuts.insert(1, 0.0)
+    val = sum(quad(lambda y: strain(m, y), a, b,
+                   epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+              for a, b in zip(cuts, cuts[1:]))
     return val + 0.5 * (strain(m, T_r) + strain(m, T_l)) * (T_r - T_l)

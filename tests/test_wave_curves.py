@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,10 @@ from barwaves import (
     tangent_point,
     wave_speed,
 )
-from conftest import cubic_fan_integral
+from barwaves import material
+from barwaves.material import _knee_stress, _panels, rarefaction_integral
+from barwaves.wave_curves import WaveCurve
+from conftest import cubic_fan_integral, make_material
 
 stress = st.floats(-3.0, 3.0)
 
@@ -317,3 +321,92 @@ def test_shock_speed_signs_and_degenerate_width(cubic):
         -1.0 / math.sqrt(15.0), rel=1e-14)
     assert shock_speed(cubic, 0.7, 0.7, FORWARD) == wave_speed(
         cubic, 0.7, FORWARD)
+
+
+# ---------------------------------------------------------------------------
+# the fans a curve keeps within a solve
+
+#: Materials with n != 1, whose fans are summed by panels: the quintic
+#: preset, constants that are not powers of two, and near-hyperbolic.
+PANEL_MATERIALS = {
+    "quintic": make_material(1.0, -0.5, 1.0, 2.0, 1.0),
+    **{f"n={n}": make_material(1.3, -0.7, 0.9, n, 1.1)
+       for n in (0.5, 1.5, 3.5)},
+    "near-hyperbolic-n2": make_material(1.0, -0.999, 1.0, 2.0, 1.0),
+}
+
+
+def fan_ends(m, curve, rng):
+    """(fan index, mirrored end y) on both fans of the curve: the start,
+    the first panel boundaries 3x + c, and random stresses beyond."""
+    c = _knee_stress(m)
+    ends = []
+    for i, (start, sign) in enumerate(((curve.A, -1.0), (curve.Tt, 1.0))):
+        x, ys = abs(start), [start]
+        for _ in range(4):
+            x = 3.0 * x + c
+            ys.append(sign * x)
+        ys += [sign * (abs(start) + rng.uniform(0.0, 50.0 * x))
+               for _ in range(8)]
+        if start == 0.0:
+            ys += [0.0, -0.0] if i == 0 else [5e-324]
+        ends += [(i, y) for y in ys if i == 1 or y <= curve.A]
+    return ends
+
+
+def same_float(a, b):
+    return repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("name", sorted(PANEL_MATERIALS))
+@pytest.mark.parametrize("T_0", [-1.7, 0.37, 2.3, 0.0, -0.0])
+@pytest.mark.parametrize("family", [BACKWARD, FORWARD])
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled",
+                                   "repeated"])
+def test_curve_fans_equal_a_fresh_walk_in_any_order(name, T_0, family,
+                                                    order):
+    # a curve's fans keep their panel sums across calls; every end still
+    # gets rarefaction_integral's value bit for bit, and so does the curve
+    m = PANEL_MATERIALS[name]
+    rng = random.Random(f"{name}{T_0!r}{family}{order}")
+    U = State(T_0, 0.25)
+    ends = fan_ends(m, WaveCurve(m, U, family), rng)
+    if order == "ascending":
+        ends.sort(key=lambda e: abs(e[1]))
+    elif order == "descending":
+        ends.sort(key=lambda e: -abs(e[1]))
+    else:
+        ends *= 2 if order == "repeated" else 1
+        rng.shuffle(ends)
+    curve = WaveCurve(m, U, family)
+    starts = (curve.A, curve.Tt)
+    for i, y in ends:
+        got = curve.fans[i](y)
+        assert same_float(got, rarefaction_integral(m, starts[i], y)), (i, y)
+        if i == 0 or y > curve.Tt:  # the curve's shock owns y = Tt
+            d = got if i == 0 else curve.vt + got
+            assert same_float(curve.v(curve.s * y), U.v + curve.k * d)
+
+
+def test_a_farther_end_sums_only_the_panels_past_the_kept_ones(monkeypatch):
+    m = PANEL_MATERIALS["quintic"]
+    calls = []
+    panel = material._fan_panel
+    monkeypatch.setattr(material, "_fan_panel",
+                        lambda *a: calls.append(a) or panel(*a))
+    curve = WaveCurve(m, State(-0.3, 0.0), BACKWARD)
+    for start, sign in ((curve.A, -1.0), (curve.Tt, 1.0)):
+        fresh = [len(list(_panels(m, abs(start), u))) for u in (5.0, 40.0)]
+        assert fresh[0] >= 2 and fresh[1] > fresh[0]
+        del calls[:]
+        curve.v(sign * 5.0)
+        assert len(calls) == fresh[0]
+        # the panel that was partial at 5 is now full, so the new panels
+        # are the fresh walk's past the kept full ones, the last partial
+        del calls[:]
+        curve.v(sign * 40.0)
+        assert len(calls) == fresh[1] - (fresh[0] - 1)
+        # an end behind the kept panels sums one partial panel
+        del calls[:]
+        curve.v(sign * 7.0)
+        assert len(calls) == 1
