@@ -10,16 +10,15 @@ inequality keeps the equations of motion strictly hyperbolic.  strain is odd
 and strictly increasing, concave on T < 0 and convex on T > 0; the change of
 convexity at T = 0 is what produces composite (rarefaction + shock) waves.
 
-Everything here is a pure function of an immutable Material, apart from
-strain_residual_slope, which writes only into the caller's arrays, and the
-fans of _fan_from, which grow their own panel sums (one fan per thread), so
-unrestricted concurrent use is safe.  strain_residual_slope follows the
-dispatch rule of the finite-volume step, where numpy's per-call cost and
-not the arithmetic sets the time: array operands and a positional out in
-every elementwise call (about twice as fast to dispatch as a Python-float
-operand), but Python-float exponents, since numpy's power rounds
-differently with an array exponent (power(q, 2.0) is q*q, an array of
-2.0 is not).
+Everything here is a pure function of an immutable Material, except that
+strain_residual_slope writes into the caller's arrays and a fan of _fan_from
+grows its own panel sums (one fan per thread), so concurrent use is safe.
+strain_residual_slope follows the dispatch rule of the finite-volume step,
+where numpy's per-call cost and not the arithmetic sets the time: array
+operands and a positional out in every elementwise call (about twice as
+fast to dispatch as a Python-float operand), but Python-float exponents,
+since numpy's power rounds differently with an array exponent
+(power(q, 2.0) is q*q, an array of 2.0 is not).
 
 Kernels that the scalar solve and the lanes of ``batch.solve_many`` both
 evaluate have one body each, written against a namespace argument ``xp``:
@@ -298,6 +297,7 @@ def _even_fan(m: Material, u_0: float):
     the full panels, so an end adds the panels past them and one partial
     panel, in a fresh walk's order and so to its value bit for bit."""
     starts, totals = [u_0], [0.0]
+
     def fan(u: float) -> float:
         for x, end in _panels(m, starts[-1], u):
             if end < u:
