@@ -1,7 +1,12 @@
 """Exact Riemann solver for stress waves in elastic bars whose linearized
-strain is a monotone, non-convex function of the Cauchy stress."""
+strain is a monotone, non-convex function of the Cauchy stress.
 
-from .batch import solve_many
+The scalar solver (errors, material, wave_curves, riemann) runs on the
+standard library; the names from batch, sampler and verify load numpy on
+first use."""
+
+import importlib
+
 from .errors import (
     MaterialError,
     NoBracket,
@@ -30,15 +35,6 @@ from .riemann import (
     solve,
     solve_linear,
     thresholds,
-)
-from .sampler import Profile, profile, sample
-from .verify import (
-    check_dissipation,
-    check_lax,
-    check_liu,
-    check_rh,
-    fv_reference,
-    l1_distance,
 )
 from .wave_curves import (
     RAREFACTION,
@@ -69,3 +65,22 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+#: The module of each name that loads numpy (PEP 562).  Every access reads
+#: its attribute there and stores nothing here, so a rebinding is seen.
+_LAZY = {
+    "solve_many": "batch",
+    **dict.fromkeys(("Profile", "profile", "sample"), "sampler"),
+    **dict.fromkeys(("check_rh", "check_dissipation", "check_lax",
+                     "check_liu", "fv_reference", "l1_distance"), "verify"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

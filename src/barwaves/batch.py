@@ -9,14 +9,15 @@ the monotonicity check and the snap, then the region label from the leg
 summaries and the zero-velocity type.
 
 What this module keeps is the control flow on lanes: masks where the
-scalar path branches, and a failed lane that stops alone.  The formulas
-are shared.  The tangency condition, the fans and the lane root finder
-``_newton_bisect_many`` are ``material``'s; the shock jump, the fan
-integrand and the shock-branch slope are ``wave_curves``'; tolerances,
-tables, the zero-velocity type and the error of a failed search are
-``riemann``'s.  Each kernel is called with ``xp = numpy``, so a lane
-agrees with ``solve`` to the last-bit roundings that ``material``
-describes.
+scalar path branches, a failed lane that stops alone, and the numpy twins
+of two scalar routines, which ``sampler`` shares: the lane fans
+``_fan_lanes`` on ``material``'s panels and rule, and the lane root finder
+``_newton_bisect_many``.  The formulas are shared.  The tangency condition
+and the n = 1 fan are ``material``'s; the shock jump, the fan integrand
+and the shock-branch slope are ``wave_curves``'; tolerances, tables, the
+zero-velocity type and the error of a failed search are ``riemann``'s.
+Each kernel is called with ``xp = numpy``, so a lane agrees with
+``solve`` to the last-bit roundings that ``material`` describes.
 
 It returns the middle state and the labels of each lane, not its waves; a
 lane that fails carries the error ``solve`` raises for it, and the other
@@ -32,6 +33,7 @@ overhead), so single problems stay on the scalar path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -40,12 +42,13 @@ from .material import (
     BACKWARD,
     Material,
     _CUBIC_TO_ROUNDOFF,
+    _GL_RULE,
+    _cubic_fan,
     _excess,
-    _fan_lanes,
     _knee_stress,
-    _newton_bisect_many,
     _tangency_residual,
     _tangency_slope,
+    strain_prime,
 )
 from .riemann import (
     BOUNDARY_TOL,
@@ -58,6 +61,10 @@ from .riemann import (
     solve_linear,
 )
 from .wave_curves import State, _jump_v, _shock_slope, _w
+
+#: material's Gauss-Legendre rule as arrays, for the lane fans
+_NODES = np.array([t for t, _ in _GL_RULE])
+_WEIGHTS = np.array([w for _, w in _GL_RULE])
 
 # leg summaries (riemann._leg_summary) as codes, and the region of each
 # (system, backward, forward, middle stress >= 0)
@@ -396,6 +403,38 @@ def _tangency(m, A):
     return Tt, overflow
 
 
+def _fan_lanes(m: Material, T_a, T_b):
+    """rarefaction_integral on lanes, for fans that run outward from T_a on
+    one side of zero (T_a*T_b >= 0, |T_a| <= |T_b|), the only ones the
+    wave curves build."""
+    T_a, T_b = np.broadcast_arrays(T_a, T_b)
+    if m.n == 1.0:
+        d = _cubic_fan(m, T_a, T_b, np)
+    else:
+        side = np.copysign(1.0, np.where(T_a != 0.0, T_a, T_b))
+        d = side * _even_fan_lanes(m, np.abs(T_a).ravel(),
+                                   np.abs(T_b).ravel()).reshape(T_a.shape)
+    return np.where(T_a == T_b, 0.0, d)
+
+
+def _even_fan_lanes(m: Material, u_0, u_1):
+    """material._even_fan on lanes: the 16-node rule on the panels of
+    material._panels, each lane's panel sum taken as a dot product."""
+    c = _knee_stress(m)
+    total = np.zeros(u_0.size)
+    x = u_0.copy()
+    live = np.flatnonzero(x < u_1)
+    while live.size:
+        start, stop = x[live], u_1[live]
+        end = np.minimum(stop, 3.0 * start + c)
+        h = 0.5 * (end - start)
+        nodes = (start + h)[:, None] + h[:, None] * _NODES
+        total[live] += h * (np.sqrt(strain_prime(m, nodes)) @ _WEIGHTS)
+        x[live] = end
+        live = live[end < stop]
+    return total / math.sqrt(m.rho)
+
+
 # ---------------------------------------------------------------------------
 # masked root finding
 
@@ -422,3 +461,50 @@ def _bracket_many(fn, lo, hi, f_lo, f_hi, step):
         step[live] = 2.0 * s
         live = live[~np.isnan(f)]
     return lo, hi, f_lo, f_hi, found
+
+
+def _newton_bisect_many(fn, dfn, lo, hi, f_lo, f_hi):
+    """material._newton_bisect on lanes, with its steps and exits per lane
+    (the table ROOT_FINDER_EXITS of tests/test_material.py).  fn(pos, x)
+    and dfn(pos, x) evaluate the lanes pos.  A lane whose value is NaN
+    stops where it is, for its caller to report."""
+    first = -f_lo < f_hi
+    x = np.where(first, lo, hi)
+    f = np.where(first, f_lo, f_hi)
+    lo, hi = lo.copy(), hi.copy()
+    step_old = step = hi - lo
+    root = x.copy()
+    live = np.arange(x.size)
+    for _ in range(200):
+        done = f == 0.0
+        root[live[done]] = x[done]
+        keep = ~done
+        live, x, f, lo, hi, step_old, step = (
+            a[keep] for a in (live, x, f, lo, hi, step_old, step))
+        if not live.size:
+            break
+        below = f < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        d = dfn(live, x)
+        newton = np.where((0.0 < d) & (d < np.inf), f / d, np.inf)
+        close = np.abs(newton) <= 2.0 * np.spacing(np.abs(x))
+        root[live[close]] = (x - newton)[close]
+        use = ((lo < x - newton) & (x - newton < hi)
+               & (np.abs(newton) <= 0.5 * np.abs(step_old)))
+        step_new = np.where(use, newton, 0.5 * (hi - lo))
+        x_new = np.where(use, x - newton, lo + step_new)
+        collapsed = ~close & ~use & ((x_new == lo) | (x_new == hi))
+        root[live[collapsed]] = x_new[collapsed]
+        go = ~close & ~collapsed
+        f_new = np.full(x.size, np.nan)
+        if go.any():
+            f_new[go] = fn(live[go], x_new[go])
+        stalled = go & (np.isnan(f_new) | (
+            use & ((f_new > 0.0) == (f > 0.0)) & (np.abs(f_new) >= np.abs(f))))
+        root[live[stalled]] = x[stalled]
+        keep = go & ~stalled
+        root[live[keep]] = x_new[keep]
+        live, x, f, lo, hi, step_old, step = (
+            a[keep] for a in (live, x_new, f_new, lo, hi, step, step_new))
+    return root

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -211,6 +212,16 @@ def cmd_verify(args, m: Material) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser, subparsers included, that reads -1e-3, -1E+80 or
+    -.5e2 as a value, not an option (argparse's pattern stops at -1.5)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_material_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--material", required=True,
                    help=f"preset ({', '.join(PRESETS)}) or JSON file path")
@@ -224,7 +235,7 @@ def _add_state_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="barwaves",
         description="Exact Riemann solver for elastic bars with a "
                     "non-convex strain-stress law")

@@ -11,22 +11,17 @@ and strictly increasing, concave on T < 0 and convex on T > 0; the change of
 convexity at T = 0 is what produces composite (rarefaction + shock) waves.
 
 Everything here is a pure function of an immutable Material, except that
-strain_residual_slope writes into the caller's arrays and a fan of _fan_from
-grows its own panel sums (one fan per thread), so concurrent use is safe.
-strain_residual_slope follows the dispatch rule of the finite-volume step,
-where numpy's per-call cost and not the arithmetic sets the time: array
-operands and a positional out in every elementwise call (about twice as
-fast to dispatch as a Python-float operand), but Python-float exponents,
-since numpy's power rounds differently with an array exponent
-(power(q, 2.0) is q*q, an array of 2.0 is not).
+a fan of _fan_from grows its own panel sums (one fan per thread), so
+concurrent use is safe.  The module imports no numpy, and neither does
+the scalar solve built on it.
 
 Kernels that the scalar solve and the lanes of ``batch.solve_many`` both
 evaluate have one body each, written against a namespace argument ``xp``:
-``math`` for floats, ``numpy`` for arrays.  The arithmetic is the same,
-but numpy's array loops for ``expm1``, ``log1p``, ``asinh`` and ``power``
-(often at non-integer n, rarely at integer n) may round an element
-differently from ``math`` in the last bit, so the lanes agree with the
-scalar path to roundoff.
+``math`` for floats, ``numpy`` for arrays, which the lane callers pass in.
+The arithmetic is the same, but numpy's array loops for ``expm1``,
+``log1p``, ``asinh`` and ``power`` (often at non-integer n, rarely at
+integer n) may round an element differently from ``math`` in the last
+bit, so the lanes agree with the scalar path to roundoff.
 """
 
 from __future__ import annotations
@@ -36,8 +31,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import MaterialError, RootNotBracketed
 
 BACKWARD = "backward"
@@ -46,7 +39,7 @@ FORWARD = "forward"
 #: The (node, weight) pairs of the 16-node Gauss-Legendre rule on [-1, 1]
 #: (Golub & Welsch 1969) with node > 0, to 17 digits: the values of numpy's
 #: leggauss(16), which is symmetric bit for bit, written out so that import
-#: does not load numpy.polynomial.
+#: loads no numpy.
 _GL_HALF = (
     (0.095012509837637441, 0.18945061045506864),
     (0.28160355077925892, 0.18260341504492364),
@@ -62,8 +55,6 @@ _GL_HALF = (
 #: 40-digit quadrature for the fan integral with 0.5 <= n <= 3.5 and
 #: stresses from 1e-6 to 1e3.
 _GL_RULE = tuple((-t, w) for t, w in reversed(_GL_HALF)) + _GL_HALF
-_NODES = np.array([t for t, _ in _GL_RULE])
-_WEIGHTS = np.array([w for _, w in _GL_RULE])
 
 #: gamma*T**2/2 at or below which the strain is cubic to roundoff, so the
 #: tangency takes its n = 1 closed form.
@@ -169,45 +160,6 @@ def strain_prime(m: Material, T):
     q = 1.0 + 0.5 * m.gamma * T * T
     return m.beta + m.alpha * q ** (m.n - 1.0) * (
         1.0 + 0.5 * (1.0 + 2.0 * m.n) * m.gamma * T * T)
-
-
-def residual_slope_rows(m: Material, size: int) -> tuple:
-    """The constant operands k of strain_residual_slope for arrays of
-    `size` elements: rows holding 0.5*gamma, 1, alpha, beta and
-    0.5*(1 + 2n)*gamma, in that order, views of one array."""
-    return tuple(np.repeat(
-        [[0.5 * m.gamma], [1.0], [m.alpha], [m.beta],
-         [0.5 * (1.0 + 2.0 * m.n) * m.gamma]], size, axis=1))
-
-
-def strain_residual_slope(m: Material, T, eps, r, slope, tmp, k) -> None:
-    """Write strain(T) - eps into r and strain_prime(T) into slope, for
-    float arrays T and eps, caller buffers r, slope and tmp of their shape
-    that alias neither, and the rows k = residual_slope_rows(m, T.size).
-    q = 1 + gamma*T**2/2 is computed once, held in slope until its last
-    use, and no temporary array is made.
-
-    The operations are those of strain and strain_prime, in the same order,
-    so both results match them bit for bit.  The constants come from the
-    rows k, and the exponents n and n - 1 stay Python floats (see the
-    module notes)."""
-    half_gamma, one, alpha, beta, c = k
-    q = np.multiply(T, half_gamma, slope)
-    np.multiply(q, T, q)
-    np.add(q, one, q)
-    np.power(q, m.n, r)
-    np.multiply(r, alpha, r)
-    np.multiply(r, T, r)
-    np.multiply(T, beta, tmp)
-    np.add(tmp, r, r)
-    np.subtract(r, eps, r)
-    np.power(q, m.n - 1.0, slope)
-    np.multiply(slope, alpha, slope)
-    np.multiply(T, c, tmp)
-    np.multiply(tmp, T, tmp)
-    np.add(tmp, one, tmp)
-    np.multiply(slope, tmp, slope)
-    np.add(slope, beta, slope)
 
 
 def strain_second(m: Material, T):
@@ -319,38 +271,6 @@ def _fan_panel(m: Material, x: float, end: float) -> float:
     return h * panel
 
 
-def _fan_lanes(m: Material, T_a, T_b):
-    """rarefaction_integral on lanes, for fans that run outward from T_a on
-    one side of zero (T_a*T_b >= 0, |T_a| <= |T_b|), the only ones the
-    wave curves build."""
-    T_a, T_b = np.broadcast_arrays(T_a, T_b)
-    if m.n == 1.0:
-        d = _cubic_fan(m, T_a, T_b, np)
-    else:
-        side = np.copysign(1.0, np.where(T_a != 0.0, T_a, T_b))
-        d = side * _even_fan_lanes(m, np.abs(T_a).ravel(),
-                                   np.abs(T_b).ravel()).reshape(T_a.shape)
-    return np.where(T_a == T_b, 0.0, d)
-
-
-def _even_fan_lanes(m: Material, u_0, u_1):
-    """_even_fan on lanes: the 16-node rule on the panels of _panels, each
-    lane's panel sum taken as a dot product."""
-    c = _knee_stress(m)
-    total = np.zeros(u_0.size)
-    x = u_0.copy()
-    live = np.flatnonzero(x < u_1)
-    while live.size:
-        start, stop = x[live], u_1[live]
-        end = np.minimum(stop, 3.0 * start + c)
-        h = 0.5 * (end - start)
-        nodes = (start + h)[:, None] + h[:, None] * _NODES
-        total[live] += h * (np.sqrt(strain_prime(m, nodes)) @ _WEIGHTS)
-        x[live] = end
-        live = live[end < stop]
-    return total / math.sqrt(m.rho)
-
-
 def _knee_stress(m: Material) -> float:
     """c = sqrt((alpha+beta)/(alpha*gamma)): strain_prime stays near
     alpha + beta for |T| << c and grows like |T|**(2n) beyond, and c is the
@@ -392,7 +312,7 @@ def _newton_bisect(fn, dfn, lo: float, hi: float, f_lo: float,
     Newton steps with the analytic derivative dfn, replaced by bisection
     when the slope is not positive and finite, or when a step leaves the
     bracket or fails to halve the one before the last.  Its exits, shared
-    with _newton_bisect_many, are the table ROOT_FINDER_EXITS of
+    with batch._newton_bisect_many, are the table ROOT_FINDER_EXITS of
     tests/test_material.py; none involves a residual tolerance, so the root
     is resolved to full precision at every magnitude.  It is the package's
     only scalar root finder.
@@ -427,53 +347,6 @@ def _newton_bisect(fn, dfn, lo: float, hi: float, f_lo: float,
             f_new = fn(x_new)
         x, f = x_new, f_new
     return x
-
-
-def _newton_bisect_many(fn, dfn, lo, hi, f_lo, f_hi):
-    """_newton_bisect on lanes, with its steps and exits per lane (the
-    table ROOT_FINDER_EXITS of tests/test_material.py).  fn(pos, x) and
-    dfn(pos, x) evaluate the lanes pos.  A lane whose value is NaN stops
-    where it is, for its caller to report."""
-    first = -f_lo < f_hi
-    x = np.where(first, lo, hi)
-    f = np.where(first, f_lo, f_hi)
-    lo, hi = lo.copy(), hi.copy()
-    step_old = step = hi - lo
-    root = x.copy()
-    live = np.arange(x.size)
-    for _ in range(200):
-        done = f == 0.0
-        root[live[done]] = x[done]
-        keep = ~done
-        live, x, f, lo, hi, step_old, step = (
-            a[keep] for a in (live, x, f, lo, hi, step_old, step))
-        if not live.size:
-            break
-        below = f < 0.0
-        lo = np.where(below, x, lo)
-        hi = np.where(below, hi, x)
-        d = dfn(live, x)
-        newton = np.where((0.0 < d) & (d < np.inf), f / d, np.inf)
-        close = np.abs(newton) <= 2.0 * np.spacing(np.abs(x))
-        root[live[close]] = (x - newton)[close]
-        use = ((lo < x - newton) & (x - newton < hi)
-               & (np.abs(newton) <= 0.5 * np.abs(step_old)))
-        step_new = np.where(use, newton, 0.5 * (hi - lo))
-        x_new = np.where(use, x - newton, lo + step_new)
-        collapsed = ~close & ~use & ((x_new == lo) | (x_new == hi))
-        root[live[collapsed]] = x_new[collapsed]
-        go = ~close & ~collapsed
-        f_new = np.full(x.size, np.nan)
-        if go.any():
-            f_new[go] = fn(live[go], x_new[go])
-        stalled = go & (np.isnan(f_new) | (
-            use & ((f_new > 0.0) == (f > 0.0)) & (np.abs(f_new) >= np.abs(f))))
-        root[live[stalled]] = x[stalled]
-        keep = go & ~stalled
-        root[live[keep]] = x_new[keep]
-        live, x, f, lo, hi, step_old, step = (
-            a[keep] for a in (live, x_new, f_new, lo, hi, step, step_new))
-    return root
 
 
 def _excess(m: Material, T, xp=math):

@@ -234,6 +234,10 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
     snap = SNAP_TOL * max(abs(U_l.T), abs(U_r.T))
     for T_d in (U_l.T, U_r.T):
         if abs(root - T_d) <= snap:
+            # rare: logging is imported here, not on every start
+            import logging
+            logging.getLogger(__name__).debug(
+                "middle stress %r snaps to the data stress %r", root, T_d)
             return T_d, samples[T_d][1], ""
     return root, v_back, ""
 

@@ -8,9 +8,9 @@ position exactly, the right limit is returned.
 Every point is evaluated on numpy lanes by one routine, ``_sample_lanes``,
 which fills float arrays of T and v: ``sample`` is a call with one point,
 and ``profile`` inverts all of its fan points at once.  The lane root
-finder and the lane fan integral are ``material``'s, the ones
-``solve_many`` uses.  A 4001-point profile of a pattern with a fan takes
-about 0.7 ms on one core of a 2-core Xeon VM.
+finder and the lane fan integral are ``batch``'s, the ones ``solve_many``
+uses.  A 4001-point profile of a pattern with a fan takes about 0.7 ms on
+one core of a 2-core Xeon VM.
 """
 
 from __future__ import annotations
@@ -21,13 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .material import (
-    _fan_lanes,
-    _newton_bisect_many,
-    _slope_speed,
-    strain_prime,
-    strain_second,
-)
+from .batch import _fan_lanes, _newton_bisect_many
+from .material import _slope_speed, strain_prime, strain_second
 from .riemann import Wave, WavePattern
 from .wave_curves import BACKWARD, SHOCK, State
 

@@ -25,9 +25,7 @@ from .material import (
     _slope_speed,
     driving_force,
     invert_strain,
-    residual_slope_rows,
     strain,
-    strain_residual_slope,
     wave_speed,
 )
 from .riemann import Wave, WavePattern, solve
@@ -112,6 +110,46 @@ def check_liu(m: Material, shock: Wave, samples: int = 64) -> float:
 
 # ---------------------------------------------------------------------------
 # finite-volume reference
+
+
+def residual_slope_rows(m: Material, size: int) -> tuple:
+    """The constant operands k of strain_residual_slope for arrays of
+    `size` elements: rows holding 0.5*gamma, 1, alpha, beta and
+    0.5*(1 + 2n)*gamma, in that order, views of one array."""
+    return tuple(np.repeat(
+        [[0.5 * m.gamma], [1.0], [m.alpha], [m.beta],
+         [0.5 * (1.0 + 2.0 * m.n) * m.gamma]], size, axis=1))
+
+
+def strain_residual_slope(m: Material, T, eps, r, slope, tmp, k) -> None:
+    """Write strain(T) - eps into r and strain_prime(T) into slope, for
+    float arrays T and eps, caller buffers r, slope and tmp of their shape
+    that alias neither, and the rows k = residual_slope_rows(m, T.size).
+    q = 1 + gamma*T**2/2 is computed once, held in slope until its last
+    use, and no temporary array is made.
+
+    The operations are those of strain and strain_prime, in the same order,
+    so both results match them bit for bit.  The constants come from the
+    rows k, by the dispatch rule of fv_reference, but the exponents n and
+    n - 1 stay Python floats: numpy's power rounds differently with an
+    array exponent (power(q, 2.0) is q*q, an array of 2.0 is not)."""
+    half_gamma, one, alpha, beta, c = k
+    q = np.multiply(T, half_gamma, slope)
+    np.multiply(q, T, q)
+    np.add(q, one, q)
+    np.power(q, m.n, r)
+    np.multiply(r, alpha, r)
+    np.multiply(r, T, r)
+    np.multiply(T, beta, tmp)
+    np.add(tmp, r, r)
+    np.subtract(r, eps, r)
+    np.power(q, m.n - 1.0, slope)
+    np.multiply(slope, alpha, slope)
+    np.multiply(T, c, tmp)
+    np.multiply(tmp, T, tmp)
+    np.add(tmp, one, tmp)
+    np.multiply(slope, tmp, slope)
+    np.add(slope, beta, slope)
 
 
 def _invert_strain_grid(m: Material, eps: np.ndarray, T: np.ndarray,

@@ -178,6 +178,11 @@ class WaveCurve:
             num, denom = _shock_slope(m, A, y)
             if denom > 0.0:
                 return num / denom
+            # rare: logging is imported here, not on every start
+            import logging
+            logging.getLogger(__name__).debug(
+                "shock from %r to %r has roundoff width: its slope is the "
+                "characteristic limit", self.U.T, T)
         return _w(m, y)
 
     def legs(self, end: State) -> list[CurveLeg]:

@@ -85,6 +85,44 @@ def test_non_finite_stress_exits_2(capsys, value):
     assert "T_l" in err
 
 
+#: Float options given a negative number in exponent form as their own
+#: token, which argparse's pattern alone takes for an option.
+EXPONENT_FORM = [
+    ["solve", "--material", "cubic", "--tl", "-1e-3", "--vl", "0",
+     "--tr", "1", "--vr", "0"],
+    ["profile", "--material", "cubic", "--tl", "-.5e2", "--tr", "1",
+     "--xi-min", "-1E+1", "--count", "5"],
+    ["atlas", "--material", "cubic", "--tl-min", "-1E+0", "--tr-min",
+     "-2e0", "--res", "3"],
+    ["thresholds", "--material", "cubic", "--tl", "-1E+80"],
+]
+
+
+@pytest.mark.parametrize("args", EXPONENT_FORM,
+                         ids=[args[0] for args in EXPONENT_FORM])
+def test_negative_exponent_form_is_an_option_value(capsys, args):
+    rc, out = run(capsys, *args)
+    assert rc == 0
+    # the same values written --opt=value
+    joined = []
+    for arg in args:
+        if arg[0] == "-" and arg[1] != "-" and joined[-1].startswith("--"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    assert len(joined) < len(args)
+    assert run(capsys, *joined) == (rc, out)
+
+
+def test_negative_infinity_token_still_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["solve", "--material", "cubic", "--tl", "-inf", "--tr", "1"])
+    assert exc_info.value.code == 2
+    assert "--tl: expected one argument" in capsys.readouterr().err
+    rc = main(["solve", "--material", "cubic", "--tl=-inf", "--tr", "1"])
+    assert rc == 2 and "T_l" in capsys.readouterr().err
+
+
 def test_import_leaves_scipy_unloaded():
     import barwaves
     src = os.path.dirname(os.path.dirname(os.path.abspath(barwaves.__file__)))

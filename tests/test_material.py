@@ -25,13 +25,9 @@ from barwaves import (
     tangent_point,
     wave_speed,
 )
-from barwaves.material import (
-    _GL_RULE,
-    _NODES,
-    _WEIGHTS,
-    residual_slope_rows,
-    strain_residual_slope,
-)
+from barwaves.batch import _NODES, _WEIGHTS
+from barwaves.material import _GL_RULE
+from barwaves.verify import residual_slope_rows, strain_residual_slope
 from conftest import cubic_fan_integral, driving_force_integral, make_material
 
 stress = st.floats(-5.0, 5.0)
@@ -621,7 +617,8 @@ ROOT_FINDER_EXITS = [
 @pytest.mark.parametrize("row", ROOT_FINDER_EXITS,
                          ids=[row[0] for row in ROOT_FINDER_EXITS])
 def test_both_root_finders_take_each_exit_alike(row):
-    from barwaves.material import _newton_bisect, _newton_bisect_many
+    from barwaves.batch import _newton_bisect_many
+    from barwaves.material import _newton_bisect
     _, fn, dfn, lo, hi, took_exit = row
     scalar, lanes = {}, []
 
@@ -646,7 +643,8 @@ def test_both_root_finders_take_each_exit_alike(row):
 
 
 def test_lane_root_finder_runs_every_exit_at_once_and_stops_at_nan():
-    from barwaves.material import _newton_bisect, _newton_bisect_many
+    from barwaves.batch import _newton_bisect_many
+    from barwaves.material import _newton_bisect
     rows = [(fn, dfn, lo, hi) for _, fn, dfn, lo, hi, _ in ROOT_FINDER_EXITS]
     # a lane whose value turns NaN stops at its last finite point: from
     # x = 1, Newton proposes 0.2, where this function is undefined

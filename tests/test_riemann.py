@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 import re
@@ -277,6 +278,25 @@ def test_narrow_shock_residual_is_judged_at_the_stress_scale(cubic, U_l, U_r):
     p = solve(cubic, U_l, U_r)
     assert p.right_state == U_r
     assert_chained(p)
+
+
+def test_snap_to_a_data_stress_logs_both_stresses(cubic, caplog):
+    # near-equal stresses: the root lies within SNAP_TOL of T_l, off the
+    # dividing curves, and snaps to it
+    caplog.set_level(logging.DEBUG, logger="barwaves.riemann")
+    U_l, U_r = State(-1.0, 0.0), State(-1.0 * (1.0 + 1e-13), 0.0)
+    p = solve(cubic, U_l, U_r)
+    [record] = caplog.records
+    root, T_d = record.args
+    assert record.levelno == logging.DEBUG and T_d == U_l.T != root
+    assert abs(root - T_d) <= riemann.SNAP_TOL * abs(U_r.T)
+    assert p.middle_states == () and p.right_state == U_r
+
+
+def test_solve_off_the_snap_logs_nothing(cubic, caplog):
+    caplog.set_level(logging.DEBUG, logger="barwaves")
+    solve(cubic, *OFF_CURVE)
+    assert caplog.records == []
 
 
 def test_non_monotone_error_names_both_states(monkeypatch, cubic):

@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 
@@ -23,7 +24,7 @@ from barwaves import (
 )
 from barwaves import material
 from barwaves.material import _knee_stress, _panels, rarefaction_integral
-from barwaves.wave_curves import WaveCurve
+from barwaves.wave_curves import WaveCurve, _w
 from conftest import cubic_fan_integral, make_material
 
 stress = st.floats(-3.0, 3.0)
@@ -410,3 +411,17 @@ def test_a_farther_end_sums_only_the_panels_past_the_kept_ones(monkeypatch):
         del calls[:]
         curve.v(sign * 7.0)
         assert len(calls) == 1
+
+
+def test_shock_of_roundoff_width_logs_its_characteristic_slope(quintic,
+                                                              caplog):
+    # one ulp of stress across which the strain rounds to one value: the
+    # chord has no width, so the slope is the characteristic limit
+    A = -0.4896563079259635
+    y = math.nextafter(A, math.inf)
+    assert strain(quintic, y) == strain(quintic, A)
+    caplog.set_level(logging.DEBUG, logger="barwaves.wave_curves")
+    assert WaveCurve(quintic, State(A, 0.0), BACKWARD).slope(y) == _w(
+        quintic, y)
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG and record.args == (A, y)
