@@ -48,6 +48,7 @@ from .material import (
     _knee_stress,
     _tangency_residual,
     _tangency_slope,
+    strain,
     strain_prime,
 )
 from .riemann import (
@@ -332,14 +333,14 @@ def _judge(m, T_l, v_l, T_r, v_r, lanes, root, rec, vb, overflow,
 
 class _Curves:
     """WaveCurve's constants on lanes: the mirror s, the velocity sign k,
-    the anchor A = s*U.T <= 0, its tangency stress Tt, the degenerate
-    shock's jump vt and the anchor velocity."""
+    the anchor A = s*U.T <= 0 and its strain e_A, its tangency stress Tt,
+    the degenerate shock's jump vt and the anchor velocity."""
 
-    __slots__ = ("s", "k", "A", "Tt", "vt", "v0")
+    __slots__ = ("s", "k", "A", "e_A", "Tt", "vt", "v0")
 
-    def __init__(self, s, k, A, Tt, vt, v0):
-        self.s, self.k, self.A, self.Tt, self.vt, self.v0 = (
-            s, k, A, Tt, vt, v0)
+    def __init__(self, s, k, A, e_A, Tt, vt, v0):
+        self.s, self.k, self.A, self.e_A, self.Tt, self.vt, self.v0 = (
+            s, k, A, e_A, Tt, vt, v0)
 
     def take(self, idx) -> "_Curves":
         return _Curves(*(getattr(self, name)[idx] for name in self.__slots__))
@@ -350,7 +351,8 @@ class _Curves:
         A, Tt = self.A[idx], self.Tt[idx]
         y = self.s[idx] * T
         fan = _fan_lanes(m, np.where(y <= A, A, Tt), y)
-        d = np.where(y <= A, fan, np.where(y <= Tt, _jump_v(m, A, y, np),
+        shock = _jump_v(m, A, self.e_A[idx], y, np)
+        d = np.where(y <= A, fan, np.where(y <= Tt, shock,
                                            self.vt[idx] + fan))
         return self.v0[idx] + self.k[idx] * d
 
@@ -358,7 +360,7 @@ class _Curves:
         """WaveCurve.slope of lanes idx at stresses T."""
         A = self.A[idx]
         y = self.s[idx] * T
-        num, denom = _shock_slope(m, A, y, np)
+        num, denom = _shock_slope(m, A, self.e_A[idx], y, np)
         shock = (A < y) & (y <= self.Tt[idx]) & (denom > 0.0)
         return np.where(shock, num / denom, _w(m, y, np))
 
@@ -375,8 +377,9 @@ def _curve_pair(m, T_l, v_l, T_r, v_r):
     vt = np.where(A == 0.0, 0.0, (Tt - A) * _w(m, Tt, np))
     overflow |= ~np.isfinite(vt)
     k = np.concatenate([s[:n], -s[n:]])
-    back = _Curves(s[:n], k[:n], A[:n], Tt[:n], vt[:n], v_l)
-    fwd = _Curves(s[n:], k[n:], A[n:], Tt[n:], vt[n:], v_r)
+    e_A = strain(m, A)
+    back = _Curves(s[:n], k[:n], A[:n], e_A[:n], Tt[:n], vt[:n], v_l)
+    fwd = _Curves(s[n:], k[n:], A[n:], e_A[n:], Tt[n:], vt[n:], v_r)
     return back, fwd, overflow[:n] | overflow[n:]
 
 

@@ -12,8 +12,11 @@ convexity at T = 0 is what produces composite (rarefaction + shock) waves.
 
 Everything here is a pure function of an immutable Material, except that
 a fan of _fan_from grows its own panel sums (one fan per thread), so
-concurrent use is safe.  The module imports no numpy, and neither does
-the scalar solve built on it.
+concurrent use is safe.  _fan_from gives a wave curve its fans for every
+material: the closed forms for n = 1 and linear_mode, otherwise a walk of
+16-node panels that takes strain_prime's constants, the knee stress and
+sqrt(rho) once and evaluates the integrand inline.  The module imports no
+numpy, and neither does the scalar solve built on it.
 
 Kernels that the scalar solve and the lanes of ``batch.solve_many`` both
 evaluate have one body each, written against a namespace argument ``xp``:
@@ -237,37 +240,62 @@ def _cubic_fan(m: Material, T_a, T_b, xp=math):
 
 
 def _fan_from(m: Material, T_0: float):
-    """rarefaction_integral(m, T_0, T) for n != 1 and the fans outward from
-    T_0 (the wave curves'), whose calls all share one _even_fan walk."""
+    """rarefaction_integral(m, T_0, T) on the fans outward from T_0 (the
+    wave curves'), for every material: the closed forms for n = 1 and
+    linear_mode, and otherwise one _even_fan walk that all calls share."""
+    if m.linear_mode:
+        return lambda T: rarefaction_integral(m, T_0, T)
+    if m.n == 1.0:
+        return lambda T: 0.0 if T == T_0 else _cubic_fan(m, T_0, T)
     fan = _even_fan(m, abs(T_0))
     return lambda T: 0.0 if T == T_0 else math.copysign(fan(abs(T)), T)
 
 
 def _even_fan(m: Material, u_0: float):
     """Integral of sqrt(strain_prime/rho) over [u_0, u], 0 <= u_0 <= u, as a
-    function of u: _fan_panel over _panels, keeping the running totals of
-    the full panels, so an end adds the panels past them and one partial
-    panel, in a fresh walk's order and so to its value bit for bit."""
+    function of u: _fan_panel over the panels of _panel_ends, keeping the
+    running totals of the full panels, so an end adds the panels past them
+    and one partial panel, in a fresh walk's order (that of _panels) and so
+    to its value bit for bit.  The integrand's constants, the knee stress
+    and sqrt(rho) are taken once per walk."""
+    k, root_rho = _fan_constants(m), math.sqrt(m.rho)
+    ends = _panel_ends(m, u_0)
+    end = next(ends)
     starts, totals = [u_0], [0.0]
 
     def fan(u: float) -> float:
-        for x, end in _panels(m, starts[-1], u):
-            if end < u:
-                totals.append(totals[-1] + _fan_panel(m, x, end))
-                starts.append(end)
+        nonlocal end
+        while end < u:
+            totals.append(totals[-1] + _fan_panel(k, starts[-1], end))
+            starts.append(end)
+            end = next(ends)
         i = bisect_left(starts, u) - 1
-        total = totals[i] + _fan_panel(m, starts[i], u) if i >= 0 else 0.0
-        return total / math.sqrt(m.rho)
+        total = totals[i] + _fan_panel(k, starts[i], u) if i >= 0 else 0.0
+        return total / root_rho
     return fan
 
 
-def _fan_panel(m: Material, x: float, end: float) -> float:
+def _fan_constants(m: Material) -> tuple:
+    """The constants of strain_prime as _fan_panel takes them: gamma/2,
+    (1 + 2n)*gamma/2, n - 1, alpha and beta, each rounded as there."""
+    return (0.5 * m.gamma, 0.5 * (1.0 + 2.0 * m.n) * m.gamma, m.n - 1.0,
+            m.alpha, m.beta)
+
+
+def _fan_panel(k: tuple, x: float, end: float) -> float:
     """The rule of _graded on the panel [x, end] for the integrand
-    sqrt(strain_prime), written out."""
+    sqrt(strain_prime), written out, with strain_prime's operations inline
+    in its order on the constants k of _fan_constants, so that each node
+    has strain_prime's value bit for bit."""
+    half_gamma, c, n_1, alpha, beta = k
+    sqrt = math.sqrt
     h = 0.5 * (end - x)
+    mid = x + h
     panel = 0.0
     for t, w in _GL_RULE:
-        panel += w * math.sqrt(strain_prime(m, x + h + h * t))
+        T = mid + h * t
+        panel += w * sqrt(beta + alpha * (1.0 + half_gamma * T * T) ** n_1
+                          * (1.0 + c * T * T))
     return h * panel
 
 
@@ -278,16 +306,26 @@ def _knee_stress(m: Material) -> float:
     return math.sqrt((m.alpha + m.beta) / (m.alpha * m.gamma))
 
 
-def _panels(m: Material, u_0: float, u_1: float):
-    """(start, end) of the panels of [u_0, u_1], 0 <= u_0 <= u_1, graded
-    away from 0: a panel starting at x ends at 3*x + c or at u_1, whichever
-    comes first, where c = _knee_stress(m), so every panel stays a fixed
-    ratio away from the singularities of the constitutive functions."""
+def _panel_ends(m: Material, u_0: float):
+    """The ends of the panels from u_0 >= 0 outward, without bound, graded
+    away from 0: a panel starting at x ends at 3*x + c, where
+    c = _knee_stress(m), so every panel stays a fixed ratio away from the
+    singularities of the constitutive functions."""
     c = _knee_stress(m)
     x = u_0
-    while x < u_1:
-        end = min(u_1, 3.0 * x + c)
-        yield x, end
+    while True:
+        x = 3.0 * x + c
+        yield x
+
+
+def _panels(m: Material, u_0: float, u_1: float):
+    """(start, end) of the panels of [u_0, u_1], 0 <= u_0 <= u_1: those of
+    _panel_ends, the last one cut at u_1."""
+    x = u_0
+    for end in _panel_ends(m, u_0):
+        if x >= u_1:
+            return
+        yield x, min(u_1, end)
         x = end
 
 

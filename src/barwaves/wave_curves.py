@@ -42,13 +42,16 @@ Within one solve there are only two tangency stresses: that of T_l on the
 backward curve and that of T_r on the forward curves, all of which end at
 U_r.  A solve therefore builds one curve pair, WaveCurve(m, U_l, BACKWARD)
 and WaveCurve(m, U_r, FORWARD).  Each is sign-normalised once and holds its
-tangency stress (one tangent_point call, closed form for n = 1) and its
-degenerate shock's velocity jump; the residual of the middle stress, its
-slope and the legs of the solution all read from the pair.  For n != 1 a
-curve keeps the panel sums of its fans from A and Tt, so a residual adds
-one partial panel and the panels past those summed.  A curve therefore
-serves one thread, but nothing is cached between solves: each builds its
-own pair.  The module-level functions evaluate a curve once.
+anchor's strain, its tangency stress (one tangent_point call, closed form
+for n = 1), its degenerate shock's velocity jump and one fan per branch,
+from A and from Tt, for every n; the residual of the middle stress, its
+slope and the legs of the solution all read from the pair.  A shock-branch
+velocity or slope evaluates the strain once, at its end.  For n != 1 a fan
+keeps its panel sums, so a residual adds one partial panel and the panels
+past those summed.  A curve therefore serves one thread, but nothing is
+cached between solves: each builds its own pair.  A linear material has no
+tangency: its curve is one line through the anchor, crossed by a contact.
+The module-level functions evaluate a curve once.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ from .material import (
     Material,
     _fan_from,
     _slope_speed,
-    rarefaction_integral,
     strain,
     strain_prime,
     tangent_point,
@@ -100,9 +102,10 @@ def shock_speed(m: Material, T_a: float, T_b: float, family: str) -> float:
     return -c if family == BACKWARD else c
 
 
-def _jump_v(m: Material, T_a, T_b, xp=math):
-    """|velocity jump| across a shock between T_a and T_b."""
-    prod = (T_b - T_a) * (strain(m, T_b) - strain(m, T_a))
+def _jump_v(m: Material, T_a, e_a, T_b, xp=math):
+    """|velocity jump| across a shock between T_a and T_b, given
+    e_a = strain(m, T_a)."""
+    prod = (T_b - T_a) * (strain(m, T_b) - e_a)
     return xp.sqrt(prod * (prod > 0.0) / m.rho)
 
 
@@ -112,11 +115,12 @@ def _w(m: Material, T, xp=math):
     return xp.sqrt(strain_prime(m, T) / m.rho)
 
 
-def _shock_slope(m: Material, A, y, xp=math):
-    """|dv/dT| of the shock branch from A to y, as a numerator and a
-    denominator; the denominator is not positive for a shock of roundoff
-    width, whose slope is its characteristic limit _w(m, y)."""
-    de = strain(m, y) - strain(m, A)
+def _shock_slope(m: Material, A, e_A, y, xp=math):
+    """|dv/dT| of the shock branch from A to y, given e_A = strain(m, A),
+    as a numerator and a denominator; the denominator is not positive for
+    a shock of roundoff width, whose slope is its characteristic limit
+    _w(m, y)."""
+    de = strain(m, y) - e_A
     prod = m.rho * (y - A) * de
     return de + (y - A) * strain_prime(m, y), 2.0 * xp.sqrt(
         prod * (prod > 0.0))
@@ -131,14 +135,19 @@ class WaveCurve:
     stress T at its other end: the backward curve from U to T, or the
     forward curves from T to U, which are the backward curve through
     (-U.T, U.v) reflected in space.  Built once, with the mirror
-    (T, v) -> (-T, -v) that makes the anchor A = s*U.T <= 0 and the
-    constants of the composite branch: the tangency stress Tt of A and the
-    velocity jump vt = (Tt - A)*w(Tt) of the degenerate shock to it.  The
-    family sets the sign k of the velocity change (k = s backward, -s
-    forward).  For U.T = 0 the curve is a rarefaction both ways, which
-    Tt = vt = 0 reproduces."""
+    (T, v) -> (-T, -v) that makes the anchor A = s*U.T <= 0, with the
+    constants of its branches: the anchor strain e_A = strain(A) of the
+    shock branch, the tangency stress Tt of A and the velocity jump
+    vt = (Tt - A)*w(Tt) of the degenerate shock to it, and the fans from A
+    and from Tt.  The family sets the sign k of the velocity change (k = s
+    backward, -s forward).  For U.T = 0 the curve is a rarefaction both
+    ways, which Tt = vt = 0 reproduces.  A linear material has no
+    tangency: Tt = A leaves no shock branch, its fans are one line through
+    U, and its legs are the contact ("both" degenerate) of
+    riemann.solve_linear."""
 
-    __slots__ = ("m", "U", "family", "s", "k", "A", "Tt", "vt", "fans")
+    __slots__ = ("m", "U", "family", "s", "k", "A", "e_A", "Tt", "vt",
+                 "fans")
 
     def __init__(self, m: Material, U: State, family: str):
         self.m, self.U, self.family = m, U, family
@@ -147,27 +156,29 @@ class WaveCurve:
         self.A = A = self.s * U.T
         if A == 0.0:
             self.Tt = self.vt = 0.0
+        elif m.linear_mode:
+            self.Tt, self.vt = A, 0.0
         else:
             self.Tt = Tt = tangent_point(m, A)
             self.vt = (Tt - A) * _w(m, Tt)
-        self.fans = None if m.n == 1.0 or m.linear_mode else (
-            _fan_from(m, A), _fan_from(m, self.Tt))
+        self.e_A = strain(m, A)
+        self.fans = (_fan_from(m, A), _fan_from(m, self.Tt))
 
     @property
     def tangency(self) -> float:
-        """The tangency stress of U.T (unmirrored)."""
+        """The tangency stress of U.T (unmirrored); U.T itself for a
+        linear material, which has none."""
         return self.s * self.Tt
 
     def v(self, T: float) -> float:
         """Velocity at stress T."""
-        m, A, Tt, fans, y = self.m, self.A, self.Tt, self.fans, self.s * T
+        A, y = self.A, self.s * T
         if y <= A:
-            d = fans[0](y) if fans else rarefaction_integral(m, A, y)
-        elif y <= Tt:
-            d = _jump_v(m, A, y)
+            d = self.fans[0](y)
+        elif y <= self.Tt:
+            d = _jump_v(self.m, A, self.e_A, y)
         else:
-            d = self.vt + (fans[1](y) if fans
-                           else rarefaction_integral(m, Tt, y))
+            d = self.vt + self.fans[1](y)
         return self.U.v + self.k * d
 
     def slope(self, T: float) -> float:
@@ -175,7 +186,7 @@ class WaveCurve:
         curve and decreases along the forward one)."""
         m, A, y = self.m, self.A, self.s * T
         if A < y <= self.Tt:
-            num, denom = _shock_slope(m, A, y)
+            num, denom = _shock_slope(m, A, self.e_A, y)
             if denom > 0.0:
                 return num / denom
             # rare: logging is imported here, not on every start
@@ -193,7 +204,9 @@ class WaveCurve:
         U, A, Tt, y = self.U, self.A, self.Tt, self.s * end.T
         if end.T == U.T:
             return []
-        if y < A or A == 0.0:
+        if self.m.linear_mode:
+            legs = [(SHOCK, U, end, "both")]
+        elif y < A or A == 0.0:
             legs = [(RAREFACTION, U, end, "")]
         elif y < Tt:
             legs = [(SHOCK, U, end, "")]
@@ -208,7 +221,8 @@ class WaveCurve:
                     for kind, a, b, degenerate in legs]
         # reflected in space: each leg runs the other way, and a shock
         # degenerate at its right state becomes one degenerate at its left
-        return [CurveLeg(kind, FORWARD, b, a, degenerate and "left")
+        return [CurveLeg(kind, FORWARD, b, a,
+                         degenerate.replace("right", "left"))
                 for kind, a, b, degenerate in reversed(legs)]
 
 

@@ -43,6 +43,7 @@ SCALAR_RUN = textwrap.dedent("""
     bw.solve_linear(lin, State(-1.0, 0.0), State(1.0, 0.5))
     bw.rarefaction_integral(lin, -1.0, 0.3)
     bw.backward_v(lin, State(0.0, 0.0), 0.4)
+    bw.backward_v(lin, State(-1.0, 0.0), 0.4)
     bw.shock_speed(lin, -1.0, 0.4, FORWARD)
     bw.wave_speed(lin, 0.4, BACKWARD)
 

@@ -26,7 +26,7 @@ from barwaves import (
     wave_speed,
 )
 from barwaves.batch import _NODES, _WEIGHTS
-from barwaves.material import _GL_RULE
+from barwaves.material import _GL_RULE, _fan_constants, _fan_panel
 from barwaves.verify import residual_slope_rows, strain_residual_slope
 from conftest import cubic_fan_integral, driving_force_integral, make_material
 
@@ -115,6 +115,24 @@ def test_strain_residual_slope_is_strain_and_strain_prime_bit_for_bit(m):
         strain_residual_slope(m, T, eps, r, slope, tmp, k)
         assert r.tobytes() == (strain(m, T) - eps).tobytes()
         assert slope.tobytes() == strain_prime(m, T).tobytes()
+
+
+@pytest.mark.parametrize("m", [
+    PRESETS["cubic"], PRESETS["quintic"], Material(1.0, -0.999, 1.0, 1.0, 1.0),
+    *(Material(1.3, -0.7, 0.9, n, 1.0) for n in (0.5, 1.5, 3.5)),
+], ids=["cubic", "quintic", "near-hyperbolic", "n=0.5", "n=1.5", "n=3.5"])
+def test_fan_panel_is_the_rule_on_strain_prime_bit_for_bit(m):
+    # _fan_panel writes strain_prime out inline on constants taken once
+    # per walk: a fix to one formula must land in both
+    k = _fan_constants(m)
+    ends = [0.0] + np.logspace(-8.0, 3.0, 45).tolist()
+    for i, x in enumerate(ends):
+        for end in ends[i + 1:]:
+            h = 0.5 * (end - x)
+            panel = 0.0
+            for t, w in _GL_RULE:
+                panel += w * math.sqrt(strain_prime(m, x + h + h * t))
+            assert repr(_fan_panel(k, x, end)) == repr(h * panel), (x, end)
 
 
 def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
@@ -563,12 +581,14 @@ def test_shared_kernels_give_the_same_bits_on_floats_and_arrays(name):
     # every ordered pair of a coarser grid
     a, b = (x.ravel() for x in np.meshgrid(kernel_stresses(23),
                                             kernel_stresses(23)))
+    e_a = strain(m, a)
     # square roots are correctly rounded and integer n keeps numpy's power
     # at math's bits, so these three hold with numpy itself
     for xp in (MATH_ON_LANES, np):
         assert_float_calls_match_array_call(_w, m, T, xp=xp)
-        assert_float_calls_match_array_call(_jump_v, m, a, b, xp=xp)
-        assert_float_calls_match_array_call(_shock_slope, m, a, b, xp=xp)
+        assert_float_calls_match_array_call(_jump_v, m, a, e_a, b, xp=xp)
+        assert_float_calls_match_array_call(_shock_slope, m, a, e_a, b,
+                                            xp=xp)
     assert_float_calls_match_array_call(_excess, m, T)
     B = np.abs(a[a != 0.0])
     r_B = _excess(m, -B, np)[0]

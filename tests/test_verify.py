@@ -46,7 +46,7 @@ from barwaves.wave_curves import _jump_v
 def single_shock_pattern(m, T_a, v_a, T_b, family):
     """Pattern holding one manufactured jump (no admissibility filtering)."""
     s = shock_speed(m, T_a, T_b, family)
-    dv = _jump_v(m, T_a, T_b)
+    dv = _jump_v(m, T_a, strain(m, T_a), T_b)
     # velocity jump sign from the jump conditions: dv = -s * d(strain)
     de = strain(m, T_b) - strain(m, T_a)
     v_b = v_a - s * de

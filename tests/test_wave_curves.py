@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from barwaves import (
     BACKWARD,
     FORWARD,
+    Material,
     RAREFACTION,
     SHOCK,
     State,
@@ -16,13 +17,14 @@ from barwaves import (
     decompose_forward,
     forward_v,
     shock_speed,
+    solve_linear,
     strain,
     strain_prime,
     strain_second,
     tangent_point,
     wave_speed,
 )
-from barwaves import material
+from barwaves import material, wave_curves
 from barwaves.material import _knee_stress, _panels, rarefaction_integral
 from barwaves.wave_curves import WaveCurve, _w
 from conftest import cubic_fan_integral, make_material
@@ -389,6 +391,46 @@ def test_curve_fans_equal_a_fresh_walk_in_any_order(name, T_0, family,
             assert same_float(curve.v(curve.s * y), U.v + curve.k * d)
 
 
+@pytest.mark.parametrize("m", [make_material(2.0, -1.0, 2.0, 1.0, 1.0),
+                               Material.linear(1.3, -0.7, 1.1)],
+                         ids=["cubic", "linear"])
+@pytest.mark.parametrize("T_0", [-1.7, 0.37, 0.0])
+def test_closed_form_curves_keep_their_fans_too(m, T_0):
+    # n = 1 and linear materials have fans of the same shape, in closed
+    # form: rarefaction_integral's value bit for bit (a linear curve's
+    # second fan starts at its anchor and crosses zero)
+    curve = WaveCurve(m, State(T_0, 0.25), BACKWARD)
+    for i, start in enumerate((curve.A, curve.Tt)):
+        for y in (start, 2.0 * start - 0.5, start + 0.5, -3.0, 3.0):
+            if (y <= start) if i == 0 else (y >= start):
+                assert same_float(curve.fans[i](y),
+                                  rarefaction_integral(m, start, y)), (i, y)
+
+
+@pytest.mark.parametrize("m", [make_material(2.0, -1.0, 2.0, 1.0, 1.0),
+                               *PANEL_MATERIALS.values()],
+                         ids=["cubic", *PANEL_MATERIALS])
+@pytest.mark.parametrize("T_0", [-1.2, 0.9])
+@pytest.mark.parametrize("family", [BACKWARD, FORWARD])
+def test_a_shock_branch_evaluates_the_strain_once_at_its_end(
+        monkeypatch, m, T_0, family):
+    # the curve holds its anchor's strain: building it evaluates the strain
+    # at the anchor once, and each v or slope on the shock branch once, at
+    # the end stress
+    calls = []
+    original = wave_curves.strain
+    monkeypatch.setattr(wave_curves, "strain",
+                        lambda m, T: calls.append(T) or original(m, T))
+    curve = WaveCurve(m, State(T_0, 0.25), family)
+    assert calls == [curve.A]
+    A, Tt = curve.A, curve.Tt
+    for y in [A + (Tt - A) * i / 8 for i in range(1, 8)] + [Tt]:
+        for read in (curve.v, curve.slope):
+            del calls[:]
+            read(curve.s * y)
+            assert calls == [y], (read.__name__, y)
+
+
 def test_a_farther_end_sums_only_the_panels_past_the_kept_ones(monkeypatch):
     m = PANEL_MATERIALS["quintic"]
     calls = []
@@ -425,3 +467,56 @@ def test_shock_of_roundoff_width_logs_its_characteristic_slope(quintic,
         quintic, y)
     [record] = caplog.records
     assert record.levelno == logging.DEBUG and record.args == (A, y)
+
+
+# ---------------------------------------------------------------------------
+# linear materials: one line through the anchor, with no tangency
+
+linear_materials = st.builds(
+    lambda a, b, rho: Material.linear(a, -b * a, rho),
+    st.floats(0.1, 10.0), st.floats(0.01, 0.99), st.floats(0.1, 10.0))
+
+
+@given(m=linear_materials, T_l=stress, v_l=stress, T_r=stress, v_r=stress)
+@settings(deadline=None)
+def test_linear_curves_meet_at_solve_linears_middle_state(m, T_l, v_l, T_r,
+                                                         v_r):
+    U_l, U_r = State(T_l, v_l), State(T_r, v_r)
+    if U_l == U_r:
+        return
+    p = solve_linear(m, U_l, U_r)
+    mid = p.waves[0].right if p.waves[0].family == BACKWARD else (
+        p.waves[0].left)
+    # the data's velocity scale: rounding in solve_linear is relative to it
+    scale = max(abs(v_l), abs(v_r), math.sqrt((m.alpha + m.beta) / m.rho)
+                * max(abs(T_l), abs(T_r)))
+    assert backward_v(m, U_l, mid.T) == pytest.approx(mid.v,
+                                                      abs=1e-14 * scale)
+    assert forward_v(m, U_r, mid.T) == pytest.approx(mid.v, abs=1e-14 * scale)
+    # the legs are solve_linear's waves: per family, one shock degenerate
+    # at both states, between the same states
+    legs = (decompose_backward(m, U_l, mid.T)
+            + decompose_forward(m, mid, U_r.T))
+    waves = {w.family: w for w in p.waves if w.left.T != w.right.T}
+    assert [leg.family for leg in legs] == list(waves)
+    for leg in legs:
+        w = waves[leg.family]
+        assert (leg.kind, leg.degenerate) == (w.kind, w.degenerate) == (
+            SHOCK, "both")
+        for a, b in ((leg.start, w.left), (leg.end, w.right)):
+            assert a.T == b.T
+            assert a.v == pytest.approx(b.v, abs=1e-14 * scale)
+
+
+def test_linear_curve_at_a_nonzero_anchor(linear):
+    U = State(-1.0, 0.0)
+    c = math.sqrt(linear.alpha + linear.beta)
+    assert backward_v(linear, U, 0.4) == pytest.approx(1.4 * c, rel=1e-15)
+    assert forward_v(linear, U, 0.4) == pytest.approx(-1.4 * c, rel=1e-15)
+    [shock] = decompose_backward(linear, U, 0.4)
+    assert (shock.kind, shock.family, shock.degenerate) == (
+        SHOCK, BACKWARD, "both")
+    [shock] = decompose_forward(linear, U, 0.4)
+    assert (shock.kind, shock.family, shock.degenerate) == (
+        SHOCK, FORWARD, "both")
+    assert shock.start == U
