@@ -6,7 +6,10 @@ curve pair with its tangency stresses, the residual at the four dividing
 stresses (boundary labels, their tolerance and the bracket seed), the
 widening of ``riemann._bracket``, masked rtsafe, the final-residual gate,
 the monotonicity check and the snap, then the region label from the leg
-summaries and the zero-velocity type.
+summaries and the zero-velocity type.  As in ``solve``, the bracket search
+and rtsafe see the residual zeroed within its roundoff
+(``riemann._stopped_residual``), so a lane stops once its residual is
+noise and no straggler keeps the others' rounds going.
 
 What this module keeps is the control flow on lanes: masks where the
 scalar path branches, a failed lane that stops alone, and the numpy twins
@@ -58,6 +61,7 @@ from .riemann import (
     SNAP_TOL,
     _REGION_MAPS,
     _middle_stress_error,
+    _stopped_residual,
     _zero_velocity_case,
     solve_linear,
 )
@@ -220,6 +224,10 @@ def _middle_stress(m, T_l, v_l, T_r, v_r, back, fwd):
         # an overflowed lane stops the root finders; it reports the overflow
         return np.where(finite, val, np.nan), v_back, v_fwd
 
+    def stopped(idx, T):
+        # what the root finders see: zero within the residual's roundoff
+        return _stopped_residual(*g(idx, T))
+
     def dg(idx, T):
         return back.slope(m, idx, T) + fwd.slope(m, idx, T)
 
@@ -266,7 +274,7 @@ def _middle_stress(m, T_l, v_l, T_r, v_r, back, fwd):
         newton = np.abs(f_lo[one]) / dg(rest[one], lo[one])
         step[one] = np.where((0.0 < newton) & (newton < cap), newton, cap)
     lo, hi, f_lo, f_hi, found = _bracket_many(
-        lambda pos, T: g(rest[pos], T)[0], lo, hi, f_lo, f_hi, step)
+        lambda pos, T: stopped(rest[pos], T), lo, hi, f_lo, f_hi, step)
     failed: dict[int, object] = {
         int(i): "bracket" for i in rest[~found & ~overflow[rest]]}
 
@@ -274,7 +282,7 @@ def _middle_stress(m, T_l, v_l, T_r, v_r, back, fwd):
     lanes = rest[go]
     if lanes.size:
         root = _newton_bisect_many(
-            lambda pos, T: g(lanes[pos], T)[0],
+            lambda pos, T: stopped(lanes[pos], T),
             lambda pos, T: dg(lanes[pos], T),
             lo[go], hi[go], f_lo[go], f_hi[go])
         Ts = np.stack([t[0][lanes] for t in rec])

@@ -352,8 +352,9 @@ def _newton_bisect(fn, dfn, lo: float, hi: float, f_lo: float,
     bracket or fails to halve the one before the last.  Its exits, shared
     with batch._newton_bisect_many, are the table ROOT_FINDER_EXITS of
     tests/test_material.py; none involves a residual tolerance, so the root
-    is resolved to full precision at every magnitude.  It is the package's
-    only scalar root finder.
+    is resolved to full precision at every magnitude, or to where fn
+    returns an exact zero (riemann._stopped_residual zeroes roundoff).  It
+    is the package's only scalar root finder.
     """
     x, f = (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
     step_old = step = hi - lo

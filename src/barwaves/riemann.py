@@ -6,7 +6,10 @@ Velocity is strictly increasing along the backward curve and strictly
 decreasing along every forward curve, so the predicted right-state velocity
 is strictly increasing in the middle stress and a bracketed root finder
 pins the middle state; the sampled residuals are checked for monotonicity
-on every call instead of assuming it.
+on every call instead of assuming it.  The root finder sees the residual as
+exactly zero within its roundoff, RESIDUAL_ROUNDOFF*eps*(|v_back| +
+|v_fwd|), and stops there; the gate RESIDUAL_GATE, which the true residual
+must pass, is more than 5000 times wider.
 
 Region labels: the phase plane around a left state with T_l < 0 splits into
 twelve regions A1..A12 (B1..B12 for T_l > 0, C1..C6 for T_l = 0) according
@@ -22,9 +25,10 @@ I..XII is read off the solved waves (see ``_zero_velocity_case``);
 ``thresholds`` solves the stress thresholds for ``barwaves thresholds``.
 
 ``batch.solve_many`` runs the same solve on numpy lanes (``barwaves
-atlas`` uses it).  The tolerances, the region table, the zero-velocity type
-and the error of a failed middle-stress search (_middle_stress_error) are
-defined here once and serve both paths.
+atlas`` uses it).  The tolerances, the residual the root finders see
+(_stopped_residual), the region table, the zero-velocity type and the error
+of a failed middle-stress search (_middle_stress_error) are defined here
+once and serve both paths.
 """
 
 from __future__ import annotations
@@ -64,6 +68,14 @@ BOUNDARY_TOL = 1e-9
 #: velocity scale of the solve.
 RESIDUAL_GATE = 1e-11
 MONOTONE_SLACK = 1e-8
+
+#: The root finders take a middle-stress residual g = v_back - v_fwd as
+#: exactly zero once |g| <= RESIDUAL_ROUNDOFF*eps*(|v_back| + |v_fwd|),
+#: the roundoff of the subtraction: further steps would bisect noise.  Both
+#: velocities are within twice the scale of the gate, so such a root has
+#: |g| <= 8*eps*scale, about 1.8e-15*scale, far inside RESIDUAL_GATE.
+RESIDUAL_ROUNDOFF = 2.0
+_ROUNDOFF = RESIDUAL_ROUNDOFF * math.ulp(1.0)
 
 #: Distance, relative to the data stresses, within which a middle stress
 #: snaps to T_l or T_r.
@@ -150,6 +162,16 @@ def _bracket(fn, lo: float, hi: float, f_lo: float, f_hi: float,
     return None
 
 
+def _stopped_residual(g, v_back, v_fwd):
+    """The residual g = v_back - v_fwd as the root finders see it: exactly
+    zero within its roundoff (RESIDUAL_ROUNDOFF), which ends rtsafe and
+    the bracket search there.  One body for floats and numpy lanes; a NaN
+    stays NaN.  |v_back + v_fwd| stands for |v_back| + |v_fwd|: the two
+    round alike when the velocities share a sign, and otherwise |g| is
+    their sum and stays unless it is 0."""
+    return g * (abs(g) > _ROUNDOFF * abs(v_back + v_fwd))
+
+
 def _find_middle_stress(m: Material, U_l: State, U_r: State,
                         back: WaveCurve,
                         fwd: WaveCurve) -> tuple[float, float, str]:
@@ -158,11 +180,16 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
     dividing curve holds the right states whose middle stress is one
     dividing stress T_d, so the residual g(T_d) is the velocity distance of
     U_r from it.  One sample of g at each T_d decides the label and its
-    tolerance, brackets the root and joins the monotonicity check."""
+    tolerance, brackets the root and joins the monotonicity check.
+
+    The root finders see the residual zeroed within its roundoff
+    (_stopped_residual), so rtsafe stops at its exact-zero exit instead of
+    bisecting noise; the samples keep the true residual, which the labels,
+    the bracket seed, the monotonicity check, the gate and the snap read."""
     # (residual, back.v, fwd.v) at every evaluated stress
     samples: dict[float, tuple[float, float, float]] = {}
 
-    def g(T_bar: float) -> float:
+    def sample(T_bar: float) -> tuple[float, float, float]:
         v_back = back.v(T_bar)
         v_fwd = fwd.v(T_bar)
         val = v_back - v_fwd
@@ -170,8 +197,11 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
             # a product overflows to inf without raising, unlike math's
             # powers: the solve stops at its first non-finite residual
             raise OverflowError("wave-curve velocity")
-        samples[T_bar] = (val, v_back, v_fwd)
-        return val
+        samples[T_bar] = found = (val, v_back, v_fwd)
+        return found
+
+    def g(T_bar: float) -> float:
+        return _stopped_residual(*sample(T_bar))
 
     def dg(T_bar: float) -> float:
         return back.slope(T_bar) + fwd.slope(T_bar)
@@ -183,7 +213,8 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
         dividing += [(0.0, "on-W2F"), (back.tangency, "on-W2B")]
     elif U_l.T > 0.0:
         dividing += [(0.0, "on-W2E"), (back.tangency, "on-W2C")]
-    residuals = [g(T_d) for T_d, _ in dividing]
+    for T_d, _ in dividing:
+        sample(T_d)
     # the velocity jumps from U_l to U_r and along both curves through U_l
     # to T_r, not velocities: a common shift of v (Galilean invariance) must
     # leave the solution's shape unchanged
@@ -192,8 +223,8 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
                              abs(samples[U_l.T][2] - U_r.v))
     if tol == math.inf:
         raise OverflowError("wave-curve velocity")
-    for (T_d, label), r in zip(dividing, residuals):
-        if abs(r) <= tol:
+    for T_d, label in dividing:
+        if abs(samples[T_d][0]) <= tol:
             return T_d, samples[T_d][1], label
 
     # g is strictly increasing and unbounded both ways: the samples bracket

@@ -1,5 +1,7 @@
 """solve_many against scalar solve, lane by lane: the same labels, cases and
-errors, and middle states within 1e-13 of the pattern's scale."""
+errors, and middle states within 1e-13 of the pattern's scale.  Also both
+paths pinned bit for bit, their exact scaling under power-of-two changes of
+units, and the work their middle-stress root finders do."""
 
 import hashlib
 import math
@@ -25,7 +27,7 @@ from barwaves import (
     solve_many,
     tangent_point,
 )
-from barwaves.cli import _grid
+from barwaves.cli import _grid, main
 from barwaves.riemann import BOUNDARY_TOL
 
 CUBIC = PRESETS["cubic"]
@@ -318,3 +320,132 @@ def test_solve_output_is_pinned(path, digest, name):
     pool = pinned_pool(sorted(PINNED).index(name))
     assert digest(PINNED[name], pool) == pinned_solve_digests()[
         f"{path} {name}"]
+
+
+# ---------------------------------------------------------------------------
+# exact scaling: with T = c*S, v = V*w and speeds X times those of the unit
+# material (1, r, 1, n, 1), where c = gamma**-0.5, V = c*sqrt(alpha/rho) and
+# X = (rho*alpha)**-0.5, a solve is the unit solve in scaled units
+
+
+def count_roundoff_stops(monkeypatch):
+    """Residuals that the root finders see as zero although they are not,
+    counted on both paths."""
+    stopped = riemann._stopped_residual
+    stops = [0]
+
+    def counted(g, v_back, v_fwd):
+        seen = stopped(g, v_back, v_fwd)
+        stops[0] += int(np.sum((seen == 0.0) & (g != 0.0)))
+        return seen
+
+    monkeypatch.setattr(riemann, "_stopped_residual", counted)
+    monkeypatch.setattr(batch, "_stopped_residual", counted)
+    return stops
+
+
+@pytest.mark.parametrize("r,n", [(-0.5, 1.0), (-0.5, 2.0), (-0.9, 1.5),
+                                 (-0.2, 3.5)])
+def test_power_of_two_units_scale_the_solution_exactly(monkeypatch, r, n):
+    # with c, V and X powers of two every operation scales without
+    # rounding, the roundoff stop of the middle-stress search included
+    stops = count_roundoff_stops(monkeypatch)
+    rng = random.Random(11)
+    box = [(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0),
+            rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
+           for _ in range(20)]
+    wide = [tuple(log_uniform(rng, -4.0, 2.0) for _ in range(4))
+            for _ in range(20)]
+    zero_velocity = [(a, 0.0, c, 0.0) for a, _, c, _ in box]
+    # a common velocity far above the jumps: the residual's roundoff is
+    # then that of the velocities, and the roundoff stop ends the search
+    shifted = [(a, b + 1e3, c, d + 1e3) for a, b, c, d in box]
+    unit = Material(1.0, r, 1.0, n, 1.0)
+    before = stops[0]
+    solve_many(unit, *np.array(shifted).T)
+    assert stops[0] > before
+    before = stops[0]
+    for a, b, c, d in shifted:
+        solve(unit, State(a, b), State(c, d))
+    assert stops[0] > before
+
+    problems = box + wide + zero_velocity + shifted
+    unit_lanes = solve_many(unit, *np.array(problems).T)
+    unit_patterns = [solve(unit, State(a, b), State(c, d))
+                     for a, b, c, d in problems]
+    for p, j, q in ((1, -3, 2), (-2, 5, 0), (3, 1, -4)):
+        alpha = 4.0 ** p
+        m = Material(alpha, r * alpha, 4.0 ** j, n, 4.0 ** q)
+        c, V, X = 2.0 ** -j, 2.0 ** (p - q - j), 2.0 ** (-p - q)
+        scaled = [(c * a, V * b, c * d, V * e) for a, b, d, e in problems]
+        lanes = solve_many(m, *np.array(scaled).T)
+        assert lanes.T_bar.tolist() == (c * unit_lanes.T_bar).tolist()
+        assert lanes.v_bar.tolist() == (V * unit_lanes.v_bar).tolist()
+        assert lanes.region_label.tolist() == unit_lanes.region_label.tolist()
+        assert (lanes.zero_velocity_case.tolist()
+                == unit_lanes.zero_velocity_case.tolist())
+        for (a, b, d, e), base in zip(scaled, unit_patterns):
+            got = solve(m, State(a, b), State(d, e))
+            where = (r, n, p, j, q, a, b, d, e)
+            assert got.region_label == base.region_label, where
+            assert got.zero_velocity_case == base.zero_velocity_case, where
+            assert [(s.T, s.v) for s in got.middle_states] == [
+                (c * s.T, V * s.v) for s in base.middle_states], where
+            assert [(w.speed_head, w.speed_tail) for w in got.waves] == [
+                (X * w.speed_head, X * w.speed_tail)
+                for w in base.waves], where
+
+
+# ---------------------------------------------------------------------------
+# work counts of the middle-stress search, as upper bounds at the counts
+# measured when the search learnt to stop at its residual's roundoff
+
+
+def count_root_finder(monkeypatch, module, name):
+    """(residual evaluations, slope evaluations) of every call of the root
+    finder module.name."""
+    root_finder = getattr(module, name)
+    calls = []
+
+    def counted(fn, dfn, *args):
+        n = [0, 0]
+
+        def f(*x):
+            n[0] += 1
+            return fn(*x)
+
+        def df(*x):
+            n[1] += 1
+            return dfn(*x)
+
+        root = root_finder(f, df, *args)
+        calls.append(tuple(n))
+        return root
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_default_atlas_takes_at_most_six_lane_rounds(monkeypatch, tmp_path):
+    # the lane root finder runs until its slowest lane stops; the cubic
+    # atlas needs no tangency solve, so its one call is the middle stress
+    calls = count_root_finder(monkeypatch, batch, "_newton_bisect_many")
+    assert main(["atlas", "--material", "cubic",
+                 "--out", str(tmp_path / "atlas.csv")]) == 0
+    assert len(calls) == 1
+    rounds, slopes = calls[0]
+    assert rounds <= 6 and slopes <= 6
+
+
+def test_scalar_middle_stress_evaluations_on_a_box_pool(monkeypatch):
+    calls = count_root_finder(monkeypatch, riemann, "_newton_bisect")
+    rng = random.Random(2024)
+    for i in range(400):
+        m = (CUBIC, QUINTIC)[i % 2]
+        U_l = State(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
+        U_r = State(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
+        solve(m, U_l, U_r)
+    assert len(calls) == 400
+    assert sum(f for f, _ in calls) <= 1744
+    assert sum(df for _, df in calls) <= 1806
+    assert max(max(call) for call in calls) <= 6
