@@ -4,7 +4,8 @@ each problem a lane of numpy arrays.
 ``solve_many`` runs the steps of ``solve`` on every lane at once: the
 curve pair with its tangency stresses, the residual at the four dividing
 stresses (boundary labels, their tolerance and the bracket seed), the
-widening of ``riemann._bracket``, masked rtsafe, the final-residual gate,
+widening of ``riemann._bracket``, the sample at ``riemann._hermite_start``
+that narrows the bracket, masked rtsafe, the final-residual gate,
 the monotonicity check and the snap, then the region label from the leg
 summaries and the zero-velocity type.  As in ``solve``, the bracket search
 and rtsafe see the residual zeroed within its roundoff
@@ -46,7 +47,9 @@ from .material import (
     Material,
     _CUBIC_TO_ROUNDOFF,
     _GL_RULE,
+    _cubic_constants,
     _cubic_fan,
+    _cubic_root,
     _excess,
     _knee_stress,
     _tangency_residual,
@@ -60,6 +63,7 @@ from .riemann import (
     RESIDUAL_GATE,
     SNAP_TOL,
     _REGION_MAPS,
+    _hermite_start,
     _middle_stress_error,
     _stopped_residual,
     _zero_velocity_case,
@@ -279,12 +283,23 @@ def _middle_stress(m, T_l, v_l, T_r, v_r, back, fwd):
         int(i): "bracket" for i in rest[~found & ~overflow[rest]]}
 
     go = np.flatnonzero(found & ~overflow[rest])
-    lanes = rest[go]
+    lanes, lo, hi, f_lo, f_hi = rest[go], lo[go], hi[go], f_lo[go], f_hi[go]
     if lanes.size:
+        # the Hermite start narrows each bracket as in _find_middle_stress,
+        # outside _newton_bisect_many, with the slopes at both ends from
+        # one call
+        d = dg(lanes, np.stack([lo, hi]))
+        x = _hermite_start(lo, hi, f_lo, f_hi, d[0], d[1], np)
+        inner = np.flatnonzero((lo < x) & (x < hi))
+        if inner.size:
+            x = x[inner]
+            f_x = stopped(lanes[inner], x)
+            below = f_x < 0.0
+            lo[inner[below]], f_lo[inner[below]] = x[below], f_x[below]
+            hi[inner[~below]], f_hi[inner[~below]] = x[~below], f_x[~below]
         root = _newton_bisect_many(
             lambda pos, T: stopped(lanes[pos], T),
-            lambda pos, T: dg(lanes[pos], T),
-            lo[go], hi[go], f_lo[go], f_hi[go])
+            lambda pos, T: dg(lanes[pos], T), lo, hi, f_lo, f_hi)
         Ts = np.stack([t[0][lanes] for t in rec])
         unseen = ~(Ts == root).any(axis=0)
         if unseen.any():
@@ -342,23 +357,30 @@ def _judge(m, T_l, v_l, T_r, v_r, lanes, root, rec, vb, overflow,
 class _Curves:
     """WaveCurve's constants on lanes: the mirror s, the velocity sign k,
     the anchor A = s*U.T <= 0 and its strain e_A, its tangency stress Tt,
-    the degenerate shock's jump vt and the anchor velocity."""
+    the degenerate shock's jump vt and the anchor velocity, and for n = 1
+    the roots s_A and s_Tt that the fans from A and Tt take
+    (material._cubic_root; None for other n)."""
 
-    __slots__ = ("s", "k", "A", "e_A", "Tt", "vt", "v0")
+    __slots__ = ("s", "k", "A", "e_A", "Tt", "vt", "v0", "s_A", "s_Tt")
 
-    def __init__(self, s, k, A, e_A, Tt, vt, v0):
+    def __init__(self, s, k, A, e_A, Tt, vt, v0, s_A, s_Tt):
         self.s, self.k, self.A, self.e_A, self.Tt, self.vt, self.v0 = (
             s, k, A, e_A, Tt, vt, v0)
+        self.s_A, self.s_Tt = s_A, s_Tt
 
     def take(self, idx) -> "_Curves":
-        return _Curves(*(getattr(self, name)[idx] for name in self.__slots__))
+        return _Curves(*(None if (a := getattr(self, name)) is None
+                         else a[idx] for name in self.__slots__))
 
     def v(self, m: Material, idx, T):
         """WaveCurve.v of lanes idx at stresses T (one row per lane, or
         several rows)."""
         A, Tt = self.A[idx], self.Tt[idx]
         y = self.s[idx] * T
-        fan = _fan_lanes(m, np.where(y <= A, A, Tt), y)
+        from_A = y <= A
+        s_a = (None if self.s_A is None
+               else np.where(from_A, self.s_A[idx], self.s_Tt[idx]))
+        fan = _fan_lanes(m, np.where(from_A, A, Tt), y, s_a)
         shock = _jump_v(m, A, self.e_A[idx], y, np)
         d = np.where(y <= A, fan, np.where(y <= Tt, shock,
                                            self.vt[idx] + fan))
@@ -386,8 +408,14 @@ def _curve_pair(m, T_l, v_l, T_r, v_r):
     overflow |= ~np.isfinite(vt)
     k = np.concatenate([s[:n], -s[n:]])
     e_A = strain(m, A)
-    back = _Curves(s[:n], k[:n], A[:n], e_A[:n], Tt[:n], vt[:n], v_l)
-    fwd = _Curves(s[n:], k[n:], A[n:], e_A[n:], Tt[n:], vt[n:], v_r)
+    roots = [None, None]
+    if m.n == 1.0:
+        c = _cubic_constants(m)
+        roots = [_cubic_root(c, A, np), _cubic_root(c, Tt, np)]
+    back = _Curves(s[:n], k[:n], A[:n], e_A[:n], Tt[:n], vt[:n], v_l,
+                   *(r if r is None else r[:n] for r in roots))
+    fwd = _Curves(s[n:], k[n:], A[n:], e_A[n:], Tt[n:], vt[n:], v_r,
+                  *(r if r is None else r[n:] for r in roots))
     return back, fwd, overflow[:n] | overflow[n:]
 
 
@@ -414,13 +442,17 @@ def _tangency(m, A):
     return Tt, overflow
 
 
-def _fan_lanes(m: Material, T_a, T_b):
+def _fan_lanes(m: Material, T_a, T_b, s_a=None):
     """rarefaction_integral on lanes, for fans that run outward from T_a on
     one side of zero (T_a*T_b >= 0, |T_a| <= |T_b|), the only ones the
-    wave curves build."""
+    wave curves build.  For n = 1, s_a is material._cubic_root at T_a,
+    which a curve keeps; it is taken here when not given."""
     T_a, T_b = np.broadcast_arrays(T_a, T_b)
     if m.n == 1.0:
-        d = _cubic_fan(m, T_a, T_b, np)
+        k = _cubic_constants(m)
+        if s_a is None:
+            s_a = _cubic_root(k, T_a, np)
+        d = _cubic_fan(k, T_a, s_a, T_b, np)
     else:
         side = np.copysign(1.0, np.where(T_a != 0.0, T_a, T_b))
         d = side * _even_fan_lanes(m, np.abs(T_a).ravel(),

@@ -141,10 +141,10 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
 def cmd_atlas(args, m: Material) -> int:
     if args.res < 2:
         raise ValueError("atlas requires --res >= 2")
-    cells = [(tl, tr)
-             for tl in _grid(args.tl_min, args.tl_max, args.res)
-             for tr in _grid(args.tr_min, args.tr_max, args.res)]
-    T_l, T_r = np.array(cells).T
+    tl = _grid(args.tl_min, args.tl_max, args.res)
+    tr = _grid(args.tr_min, args.tr_max, args.res)
+    # the cells in row-major order: T_l by row, T_r by column
+    T_l, T_r = np.repeat(tl, args.res), np.tile(tr, args.res)
     # equal stresses up to the roundoff of the cell's own stresses
     trivial = np.abs(T_l - T_r) <= 1e-13 * np.maximum(np.abs(T_l),
                                                        np.abs(T_r))
@@ -153,16 +153,18 @@ def cmd_atlas(args, m: Material) -> int:
     for error in sol.error:
         if error is not None:
             raise error
-    case = np.full(len(cells), "-", dtype=object)
-    region = np.full(len(cells), "-", dtype=object)
+    case = np.full(T_l.size, "-", dtype=object)
+    region = np.full(T_l.size, "-", dtype=object)
     case[~trivial] = [c or "-" for c in sol.zero_velocity_case]
     region[~trivial] = sol.region_label
     distinct = set(case) - {"-"}
     ordered = [c for c in _CASE_ORDER if c in distinct]
     ordered += sorted(c for c in distinct if c not in _CASE_ORDER)
+    # each grid value is formatted once
+    tl_text, tr_text = [_fmt(x) for x in tl], [_fmt(x) for x in tr]
+    cells = (f"{a},{b}" for a in tl_text for b in tr_text)
     lines = ["T_l,T_r,case_label,region_label"]
-    lines += [f"{_fmt(tl)},{_fmt(tr)},{c},{r}"
-              for (tl, tr), c, r in zip(cells, case, region)]
+    lines += [f"{cell},{c},{r}" for cell, c, r in zip(cells, case, region)]
     lines.append(f"# distinct_case_labels={len(ordered)}:{','.join(ordered)}")
     _write("\n".join(lines) + "\n", args.out)
     return 0

@@ -202,7 +202,8 @@ def rarefaction_integral(m: Material, T_a: float, T_b: float) -> float:
     if m.linear_mode:
         return (T_b - T_a) * math.sqrt((m.alpha + m.beta) / m.rho)
     if m.n == 1.0:
-        return _cubic_fan(m, T_a, T_b)
+        k = _cubic_constants(m)
+        return _cubic_fan(k, T_a, _cubic_root(k, T_a), T_b)
     u_a, u_b = abs(T_a), abs(T_b)
     if min(T_a, T_b) < 0.0 < max(T_a, T_b):
         fan = _even_fan(m, 0.0)
@@ -213,21 +214,36 @@ def rarefaction_integral(m: Material, T_a: float, T_b: float) -> float:
     return -sign * _even_fan(m, u_b)(u_a)
 
 
-def _cubic_fan(m: Material, T_a, T_b, xp=math):
-    """n = 1 closed form of rarefaction_integral.  Lanes (xp = numpy) take
-    stresses on one side of zero only."""
-    # strain_prime = a + b*T**2 for n = 1, whose antiderivative of the root
-    # is T*s(T)/2 + a/(2*sqrt(b))*asinh(sqrt(b/a)*T), s = sqrt(a + b*T**2).
+def _cubic_constants(m: Material) -> tuple:
+    """The constants of the n = 1 fan as _cubic_fan takes them:
+    strain_prime = a + b*T**2 with a = alpha + beta and b =
+    1.5*alpha*gamma, then sqrt(b), 0.5*a/sqrt(b) and sqrt(rho)."""
     a = m.alpha + m.beta
     b = 1.5 * m.alpha * m.gamma
     rb = math.sqrt(b)
-    s_a = xp.sqrt(a + b * T_a * T_a)
-    s_b = xp.sqrt(a + b * T_b * T_b)
-    if xp is math and min(T_a, T_b) < 0.0 < max(T_a, T_b):
+    return a, b, rb, 0.5 * a / rb, math.sqrt(m.rho)
+
+
+def _cubic_root(k: tuple, T, xp=math):
+    """s(T) = sqrt(a + b*T**2), the root of strain_prime for n = 1, on the
+    constants k of _cubic_constants."""
+    return xp.sqrt(k[0] + k[1] * T * T)
+
+
+def _cubic_fan(k: tuple, T_a, s_a, T_b, xp=math):
+    """n = 1 closed form of rarefaction_integral, on the constants k of
+    _cubic_constants and s_a = _cubic_root(k, T_a), which a wave curve
+    takes once per fan.  Lanes (xp = numpy) take stresses on one side of
+    zero only."""
+    # the antiderivative of the root s(T) is
+    # T*s(T)/2 + a/(2*sqrt(b))*asinh(sqrt(b/a)*T)
+    a, b, rb, half_a_rb, root_rho = k
+    s_b = _cubic_root(k, T_b, xp)
+    if xp is math and (T_a < 0.0 < T_b or T_b < 0.0 < T_a):
         # opposite signs: both differences add magnitudes
-        k = math.sqrt(b / a)
+        c = math.sqrt(b / a)
         lin = T_b * s_b - T_a * s_a
-        arc = math.asinh(k * T_b) - math.asinh(k * T_a)
+        arc = math.asinh(c * T_b) - math.asinh(c * T_a)
     else:
         # same side: rewrite each difference as (T_b - T_a)*(T_b + T_a)
         # over a sum of like-signed terms; grouping the sum with its
@@ -236,17 +252,20 @@ def _cubic_fan(m: Material, T_a, T_b, xp=math):
         lin = d * (p / (T_b * s_b + T_a * s_a)) * (
             a + b * (T_a * T_a + T_b * T_b))
         arc = xp.asinh(rb * d * (p / (T_b * s_a + T_a * s_b)))
-    return (0.5 * lin + 0.5 * a / rb * arc) / math.sqrt(m.rho)
+    return (0.5 * lin + half_a_rb * arc) / root_rho
 
 
 def _fan_from(m: Material, T_0: float):
     """rarefaction_integral(m, T_0, T) on the fans outward from T_0 (the
-    wave curves'), for every material: the closed forms for n = 1 and
-    linear_mode, and otherwise one _even_fan walk that all calls share."""
+    wave curves'), for every material: the closed forms for n = 1, on
+    constants taken once per fan, and linear_mode, and otherwise one
+    _even_fan walk that all calls share."""
     if m.linear_mode:
         return lambda T: rarefaction_integral(m, T_0, T)
     if m.n == 1.0:
-        return lambda T: 0.0 if T == T_0 else _cubic_fan(m, T_0, T)
+        k = _cubic_constants(m)
+        s_0 = _cubic_root(k, T_0)
+        return lambda T: 0.0 if T == T_0 else _cubic_fan(k, T_0, s_0, T)
     fan = _even_fan(m, abs(T_0))
     return lambda T: 0.0 if T == T_0 else math.copysign(fan(abs(T)), T)
 

@@ -29,6 +29,7 @@ from barwaves import (
 )
 from barwaves.cli import _grid, main
 from barwaves.riemann import BOUNDARY_TOL
+from barwaves.wave_curves import WaveCurve
 
 CUBIC = PRESETS["cubic"]
 QUINTIC = PRESETS["quintic"]
@@ -397,55 +398,72 @@ def test_power_of_two_units_scale_the_solution_exactly(monkeypatch, r, n):
 
 
 # ---------------------------------------------------------------------------
-# work counts of the middle-stress search, as upper bounds at the counts
-# measured when the search learnt to stop at its residual's roundoff
+# work counts of the whole middle-stress search (dividing samples, bracket
+# widening, the Hermite start, rtsafe and a final sample at the root), as
+# upper bounds at the counts measured when rtsafe got the Hermite start
 
 
-def count_root_finder(monkeypatch, module, name):
-    """(residual evaluations, slope evaluations) of every call of the root
-    finder module.name."""
-    root_finder = getattr(module, name)
-    calls = []
+def count_lane_rounds(monkeypatch):
+    """[residual rounds, slope rounds] of solve_many: each call of the
+    residual the root finders see (after the dividing samples) is a round,
+    and each slope call of both curves, stacked or not, is a round."""
+    rounds = [0, 0]
+    stopped, slope = batch._stopped_residual, batch._Curves.slope
 
-    def counted(fn, dfn, *args):
-        n = [0, 0]
+    def counted_residual(*args):
+        rounds[0] += 1
+        return stopped(*args)
 
-        def f(*x):
-            n[0] += 1
-            return fn(*x)
+    def counted_slope(self, *args):
+        # one call per curve of the pair: half a round
+        rounds[1] += 0.5
+        return slope(self, *args)
 
-        def df(*x):
-            n[1] += 1
-            return dfn(*x)
-
-        root = root_finder(f, df, *args)
-        calls.append(tuple(n))
-        return root
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
+    monkeypatch.setattr(batch, "_stopped_residual", counted_residual)
+    monkeypatch.setattr(batch._Curves, "slope", counted_slope)
+    return rounds
 
 
-def test_default_atlas_takes_at_most_six_lane_rounds(monkeypatch, tmp_path):
-    # the lane root finder runs until its slowest lane stops; the cubic
-    # atlas needs no tangency solve, so its one call is the middle stress
-    calls = count_root_finder(monkeypatch, batch, "_newton_bisect_many")
+def count_curve_evaluations(monkeypatch):
+    """[residual evaluations, slope evaluations] of scalar solves: each
+    residual reads WaveCurve.v and each slope WaveCurve.slope, once per
+    curve of the pair."""
+    counts = [0, 0]
+    v, slope = WaveCurve.v, WaveCurve.slope
+
+    def counted_v(self, T):
+        counts[0] += 0.5
+        return v(self, T)
+
+    def counted_slope(self, T):
+        counts[1] += 0.5
+        return slope(self, T)
+
+    monkeypatch.setattr(WaveCurve, "v", counted_v)
+    monkeypatch.setattr(WaveCurve, "slope", counted_slope)
+    return counts
+
+
+def test_default_atlas_takes_at_most_five_lane_rounds(monkeypatch, tmp_path):
+    # the lane search runs until its slowest lane stops; the cubic atlas
+    # needs no tangency solve, so every round is the middle stress's
+    rounds = count_lane_rounds(monkeypatch)
     assert main(["atlas", "--material", "cubic",
                  "--out", str(tmp_path / "atlas.csv")]) == 0
-    assert len(calls) == 1
-    rounds, slopes = calls[0]
-    assert rounds <= 6 and slopes <= 6
+    assert rounds[0] <= 5 and rounds[1] <= 5
 
 
 def test_scalar_middle_stress_evaluations_on_a_box_pool(monkeypatch):
-    calls = count_root_finder(monkeypatch, riemann, "_newton_bisect")
+    counts = count_curve_evaluations(monkeypatch)
     rng = random.Random(2024)
+    most = 0.0
     for i in range(400):
         m = (CUBIC, QUINTIC)[i % 2]
         U_l = State(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
         U_r = State(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
+        before = counts[0]
         solve(m, U_l, U_r)
-    assert len(calls) == 400
-    assert sum(f for f, _ in calls) <= 1744
-    assert sum(df for _, df in calls) <= 1806
-    assert max(max(call) for call in calls) <= 6
+        most = max(most, counts[0] - before)
+    assert counts[0] <= 3141
+    assert counts[1] <= 1960
+    assert most <= 10

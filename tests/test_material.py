@@ -574,7 +574,13 @@ def assert_float_calls_match_array_call(kernel, m, *args, xp=MATH_ON_LANES):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_MATERIALS))
 def test_shared_kernels_give_the_same_bits_on_floats_and_arrays(name):
-    from barwaves.material import _cubic_fan, _excess, _tangency_residual
+    from barwaves.material import (
+        _cubic_constants,
+        _cubic_fan,
+        _cubic_root,
+        _excess,
+        _tangency_residual,
+    )
     from barwaves.wave_curves import _jump_v, _shock_slope, _w
     m = KERNEL_MATERIALS[name]
     T = kernel_stresses(221)
@@ -597,7 +603,10 @@ def test_shared_kernels_give_the_same_bits_on_floats_and_arrays(name):
     if m.n == 1.0:
         # the lanes take the fans on one side of zero
         same = (a * b > 0.0) & (np.abs(a) <= np.abs(b))
-        assert_float_calls_match_array_call(_cubic_fan, m, a[same], b[same])
+        k = _cubic_constants(m)
+        assert_float_calls_match_array_call(_cubic_root, k, T)
+        assert_float_calls_match_array_call(
+            _cubic_fan, k, a[same], _cubic_root(k, a[same], np), b[same])
 
 
 def quantized(x):

@@ -251,13 +251,15 @@ def test_missed_residual_error_names_both_states(monkeypatch, cubic):
 
 
 def test_middle_stress_gate_is_relative_at_small_scale(monkeypatch, cubic):
-    # a root finder that stops 1e-3 of its bracket past the root: at
+    # a root finder that stops 0.4% of the middle stress past the root: at
     # velocity scale 1e-10 the residual there is 8e-13, which a gate with
-    # an absolute floor of 1.0 took for converged (middle stress 0.4% off)
+    # an absolute floor of 1.0 took for converged.  The error is set by the
+    # root, not by the bracket, which the Hermite start narrows.
     root_finder = riemann._newton_bisect
 
     def sloppy(fn, dfn, lo, hi, f_lo, f_hi):
-        return root_finder(fn, dfn, lo, hi, f_lo, f_hi) + 1e-3 * (hi - lo)
+        root = root_finder(fn, dfn, lo, hi, f_lo, f_hi)
+        return root + 4e-3 * abs(root)
 
     U_l, U_r = State(-4e-10, 3e-10), State(7e-10, -2e-10)
     assert solve(cubic, U_l, U_r).region_label == "A6"
@@ -301,12 +303,15 @@ def test_solve_off_the_snap_logs_nothing(cubic, caplog):
 
 def test_non_monotone_error_names_both_states(monkeypatch, cubic):
     # wiggle the forward family only: a wiggle on both curves would cancel
-    # in the residual back.v - fwd.v
+    # in the residual back.v - fwd.v.  Its amplitude makes the residual
+    # fall from T = 0.5 to T = 1.2, so the four dividing samples alone
+    # expose it, wherever the root finder samples.
     class Wiggly(WaveCurve):
         __slots__ = ()
 
         def v(self, T):
-            wiggle = math.sin(40.0 * T) if self.family == FORWARD else 0.0
+            wiggle = (4.0 * math.sin(40.0 * T) if self.family == FORWARD
+                      else 0.0)
             return super().v(T) - wiggle
 
     monkeypatch.setattr(riemann, "WaveCurve", Wiggly)
@@ -445,6 +450,56 @@ def test_newton_bisect_bisects_on_a_slope_that_is_not_positive_finite(slope):
     got = _newton_bisect(lambda x: x - 0.3, lambda x: slope, 0.0, 1.0,
                          -0.3, 0.7)
     assert abs(got - 0.3) <= math.ulp(0.3)
+
+
+def hermite_cubic(x, root):
+    """An increasing cubic with its root at root, curved like the
+    middle-stress residual over a bracket, and its slope."""
+    u = x - root
+    return u * (1.0 + u * (0.2 + 0.1 * u)), 1.0 + u * (0.4 + 0.3 * u)
+
+
+def hermite_start_at(lo, hi, root, xp=math):
+    (f_lo, d_lo), (f_hi, d_hi) = (hermite_cubic(lo, root),
+                                  hermite_cubic(hi, root))
+    return riemann._hermite_start(lo, hi, f_lo, f_hi, d_lo, d_hi, xp)
+
+
+def test_hermite_start_is_the_root_of_a_cubic_residual():
+    # a cubic is its own Hermite interpolant: the start is its root
+    cases = [(lo, hi, lo + (hi - lo) * k / 10)
+             for lo, hi in ((-1.0, 2.0), (-3.0, 0.5), (0.25, 0.75))
+             for k in range(1, 10)]
+    for lo, hi, root in cases:
+        assert abs(hermite_start_at(lo, hi, root) - root) <= math.ulp(
+            hi - lo), (lo, hi, root)
+    # the lanes take the same steps, bit for bit
+    import numpy as np
+    lo, hi, root = (np.array(a) for a in zip(*cases))
+    assert hermite_start_at(lo, hi, root, np).tolist() == [
+        hermite_start_at(*case) for case in cases]
+
+
+def test_hermite_start_scales_exactly_with_power_of_two_units():
+    # stresses times 1/4 and residuals times 8: slopes times 32
+    (f_lo, d_lo), (f_hi, d_hi) = (hermite_cubic(-1.0, 0.3),
+                                  hermite_cubic(2.0, 0.3))
+    x = riemann._hermite_start(-1.0, 2.0, f_lo, f_hi, d_lo, d_hi)
+    assert riemann._hermite_start(-0.25, 0.5, 8.0 * f_lo, 8.0 * f_hi,
+                                  32.0 * d_lo, 32.0 * d_hi) == 0.25 * x
+
+
+@pytest.mark.parametrize("slope", [math.inf, math.nan, 0.0, -1.0])
+def test_hermite_start_falls_back_on_a_slope_that_is_not_positive_finite(
+        slope):
+    # rtsafe's own start: the end with the smaller |f|
+    assert riemann._hermite_start(0.0, 1.0, -0.3, 0.7, slope, 1.0) == 0.0
+    assert riemann._hermite_start(0.0, 1.0, -0.8, 0.2, 1.0, slope) == 1.0
+
+
+def test_hermite_start_falls_back_at_a_zero_end_value():
+    assert riemann._hermite_start(0.0, 1.0, 0.0, 0.7, 1.0, 1.0) == 0.0
+    assert riemann._hermite_start(0.0, 1.0, -0.7, 0.0, 1.0, 1.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
