@@ -10,26 +10,27 @@ the monotonicity check and the snap, then the region label from the leg
 summaries and the zero-velocity type.  As in ``solve``, the bracket search
 and rtsafe see the residual zeroed within its roundoff
 (``riemann._stopped_residual``), so a lane stops once its residual is
-noise and no straggler keeps the others' rounds going.
+noise and no straggler keeps the others' rounds going.  Both curves of
+every lane are rows of one ``_Curves``: a residual or slope round is one
+curve call.
 
-What this module keeps is the control flow on lanes: masks where the
-scalar path branches, a failed lane that stops alone, and the numpy twins
-of two scalar routines, which ``sampler`` shares: the lane fans
-``_fan_lanes`` on ``material``'s panels and rule, and the lane root finder
-``_newton_bisect_many``.  The formulas are shared.  The tangency condition
-and the n = 1 fan are ``material``'s; the shock jump, the fan integrand
-and the shock-branch slope are ``wave_curves``'; tolerances, tables, the
-zero-velocity type and the error of a failed search are ``riemann``'s.
-Each kernel is called with ``xp = numpy``, so a lane agrees with
-``solve`` to the last-bit roundings that ``material`` describes.
+This module keeps the control flow on lanes (masks where the scalar path
+branches, a failed lane that stops alone) and the numpy twins of two
+scalar routines, which ``sampler`` shares: the lane fans ``_fan_lanes``
+and the root finder ``_newton_bisect_many``.  The formulas are shared:
+``material``'s tangency condition and n = 1 fan; ``wave_curves``' shock
+jump, fan integrand and shock-branch slope; ``riemann``'s tolerances,
+tables, zero-velocity type and error of a failed search.  Each kernel is
+called with ``xp = numpy``, so a lane agrees with ``solve`` to the
+last-bit roundings that ``material`` describes and does not depend on
+the other lanes of its call.
 
 It returns the middle state and the labels of each lane, not its waves; a
-lane that fails carries the error ``solve`` raises for it, and the other
-lanes still solve.  Where the scalar path meets a power or expm1 that
-overflows, ``math`` raises; a product that overflows, which takes data
-beyond about 1e150, gives inf without raising.  Either way ``solve``
-reports the overflow ``NoBracket`` at its first non-finite residual, and
-so does a lane, where numpy returns inf instead of raising.
+failed lane carries the error ``solve`` raises for it.  Where the scalar
+path meets a power or expm1 that overflows, ``math`` raises; a product
+that overflows, which takes data beyond about 1e150, gives inf without
+raising.  Either way ``solve`` reports the overflow ``NoBracket`` at its
+first non-finite residual, and so does a lane, where numpy returns inf.
 
 A batch of one costs far more than a scalar ``solve`` (numpy's per-call
 overhead), so single problems stay on the scalar path.
@@ -63,17 +64,17 @@ from .riemann import (
     RESIDUAL_GATE,
     SNAP_TOL,
     _REGION_MAPS,
+    _ZERO_VELOCITY_CASES,
     _hermite_start,
     _middle_stress_error,
     _stopped_residual,
-    _zero_velocity_case,
+    _zero_velocity_index,
     solve_linear,
 )
 from .wave_curves import State, _jump_v, _shock_slope, _w
 
-#: material's Gauss-Legendre rule as arrays, for the lane fans
-_NODES = np.array([t for t, _ in _GL_RULE])
-_WEIGHTS = np.array([w for _, w in _GL_RULE])
+#: material's Gauss-Legendre rule as columns, for the lane fans
+_NODES, _WEIGHTS = np.array(_GL_RULE).T[:, :, None]
 
 # leg summaries (riemann._leg_summary) as codes, and the region of each
 # (system, backward, forward, middle stress >= 0)
@@ -156,15 +157,16 @@ def _states(T_l, v_l, T_r, v_r, i) -> tuple[State, State]:
 def _solve_lanes(m, T_l, v_l, T_r, v_r, out: Solutions, lanes) -> None:
     """Fill `out` at `lanes` (non-trivial problems of a nonlinear
     material): the curve pair, the middle stress, then the labels."""
-    back, fwd, overflow = _curve_pair(m, T_l, v_l, T_r, v_r)
+    curves, overflow = _curve_pair(m, T_l, v_l, T_r, v_r)
     failures = {int(j): "overflow" for j in np.flatnonzero(overflow)}
     solved = np.flatnonzero(~overflow)
+    curves = curves.take(np.concatenate([solved, solved + T_l.size]))
     T_bar, v_bar, label, failed = _middle_stress(
-        m, T_l[solved], v_l[solved], T_r[solved], v_r[solved],
-        back.take(solved), fwd.take(solved))
+        m, T_l[solved], v_l[solved], T_r[solved], v_r[solved], curves)
     failures.update((int(solved[j]), kind) for j, kind in failed.items())
     keep = np.ones(solved.size, bool)
     keep[list(failed)] = False
+    rows = np.flatnonzero(keep)
     solved, T_bar, v_bar, label = (
         a[keep] for a in (solved, T_bar, v_bar, label))
     for j, kind in failures.items():
@@ -172,10 +174,9 @@ def _solve_lanes(m, T_l, v_l, T_r, v_r, out: Solutions, lanes) -> None:
             kind, *_states(T_l, v_l, T_r, v_r, j))
 
     T_l, v_l, T_r, v_r = T_l[solved], v_l[solved], T_r[solved], v_r[solved]
-    back, fwd = back.take(solved), fwd.take(solved)
-    b_code = _summary(back, T_bar, T_l, single=_S, double=_SR)
-    f_code = _summary(fwd, T_bar, T_r, single=np.where(T_bar * T_r < 0.0,
-                                                       _X, _S), double=_X)
+    b_code = _summary(curves, rows, T_bar, T_l, single=_S, double=_SR)
+    f_code = _summary(curves, rows + keep.size, T_bar, T_r, single=np.where(
+        T_bar * T_r < 0.0, _X, _S), double=_X)
     system = np.where(T_l < 0.0, 0, np.where(T_l > 0.0, 1, 2))
     region = _REGIONS[system, b_code, f_code, (~(T_bar < 0.0)).astype(int)]
     on_t0 = np.abs(T_r) <= BOUNDARY_TOL * np.maximum(np.abs(T_l),
@@ -188,40 +189,41 @@ def _solve_lanes(m, T_l, v_l, T_r, v_r, out: Solutions, lanes) -> None:
     out.region_label[dest] = label
     # a composite is the only two-leg backward wave
     zero = np.flatnonzero((v_l == 0.0) & (v_r == 0.0))
-    out.zero_velocity_case[dest[zero]] = list(map(
-        _zero_velocity_case, T_l[zero].tolist(), T_r[zero].tolist(),
-        T_bar[zero].tolist(), (b_code[zero] == _SR).tolist()))
+    out.zero_velocity_case[dest[zero]] = np.array(
+        _ZERO_VELOCITY_CASES, dtype=object)[_zero_velocity_index(
+            T_l[zero], T_r[zero], T_bar[zero], b_code[zero] == _SR)]
 
 
-def _summary(c: "_Curves", T_bar, T_anchor, single, double):
-    """Leg-summary codes of curve c from its anchor stress to T_bar, as
-    WaveCurve.legs builds them: none, one fan, one shock (`single`) or a
-    shock joined to a fan (`double`)."""
-    y = c.s * T_bar
+def _summary(c: "_Curves", idx, T_bar, T_anchor, single, double):
+    """Leg-summary codes of curves idx from their anchor stress to T_bar,
+    as WaveCurve.legs builds them: none, one fan, one shock (`single`) or
+    a shock joined to a fan (`double`)."""
+    A = c.A[idx]
+    y = c.s[idx] * T_bar
     return np.where(T_bar == T_anchor, _EMPTY,
-                    np.where((y < c.A) | (c.A == 0.0), _R,
-                             np.where(y <= c.Tt, single, double)))
+                    np.where((y < A) | (A == 0.0), _R,
+                             np.where(y <= c.Tt[idx], single, double)))
 
 
-def _middle_stress(m, T_l, v_l, T_r, v_r, back, fwd):
+def _middle_stress(m, T_l, v_l, T_r, v_r, c):
     """riemann._find_middle_stress on lanes: (T_bar, v_bar, label, failed),
     with failed a dict from lane to the kind of failure ('overflow',
-    'bracket', 'monotone', or the residual that missed the gate)."""
+    'bracket', 'monotone', or the residual that missed the gate).  Lane i
+    has its backward and forward curves in rows i and i + n of c."""
     n = T_l.size
-    rec: list[tuple[np.ndarray, ...]] = []   # (T, g, back.v, fwd.v) rounds
+    rec: list[np.ndarray] = []   # (T, g, back.v, fwd.v) of every sample
     overflow = np.zeros(n, bool)
 
+    def pair(fn, idx, T):
+        x = fn(m, np.concatenate([idx, idx + n]), np.concatenate([T, T], -1))
+        return x[..., :idx.size], x[..., idx.size:]
+
     def g(idx, T):
-        v_back = back.v(m, idx, T)
-        v_fwd = fwd.v(m, idx, T)
+        v_back, v_fwd = pair(c.v, idx, T)
         val = v_back - v_fwd
-        rows = (zip(T, val, v_back, v_fwd) if np.ndim(T) == 2
-                else [(T, val, v_back, v_fwd)])
-        for row in rows:
-            full = [np.full(n, np.nan) for _ in range(4)]
-            for a, b in zip(full, row):
-                a[idx] = b
-            rec.append(tuple(full))
+        full = np.full(np.shape(T)[:-1] + (4, n), np.nan)
+        full[..., idx] = np.stack([T, val, v_back, v_fwd], axis=-2)
+        rec.extend(full.reshape(-1, 4, n))
         finite = np.isfinite(val)
         lane_finite = finite if val.ndim == 1 else finite.all(axis=0)
         overflow[idx[~lane_finite]] = True
@@ -233,13 +235,12 @@ def _middle_stress(m, T_l, v_l, T_r, v_r, back, fwd):
         return _stopped_residual(*g(idx, T))
 
     def dg(idx, T):
-        return back.slope(m, idx, T) + fwd.slope(m, idx, T)
+        return np.add(*pair(c.slope, idx, T))
 
-    everyone = np.arange(n)
     # W1, W2 and, for T_l != 0, the forward curves from the zero-stress and
     # the tangency points of the backward curve, in order of precedence
-    dividing = np.stack([T_r, T_l, np.zeros(n), back.s * back.Tt])
-    res, vb, vf = g(everyone, dividing)
+    dividing = np.stack([T_r, T_l, np.zeros(n), c.s[:n] * c.Tt[:n]])
+    res, vb, vf = g(np.arange(n), dividing)
     tol = BOUNDARY_TOL * np.maximum.reduce(
         [np.abs(v_r - v_l), np.abs(vb[0] - v_l), np.abs(vf[1] - v_r)])
     overflow |= tol == np.inf
@@ -300,7 +301,7 @@ def _middle_stress(m, T_l, v_l, T_r, v_r, back, fwd):
         root = _newton_bisect_many(
             lambda pos, T: stopped(lanes[pos], T),
             lambda pos, T: dg(lanes[pos], T), lo, hi, f_lo, f_hi)
-        Ts = np.stack([t[0][lanes] for t in rec])
+        Ts = np.stack(rec)[:, 0, lanes]
         unseen = ~(Ts == root).any(axis=0)
         if unseen.any():
             # the last Newton step was within two ulps, so never evaluated
@@ -316,8 +317,7 @@ def _judge(m, T_l, v_l, T_r, v_r, lanes, root, rec, vb, overflow,
            T_bar, v_bar, failed) -> None:
     """The end of _find_middle_stress on the rtsafe lanes: the residual
     scale, the monotonicity check, the gate and the snap."""
-    Ts, gs, v_back, v_fwd = (np.stack([t[k][lanes] for t in rec])
-                             for k in range(4))
+    Ts, gs, v_back, v_fwd = np.stack(rec)[:, :, lanes].transpose(1, 0, 2)
     # the latest sample at the root, as the scalar path's dict keeps it
     at_root = Ts == root
     last = len(rec) - 1 - np.argmax(at_root[::-1], axis=0)
@@ -355,18 +355,17 @@ def _judge(m, T_l, v_l, T_r, v_r, lanes, root, rec, vb, overflow,
 
 
 class _Curves:
-    """WaveCurve's constants on lanes: the mirror s, the velocity sign k,
-    the anchor A = s*U.T <= 0 and its strain e_A, its tangency stress Tt,
-    the degenerate shock's jump vt and the anchor velocity, and for n = 1
-    the roots s_A and s_Tt that the fans from A and Tt take
-    (material._cubic_root; None for other n)."""
+    """WaveCurve's constants on lanes of either family: the mirror s, the
+    velocity sign k, the anchor A = s*U.T <= 0 and its strain e_A, its
+    tangency stress Tt, the degenerate shock's jump vt and the anchor
+    velocity, and for n = 1 the roots s_A and s_Tt that the fans from A and
+    Tt take (material._cubic_root; None for other n)."""
 
     __slots__ = ("s", "k", "A", "e_A", "Tt", "vt", "v0", "s_A", "s_Tt")
 
-    def __init__(self, s, k, A, e_A, Tt, vt, v0, s_A, s_Tt):
-        self.s, self.k, self.A, self.e_A, self.Tt, self.vt, self.v0 = (
-            s, k, A, e_A, Tt, vt, v0)
-        self.s_A, self.s_Tt = s_A, s_Tt
+    def __init__(self, *arrays):
+        for name, a in zip(self.__slots__, arrays):
+            setattr(self, name, a)
 
     def take(self, idx) -> "_Curves":
         return _Curves(*(None if (a := getattr(self, name)) is None
@@ -396,9 +395,9 @@ class _Curves:
 
 
 def _curve_pair(m, T_l, v_l, T_r, v_r):
-    """The backward curves through U_l and the forward curves ending at U_r,
-    with one tangency solve for both, and the lanes whose constants
-    overflow."""
+    """The backward curves through U_l (rows [0, n)) and the forward curves
+    ending at U_r (rows [n, 2n)) as one _Curves, with one tangency solve
+    for both, and the lanes whose constants overflow."""
     n = T_l.size
     T = np.concatenate([T_l, T_r])
     s = np.where(T > 0.0, -1.0, 1.0)
@@ -412,11 +411,9 @@ def _curve_pair(m, T_l, v_l, T_r, v_r):
     if m.n == 1.0:
         c = _cubic_constants(m)
         roots = [_cubic_root(c, A, np), _cubic_root(c, Tt, np)]
-    back = _Curves(s[:n], k[:n], A[:n], e_A[:n], Tt[:n], vt[:n], v_l,
-                   *(r if r is None else r[:n] for r in roots))
-    fwd = _Curves(s[n:], k[n:], A[n:], e_A[n:], Tt[n:], vt[n:], v_r,
-                  *(r if r is None else r[n:] for r in roots))
-    return back, fwd, overflow[:n] | overflow[n:]
+    v0 = np.concatenate([v_l, v_r])
+    return (_Curves(s, k, A, e_A, Tt, vt, v0, *roots),
+            overflow[:n] | overflow[n:])
 
 
 def _tangency(m, A):
@@ -461,8 +458,9 @@ def _fan_lanes(m: Material, T_a, T_b, s_a=None):
 
 
 def _even_fan_lanes(m: Material, u_0, u_1):
-    """material._even_fan on lanes: the 16-node rule on the panels of
-    material._panels, each lane's panel sum taken as a dot product."""
+    """material._even_fan on lanes, each lane's nodes added in _fan_panel's
+    order whatever the other lanes: numpy reduces the rows of a (16, N)
+    block in order, unlike a dot product, but sums a lone column pairwise."""
     c = _knee_stress(m)
     total = np.zeros(u_0.size)
     x = u_0.copy()
@@ -471,8 +469,10 @@ def _even_fan_lanes(m: Material, u_0, u_1):
         start, stop = x[live], u_1[live]
         end = np.minimum(stop, 3.0 * start + c)
         h = 0.5 * (end - start)
-        nodes = (start + h)[:, None] + h[:, None] * _NODES
-        total[live] += h * (np.sqrt(strain_prime(m, nodes)) @ _WEIGHTS)
+        nodes = (start + h) + h * _NODES
+        f = _WEIGHTS * np.sqrt(strain_prime(m, nodes))
+        total[live] += h * (np.add.reduce(f) if live.size > 1
+                            else np.add.accumulate(f)[-1])
         x[live] = end
         live = live[end < stop]
     return total / math.sqrt(m.rho)

@@ -26,7 +26,7 @@ gives a boundary label (on-T0 is relative to the data stresses), and these
 samples seed the bracket.  Other labels come from the constructed pattern.
 
 For the experiment with both initial velocities zero, the solution type
-I..XII is read off the solved waves (see ``_zero_velocity_case``);
+I..XII is read off the solved waves (see ``_zero_velocity_index``);
 ``thresholds`` solves the stress thresholds for ``barwaves thresholds``.
 
 ``batch.solve_many`` runs the same solve on numpy lanes (``barwaves
@@ -447,30 +447,27 @@ def thresholds(m: Material, T_l: float) -> Thresholds:
             f"constitutive functions overflow at left stress {T_l}") from exc
 
 
-#: Solution types of zero-velocity data with T_l > 0, by the type of the
-#: negated data (T_l < 0).
-_NEGATED_CASE = {"I": "VI", "II": "VII", "III": "VIII", "IV": "IX", "V": "X"}
+#: The solution types of zero-velocity data, numbered from 0 as
+#: _zero_velocity_index gives them.
+_ZERO_VELOCITY_CASES = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII",
+                        "IX", "X", "XI", "XII")
 
 
-def _zero_velocity_case(T_l: float, T_r: float, T_bar: float,
-                        composite: bool) -> str:
-    """Solution type I..XII of data with both velocities zero and T_l !=
-    T_r.  For T_l < 0, T_r against T_l and 0 gives I and II; for T_r > 0
-    the middle stress T_bar is negative in III, and V differs from IV only
-    in its `composite` backward wave (shock then fan).  Types VI..X
-    (T_l > 0) are I..V of the negated data."""
-    if T_l == 0.0:
-        return "XI" if T_r < 0.0 else "XII"
-    if T_l > 0.0:
-        return _NEGATED_CASE[_zero_velocity_case(-T_l, -T_r, -T_bar,
-                                                 composite)]
-    if T_r < T_l:
-        return "I"
-    if T_r <= 0.0:
-        return "II"
-    if T_bar < 0.0:
-        return "III"
-    return "V" if composite else "IV"
+def _zero_velocity_index(T_l, T_r, T_bar, composite):
+    """Index into _ZERO_VELOCITY_CASES of the solution type of data with
+    both velocities zero and T_l != T_r, on floats or numpy lanes alike.
+    For T_l < 0, T_r against T_l and 0 gives I and II; for T_r > 0 the
+    middle stress T_bar is negative in III, and V differs from IV only in
+    its `composite` backward wave (shock then fan).  Types VI..X (T_l > 0)
+    are I..V of the negated data; T_l = 0 gives XI for T_r < 0, else XII.
+    Each comparison is multiplied by or added to an integer, never to
+    another comparison, as numpy's bool + bool is a logical or."""
+    s = 1.0 - 2.0 * (T_l > 0.0)
+    x_l, x_r, x_bar = s * T_l, s * T_r, s * T_bar
+    negative = (x_r >= x_l) * (1 + (x_r > 0.0) * (
+        1 + (x_bar >= 0.0) * (1 + composite)))
+    return ((T_l != 0.0) * (negative + 5 * (T_l > 0.0))
+            + (T_l == 0.0) * (10 + (T_r >= 0.0)))
 
 
 def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
@@ -499,7 +496,8 @@ def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
     case = None
     if U_l.v == 0.0 and U_r.v == 0.0:
         # a composite is the only two-leg backward wave
-        case = _zero_velocity_case(U_l.T, U_r.T, T_bar, len(back_legs) == 2)
+        case = _ZERO_VELOCITY_CASES[_zero_velocity_index(
+            U_l.T, U_r.T, T_bar, len(back_legs) == 2)]
     return WavePattern(m, U_l, waves, middles, label, case)
 
 

@@ -166,6 +166,33 @@ def test_overflowing_lane_fails_alone():
     assert alone.v_bar.tolist() == sol.v_bar[[1, 3]].tolist()
 
 
+def lane_outcome(sol, i):
+    """Lane i of a solve_many result, NaN-safe for comparison."""
+    return (sol.T_bar[i].tobytes(), sol.v_bar[i].tobytes(),
+            sol.region_label[i], sol.zero_velocity_case[i],
+            repr(sol.error[i]))
+
+
+@pytest.mark.parametrize("m", [QUINTIC, Material(1.0, -0.5, 1.0, 1.5, 1.0)],
+                         ids=["quintic", "n=1.5"])
+def test_a_lane_alone_equals_its_lane_in_a_large_call(m):
+    # a lane's result must not depend on the rest of its call; a dot
+    # product's rounding, for one, depends on the number of rows
+    rng = random.Random(13)
+    problems = [(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0),
+                 rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
+                for _ in range(150)]
+    problems += [tuple(log_uniform(rng, -3.0, 2.0) for _ in range(4))
+                 for _ in range(100)]
+    problems += [(rng.uniform(-3.0, 3.0), 0.0, rng.uniform(-3.0, 3.0), 0.0)
+                 for _ in range(50)]
+    rng.shuffle(problems)
+    sol = solve_many(m, *np.array(problems).T)
+    for i, problem in enumerate(problems):
+        alone = solve_many(m, *np.array([problem]).T)
+        assert lane_outcome(alone, 0) == lane_outcome(sol, i), problem
+
+
 @pytest.mark.parametrize("m", [QUINTIC, Material(1.0, -0.5, 1.0, 3.5, 1.0)],
                          ids=["quintic", "n=3.5"])
 def test_data_up_to_1e250_fail_alike(m):
@@ -406,7 +433,8 @@ def test_power_of_two_units_scale_the_solution_exactly(monkeypatch, r, n):
 def count_lane_rounds(monkeypatch):
     """[residual rounds, slope rounds] of solve_many: each call of the
     residual the root finders see (after the dividing samples) is a round,
-    and each slope call of both curves, stacked or not, is a round."""
+    and each slope call, which takes both curves of every lane, stacked or
+    not, is a round."""
     rounds = [0, 0]
     stopped, slope = batch._stopped_residual, batch._Curves.slope
 
@@ -415,8 +443,7 @@ def count_lane_rounds(monkeypatch):
         return stopped(*args)
 
     def counted_slope(self, *args):
-        # one call per curve of the pair: half a round
-        rounds[1] += 0.5
+        rounds[1] += 1
         return slope(self, *args)
 
     monkeypatch.setattr(batch, "_stopped_residual", counted_residual)
@@ -451,6 +478,28 @@ def test_default_atlas_takes_at_most_five_lane_rounds(monkeypatch, tmp_path):
     assert main(["atlas", "--material", "cubic",
                  "--out", str(tmp_path / "atlas.csv")]) == 0
     assert rounds[0] <= 5 and rounds[1] <= 5
+
+
+def test_default_atlas_evaluates_both_curves_in_one_call(monkeypatch,
+                                                       tmp_path):
+    # one _Curves call per residual or slope round takes both families:
+    # the dividing samples, the bracket, the Hermite start and rtsafe
+    calls = [0, 0]
+    v, slope = batch._Curves.v, batch._Curves.slope
+
+    def counted_v(self, *args):
+        calls[0] += 1
+        return v(self, *args)
+
+    def counted_slope(self, *args):
+        calls[1] += 1
+        return slope(self, *args)
+
+    monkeypatch.setattr(batch._Curves, "v", counted_v)
+    monkeypatch.setattr(batch._Curves, "slope", counted_slope)
+    assert main(["atlas", "--material", "cubic",
+                 "--out", str(tmp_path / "atlas.csv")]) == 0
+    assert calls[0] <= 7 and calls[1] <= 5
 
 
 def test_scalar_middle_stress_evaluations_on_a_box_pool(monkeypatch):

@@ -693,6 +693,37 @@ def test_zero_velocity_case_bands(cubic):
     assert case(-1.0, -1.0) is None
 
 
+
+def branching_zero_velocity_case(T_l, T_r, T_bar, composite):
+    """The solution type as the paper's table reads, branch by branch."""
+    if T_l == 0.0:
+        return "XI" if T_r < 0.0 else "XII"
+    if T_l > 0.0:
+        negated = branching_zero_velocity_case(-T_l, -T_r, -T_bar, composite)
+        return {"I": "VI", "II": "VII", "III": "VIII", "IV": "IX",
+                "V": "X"}[negated]
+    if T_r < T_l:
+        return "I"
+    if T_r <= 0.0:
+        return "II"
+    if T_bar < 0.0:
+        return "III"
+    return "V" if composite else "IV"
+
+
+def test_zero_velocity_index_on_floats_and_lanes_follows_the_table():
+    import numpy as np
+    values = (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0)
+    rows = [(a, b, c, composite) for a in values for b in values
+            for c in values for composite in (False, True)]
+    want = [branching_zero_velocity_case(*row) for row in rows]
+    assert set(want) == set(riemann._ZERO_VELOCITY_CASES)
+    assert [riemann._ZERO_VELOCITY_CASES[riemann._zero_velocity_index(*row)]
+            for row in rows] == want
+    T_l, T_r, T_bar, composite = (np.array(a) for a in zip(*rows))
+    index = riemann._zero_velocity_index(T_l, T_r, T_bar, composite)
+    assert [riemann._ZERO_VELOCITY_CASES[i] for i in index] == want
+
 #: Default atlas cells (cubic at --res 81, quintic at --res 41) whose right
 #: stress lies within an ulp of the first threshold -T_l and whose middle
 #: stress is zero: type IV (IX mirrored), as their waves are.
