@@ -16,8 +16,10 @@ curve call.
 
 This module keeps the control flow on lanes (masks where the scalar path
 branches, a failed lane that stops alone) and the numpy twins of two
-scalar routines, which ``sampler`` shares: the lane fans ``_fan_lanes``
-and the root finder ``_newton_bisect_many``.  The formulas are shared:
+scalar routines, which ``sampler`` shares: the lane fans ``_fan_lanes``,
+which read the knots and prefix sums of the call's ``material._FanTable``
+and sum only a head and a tail panel per lane, and the root finder
+``_newton_bisect_many``.  The formulas are shared:
 ``material``'s tangency condition and n = 1 fan; ``wave_curves``' shock
 jump, fan integrand and shock-branch slope; ``riemann``'s tolerances,
 tables, zero-velocity type and error of a failed search.  Each kernel is
@@ -38,7 +40,6 @@ overhead), so single problems stay on the scalar path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -52,6 +53,7 @@ from .material import (
     _cubic_fan,
     _cubic_root,
     _excess,
+    _fan_table,
     _knee_stress,
     _tangency_residual,
     _tangency_slope,
@@ -355,21 +357,23 @@ def _judge(m, T_l, v_l, T_r, v_r, lanes, root, rec, vb, overflow,
 
 
 class _Curves:
-    """WaveCurve's constants on lanes of either family: the mirror s, the
-    velocity sign k, the anchor A = s*U.T <= 0 and its strain e_A, its
-    tangency stress Tt, the degenerate shock's jump vt and the anchor
-    velocity, and for n = 1 the roots s_A and s_Tt that the fans from A and
-    Tt take (material._cubic_root; None for other n)."""
+    """WaveCurve's constants on lanes of either family: the call's fan
+    table (material._fan_table), then per lane the mirror s, the velocity
+    sign k, the anchor A = s*U.T <= 0 and its strain e_A, its tangency
+    stress Tt, the degenerate shock's jump vt and the anchor velocity, and
+    for n = 1 the roots s_A and s_Tt that the fans from A and Tt take
+    (material._cubic_root; None for other n)."""
 
-    __slots__ = ("s", "k", "A", "e_A", "Tt", "vt", "v0", "s_A", "s_Tt")
+    __slots__ = ("table", "s", "k", "A", "e_A", "Tt", "vt", "v0", "s_A",
+                 "s_Tt")
 
-    def __init__(self, *arrays):
-        for name, a in zip(self.__slots__, arrays):
+    def __init__(self, *values):
+        for name, a in zip(self.__slots__, values):
             setattr(self, name, a)
 
     def take(self, idx) -> "_Curves":
-        return _Curves(*(None if (a := getattr(self, name)) is None
-                         else a[idx] for name in self.__slots__))
+        return _Curves(self.table, *(None if (a := getattr(self, n)) is None
+                                     else a[idx] for n in self.__slots__[1:]))
 
     def v(self, m: Material, idx, T):
         """WaveCurve.v of lanes idx at stresses T (one row per lane, or
@@ -379,7 +383,7 @@ class _Curves:
         from_A = y <= A
         s_a = (None if self.s_A is None
                else np.where(from_A, self.s_A[idx], self.s_Tt[idx]))
-        fan = _fan_lanes(m, np.where(from_A, A, Tt), y, s_a)
+        fan = _fan_lanes(m, self.table, np.where(from_A, A, Tt), y, s_a)
         shock = _jump_v(m, A, self.e_A[idx], y, np)
         d = np.where(y <= A, fan, np.where(y <= Tt, shock,
                                            self.vt[idx] + fan))
@@ -412,7 +416,7 @@ def _curve_pair(m, T_l, v_l, T_r, v_r):
         c = _cubic_constants(m)
         roots = [_cubic_root(c, A, np), _cubic_root(c, Tt, np)]
     v0 = np.concatenate([v_l, v_r])
-    return (_Curves(s, k, A, e_A, Tt, vt, v0, *roots),
+    return (_Curves(_fan_table(m), s, k, A, e_A, Tt, vt, v0, *roots),
             overflow[:n] | overflow[n:])
 
 
@@ -439,11 +443,16 @@ def _tangency(m, A):
     return Tt, overflow
 
 
-def _fan_lanes(m: Material, T_a, T_b, s_a=None):
+def _fan_lanes(m: Material, table, T_a, T_b, s_a=None):
     """rarefaction_integral on lanes, for fans that run outward from T_a on
     one side of zero (T_a*T_b >= 0, |T_a| <= |T_b|), the only ones the
     wave curves build.  For n = 1, s_a is material._cubic_root at T_a,
-    which a curve keeps; it is taken here when not given."""
+    which a curve keeps; it is taken here when not given.  Otherwise each
+    lane is the fan of material._FanTable on the call's table: one block
+    of 16 rows holds the head (or single) panel of every lane and the tail
+    panel of every lane that crosses a knot, and numpy adds the rows of a
+    block of two columns or more in _fan_panel's order, so a lane takes
+    the scalar fan's operations."""
     T_a, T_b = np.broadcast_arrays(T_a, T_b)
     if m.n == 1.0:
         k = _cubic_constants(m)
@@ -451,31 +460,33 @@ def _fan_lanes(m: Material, T_a, T_b, s_a=None):
             s_a = _cubic_root(k, T_a, np)
         d = _cubic_fan(k, T_a, s_a, T_b, np)
     else:
-        side = np.copysign(1.0, np.where(T_a != 0.0, T_a, T_b))
-        d = side * _even_fan_lanes(m, np.abs(T_a).ravel(),
-                                   np.abs(T_b).ravel()).reshape(T_a.shape)
-    return np.where(T_a == T_b, 0.0, d)
-
-
-def _even_fan_lanes(m: Material, u_0, u_1):
-    """material._even_fan on lanes, each lane's nodes added in _fan_panel's
-    order whatever the other lanes: numpy reduces the rows of a (16, N)
-    block in order, unlike a dot product, but sums a lone column pairwise."""
-    c = _knee_stress(m)
-    total = np.zeros(u_0.size)
-    x = u_0.copy()
-    live = np.flatnonzero(x < u_1)
-    while live.size:
-        start, stop = x[live], u_1[live]
-        end = np.minimum(stop, 3.0 * start + c)
+        u_0, u = np.abs(T_a).ravel(), np.abs(T_b).ravel()
+        # only the lanes whose fan runs outward are summed: the curves
+        # discard the others, which are 0 here
+        live = np.flatnonzero(u_0 < u)
+        u_0, u = u_0[live], u[live]
+        # grow the table past every finite end (the anchors are finite);
+        # an infinite end reads the last knot and is NaN, as there
+        table.prefix(table.reach(float(np.max(
+            np.where(u < np.inf, u, u_0), initial=0.0))))
+        knots, P = np.array(table.knots), np.array(table.sums)
+        i = np.searchsorted(knots, u_0)
+        j = np.searchsorted(knots[:P.size], u, "right") - 1
+        # the tails of the lanes across a knot; a lone lane takes its tail
+        # even without one, of zero width, as numpy sums a lone column
+        # pairwise
+        cross = np.flatnonzero((i <= j) | (u.size == 1))
+        start = np.concatenate([u_0, np.where(i <= j, knots[j], u)[cross]])
+        end = np.concatenate([np.minimum(knots[i], u), u[cross]])
         h = 0.5 * (end - start)
         nodes = (start + h) + h * _NODES
-        f = _WEIGHTS * np.sqrt(strain_prime(m, nodes))
-        total[live] += h * (np.add.reduce(f) if live.size > 1
-                            else np.add.accumulate(f)[-1])
-        x[live] = end
-        live = live[end < stop]
-    return total / math.sqrt(m.rho)
+        panel = h * np.add.reduce(_WEIGHTS * np.sqrt(strain_prime(m, nodes)))
+        total = np.zeros(T_a.size)
+        total[live] = panel[:u.size] + (P[j] - P[np.minimum(i, j)])
+        total[live[cross]] += panel[u.size:]
+        # a live fan ends on its side of zero
+        d = np.copysign(total.reshape(T_a.shape) / table.root_rho, T_b)
+    return np.where(T_a == T_b, 0.0, d)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ inequality keeps the equations of motion strictly hyperbolic.  strain is odd
 and strictly increasing, concave on T < 0 and convex on T > 0; the change of
 convexity at T = 0 is what produces composite (rarefaction + shock) waves.
 
-Everything here is a pure function of an immutable Material, except that
-a fan of _fan_from grows its own panel sums (one fan per thread), so
-concurrent use is safe.  _fan_from gives a wave curve its fans for every
-material: the closed forms for n = 1 and linear_mode, otherwise a walk of
-16-node panels that takes strain_prime's constants, the knee stress and
-sqrt(rho) once and evaluates the integrand inline.  The module imports no
-numpy, and neither does the scalar solve built on it.
+Everything here is a pure function of an immutable Material, except a
+_FanTable, which one call creates and grows (one table per thread), so
+concurrent use is safe.  The material alone places the knots of the
+16-node fan panels; a table sums each panel between two knots once, and
+every n != 1 fan of its call is a head panel, a difference of two prefix
+sums and a tail panel.  _fan_from gives a wave curve its fans for every
+material: the closed forms for n = 1 and linear_mode, otherwise fans of
+the table that the curve's solve shares.  The module imports no numpy, and
+neither does the scalar solve built on it.
 
 Kernels that the scalar solve and the lanes of ``batch.solve_many`` both
 evaluate have one body each, written against a namespace argument ``xp``:
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import MaterialError, RootNotBracketed
@@ -54,9 +56,11 @@ _GL_HALF = (
     (0.98940093499164994, 0.027152459411754176),
 )
 #: The whole rule in ascending node order, as plain floats: it runs in pure
-#: Python.  Sixteen nodes per graded panel reach ~1e-15 relative against
-#: 40-digit quadrature for the fan integral with 0.5 <= n <= 3.5 and
-#: stresses from 1e-6 to 1e3.
+#: Python.  Against 40-digit quadrature of the fan integral, over 150
+#: random fans per n with stresses from 1e-6 to 1e3, sixteen nodes per
+#: graded panel reach 6e-16 relative for 0.5 <= n <= 3.5, 3.4e-15 at
+#: n = 8 and 4.4e-13 at n = 20, where the integrand grows like |T|**(2n)
+#: across the first knot panels faster than the rule resolves.
 _GL_RULE = tuple((-t, w) for t, w in reversed(_GL_HALF)) + _GL_HALF
 
 #: gamma*T**2/2 at or below which the strain is cubic to roundoff, so the
@@ -194,24 +198,19 @@ def rarefaction_integral(m: Material, T_a: float, T_b: float) -> float:
     from T_a to T_b.
 
     The integrand is even, so the integral is an odd antiderivative G(|T|)
-    signed by T, evaluated without cancellation: in closed form for n = 1,
-    otherwise by a fresh walk of _even_fan, which a wave curve keeps.
+    signed by T, evaluated without cancellation as the fans of the wave
+    curves (_fan_from), which run outward from a stress T_0: from the end
+    nearer zero, or from zero itself for ends of opposite signs, whose two
+    fans then add magnitudes.  Each call takes a fan table of its own.
     """
     if T_a == T_b:
         return 0.0
     if m.linear_mode:
         return (T_b - T_a) * math.sqrt((m.alpha + m.beta) / m.rho)
-    if m.n == 1.0:
-        k = _cubic_constants(m)
-        return _cubic_fan(k, T_a, _cubic_root(k, T_a), T_b)
-    u_a, u_b = abs(T_a), abs(T_b)
-    if min(T_a, T_b) < 0.0 < max(T_a, T_b):
-        fan = _even_fan(m, 0.0)
-        return math.copysign(fan(u_a) + fan(u_b), T_b)
-    sign = math.copysign(1.0, T_a if T_a != 0.0 else T_b)
-    if u_a <= u_b:
-        return sign * _even_fan(m, u_a)(u_b)
-    return -sign * _even_fan(m, u_b)(u_a)
+    T_0 = (0.0 if min(T_a, T_b) < 0.0 < max(T_a, T_b)
+           else min(T_a, T_b, key=abs))
+    fan = _fan_from(m, T_0, _fan_table(m))
+    return fan(T_b) - fan(T_a)
 
 
 def _cubic_constants(m: Material) -> tuple:
@@ -231,80 +230,107 @@ def _cubic_root(k: tuple, T, xp=math):
 
 
 def _cubic_fan(k: tuple, T_a, s_a, T_b, xp=math):
-    """n = 1 closed form of rarefaction_integral, on the constants k of
-    _cubic_constants and s_a = _cubic_root(k, T_a), which a wave curve
-    takes once per fan.  Lanes (xp = numpy) take stresses on one side of
-    zero only."""
+    """n = 1 closed form of rarefaction_integral for stresses on one side
+    of zero (T_a*T_b >= 0), on the constants k of _cubic_constants and
+    s_a = _cubic_root(k, T_a), which a wave curve takes once per fan."""
     # the antiderivative of the root s(T) is
-    # T*s(T)/2 + a/(2*sqrt(b))*asinh(sqrt(b/a)*T)
+    # T*s(T)/2 + a/(2*sqrt(b))*asinh(sqrt(b/a)*T); rewrite each difference
+    # as (T_b - T_a)*(T_b + T_a) over a sum of like-signed terms; grouping
+    # the sum with its quotient keeps tiny stresses from underflowing
     a, b, rb, half_a_rb, root_rho = k
     s_b = _cubic_root(k, T_b, xp)
-    if xp is math and (T_a < 0.0 < T_b or T_b < 0.0 < T_a):
-        # opposite signs: both differences add magnitudes
-        c = math.sqrt(b / a)
-        lin = T_b * s_b - T_a * s_a
-        arc = math.asinh(c * T_b) - math.asinh(c * T_a)
-    else:
-        # same side: rewrite each difference as (T_b - T_a)*(T_b + T_a)
-        # over a sum of like-signed terms; grouping the sum with its
-        # quotient keeps tiny stresses from underflowing
-        d, p = T_b - T_a, T_b + T_a
-        lin = d * (p / (T_b * s_b + T_a * s_a)) * (
-            a + b * (T_a * T_a + T_b * T_b))
-        arc = xp.asinh(rb * d * (p / (T_b * s_a + T_a * s_b)))
+    d, p = T_b - T_a, T_b + T_a
+    lin = d * (p / (T_b * s_b + T_a * s_a)) * (
+        a + b * (T_a * T_a + T_b * T_b))
+    arc = xp.asinh(rb * d * (p / (T_b * s_a + T_a * s_b)))
     return (0.5 * lin + half_a_rb * arc) / root_rho
 
 
-def _fan_from(m: Material, T_0: float):
+def _fan_from(m: Material, T_0: float, table: "_FanTable | None"):
     """rarefaction_integral(m, T_0, T) on the fans outward from T_0 (the
     wave curves'), for every material: the closed forms for n = 1, on
-    constants taken once per fan, and linear_mode, and otherwise one
-    _even_fan walk that all calls share."""
+    constants taken once per fan, and linear_mode, and otherwise a fan of
+    the call's table (_fan_table)."""
     if m.linear_mode:
         return lambda T: rarefaction_integral(m, T_0, T)
     if m.n == 1.0:
         k = _cubic_constants(m)
         s_0 = _cubic_root(k, T_0)
         return lambda T: 0.0 if T == T_0 else _cubic_fan(k, T_0, s_0, T)
-    fan = _even_fan(m, abs(T_0))
-    return lambda T: 0.0 if T == T_0 else math.copysign(fan(abs(T)), T)
+    return lambda T: (0.0 if T == T_0
+                      else math.copysign(table.fan(abs(T_0), abs(T)), T))
 
 
-def _even_fan(m: Material, u_0: float):
-    """Integral of sqrt(strain_prime/rho) over [u_0, u], 0 <= u_0 <= u, as a
-    function of u: _fan_panel over the panels of _panel_ends, keeping the
-    running totals of the full panels, so an end adds the panels past them
-    and one partial panel, in a fresh walk's order (that of _panels) and so
-    to its value bit for bit.  The integrand's constants, the knee stress
-    and sqrt(rho) are taken once per walk."""
-    k, root_rho = _fan_constants(m), math.sqrt(m.rho)
-    ends = _panel_ends(m, u_0)
-    end = next(ends)
-    starts, totals = [u_0], [0.0]
-
-    def fan(u: float) -> float:
-        nonlocal end
-        while end < u:
-            totals.append(totals[-1] + _fan_panel(k, starts[-1], end))
-            starts.append(end)
-            end = next(ends)
-        i = bisect_left(starts, u) - 1
-        total = totals[i] + _fan_panel(k, starts[i], u) if i >= 0 else 0.0
-        return total / root_rho
-    return fan
+def _fan_table(m: Material) -> "_FanTable | None":
+    """A new _FanTable of m for one call, or None where the fans are
+    closed forms (n = 1 and linear_mode)."""
+    return None if m.linear_mode or m.n == 1.0 else _FanTable(m)
 
 
-def _fan_constants(m: Material) -> tuple:
-    """The constants of strain_prime as _fan_panel takes them: gamma/2,
-    (1 + 2n)*gamma/2, n - 1, alpha and beta, each rounded as there."""
-    return (0.5 * m.gamma, 0.5 * (1.0 + 2.0 * m.n) * m.gamma, m.n - 1.0,
-            m.alpha, m.beta)
+class _FanTable:
+    """The fans of one material within one call: a solve (both curves),
+    a solve_many, profile or sample call, or a rarefaction_integral.
+
+    The material alone sets the knots, k_0 = 0 and k_{j+1} = 3*k_j + c of
+    _panel_ends.  `sums` holds the prefix sums P_j of _fan_panel over the
+    knot panels up to k_j, grown on demand up to the largest stress read.
+    A fan from u_0 to u >= u_0, with k_i the first knot >= u_0 and k_j the
+    last knot <= u, is (head + (P_j - P_i)) + tail, with the head panel
+    [u_0, k_i], which `heads` keeps from the fan's first read, and the tail
+    panel [k_j, u]; with no knot between its ends it is the single panel
+    [u_0, u].  So each knot panel is summed once per table, a fan never
+    read sums nothing, and a fan's value depends on the material and its
+    two ends alone, not on the table or on what the table read before.
+    batch._fan_lanes reads the same knots and sums on lanes.  A table
+    serves one thread and lives in its call: nothing outlives it.
+    """
+
+    __slots__ = ("k", "root_rho", "ends", "knots", "sums", "heads")
+
+    def __init__(self, m: Material):
+        # strain_prime's constants as _fan_panel takes them, each rounded
+        # as there: gamma/2, (1 + 2n)*gamma/2, n - 1, alpha and beta
+        self.k = (0.5 * m.gamma, 0.5 * (1.0 + 2.0 * m.n) * m.gamma,
+                  m.n - 1.0, m.alpha, m.beta)
+        self.root_rho, self.ends = math.sqrt(m.rho), _panel_ends(m)
+        self.knots, self.sums, self.heads = [0.0], [0.0], {}
+
+    def reach(self, u: float) -> int:
+        """The index of the last knot <= u, with the knots grown past u.
+        An infinite or NaN u takes the last knot there is, so its tail,
+        and its fan, is NaN."""
+        knots = self.knots
+        while knots[-1] <= u < math.inf:
+            knots.append(next(self.ends))
+        return bisect_right(knots, u) - 1
+
+    def prefix(self, j: int) -> float:
+        """P_j, with the sums grown up to it."""
+        knots, sums = self.knots, self.sums
+        for i in range(len(sums), j + 1):
+            sums.append(sums[-1] + _fan_panel(self.k, knots[i - 1], knots[i]))
+        return sums[j]
+
+    def fan(self, u_0: float, u: float) -> float:
+        """The integral of sqrt(strain_prime/rho) over [u_0, u],
+        0 <= u_0 <= u.  A fan across one knot only (i = j) reads no sums:
+        P_j - P_i is 0 there."""
+        j = self.reach(u)
+        k, knots = self.k, self.knots
+        i = bisect_left(knots, u_0)
+        if i > j:
+            return _fan_panel(k, u_0, u) / self.root_rho
+        head = self.heads.get(u_0)
+        if head is None:
+            head = self.heads[u_0] = _fan_panel(k, u_0, knots[i])
+        inner = self.prefix(j) - self.sums[i] if i < j else 0.0
+        return ((head + inner) + _fan_panel(k, knots[j], u)) / self.root_rho
 
 
 def _fan_panel(k: tuple, x: float, end: float) -> float:
     """The rule of _graded on the panel [x, end] for the integrand
     sqrt(strain_prime), written out, with strain_prime's operations inline
-    in its order on the constants k of _fan_constants, so that each node
+    in its order on the constants k of _FanTable, so that each node
     has strain_prime's value bit for bit."""
     half_gamma, c, n_1, alpha, beta = k
     sqrt = math.sqrt
@@ -325,40 +351,31 @@ def _knee_stress(m: Material) -> float:
     return math.sqrt((m.alpha + m.beta) / (m.alpha * m.gamma))
 
 
-def _panel_ends(m: Material, u_0: float):
-    """The ends of the panels from u_0 >= 0 outward, without bound, graded
-    away from 0: a panel starting at x ends at 3*x + c, where
-    c = _knee_stress(m), so every panel stays a fixed ratio away from the
-    singularities of the constitutive functions."""
+def _panel_ends(m: Material):
+    """The knots after 0, without bound, graded away from 0: a panel
+    starting at x ends at 3*x + c, where c = _knee_stress(m), so every
+    panel stays a fixed ratio away from the singularities of the
+    constitutive functions."""
     c = _knee_stress(m)
-    x = u_0
+    x = 0.0
     while True:
         x = 3.0 * x + c
         yield x
 
 
-def _panels(m: Material, u_0: float, u_1: float):
-    """(start, end) of the panels of [u_0, u_1], 0 <= u_0 <= u_1: those of
-    _panel_ends, the last one cut at u_1."""
-    x = u_0
-    for end in _panel_ends(m, u_0):
-        if x >= u_1:
-            return
-        yield x, min(u_1, end)
-        x = end
-
-
-def _graded(m: Material, fn, u_0: float, u_1: float) -> float:
-    """Integral of fn(u) over [u_0, u_1], 0 <= u_0 <= u_1: Gauss-Legendre
-    on the graded panels of _panels."""
-    total = 0.0
-    for x, end in _panels(m, u_0, u_1):
-        h = 0.5 * (end - x)
+def _graded(m: Material, fn, u: float) -> float:
+    """Integral of fn over [0, u]: Gauss-Legendre on the panels between
+    the knots of _panel_ends, the last one cut at u."""
+    total = x = 0.0
+    for end in _panel_ends(m):
+        if x >= u:
+            return total
+        h = 0.5 * (min(u, end) - x)
         panel = 0.0
         for t, w in _GL_RULE:
             panel += w * fn(x + h + h * t)
         total += h * panel
-    return total
+        x = end
 
 
 def _newton_bisect(fn, dfn, lo: float, hi: float, f_lo: float,
@@ -481,10 +498,9 @@ def driving_force(m: Material, T_l: float, T_r: float) -> float:
     cross = min(T_l, T_r) < 0.0 < max(T_l, T_r)
     e = 2.0 * k if cross else 0.0
     total = _graded(
-        m, lambda s: (s + e) * (D - s) * strain_second(m, k + s), 0.0, D)
+        m, lambda s: (s + e) * (D - s) * strain_second(m, k + s), D)
     if cross:
-        total += 2.0 * D * _graded(
-            m, lambda u: u * strain_second(m, u), 0.0, k)
+        total += 2.0 * D * _graded(m, lambda u: u * strain_second(m, u), k)
     return math.copysign(0.5 * total, b - a)
 
 

@@ -483,7 +483,7 @@ def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
 
     try:
         back = WaveCurve(m, U_l, BACKWARD)
-        fwd = WaveCurve(m, U_r, FORWARD)
+        fwd = WaveCurve(m, U_r, FORWARD, back.table)
         T_bar, v_bar, label = _find_middle_stress(m, U_l, U_r, back, fwd)
         middle = State(T_bar, v_bar)
         back_legs = back.legs(middle)

@@ -46,10 +46,13 @@ anchor's strain, its tangency stress (one tangent_point call, closed form
 for n = 1), its degenerate shock's velocity jump and one fan per branch,
 from A and from Tt, for every n; the residual of the middle stress, its
 slope and the legs of the solution all read from the pair.  A shock-branch
-velocity or slope evaluates the strain once, at its end.  For n != 1 a fan
-keeps its panel sums, so a residual adds one partial panel and the panels
-past those summed.  A curve therefore serves one thread, but nothing is
-cached between solves: each builds its own pair.  A linear material has no
+velocity or slope evaluates the strain once, at its end.  For n != 1 both
+curves read one fan table (material._FanTable), which the backward curve
+creates and the forward curve takes: a fan sums its head panel on its
+first read, each panel between two knots is summed once per solve, and a
+residual adds one tail panel.  A curve therefore serves one thread, but
+nothing is cached between solves: each builds its own pair and table, and
+a curve built alone takes its own table.  A linear material has no
 tangency: its curve is one line through the anchor, crossed by a contact.
 The module-level functions evaluate a curve once.
 """
@@ -64,6 +67,7 @@ from .material import (
     FORWARD,
     Material,
     _fan_from,
+    _fan_table,
     _slope_speed,
     strain,
     strain_prime,
@@ -139,17 +143,18 @@ class WaveCurve:
     constants of its branches: the anchor strain e_A = strain(A) of the
     shock branch, the tangency stress Tt of A and the velocity jump
     vt = (Tt - A)*w(Tt) of the degenerate shock to it, and the fans from A
-    and from Tt.  The family sets the sign k of the velocity change (k = s
-    backward, -s forward).  For U.T = 0 the curve is a rarefaction both
-    ways, which Tt = vt = 0 reproduces.  A linear material has no
-    tangency: Tt = A leaves no shock branch, its fans are one line through
-    U, and its legs are the contact ("both" degenerate) of
-    riemann.solve_linear."""
+    and from Tt, read from its fan table (material._fan_table), which a
+    solve's forward curve takes from its backward curve.  The family sets
+    the sign k of the velocity change (k = s backward, -s forward).  For
+    U.T = 0 the curve is a rarefaction both ways, which Tt = vt = 0
+    reproduces.  A linear material has no tangency: Tt = A leaves no shock
+    branch, its fans are one line through U, and its legs are the contact
+    ("both" degenerate) of riemann.solve_linear."""
 
     __slots__ = ("m", "U", "family", "s", "k", "A", "e_A", "Tt", "vt",
-                 "fans")
+                 "table", "fans")
 
-    def __init__(self, m: Material, U: State, family: str):
+    def __init__(self, m: Material, U: State, family: str, table=None):
         self.m, self.U, self.family = m, U, family
         self.s = -1.0 if U.T > 0.0 else 1.0
         self.k = self.s if family == BACKWARD else -self.s
@@ -162,7 +167,8 @@ class WaveCurve:
             self.Tt = Tt = tangent_point(m, A)
             self.vt = (Tt - A) * _w(m, Tt)
         self.e_A = strain(m, A)
-        self.fans = (_fan_from(m, A), _fan_from(m, self.Tt))
+        self.table = table = _fan_table(m) if table is None else table
+        self.fans = (_fan_from(m, A, table), _fan_from(m, self.Tt, table))
 
     @property
     def tangency(self) -> float:

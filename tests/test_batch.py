@@ -22,6 +22,7 @@ from barwaves import (
     backward_v,
     batch,
     forward_v,
+    profile,
     riemann,
     solve,
     solve_many,
@@ -401,6 +402,7 @@ def test_power_of_two_units_scale_the_solution_exactly(monkeypatch, r, n):
     unit_lanes = solve_many(unit, *np.array(problems).T)
     unit_patterns = [solve(unit, State(a, b), State(c, d))
                      for a, b, c, d in problems]
+    unit_profiles = [profile(p, -4.0, 4.0, 201) for p in unit_patterns[:20]]
     for p, j, q in ((1, -3, 2), (-2, 5, 0), (3, 1, -4)):
         alpha = 4.0 ** p
         m = Material(alpha, r * alpha, 4.0 ** j, n, 4.0 ** q)
@@ -412,7 +414,7 @@ def test_power_of_two_units_scale_the_solution_exactly(monkeypatch, r, n):
         assert lanes.region_label.tolist() == unit_lanes.region_label.tolist()
         assert (lanes.zero_velocity_case.tolist()
                 == unit_lanes.zero_velocity_case.tolist())
-        for (a, b, d, e), base in zip(scaled, unit_patterns):
+        for i, ((a, b, d, e), base) in enumerate(zip(scaled, unit_patterns)):
             got = solve(m, State(a, b), State(d, e))
             where = (r, n, p, j, q, a, b, d, e)
             assert got.region_label == base.region_label, where
@@ -422,6 +424,13 @@ def test_power_of_two_units_scale_the_solution_exactly(monkeypatch, r, n):
             assert [(w.speed_head, w.speed_tail) for w in got.waves] == [
                 (X * w.speed_head, X * w.speed_tail)
                 for w in base.waves], where
+            if i < len(unit_profiles):
+                # the sampler's fans read knots that scale with c
+                want = unit_profiles[i]
+                prof = profile(got, -4.0 * X, 4.0 * X, 201)
+                assert prof.xi.tolist() == (X * want.xi).tolist(), where
+                assert prof.T.tolist() == (c * want.T).tolist(), where
+                assert prof.v.tolist() == (V * want.v).tolist(), where
 
 
 # ---------------------------------------------------------------------------

@@ -268,10 +268,13 @@ def test_atlas_byte_stable(tmp_path):
 
 
 def pinned_digests(name):
-    """(arguments, SHA-256) pairs from tests/<name>.sha256."""
+    """(arguments, SHA-256) pairs from tests/<name>.sha256, each with its
+    arguments as its test id, so that a re-recorded digest keeps the
+    test's name."""
     path = os.path.join(os.path.dirname(__file__), f"{name}.sha256")
     with open(path, encoding="utf-8") as fh:
-        return [(line[66:].split(), line[:64]) for line in fh]
+        return [pytest.param(line[66:].split(), line[:64],
+                             id=line[66:].strip()) for line in fh]
 
 
 @pytest.mark.parametrize("args,digest", pinned_digests("atlas"))

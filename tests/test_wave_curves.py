@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import random
@@ -17,6 +18,7 @@ from barwaves import (
     decompose_forward,
     forward_v,
     shock_speed,
+    solve,
     solve_linear,
     strain,
     strain_prime,
@@ -25,7 +27,7 @@ from barwaves import (
     wave_speed,
 )
 from barwaves import material, wave_curves
-from barwaves.material import _knee_stress, _panels, rarefaction_integral
+from barwaves.material import _fan_table, _panel_ends, rarefaction_integral
 from barwaves.wave_curves import WaveCurve, _w
 from conftest import cubic_fan_integral, make_material
 
@@ -339,17 +341,26 @@ PANEL_MATERIALS = {
 }
 
 
+def knots(m, count):
+    """The first `count` knots after 0 of the material's fan table."""
+    return list(itertools.islice(_panel_ends(m), count))
+
+
+#: Anchors on a knot, as (sign, index of the knot after 0).
+KNOT_ANCHORS = {"-k1": (-1.0, 0), "k2": (1.0, 1)}
+
+
 def fan_ends(m, curve, rng):
     """(fan index, mirrored end y) on both fans of the curve: the start,
-    the first panel boundaries 3x + c, and random stresses beyond."""
-    c = _knee_stress(m)
+    the first four knots past it, each exactly and one ulp either side,
+    and random stresses beyond."""
     ends = []
     for i, (start, sign) in enumerate(((curve.A, -1.0), (curve.Tt, 1.0))):
-        x, ys = abs(start), [start]
-        for _ in range(4):
-            x = 3.0 * x + c
-            ys.append(sign * x)
-        ys += [sign * (abs(start) + rng.uniform(0.0, 50.0 * x))
+        past = [k for k in knots(m, 16) if k > abs(start)][:4]
+        ys = [start] + [sign * u for k in past
+                        for u in (math.nextafter(k, 0.0), k,
+                                  math.nextafter(k, math.inf))]
+        ys += [sign * (abs(start) + rng.uniform(0.0, 50.0 * past[-1]))
                for _ in range(8)]
         if start == 0.0:
             ys += [0.0, -0.0] if i == 0 else [5e-324]
@@ -362,15 +373,19 @@ def same_float(a, b):
 
 
 @pytest.mark.parametrize("name", sorted(PANEL_MATERIALS))
-@pytest.mark.parametrize("T_0", [-1.7, 0.37, 2.3, 0.0, -0.0])
+@pytest.mark.parametrize("T_0", [-1.7, 0.37, 2.3, 0.0, -0.0, *KNOT_ANCHORS])
 @pytest.mark.parametrize("family", [BACKWARD, FORWARD])
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled",
                                    "repeated"])
 def test_curve_fans_equal_a_fresh_walk_in_any_order(name, T_0, family,
                                                     order):
-    # a curve's fans keep their panel sums across calls; every end still
-    # gets rarefaction_integral's value bit for bit, and so does the curve
+    # a curve's fans read a table that the other curve of its solve also
+    # grows in between; every end still gets the value of a fresh table,
+    # rarefaction_integral's, bit for bit, and so does the curve
     m = PANEL_MATERIALS[name]
+    if T_0 in KNOT_ANCHORS:
+        sign, j = KNOT_ANCHORS[T_0]
+        T_0 = sign * knots(m, j + 1)[j]
     rng = random.Random(f"{name}{T_0!r}{family}{order}")
     U = State(T_0, 0.25)
     ends = fan_ends(m, WaveCurve(m, U, family), rng)
@@ -381,7 +396,10 @@ def test_curve_fans_equal_a_fresh_walk_in_any_order(name, T_0, family,
     else:
         ends *= 2 if order == "repeated" else 1
         rng.shuffle(ends)
-    curve = WaveCurve(m, U, family)
+    table = _fan_table(m)
+    curve = WaveCurve(m, U, family, table)
+    other = WaveCurve(m, State(0.8 - 0.6 * T_0, -0.5),
+                      FORWARD if family == BACKWARD else BACKWARD, table)
     starts = (curve.A, curve.Tt)
     for i, y in ends:
         got = curve.fans[i](y)
@@ -389,6 +407,7 @@ def test_curve_fans_equal_a_fresh_walk_in_any_order(name, T_0, family,
         if i == 0 or y > curve.Tt:  # the curve's shock owns y = Tt
             d = got if i == 0 else curve.vt + got
             assert same_float(curve.v(curve.s * y), U.v + curve.k * d)
+        other.v(rng.uniform(-60.0, 60.0))
 
 
 @pytest.mark.parametrize("m", [make_material(2.0, -1.0, 2.0, 1.0, 1.0),
@@ -431,28 +450,45 @@ def test_a_shock_branch_evaluates_the_strain_once_at_its_end(
             assert calls == [y], (read.__name__, y)
 
 
-def test_a_farther_end_sums_only_the_panels_past_the_kept_ones(monkeypatch):
+def test_a_solve_sums_each_knot_panel_and_each_head_once(monkeypatch):
+    # both curves of a solve read one table: each knot panel is summed
+    # once, into the prefix sums, each fan sums its head at most once and
+    # a fan never read sums nothing; the table lives in the call, so an
+    # identical solve sums the same panels again
     m = PANEL_MATERIALS["quintic"]
     calls = []
     panel = material._fan_panel
-    monkeypatch.setattr(material, "_fan_panel",
-                        lambda *a: calls.append(a) or panel(*a))
-    curve = WaveCurve(m, State(-0.3, 0.0), BACKWARD)
-    for start, sign in ((curve.A, -1.0), (curve.Tt, 1.0)):
-        fresh = [len(list(_panels(m, abs(start), u))) for u in (5.0, 40.0)]
-        assert fresh[0] >= 2 and fresh[1] > fresh[0]
+    monkeypatch.setattr(material, "_fan_panel", lambda k, x, end: calls.append(
+        (x, end)) or panel(k, x, end))
+    ks = [0.0] + knots(m, 30)
+    knot_panels = set(zip(ks, ks[1:]))
+    # the backward fans of the last two problems start at zero, and in the
+    # last one all four do and both curves read past the second knot
+    for U_l, U_r in ((State(-1.0, 0.0), State(0.8, -3.0)),
+                     (State(1.2, 0.5), State(-0.4, 0.3)),
+                     (State(-5.0, 60.0), State(3.0, -60.0)),
+                     (State(0.0, 0.0), State(1.2, -0.5)),
+                     (State(0.0, 40.0), State(0.0, -40.0))):
         del calls[:]
-        curve.v(sign * 5.0)
-        assert len(calls) == fresh[0]
-        # the panel that was partial at 5 is now full, so the new panels
-        # are the fresh walk's past the kept full ones, the last partial
+        solve(m, U_l, U_r)
+        first = calls[:]
+        summed = [c for c in first if c in knot_panels]
+        assert len(set(summed)) == len(summed), (U_l, U_r)
+        heads = [x for x, end in first if x not in ks and end in ks]
+        assert len(set(heads)) == len(heads), (U_l, U_r)
         del calls[:]
-        curve.v(sign * 40.0)
-        assert len(calls) == fresh[1] - (fresh[0] - 1)
-        # an end behind the kept panels sums one partial panel
-        del calls[:]
-        curve.v(sign * 7.0)
-        assert len(calls) == 1
+        solve(m, U_l, U_r)
+        assert calls == first, (U_l, U_r)
+    assert len(summed) >= 2
+
+    del calls[:]
+    table = _fan_table(m)
+    back = WaveCurve(m, State(-0.3, 0.0), BACKWARD, table)
+    WaveCurve(m, State(1.1, 0.2), FORWARD, table)
+    assert calls == []
+    for y in (-0.5, -2.0, -7.0, -40.0, -3.0):
+        back.v(y)
+    assert {x for x, end in calls if x not in ks} == {0.3}
 
 
 def test_shock_of_roundoff_width_logs_its_characteristic_slope(quintic,
