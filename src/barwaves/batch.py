@@ -49,7 +49,6 @@ from .material import (
     Material,
     _CUBIC_TO_ROUNDOFF,
     _GL_RULE,
-    _cubic_constants,
     _cubic_fan,
     _cubic_root,
     _excess,
@@ -78,15 +77,23 @@ from .wave_curves import State, _jump_v, _shock_slope, _w
 #: material's Gauss-Legendre rule as columns, for the lane fans
 _NODES, _WEIGHTS = np.array(_GL_RULE).T[:, :, None]
 
-# leg summaries (riemann._leg_summary) as codes, and the region of each
-# (system, backward, forward, middle stress >= 0)
+# leg summaries (riemann._leg_summary) as codes
 _SUMMARIES = ("", "R", "S", "SR", "X")
 _EMPTY, _R, _S, _SR, _X = range(len(_SUMMARIES))
-_REGIONS = np.full((3, 5, 5, 2), "unclassified", dtype=object)
+# a solved lane's label travels as its index into _LABELS: the boundary
+# labels (_middle_stress), on-T0, then the code of each (system, backward,
+# forward, middle stress >= 0) in _REGIONS
+_LABELS = ["on-W1", "on-W2", "on-W2F", "on-W2B", "on-W2E", "on-W2C", "on-T0",
+           "unclassified"]
+_ON_T0 = _LABELS.index("on-T0")
+_REGIONS = np.full((3, 5, 5, 2), _LABELS.index("unclassified"))
 for _i, _system in enumerate("ABC"):
     for (_b, _f), _entry in _REGION_MAPS[_system].items():
         _REGIONS[_i, _SUMMARIES.index(_b), _SUMMARIES.index(_f)] = (
-            _entry if isinstance(_entry, tuple) else (_entry, _entry))
+            len(_LABELS), len(_LABELS) + 1)
+        _LABELS += _entry if isinstance(_entry, tuple) else (_entry, _entry)
+_LABELS = np.array(_LABELS, dtype=object)
+_CASES = np.array(_ZERO_VELOCITY_CASES, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -183,17 +190,15 @@ def _solve_lanes(m, T_l, v_l, T_r, v_r, out: Solutions, lanes) -> None:
     region = _REGIONS[system, b_code, f_code, (~(T_bar < 0.0)).astype(int)]
     on_t0 = np.abs(T_r) <= BOUNDARY_TOL * np.maximum(np.abs(T_l),
                                                       np.abs(T_r))
-    region = np.where(on_t0, "on-T0", region)
-    label = np.where(label == "", region, label)
+    label = np.where(label < 0, np.where(on_t0, _ON_T0, region), label)
 
     dest = lanes[solved]
     out.T_bar[dest], out.v_bar[dest] = T_bar, v_bar
-    out.region_label[dest] = label
+    out.region_label[dest] = _LABELS[label]
     # a composite is the only two-leg backward wave
     zero = np.flatnonzero((v_l == 0.0) & (v_r == 0.0))
-    out.zero_velocity_case[dest[zero]] = np.array(
-        _ZERO_VELOCITY_CASES, dtype=object)[_zero_velocity_index(
-            T_l[zero], T_r[zero], T_bar[zero], b_code[zero] == _SR)]
+    out.zero_velocity_case[dest[zero]] = _CASES[_zero_velocity_index(
+        T_l[zero], T_r[zero], T_bar[zero], b_code[zero] == _SR)]
 
 
 def _summary(c: "_Curves", idx, T_bar, T_anchor, single, double):
@@ -209,9 +214,10 @@ def _summary(c: "_Curves", idx, T_bar, T_anchor, single, double):
 
 def _middle_stress(m, T_l, v_l, T_r, v_r, c):
     """riemann._find_middle_stress on lanes: (T_bar, v_bar, label, failed),
-    with failed a dict from lane to the kind of failure ('overflow',
-    'bracket', 'monotone', or the residual that missed the gate).  Lane i
-    has its backward and forward curves in rows i and i + n of c."""
+    with label the code in _LABELS of a boundary label or -1, and failed a
+    dict from lane to the kind of failure ('overflow', 'bracket',
+    'monotone', or the residual that missed the gate).  Lane i has its
+    backward and forward curves in rows i and i + n of c."""
     n = T_l.size
     rec: list[np.ndarray] = []   # (T, g, back.v, fwd.v) of every sample
     overflow = np.zeros(n, bool)
@@ -251,16 +257,14 @@ def _middle_stress(m, T_l, v_l, T_r, v_r, c):
     hit = np.abs(res) <= tol
     first = np.argmax(hit, axis=0)
     labelled = hit.any(axis=0) & ~overflow
-    names = np.array([["on-W1"] * n, ["on-W2"] * n,
-                      np.where(T_l < 0.0, "on-W2F", "on-W2E"),
-                      np.where(T_l < 0.0, "on-W2B", "on-W2C")], dtype=object)
     T_bar = np.full(n, np.nan)
     v_bar = np.full(n, np.nan)
-    label = np.full(n, "", dtype=object)
+    label = np.full(n, -1)
     at = np.flatnonzero(labelled)
     T_bar[at] = dividing[first[at], at]
     v_bar[at] = vb[first[at], at]
-    label[at] = names[first[at], at]
+    # rows 2 and 3 are on-W2F and on-W2B for T_l < 0, else on-W2E and on-W2C
+    label[at] = first[at] + 2 * ((first[at] > 1) & ~(T_l[at] < 0.0))
 
     # the samples bracket the root, or the search widens from the outermost
     # one by the Newton step there, capped as in _find_middle_stress
@@ -411,12 +415,12 @@ def _curve_pair(m, T_l, v_l, T_r, v_r):
     overflow |= ~np.isfinite(vt)
     k = np.concatenate([s[:n], -s[n:]])
     e_A = strain(m, A)
+    table = _fan_table(m)
     roots = [None, None]
     if m.n == 1.0:
-        c = _cubic_constants(m)
-        roots = [_cubic_root(c, A, np), _cubic_root(c, Tt, np)]
+        roots = [_cubic_root(table, A, np), _cubic_root(table, Tt, np)]
     v0 = np.concatenate([v_l, v_r])
-    return (_Curves(_fan_table(m), s, k, A, e_A, Tt, vt, v0, *roots),
+    return (_Curves(table, s, k, A, e_A, Tt, vt, v0, *roots),
             overflow[:n] | overflow[n:])
 
 
@@ -446,19 +450,19 @@ def _tangency(m, A):
 def _fan_lanes(m: Material, table, T_a, T_b, s_a=None):
     """rarefaction_integral on lanes, for fans that run outward from T_a on
     one side of zero (T_a*T_b >= 0, |T_a| <= |T_b|), the only ones the
-    wave curves build.  For n = 1, s_a is material._cubic_root at T_a,
-    which a curve keeps; it is taken here when not given.  Otherwise each
-    lane is the fan of material._FanTable on the call's table: one block
+    wave curves build, on the call's table (material._fan_table).  For
+    n = 1 the table is the fan's constants and s_a is material._cubic_root
+    at T_a, which a curve keeps; it is taken here when not given.
+    Otherwise each lane is the fan of material._FanTable on it: one block
     of 16 rows holds the head (or single) panel of every lane and the tail
     panel of every lane that crosses a knot, and numpy adds the rows of a
     block of two columns or more in _fan_panel's order, so a lane takes
     the scalar fan's operations."""
     T_a, T_b = np.broadcast_arrays(T_a, T_b)
     if m.n == 1.0:
-        k = _cubic_constants(m)
         if s_a is None:
-            s_a = _cubic_root(k, T_a, np)
-        d = _cubic_fan(k, T_a, s_a, T_b, np)
+            s_a = _cubic_root(table, T_a, np)
+        d = _cubic_fan(table, T_a, s_a, T_b, np)
     else:
         u_0, u = np.abs(T_a).ravel(), np.abs(T_b).ravel()
         # only the lanes whose fan runs outward are summed: the curves

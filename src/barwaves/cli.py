@@ -27,16 +27,6 @@ from .riemann import (
     solve,
     thresholds,
 )
-from .sampler import profile
-from .verify import (
-    CANONICAL_CASES,
-    CANONICAL_LINEAR,
-    check_dissipation,
-    check_rh,
-    continuity_probe,
-    refinement_study,
-    run_invariant_suite,
-)
 
 _CASE_ORDER = ("I", "II", "III", "IV", "V", "VI",
                "VII", "VIII", "IX", "X", "XI", "XII")
@@ -89,6 +79,7 @@ def _state_doc(s: State) -> dict:
 
 
 def _pattern_doc(m: Material, pattern: WavePattern) -> dict:
+    from .verify import check_dissipation, check_rh
     slack = check_dissipation(pattern)
     return {
         "material": m.to_dict(),
@@ -120,6 +111,7 @@ def cmd_solve(args, m: Material) -> int:
 
 
 def cmd_profile(args, m: Material) -> int:
+    from .sampler import profile
     pattern = solve(m, State(args.tl, args.vl), State(args.tr, args.vr))
     prof = profile(pattern, args.xi_min, args.xi_max, args.count)
     lines = ["xi,T,v"]
@@ -149,14 +141,16 @@ def cmd_atlas(args, m: Material) -> int:
     trivial = np.abs(T_l - T_r) <= 1e-13 * np.maximum(np.abs(T_l),
                                                        np.abs(T_r))
     sol = solve_many(m, T_l[~trivial], 0.0, T_r[~trivial], 0.0)
-    # the first failed cell in row-major order, as a cell-by-cell sweep
-    for error in sol.error:
-        if error is not None:
-            raise error
-    case = np.full(T_l.size, "-", dtype=object)
-    region = np.full(T_l.size, "-", dtype=object)
-    case[~trivial] = [c or "-" for c in sol.zero_velocity_case]
-    region[~trivial] = sol.region_label
+    # the first failed cell in row-major order, as a cell-by-cell sweep;
+    # an error is true, None is not
+    failed = np.flatnonzero(sol.error)
+    if failed.size:
+        raise sol.error[failed[0]]
+    case, region = ["-"] * T_l.size, ["-"] * T_l.size
+    for i, c, r in zip(np.flatnonzero(~trivial).tolist(),
+                       sol.zero_velocity_case.tolist(),
+                       sol.region_label.tolist()):
+        case[i], region[i] = c or "-", r
     distinct = set(case) - {"-"}
     ordered = [c for c in _CASE_ORDER if c in distinct]
     ordered += sorted(c for c in distinct if c not in _CASE_ORDER)
@@ -184,6 +178,8 @@ def cmd_thresholds(args, m: Material) -> int:
 
 
 def cmd_verify(args, m: Material) -> int:
+    from .verify import (CANONICAL_CASES, CANONICAL_LINEAR, continuity_probe,
+                         refinement_study, run_invariant_suite)
     rows = run_invariant_suite([m], args.seed, args.trials,
                                inject=args.inject)
 
@@ -224,72 +220,65 @@ class _Parser(argparse.ArgumentParser):
             r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _add_material_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--material", required=True,
-                   help=f"preset ({', '.join(PRESETS)}) or JSON file path")
+_STATE = (("--tl", dict(type=float, required=True, help="left stress")),
+          ("--vl", dict(type=float, default=0.0, help="left velocity")),
+          ("--tr", dict(type=float, required=True, help="right stress")),
+          ("--vr", dict(type=float, default=0.0, help="right velocity")))
+_OUT = ("--out", dict(default=None))
+
+#: Each subcommand's help line and the options that follow --material, as
+#: (flag, keyword arguments of add_argument).
+_COMMANDS = {
+    "solve": ("solve one Riemann problem (JSON out)", (*_STATE, _OUT)),
+    "profile": ("sampled similarity profile (CSV out)", (
+        *_STATE, ("--xi-min", dict(type=float, default=-3.0)),
+        ("--xi-max", dict(type=float, default=3.0)),
+        ("--count", dict(type=int, default=401)), _OUT)),
+    "atlas": ("zero-velocity solution-type sweep (CSV out)", (
+        ("--tl-min", dict(type=float, default=-2.0)),
+        ("--tl-max", dict(type=float, default=2.0)),
+        ("--tr-min", dict(type=float, default=-3.0)),
+        ("--tr-max", dict(type=float, default=3.0)),
+        ("--res", dict(type=int, default=81)), _OUT)),
+    "verify": ("run the verification suite", (
+        ("--seed", dict(type=int, default=0)),
+        ("--trials", dict(type=int, default=200)),
+        ("--inject", dict(action="store_true",
+                          help="corrupt shock speeds first (sensitivity "
+                               "control; the jump-condition check must then "
+                               "fail)")))),
+    "thresholds": ("zero-velocity stress thresholds (JSON out)", (
+        ("--tl", dict(type=float, required=True)), _OUT)),
+}
 
 
-def _add_state_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tl", type=float, required=True, help="left stress")
-    p.add_argument("--vl", type=float, default=0.0, help="left velocity")
-    p.add_argument("--tr", type=float, required=True, help="right stress")
-    p.add_argument("--vr", type=float, default=0.0, help="right velocity")
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of every subcommand, each with its help line, and the
+    options and handler (cmd_<name>) of the one named first in argv only,
+    the one a call runs; top-level help, usage and errors name them all.
+    The handler is looked up in the module when the parser is built, so a
+    cmd_<name> rebound there is the one called."""
     parser = _Parser(
         prog="barwaves",
         description="Exact Riemann solver for elastic bars with a "
                     "non-convex strain-stress law")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="solve one Riemann problem (JSON out)")
-    _add_material_arg(p)
-    _add_state_args(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("profile", help="sampled similarity profile (CSV out)")
-    _add_material_arg(p)
-    _add_state_args(p)
-    p.add_argument("--xi-min", type=float, default=-3.0)
-    p.add_argument("--xi-max", type=float, default=3.0)
-    p.add_argument("--count", type=int, default=401)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("atlas",
-                       help="zero-velocity solution-type sweep (CSV out)")
-    _add_material_arg(p)
-    p.add_argument("--tl-min", type=float, default=-2.0)
-    p.add_argument("--tl-max", type=float, default=2.0)
-    p.add_argument("--tr-min", type=float, default=-3.0)
-    p.add_argument("--tr-max", type=float, default=3.0)
-    p.add_argument("--res", type=int, default=81)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_atlas)
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    _add_material_arg(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--inject", action="store_true",
-                   help="corrupt shock speeds first (sensitivity control; "
-                        "the jump-condition check must then fail)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("thresholds",
-                       help="zero-velocity stress thresholds (JSON out)")
-    _add_material_arg(p)
-    p.add_argument("--tl", type=float, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_thresholds)
-
+    command = next((arg for arg in argv if arg in _COMMANDS), None)
+    for name, (text, options) in _COMMANDS.items():
+        # a subparser that this call cannot reach needs no -h either
+        p = sub.add_parser(name, help=text, add_help=name == command)
+        if name == command:
+            p.add_argument("--material", required=True, help=f"preset "
+                           f"({', '.join(PRESETS)}) or JSON file path")
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         m = load_material(args.material)
     except MaterialError as exc:

@@ -246,25 +246,27 @@ def _cubic_fan(k: tuple, T_a, s_a, T_b, xp=math):
     return (0.5 * lin + half_a_rb * arc) / root_rho
 
 
-def _fan_from(m: Material, T_0: float, table: "_FanTable | None"):
+def _fan_from(m: Material, T_0: float, table):
     """rarefaction_integral(m, T_0, T) on the fans outward from T_0 (the
-    wave curves'), for every material: the closed forms for n = 1, on
-    constants taken once per fan, and linear_mode, and otherwise a fan of
-    the call's table (_fan_table)."""
+    wave curves'), for every material, on the call's table (_fan_table):
+    the closed forms for n = 1, on its constants and the root at T_0 taken
+    once per fan, and linear_mode, and otherwise a fan of the table."""
     if m.linear_mode:
         return lambda T: rarefaction_integral(m, T_0, T)
     if m.n == 1.0:
-        k = _cubic_constants(m)
-        s_0 = _cubic_root(k, T_0)
-        return lambda T: 0.0 if T == T_0 else _cubic_fan(k, T_0, s_0, T)
+        s_0 = _cubic_root(table, T_0)
+        return lambda T: 0.0 if T == T_0 else _cubic_fan(table, T_0, s_0, T)
     return lambda T: (0.0 if T == T_0
                       else math.copysign(table.fan(abs(T_0), abs(T)), T))
 
 
-def _fan_table(m: Material) -> "_FanTable | None":
-    """A new _FanTable of m for one call, or None where the fans are
-    closed forms (n = 1 and linear_mode)."""
-    return None if m.linear_mode or m.n == 1.0 else _FanTable(m)
+def _fan_table(m: Material) -> "_FanTable | tuple | None":
+    """What the fans of m read within one call: a new _FanTable, for
+    n = 1 the constants of _cubic_constants, taken once per call, and None
+    for linear_mode."""
+    if m.linear_mode:
+        return None
+    return _cubic_constants(m) if m.n == 1.0 else _FanTable(m)
 
 
 class _FanTable:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from barwaves import NoBracket, PRESETS, State, riemann
+from barwaves import NoBracket, PRESETS, State, cli, riemann
 from barwaves.cli import main
 
 
@@ -123,18 +124,80 @@ def test_negative_infinity_token_still_exits_2(capsys):
     assert rc == 2 and "T_l" in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_unloaded():
+def modules_after(imports, *names):
+    """The modules among names, or under them, that a fresh interpreter
+    has loaded after the import statement `imports`."""
     import barwaves
     src = os.path.dirname(os.path.dirname(os.path.abspath(barwaves.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, barwaves, barwaves.cli; "
-            "print(sorted(k for k in sys.modules "
-            "if k == 'scipy' or k.startswith('scipy.')))")
+    code = (f"import sys; {imports}; print(sorted(k for k in sys.modules "
+            f"if any(k == n or k.startswith(n + '.') for n in {names})))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    assert modules_after("import barwaves, barwaves.cli", "scipy") == "[]"
+
+
+def test_cli_import_leaves_verify_and_sampler_unloaded():
+    # atlas and thresholds use neither; solve, profile and verify import
+    # what they use when they run
+    assert modules_after("import barwaves.cli", "barwaves.verify",
+                         "barwaves.sampler") == "[]"
+
+
+def pinned_cli_text():
+    """Help, usage and error text of the CLI at COLUMNS=80, recorded from
+    the parser that built every subcommand's options on every call."""
+    path = os.path.join(os.path.dirname(__file__), "cli_text.json")
+    with open(path, encoding="utf-8") as fh:
+        return [pytest.param(args, want, id=args or "no-arguments")
+                for args, want in json.load(fh).items()]
+
+
+@pytest.mark.parametrize("args,want", pinned_cli_text())
+def test_help_usage_and_errors_are_pinned(capsys, monkeypatch, args, want):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc_info:
+        main(args.split())
+    out, err = capsys.readouterr()
+    assert (exc_info.value.code, out, err) == (want["exit"], want["stdout"],
+                                               want["stderr"])
+
+
+def test_atlas_builds_only_its_own_options(monkeypatch, tmp_path):
+    # a call adds options to the subcommand it runs, and to no other
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(parser, *args, **kwargs):
+        added.append((parser.prog, args[0]))
+        return add_argument(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert main(["atlas", "--material", "cubic", "--res", "3",
+                 "--out", str(tmp_path / "atlas.csv")]) == 0
+    assert added == [("barwaves", "-h"), ("barwaves atlas", "-h")] + [
+        ("barwaves atlas", flag) for flag in (
+            "--material", "--tl-min", "--tl-max", "--tr-min", "--tr-max",
+            "--res", "--out")]
+
+
+def test_a_rebound_handler_is_the_one_called(monkeypatch):
+    # bench/tracing.py rebinds barwaves.cli.cmd_atlas by name to time it
+    calls = []
+
+    def fake(args, m):
+        calls.append((args.res, m))
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_atlas", fake)
+    assert main(["atlas", "--material", "cubic"]) == 7
+    assert calls == [(81, PRESETS["cubic"])]
 
 
 def test_profile_csv(capsys, tmp_path):

@@ -491,6 +491,23 @@ def test_a_solve_sums_each_knot_panel_and_each_head_once(monkeypatch):
     assert {x for x, end in calls if x not in ks} == {0.3}
 
 
+def test_a_call_takes_the_cubic_fan_constants_once(monkeypatch, cubic):
+    # for n = 1 the call's table is the fan's constants: a solve (four
+    # fans on two curves), a solve_many, a profile and a
+    # rarefaction_integral each take them once
+    from barwaves import profile, solve_many
+    calls = []
+    constants = material._cubic_constants
+    monkeypatch.setattr(material, "_cubic_constants",
+                        lambda m: calls.append(m) or constants(m))
+    pattern = solve(cubic, State(-1.0, 0.0), State(1.6, 0.0))
+    assert calls == [cubic]
+    solve_many(cubic, [-1.0, 0.5, 0.0], 0.0, [1.6, -2.0, 1.2], 0.0)
+    profile(pattern, -2.0, 2.0, 41)
+    material.rarefaction_integral(cubic, -0.5, 0.7)
+    assert calls == [cubic] * 4
+
+
 def test_shock_of_roundoff_width_logs_its_characteristic_slope(quintic,
                                                               caplog):
     # one ulp of stress across which the strain rounds to one value: the
