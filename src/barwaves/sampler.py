@@ -135,8 +135,10 @@ def profile(pattern: WavePattern, xi_min: float, xi_max: float,
     pts = np.sort(np.concatenate(
         [xi_min + span * np.arange(count) / (count - 1), edges]))
     # a point within the tolerance of the last point kept is dropped; only
-    # points that close to their neighbour need the look back at it
-    tol = 1e-14 * max(1.0, span)
+    # points that close to their neighbour need the look back at it.  The
+    # tolerance is relative to the span alone: an absolute floor would
+    # merge the grid of a narrow window
+    tol = 1e-14 * span
     keep = np.diff(pts, prepend=-np.inf) > tol
     for i in np.flatnonzero(~keep).tolist():
         keep[i] = pts[i] - pts[:i][keep[:i]][-1] > tol

@@ -54,11 +54,19 @@ def check_rh(pattern: WavePattern) -> float:
     return worst
 
 
+#: The roundoff bound of the dissipation slack s*(T_r - T_l)*(T_r + T_l),
+#: in units of eps*|s|*|T_r - T_l|*(|T_l| + |T_r|): a few roundings of the
+#: sum and the two products, doubled.
+_SLACK_ROUNDOFF = 8.0 * math.ulp(1.0)
+
+
 def check_dissipation(pattern: WavePattern) -> float:
     """Minimum dissipation slack s*(T_r - T_l)*(T_r + T_l) over shocks
     (+inf for shock-free patterns, which are vacuously admissible).  Also
     recomputes the dissipation rate as driving_force * speed and raises if
-    the two expressions disagree in sign beyond 1e-12.
+    the two expressions disagree in sign, either both beyond 1e-12 or, at
+    any scale, with a nonzero rate and a slack beyond its roundoff,
+    8*eps*|s|*|T_r - T_l|*(|T_l| + |T_r|).
 
     Contact discontinuities (degenerate on both sides, linear materials
     only) carry no dissipation and are skipped.
@@ -71,7 +79,11 @@ def check_dissipation(pattern: WavePattern) -> float:
         s = w.speed_head
         slack = s * (w.right.T - w.left.T) * (w.right.T + w.left.T)
         rate = driving_force(m, w.left.T, w.right.T) * s
-        if abs(slack) > 1e-12 and abs(rate) > 1e-12 and slack * rate < 0.0:
+        roundoff = (_SLACK_ROUNDOFF * abs(s) * abs(w.right.T - w.left.T)
+                    * (abs(w.left.T) + abs(w.right.T)))
+        if ((abs(slack) > 1e-12 and abs(rate) > 1e-12 and slack * rate < 0.0)
+                or (rate != 0.0 and abs(slack) > roundoff
+                    and (slack < 0.0) != (rate < 0.0))):
             raise AssertionError(
                 f"dissipation sign mismatch: slack={slack}, rate={rate}")
         slack_min = min(slack_min, slack)
@@ -152,20 +164,57 @@ def strain_residual_slope(m: Material, T, eps, r, slope, tmp, k) -> None:
     np.add(slope, beta, slope)
 
 
+def cubic_inverse_rows(m: Material, size: int) -> tuple | None:
+    """The constant operands of cubic_inverse for arrays of `size`
+    elements, views of one array, or None unless m is an n = 1 material
+    outside linear_mode.  There strain(T) = a*T + c*T**3 with a = alpha +
+    beta > 0 and c = alpha*gamma/2 > 0, and with p = a/c the rows hold
+    K1 = (3/(2p))*sqrt(3/p)/c, 3 and K2 = 2*sqrt(p/3)."""
+    if m.n != 1.0 or m.linear_mode:
+        return None
+    c = 0.5 * m.alpha * m.gamma
+    p = (m.alpha + m.beta) / c
+    return tuple(np.repeat(
+        [[1.5 / p * math.sqrt(3.0 / p) / c], [3.0],
+         [2.0 * math.sqrt(p / 3.0)]], size, axis=1))
+
+
+def cubic_inverse(eps, T, rows) -> None:
+    """Write into T the real root of the n = 1 strain, a*T + c*T**3 = eps,
+    in closed form: T = K2*sinh(asinh(K1*eps)/3), the one real root of a
+    depressed cubic with p > 0, on the rows of cubic_inverse_rows.  Five
+    in-place ufunc calls; relative error a few ulps at unit scale, growing
+    with asinh(K1*|eps|) through sinh's argument.  Where K1*|eps| exceeds
+    the largest float, T overflows to +-inf (with a RuntimeWarning)."""
+    K1, three, K2 = rows
+    np.multiply(eps, K1, T)
+    np.arcsinh(T, T)
+    np.divide(T, three, T)
+    np.sinh(T, T)
+    np.multiply(T, K2, T)
+
+
 def _invert_strain_grid(m: Material, eps: np.ndarray, T: np.ndarray,
                         r: np.ndarray, slope: np.ndarray, k: tuple,
-                        rel: np.ndarray, tol: np.ndarray, work: np.ndarray,
-                        ok: np.ndarray):
-    """Vectorized Newton for strain(T) = eps, in place: T is the warm
-    start, r = strain(T) - eps its residual and slope = strain_prime(T),
-    and all three are overwritten with their values at the stress found.
-    Each update T -= r/slope is followed by one strain_residual_slope pass,
-    with its rows k (whose second is all ones).  Stops when
-    |r| <= 1e-13*max(1, |eps|) in every cell, where rel holds the 1e-13;
+                        cubic: tuple | None, rel: np.ndarray, tol: np.ndarray,
+                        work: np.ndarray, ok: np.ndarray):
+    """Vectorized Newton for strain(T) = eps, in place, started either from
+    the closed form or warm.  With the rows cubic = cubic_inverse_rows(m,
+    T.size) of an n = 1 material, T is overwritten by cubic_inverse and one
+    strain_residual_slope pass takes its residual and slope; otherwise
+    (cubic is None) T is the warm start, r = strain(T) - eps its residual
+    and slope = strain_prime(T).  T, r and slope are overwritten with their
+    values at the stress found.  Each update T -= r/slope is followed by
+    one strain_residual_slope pass, with its rows k (whose second is all
+    ones).  Stops when |r| <= 1e-13*max(1, |eps|) in every cell, where rel
+    holds the 1e-13, so the closed form is only checked, not trusted;
     cells still outside after 60 updates are inverted one by one by the
     scalar invert_strain (the rescue).  tol, work (float) and ok (bool) are
     buffers of eps's size.  Returns T, r, slope, the number of Newton
     updates and the number of cells rescued."""
+    if cubic is not None:
+        cubic_inverse(eps, T, cubic)
+        strain_residual_slope(m, T, eps, r, slope, work, k)
     np.abs(eps, tol)
     # maximum, unlike the other ufuncs, deprecates a positional out
     np.maximum(tol, k[1], out=tol)
@@ -174,7 +223,9 @@ def _invert_strain_grid(m: Material, eps: np.ndarray, T: np.ndarray,
     # all() by count_nonzero, which skips the reduction machinery
     while np.count_nonzero(np.less_equal(np.abs(r, work), tol, ok)) < T.size:
         if updates == 60:
-            stuck = np.flatnonzero(work > tol)
+            # ~ok, not work > tol: a cell whose residual is NaN (a closed
+            # form that overflowed) is stuck too
+            stuck = np.flatnonzero(~ok)
             for i in stuck:
                 T[i] = invert_strain(m, float(eps[i]))
             strain_residual_slope(m, T, eps, r, slope, work, k)
@@ -208,14 +259,17 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
     exceeds it, the following steps use that speed plus 5%.  It never
     shrinks, so data within the hull runs at the initial speed throughout.
 
-    Each step recovers the stress by Newton's method warm-started at the
-    previous stress (_invert_strain_grid).  The residual strain(T) - eps
-    and the slope strain_prime(T) of the last update are kept across
-    steps: the step moves eps by -d, so the next residual starts at r + d,
-    and the slope gives both the next first Newton step and the step's
-    largest characteristic speed.  So, outside the rescue, each Newton
-    update makes one strain_residual_slope pass and nothing else evaluates
-    the constitutive law.  The step runs in arrays allocated once per call,
+    Each step recovers the stress by _invert_strain_grid.  For an n = 1
+    material it is the closed-form root of the cubic strain
+    (cubic_inverse), checked by one strain_residual_slope pass against
+    the stopping rule, so no Newton update runs in practice.  For other n
+    and for linear_mode it is Newton's method warm-started at the previous
+    stress: the residual strain(T) - eps and the slope strain_prime(T) of
+    the last update are kept across steps, and the step moves eps by -d,
+    so the next residual starts at r + d.  Either way the slope gives the
+    step's largest characteristic speed, and, outside the rescue, each
+    strain_residual_slope pass is the step's only evaluation of the
+    constitutive law.  The step runs in arrays allocated once per call,
     with the operations of the textbook formulas in their order, so its
     results do not depend on the buffering.
 
@@ -270,9 +324,10 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
     T[:] = np.where(x < 0.0, U_l.T, U_r.T)
     mom[:] = np.where(x < 0.0, m.rho * U_l.v, m.rho * U_r.v)
     # the residual strain(T) - eps and strain_prime(T), kept across steps,
-    # and the inversion's buffers; the first pass writes strain(T) - 0 =
-    # strain(T) into eps
+    # the closed form's rows (None unless n = 1) and the inversion's
+    # buffers; the first pass writes strain(T) - 0 = strain(T) into eps
     k = residual_slope_rows(m, cells)
+    cubic = cubic_inverse_rows(m, cells)
     r = np.zeros(cells)
     slope, tol, work = np.empty((3, cells))
     ok = np.empty(cells, dtype=bool)
@@ -327,11 +382,13 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
         (lo_eps, hi_eps), (lo_mom, hi_mom) = fhat_ends.tolist()
         flux_eps += dt * (hi_eps - lo_eps)
         flux_mom += dt * (hi_mom - lo_mom)
-        # eps moved by -d[0], so the kept residual moves by +d[0]
-        np.add(r, r_shift, r)
+        # eps moved by -d[0], so a kept residual moves by +d[0]; the
+        # closed form takes a fresh one
+        if cubic is None:
+            np.add(r, r_shift, r)
         # T, r and slope are updated in place; T stays the stress row of W
         *_, updates, stuck = _invert_strain_grid(m, eps, T, r, slope, k,
-                                                 rel, tol, work, ok)
+                                                 cubic, rel, tol, work, ok)
         speed_now = _slope_speed(m, float(slope.min()))
         if speed_now > a:
             a = 1.05 * speed_now

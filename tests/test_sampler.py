@@ -95,6 +95,15 @@ def test_profile_grid_and_edges(cubic, case_one):
     assert State(prof.T[-1], prof.v[-1]) == case_one.right_state
 
 
+def test_profile_keeps_its_grid_on_a_narrow_window(cubic):
+    # the merge tolerance is relative to the span: an absolute floor of
+    # 1e-14 merged this 401-point grid of spacing 2.5e-15 to 88 points
+    p = solve(cubic, State(-1.0, 0.0), State(1.6, 0.0))
+    prof = profile(p, 0.1, 0.1 + 1e-12, 401)
+    assert len(prof.xi) >= 401
+    assert np.all(np.diff(prof.xi) > 0.0)
+
+
 def test_profile_argument_validation(cubic, case_one):
     with pytest.raises(ValueError):
         profile(case_one, 1.0, -1.0, 10)

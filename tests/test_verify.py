@@ -3,6 +3,7 @@ import logging
 import math
 import os
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,18 @@ def test_dissipation_of_manufactured_inadmissible_jump(cubic):
     # dissipates negatively (the configuration ruled out thermodynamically)
     p = single_shock_pattern(cubic, -1.0, 0.0, 2.0, BACKWARD)
     assert check_dissipation(p) < 0.0
+
+
+def test_dissipation_cross_check_runs_at_small_scale(monkeypatch, cubic):
+    # at stresses of 1e-5 both the slack and the rate lie below 1e-12, so
+    # only the check relative to the slack's roundoff sees a sign mismatch
+    p = solve(cubic, State(-1e-5, 0.0), State(1.6e-5, 0.0))
+    assert check_dissipation(p) >= 0.0
+    force = verify.driving_force
+    monkeypatch.setattr(verify, "driving_force",
+                        lambda m, T_l, T_r: -force(m, T_l, T_r))
+    with pytest.raises(AssertionError, match="sign mismatch"):
+        check_dissipation(p)
 
 
 def test_dissipation_nonnegative_on_solver_output(cubic, quintic):
@@ -286,8 +299,13 @@ def test_fv_matches_the_stepwise_oracle(m, U_l, U_r):
     assert np.array_equal(fv.xi, xi)
     assert np.max(np.abs(fv.T - T)) <= 1e-12 * scale
     assert np.max(np.abs(fv.v - v)) <= 1e-12 * scale
-    # the kept residual starts each inversion where a fresh one would
-    assert tallies["newton_steps"] == updates
+    if m.n == 1.0:
+        # the closed form leaves Newton nothing to do
+        assert tallies["newton_steps"] == 0
+        assert tallies["rescued"] == 0
+    else:
+        # the kept residual starts each inversion where a fresh one would
+        assert tallies["newton_steps"] == updates
 
 
 def record_fresh_residuals(monkeypatch) -> list:
@@ -318,9 +336,14 @@ def test_fv_stresses_meet_the_stopping_rule_afresh(monkeypatch, m, U_l,
     assert max(ratios) <= 1.0
     assert tallies["steps"] == len(ratios) > 0
     assert tallies["rescued"] == 0
-    # every step of these data moves the waves, so every inversion updates
-    assert tallies["newton_steps"] % 200 == 0
-    assert tallies["newton_steps"] >= 200 * len(ratios)
+    if m.n == 1.0:
+        # the closed form alone meets the rule
+        assert tallies["newton_steps"] == 0
+    else:
+        # every step of these data moves the waves, so every warm-started
+        # inversion updates
+        assert tallies["newton_steps"] % 200 == 0
+        assert tallies["newton_steps"] >= 200 * len(ratios)
 
 
 @pytest.mark.parametrize("m,U_l,U_r", FV_ORACLE_CASES)
@@ -376,9 +399,10 @@ def test_fv_reference_output_is_pinned(label, m, U_l, U_r, cells):
 
 
 def test_fv_rescues_cells_newton_leaves_unconverged(monkeypatch, caplog,
-                                                    cubic):
+                                                    quintic):
     # a slope ten times too steep shrinks the residual by only 0.9 per
-    # update, so 60 updates leave cells for the scalar inversion
+    # update, so 60 updates leave cells for the scalar inversion (on a
+    # material with n != 1: the n = 1 closed form runs no update)
     residual_slope = verify.strain_residual_slope
 
     def steep(m, T, eps, r, slope, tmp, k):
@@ -397,7 +421,7 @@ def test_fv_rescues_cells_newton_leaves_unconverged(monkeypatch, caplog,
     ratios = record_fresh_residuals(monkeypatch)
     tallies = {}
     caplog.set_level(logging.DEBUG, logger="barwaves.verify")
-    fv_reference(cubic, State(-0.5, 0.0), State(1.0, 0.0), cells=60,
+    fv_reference(quintic, State(-0.5, 0.0), State(1.0, 0.0), cells=60,
                  cfl=0.45, t_end=0.1, tallies=tallies)
     assert rescued
     assert tallies["newton_steps"] == 60 * 60 * tallies["steps"]
@@ -407,6 +431,83 @@ def test_fv_rescues_cells_newton_leaves_unconverged(monkeypatch, caplog,
     steps_logged = [rec.args[0] for rec in caplog.records]
     assert steps_logged == sorted(set(steps_logged))
     assert sum(rec.args[1] for rec in caplog.records) == len(rescued)
+
+
+#: n = 1 materials for the closed-form inverse: the cubic preset, near
+#: hyperbolicity loss (alpha + beta = 1e-3), far from it and a stiff gamma.
+CUBIC_INVERSE_MATERIALS = [
+    PRESETS["cubic"],
+    Material(1.0, -0.999, 1.0, 1.0, 1.0),
+    Material(1.0, -0.01, 1.0, 1.0, 1.0),
+    Material(2.0, -1.0, 1e4, 1.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("m", CUBIC_INVERSE_MATERIALS)
+def test_cubic_inverse_matches_60_digits_and_the_stopping_rule(m):
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(2311)
+    size = 200
+    eps = np.array([rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300)
+                    for _ in range(size)])
+    rows = verify.cubic_inverse_rows(m, size)
+    T = np.empty(size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verify.cubic_inverse(eps, T, rows)
+        # the whole inversion, with its Newton guard, on the same strains
+        k = verify.residual_slope_rows(m, size)
+        T_grid, r, slope, tol, work = np.empty((5, size))
+        *_, stuck = verify._invert_strain_grid(
+            m, eps, T_grid, r, slope, k, rows, np.full(size, 1e-13), tol,
+            work, np.empty(size, dtype=bool))
+    ulp = math.ulp(1.0)
+    with mpmath.workdps(60):
+        a = mpmath.mpf(m.alpha) + mpmath.mpf(m.beta)
+        c = mpmath.mpf(m.alpha) * mpmath.mpf(m.gamma) / 2
+        K1 = 1.5 / (a / c) * mpmath.sqrt(3 * c / a) / c
+        for e, t in zip(eps.tolist(), T.tolist()):
+            # Newton at 60 digits; the cubic is increasing, so its one root
+            # is reached from any start, here in four updates
+            exact = mpmath.mpf(t)
+            for _ in range(4):
+                exact -= (a * exact + c * exact ** 3 - e) / (
+                    a + 3 * c * exact ** 2)
+            assert abs(a * exact + c * exact ** 3 - e) <= 1e-55 * abs(e)
+            rel = float(abs((t - exact) / exact))
+            # sinh turns the absolute roundoff of its argument z into a
+            # relative error of T
+            z = float(mpmath.asinh(K1 * abs(e)) / 3)
+            assert rel <= 4.0 * ulp * (1.0 + z)
+            if abs(e) <= 1e3:
+                assert rel <= 1e-15
+            # invert_strain is as good as the float strain it inverts, whose
+            # terms cancel by (|beta| + alpha*q)/strain_prime
+            inv = invert_strain(m, e)
+            q = 1.0 + 0.5 * m.gamma * inv * inv
+            cond = (abs(m.beta) + m.alpha * q) / strain_prime(m, inv)
+            assert abs(t - inv) <= 4.0 * ulp * abs(inv) * (1.0 + z + cond)
+    rule = 1e-13 * np.maximum(1.0, np.abs(eps))
+    alone = np.abs(eps) <= 1e100
+    assert np.all(np.abs(strain(m, T[alone]) - eps[alone]) <= rule[alone])
+    assert stuck == 0
+    assert np.all(np.abs(strain(m, T_grid) - eps) <= rule)
+
+
+def test_fv_rescues_cells_whose_closed_form_overflows():
+    # near hyperbolicity loss K1 is about 1.8e18, so K1*eps overflows for
+    # these strains: the start is inf, its residual NaN, and the rescue
+    # must take those cells as well
+    m = Material(1.0, -(1.0 - 1e-12), 1.0, 1.0, 1.0)
+    U_l, U_r = State(1e97, 0.0), State(-1e97, 0.0)
+    tallies = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        fv = fv_reference(m, U_l, U_r, cells=60, cfl=0.45, t_end=0.5,
+                          tallies=tallies)
+    assert tallies["rescued"] > 0
+    assert np.all(np.isfinite(fv.T))
+    eps = strain(m, fv.T)
+    assert np.all(np.abs(eps) <= abs(strain(m, U_l.T)))
 
 
 #: Data with |T|, |v| <= 2 (drawn from seed 1) whose middle stress lies
