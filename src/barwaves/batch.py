@@ -6,9 +6,8 @@ curve pair with its tangency stresses, the residual at the four dividing
 stresses (boundary labels, their tolerance and the bracket seed), the
 widening of ``riemann._bracket``, the sample at ``riemann._hermite_start``
 that narrows the bracket, masked rtsafe, the final-residual gate,
-the monotonicity check and the snap, then the region label from the leg
-summaries and the zero-velocity type.  As in ``solve``, the bracket search
-and rtsafe see the residual zeroed within its roundoff
+the monotonicity check and the snap, then the labels.  As in ``solve``,
+the bracket search and rtsafe see the residual zeroed within its roundoff
 (``riemann._stopped_residual``), so a lane stops once its residual is
 noise and no straggler keeps the others' rounds going.  Both curves of
 every lane are rows of one ``_Curves``: a residual or slope round is one
@@ -22,7 +21,8 @@ and sum only a head and a tail panel per lane, and the root finder
 ``_newton_bisect_many``.  The formulas are shared:
 ``material``'s tangency condition and n = 1 fan; ``wave_curves``' shock
 jump, fan integrand and shock-branch slope; ``riemann``'s tolerances,
-tables, zero-velocity type and error of a failed search.  Each kernel is
+classification (its labels and tables) and error of a failed search, so
+a lane's labels are those of ``solve`` by construction.  Each kernel is
 called with ``xp = numpy``, so a lane agrees with ``solve`` to the
 last-bit roundings that ``material`` describes and does not depend on
 the other lanes of its call.
@@ -44,6 +44,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import riemann
 from .material import (
     BACKWARD,
     Material,
@@ -64,11 +65,15 @@ from .riemann import (
     MONOTONE_SLACK,
     RESIDUAL_GATE,
     SNAP_TOL,
-    _REGION_MAPS,
-    _ZERO_VELOCITY_CASES,
+    _S,
+    _SR,
+    _X,
+    _boundary_index,
     _hermite_start,
     _middle_stress_error,
+    _region_index,
     _stopped_residual,
+    _summary,
     _zero_velocity_index,
     solve_linear,
 )
@@ -77,23 +82,10 @@ from .wave_curves import State, _jump_v, _shock_slope, _w
 #: material's Gauss-Legendre rule as columns, for the lane fans
 _NODES, _WEIGHTS = np.array(_GL_RULE).T[:, :, None]
 
-# leg summaries (riemann._leg_summary) as codes
-_SUMMARIES = ("", "R", "S", "SR", "X")
-_EMPTY, _R, _S, _SR, _X = range(len(_SUMMARIES))
-# a solved lane's label travels as its index into _LABELS: the boundary
-# labels (_middle_stress), on-T0, then the code of each (system, backward,
-# forward, middle stress >= 0) in _REGIONS
-_LABELS = ["on-W1", "on-W2", "on-W2F", "on-W2B", "on-W2E", "on-W2C", "on-T0",
-           "unclassified"]
-_ON_T0 = _LABELS.index("on-T0")
-_REGIONS = np.full((3, 5, 5, 2), _LABELS.index("unclassified"))
-for _i, _system in enumerate("ABC"):
-    for (_b, _f), _entry in _REGION_MAPS[_system].items():
-        _REGIONS[_i, _SUMMARIES.index(_b), _SUMMARIES.index(_f)] = (
-            len(_LABELS), len(_LABELS) + 1)
-        _LABELS += _entry if isinstance(_entry, tuple) else (_entry, _entry)
-_LABELS = np.array(_LABELS, dtype=object)
-_CASES = np.array(_ZERO_VELOCITY_CASES, dtype=object)
+# riemann's tables for lanes; a solved lane's label travels as its code
+_LABELS = np.array(riemann._LABELS, dtype=object)
+_REGIONS = np.array(riemann._REGIONS)
+_CASES = np.array(riemann._ZERO_VELOCITY_CASES, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -183,33 +175,20 @@ def _solve_lanes(m, T_l, v_l, T_r, v_r, out: Solutions, lanes) -> None:
             kind, *_states(T_l, v_l, T_r, v_r, j))
 
     T_l, v_l, T_r, v_r = T_l[solved], v_l[solved], T_r[solved], v_r[solved]
-    b_code = _summary(curves, rows, T_bar, T_l, single=_S, double=_SR)
-    f_code = _summary(curves, rows + keep.size, T_bar, T_r, single=np.where(
-        T_bar * T_r < 0.0, _X, _S), double=_X)
-    system = np.where(T_l < 0.0, 0, np.where(T_l > 0.0, 1, 2))
-    region = _REGIONS[system, b_code, f_code, (~(T_bar < 0.0)).astype(int)]
-    on_t0 = np.abs(T_r) <= BOUNDARY_TOL * np.maximum(np.abs(T_l),
-                                                      np.abs(T_r))
-    label = np.where(label < 0, np.where(on_t0, _ON_T0, region), label)
+    back, fwd = rows, rows + keep.size
+    b_code = _summary(curves.A[back], curves.s[back], curves.Tt[back], T_bar,
+                      T_l, _S, _SR)
+    f_code = _summary(curves.A[fwd], curves.s[fwd], curves.Tt[fwd], T_bar,
+                      T_r, _X, _X)
+    label = np.where(label < 0, _REGIONS[_region_index(
+        T_l, T_r, T_bar, b_code, f_code)], label)
 
     dest = lanes[solved]
     out.T_bar[dest], out.v_bar[dest] = T_bar, v_bar
     out.region_label[dest] = _LABELS[label]
-    # a composite is the only two-leg backward wave
     zero = np.flatnonzero((v_l == 0.0) & (v_r == 0.0))
     out.zero_velocity_case[dest[zero]] = _CASES[_zero_velocity_index(
         T_l[zero], T_r[zero], T_bar[zero], b_code[zero] == _SR)]
-
-
-def _summary(c: "_Curves", idx, T_bar, T_anchor, single, double):
-    """Leg-summary codes of curves idx from their anchor stress to T_bar,
-    as WaveCurve.legs builds them: none, one fan, one shock (`single`) or
-    a shock joined to a fan (`double`)."""
-    A = c.A[idx]
-    y = c.s[idx] * T_bar
-    return np.where(T_bar == T_anchor, _EMPTY,
-                    np.where((y < A) | (A == 0.0), _R,
-                             np.where(y <= c.Tt[idx], single, double)))
 
 
 def _middle_stress(m, T_l, v_l, T_r, v_r, c):
@@ -263,8 +242,7 @@ def _middle_stress(m, T_l, v_l, T_r, v_r, c):
     at = np.flatnonzero(labelled)
     T_bar[at] = dividing[first[at], at]
     v_bar[at] = vb[first[at], at]
-    # rows 2 and 3 are on-W2F and on-W2B for T_l < 0, else on-W2E and on-W2C
-    label[at] = first[at] + 2 * ((first[at] > 1) & ~(T_l[at] < 0.0))
+    label[at] = _boundary_index(first[at], T_l[at])
 
     # the samples bracket the root, or the search widens from the outermost
     # one by the Newton step there, capped as in _find_middle_stress

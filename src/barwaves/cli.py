@@ -22,14 +22,12 @@ from .batch import solve_many
 from .errors import MaterialError, NoBracket, NonMonotone, RootNotBracketed
 from .material import Material, PRESETS, load_material, tangent_point
 from .riemann import (
+    _ZERO_VELOCITY_CASES,
     State,
     WavePattern,
     solve,
     thresholds,
 )
-
-_CASE_ORDER = ("I", "II", "III", "IV", "V", "VI",
-               "VII", "VIII", "IX", "X", "XI", "XII")
 
 
 def _fmt(x: float) -> str:
@@ -152,8 +150,7 @@ def cmd_atlas(args, m: Material) -> int:
                        sol.region_label.tolist()):
         case[i], region[i] = c or "-", r
     distinct = set(case) - {"-"}
-    ordered = [c for c in _CASE_ORDER if c in distinct]
-    ordered += sorted(c for c in distinct if c not in _CASE_ORDER)
+    ordered = [c for c in _ZERO_VELOCITY_CASES if c in distinct]
     # each grid value is formatted once
     tl_text, tr_text = [_fmt(x) for x in tl], [_fmt(x) for x in tr]
     cells = (f"{a},{b}" for a in tl_text for b in tr_text)

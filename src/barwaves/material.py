@@ -114,16 +114,24 @@ class Material:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Material":
-        try:
-            alpha = float(doc["alpha"])
-            beta = float(doc["beta"])
-            gamma = float(doc["gamma"])
-            n = float(doc["n"])
-            rho = float(doc["rho"])
-        except KeyError as exc:
-            raise MaterialError(f"material document missing key {exc}") from exc
-        linear_mode = bool(doc.get("linear_mode", False))
-        return cls(alpha, beta, gamma, n, rho, linear_mode=linear_mode)
+        """The material of a JSON object with the keys alpha, beta, gamma,
+        n and rho, and optionally linear_mode, a JSON boolean."""
+        if not isinstance(doc, dict):
+            raise MaterialError("material document is not a JSON object")
+        values = []
+        for key in ("alpha", "beta", "gamma", "n", "rho"):
+            if key not in doc:
+                raise MaterialError(f"material document missing key {key!r}")
+            try:
+                values.append(float(doc[key]))
+            except (TypeError, OverflowError) as exc:
+                raise MaterialError(
+                    f"material {key} is not a float: {doc[key]!r}") from exc
+        linear_mode = doc.get("linear_mode", False)
+        if not isinstance(linear_mode, bool):
+            raise MaterialError(
+                f"material linear_mode is not a boolean: {linear_mode!r}")
+        return cls(*values, linear_mode=linear_mode)
 
     @classmethod
     def from_json(cls, path: str) -> "Material":

@@ -22,18 +22,22 @@ to the kind of each wave and the sign of the middle stress.  Each dividing
 curve is the set of right states with one middle stress (T_r on W1, T_l on
 W2, 0 on W2F/W2E, the tangency stress of T_l on W2B/W2C), so the residual
 there is the distance from it: within BOUNDARY_TOL of the velocity jumps it
-gives a boundary label (on-T0 is relative to the data stresses), and these
-samples seed the bracket.  Other labels come from the constructed pattern.
+gives a boundary label (_boundary_index), and these samples seed the
+bracket.  Elsewhere the legs of each curve to the middle stress reduce
+to a code (_summary), and the two codes and the signs of T_l and of the
+middle stress pick the region (_region_index, which also gives on-T0).
 
 For the experiment with both initial velocities zero, the solution type
-I..XII is read off the solved waves (see ``_zero_velocity_index``);
+I..XII is read off the solution (see ``_zero_velocity_index``);
 ``thresholds`` solves the stress thresholds for ``barwaves thresholds``.
 
 ``batch.solve_many`` runs the same solve on numpy lanes (``barwaves
 atlas`` uses it).  The tolerances, the residual the root finders see
-(_stopped_residual), rtsafe's start (_hermite_start), the region table, the
-zero-velocity type and the error of a failed middle-stress search
-(_middle_stress_error) are defined here once and serve both paths: on
+(_stopped_residual), rtsafe's start (_hermite_start), the classification
+(_boundary_index, _summary, _region_index and the tables _LABELS and
+_REGIONS built from _REGION_MAPS), the zero-velocity type and the error
+of a failed middle-stress search (_middle_stress_error) are defined here
+once, each as one body for floats and lanes, and serve both paths: on
 narrow shocks the root lands wherever the residual reaches its noise, so
 the paths agree only if they take the same iterates.
 """
@@ -224,13 +228,14 @@ def _hermite_start(lo, hi, f_lo, f_hi, d_lo, d_hi, xp=math):
 
 def _find_middle_stress(m: Material, U_l: State, U_r: State,
                         back: WaveCurve,
-                        fwd: WaveCurve) -> tuple[float, float, str]:
+                        fwd: WaveCurve) -> tuple[float, float, int]:
     """Middle stress of the solution, the backward curve's velocity there
-    and the boundary label of U_r ('' off the dividing curves).  Each
-    dividing curve holds the right states whose middle stress is one
-    dividing stress T_d, so the residual g(T_d) is the velocity distance of
-    U_r from it.  One sample of g at each T_d decides the label and its
-    tolerance, brackets the root and joins the monotonicity check.
+    and the code in _LABELS of the boundary label of U_r (-1 off the
+    dividing curves).  Each dividing curve holds the right states whose
+    middle stress is one dividing stress T_d, so the residual g(T_d) is
+    the velocity distance of U_r from it.  One sample of g at each T_d
+    decides the label and its tolerance, brackets the root and joins the
+    monotonicity check.
 
     The root finders see the residual zeroed within its roundoff
     (_stopped_residual), so rtsafe stops at its exact-zero exit instead of
@@ -258,12 +263,10 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
 
     # W1, W2 and, for T_l != 0, the forward curves from the zero-stress and
     # the tangency points of the backward curve, in order of precedence
-    dividing = [(U_r.T, "on-W1"), (U_l.T, "on-W2")]
-    if U_l.T < 0.0:
-        dividing += [(0.0, "on-W2F"), (back.tangency, "on-W2B")]
-    elif U_l.T > 0.0:
-        dividing += [(0.0, "on-W2E"), (back.tangency, "on-W2C")]
-    for T_d, _ in dividing:
+    dividing = [U_r.T, U_l.T]
+    if U_l.T != 0.0:
+        dividing += [0.0, back.tangency]
+    for T_d in dividing:
         sample(T_d)
     # the velocity jumps from U_l to U_r and along both curves through U_l
     # to T_r, not velocities: a common shift of v (Galilean invariance) must
@@ -273,9 +276,9 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
                              abs(samples[U_l.T][2] - U_r.v))
     if tol == math.inf:
         raise OverflowError("wave-curve velocity")
-    for T_d, label in dividing:
+    for row, T_d in enumerate(dividing):
         if abs(samples[T_d][0]) <= tol:
-            return T_d, samples[T_d][1], label
+            return T_d, samples[T_d][1], _boundary_index(row, U_l.T)
 
     # g is strictly increasing and unbounded both ways: the samples bracket
     # the root, or the search widens from the outermost one by the Newton
@@ -330,8 +333,8 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
             import logging
             logging.getLogger(__name__).debug(
                 "middle stress %r snaps to the data stress %r", root, T_d)
-            return T_d, samples[T_d][1], ""
-    return root, v_back, ""
+            return T_d, samples[T_d][1], -1
+    return root, v_back, -1
 
 
 def _middle_stress_error(kind, U_l: State, U_r: State) -> Exception:
@@ -351,58 +354,76 @@ def _middle_stress_error(kind, U_l: State, U_r: State) -> Exception:
                      f"and {U_r} misses the tolerance")
 
 
-def _leg_summary(legs: list[CurveLeg]) -> str:
-    """Collapse a leg list to 'R', 'S', 'SR', 'X' or ''.
+# The classification of a solved problem.  Each function is one body for
+# floats and numpy lanes, with comparisons multiplied by integers, never
+# added to each other, as in _zero_velocity_index.
 
-    'X' marks a forward leg that crosses zero stress: either a composite
-    (fan plus degenerate shock) or the single shock left after the fan is
-    swallowed.  Geometrically both live in the same phase-plane band.
-    """
-    if not legs:
-        return ""
-    if len(legs) == 2:
-        if legs[0].kind == SHOCK:
-            return "SR"
-        return "X"
-    leg = legs[0]
-    if leg.kind == RAREFACTION:
-        return "R"
-    if leg.family == FORWARD and leg.start.T * leg.end.T < 0.0:
-        return "X"
-    return "S"
-
+#: Codes of the legs of a wave curve from its anchor to the middle stress
+#: (_summary): none, one fan, one shock, a shock then a fan, and a forward
+#: wave across zero stress, a composite or the shock left after its fan is
+#: swallowed: both live in the same phase-plane band.
+_EMPTY, _R, _S, _SR, _X = range(5)
 
 _REGION_MAPS = {
-    # (backward summary, forward summary) -> label, possibly split on the
-    # sign of the middle stress.
-    "A": {("R", "S"): "A1", ("R", "R"): "A2", ("R", "X"): "A3",
-          ("S", "S"): ("A4", "A9"), ("S", "R"): ("A5", "A8"),
-          ("S", "X"): ("A6", "A7"),
-          ("SR", "S"): "A12", ("SR", "R"): "A11", ("SR", "X"): "A10"},
-    "B": {("SR", "S"): "B1", ("SR", "R"): "B2", ("SR", "X"): "B3",
-          ("S", "S"): ("B4", "B9"), ("S", "R"): ("B5", "B8"),
-          ("S", "X"): ("B6", "B7"),
-          ("R", "S"): "B12", ("R", "R"): "B11", ("R", "X"): "B10"},
-    "C": {("R", "S"): ("C6", "C1"), ("R", "R"): ("C5", "C2"),
-          ("R", "X"): ("C3", "C4")},
+    # (backward code, forward code) -> label, possibly split on the sign
+    # of the middle stress.
+    "A": {(_R, _S): "A1", (_R, _R): "A2", (_R, _X): "A3",
+          (_S, _S): ("A4", "A9"), (_S, _R): ("A5", "A8"),
+          (_S, _X): ("A6", "A7"),
+          (_SR, _S): "A12", (_SR, _R): "A11", (_SR, _X): "A10"},
+    "B": {(_SR, _S): "B1", (_SR, _R): "B2", (_SR, _X): "B3",
+          (_S, _S): ("B4", "B9"), (_S, _R): ("B5", "B8"),
+          (_S, _X): ("B6", "B7"),
+          (_R, _S): "B12", (_R, _R): "B11", (_R, _X): "B10"},
+    "C": {(_R, _S): ("C6", "C1"), (_R, _R): ("C5", "C2"),
+          (_R, _X): ("C3", "C4")},
 }
 
 
-def _region_label(U_l: State, U_r: State, T_bar: float,
-                  back: list[CurveLeg], fwd: list[CurveLeg]) -> str:
-    """Label of U_r off the dividing curves, which _find_middle_stress
-    labels from its residual samples: on-T0 or the region of the legs."""
-    if abs(U_r.T) <= BOUNDARY_TOL * max(abs(U_l.T), abs(U_r.T)):
-        return "on-T0"
+def _region_tables():
+    """_LABELS: the boundary labels, on-T0, unclassified, then both labels
+    of each region.  _REGIONS: on-T0, then the label code of each (system,
+    backward code, forward code, middle stress >= 0)."""
+    labels = ["on-W1", "on-W2", "on-W2F", "on-W2B", "on-W2E", "on-W2C",
+              "on-T0", "unclassified"]
+    regions = [labels.index("unclassified")] * (3 * 5 * 5 * 2)
+    for system, entries in enumerate(_REGION_MAPS.values()):
+        for (back, fwd), entry in entries.items():
+            at = 2 * (5 * (5 * system + back) + fwd)
+            regions[at:at + 2] = len(labels), len(labels) + 1
+            labels += entry if isinstance(entry, tuple) else (entry, entry)
+    return tuple(labels), (labels.index("on-T0"), *regions)
 
-    system = "A" if U_l.T < 0.0 else ("B" if U_l.T > 0.0 else "C")
-    key = (_leg_summary(back), _leg_summary(fwd))
-    entry = _REGION_MAPS[system].get(key)
-    if entry is None:
-        return "unclassified"
-    if isinstance(entry, tuple):
-        return entry[0] if T_bar < 0.0 else entry[1]
-    return entry
+
+_LABELS, _REGIONS = _region_tables()
+
+
+def _boundary_index(row, T_l):
+    """Code in _LABELS of dividing row `row` of _find_middle_stress: W1, W2,
+    then W2F and W2B for T_l < 0, else W2E and W2C."""
+    return row + 2 * (row > 1) * (T_l >= 0.0)
+
+
+def _summary(A, s, Tt, T_bar, T_anchor, single, double):
+    """Code of the legs from T_anchor to T_bar of the curve with mirror s,
+    anchor A = s*T_anchor and tangency stress Tt, as WaveCurve.legs builds
+    them: none, one fan (s*T_bar < A or A = 0), one shock up to Tt, else
+    `double`.  A lone shock is _S, or `single` where it crosses zero: the
+    backward curve passes _S and _SR, the forward curves _X and _X."""
+    y = s * T_bar
+    shock = _S + (T_bar * T_anchor < 0.0) * (single - _S)
+    return (T_bar != T_anchor) * (_R + (y > A) * (A != 0.0) * (
+        shock - _R + (y > Tt) * (double - shock)))
+
+
+def _region_index(T_l, T_r, T_bar, back, fwd):
+    """Index into _REGIONS of U_r off the dividing curves, given its leg
+    codes: on-T0 where |T_r| <= BOUNDARY_TOL*|T_l| (the same test as
+    against max(|T_l|, |T_r|)), else the region of the codes and the sign
+    of T_bar."""
+    system = (T_l > 0.0) + 2 * (T_l == 0.0)
+    return (abs(T_r) > BOUNDARY_TOL * abs(T_l)) * (
+        1 + 2 * (5 * (5 * system + back) + fwd) + (T_bar >= 0.0))
 
 
 def thresholds(m: Material, T_l: float) -> Thresholds:
@@ -486,19 +507,20 @@ def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
         fwd = WaveCurve(m, U_r, FORWARD, back.table)
         T_bar, v_bar, label = _find_middle_stress(m, U_l, U_r, back, fwd)
         middle = State(T_bar, v_bar)
-        back_legs = back.legs(middle)
-        fwd_legs = fwd.legs(middle)
-        waves = tuple(_wave_from_leg(m, leg) for leg in back_legs + fwd_legs)
+        waves = tuple(_wave_from_leg(m, leg)
+                      for leg in back.legs(middle) + fwd.legs(middle))
     except OverflowError as exc:
         raise _middle_stress_error("overflow", U_l, U_r) from exc
     middles = tuple(w.right for w in waves[:-1])
-    label = label or _region_label(U_l, U_r, T_bar, back_legs, fwd_legs)
+    b = _summary(back.A, back.s, back.Tt, T_bar, U_l.T, _S, _SR)
+    if label < 0:
+        f = _summary(fwd.A, fwd.s, fwd.Tt, T_bar, U_r.T, _X, _X)
+        label = _REGIONS[_region_index(U_l.T, U_r.T, T_bar, b, f)]
     case = None
     if U_l.v == 0.0 and U_r.v == 0.0:
-        # a composite is the only two-leg backward wave
         case = _ZERO_VELOCITY_CASES[_zero_velocity_index(
-            U_l.T, U_r.T, T_bar, len(back_legs) == 2)]
-    return WavePattern(m, U_l, waves, middles, label, case)
+            U_l.T, U_r.T, T_bar, b == _SR)]
+    return WavePattern(m, U_l, waves, middles, _LABELS[label], case)
 
 
 def solve_linear(m: Material, U_l: State, U_r: State) -> WavePattern:

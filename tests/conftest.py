@@ -11,7 +11,8 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from barwaves import Material, PRESETS, strain
+from barwaves import Material, PRESETS, State, backward_v, strain
+from barwaves.wave_curves import forward_delta
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +68,35 @@ def driving_force_integral(m, T_l, T_r):
                    epsabs=1e-12, epsrel=1e-12, limit=200)[0]
               for a, b in zip(cuts, cuts[1:]))
     return val + 0.5 * (strain(m, T_r) + strain(m, T_l)) * (T_r - T_l)
+
+
+# ---------------------------------------------------------------------------
+# one right state in every region of the phase plane (cubic preset)
+
+
+def place(m, U_l, T_mid, T_r):
+    """Right state reached through middle stress T_mid."""
+    v = backward_v(m, U_l, T_mid) + forward_delta(m, T_mid, T_r)
+    return State(T_r, v)
+
+
+#: (label, T_mid, T_r) from U_l = (-1, 0), (1, 0) and (0, 0.1): a right
+#: state in each region, reached through the middle stress T_mid (place).
+A_CASES = [
+    ("A1", -1.5, -2.0), ("A2", -1.5, -1.2), ("A3", -1.5, 0.5),
+    ("A4", -0.5, -0.8), ("A5", -0.5, -0.2), ("A6", -0.5, 0.3),
+    ("A7", 0.2, -0.1), ("A8", 0.2, 0.1), ("A9", 0.2, 0.8),
+    ("A10", 0.8, -0.5), ("A11", 0.8, 0.3), ("A12", 0.8, 1.5),
+]
+B_CASES = [
+    ("B7", 0.5, -0.3), ("B4", -0.2, -0.8), ("B12", 1.5, 2.0),
+    ("B1", -0.8, -1.2), ("B10", 1.5, -0.5),
+]
+# the point of Ak negated, from (1, 0), lies in B(13 - k)
+B_CASES += [case for case in ((f"B{13 - int(label[1:])}", -T_mid, -T_r)
+                              for label, T_mid, T_r in A_CASES)
+            if case not in B_CASES]
+C_CASES = [("C1", 0.5, 1.0), ("C2", 0.5, 0.2), ("C3", -0.5, 0.3),
+           ("C4", 0.5, -0.3), ("C5", -0.5, -0.2), ("C6", -0.5, -1.0)]
+REGION_CASES = {State(-1.0, 0.0): A_CASES, State(1.0, 0.0): B_CASES,
+                State(0.0, 0.1): C_CASES}

@@ -31,6 +31,7 @@ from barwaves import (
 from barwaves.cli import _grid, main
 from barwaves.riemann import BOUNDARY_TOL
 from barwaves.wave_curves import WaveCurve
+from conftest import REGION_CASES, place
 
 CUBIC = PRESETS["cubic"]
 QUINTIC = PRESETS["quintic"]
@@ -103,6 +104,19 @@ def test_log_uniform_pool_matches_solve(m):
     problems = [tuple(log_uniform(rng, -6.0, 3.0) for _ in range(4))
                 for _ in range(400)]
     assert_parity(m, problems)
+
+
+def test_lanes_reach_every_region():
+    # one right state in each of the 30 regions, in one call
+    problems, want = [], []
+    for U_l, cases in REGION_CASES.items():
+        for label, T_mid, T_r in cases:
+            U_r = place(CUBIC, U_l, T_mid, T_r)
+            problems.append((U_l.T, U_l.v, U_r.T, U_r.v))
+            want.append(label)
+    sol = assert_parity(CUBIC, problems)
+    assert sol.region_label.tolist() == want
+    assert len(set(want)) == 30
 
 
 @pytest.mark.parametrize("n", [1.5, 3.5])

@@ -60,6 +60,17 @@ def test_invalid_material_exits_2(capsys, tmp_path):
     err = capsys.readouterr().err
     assert rc == 2
     assert "hyperbolicity" in err
+    # malformed documents are invalid too, not a traceback (exit 1) or a
+    # material built from a misread field
+    linear = {"alpha": 1.0, "beta": -0.5, "gamma": 0.0, "n": 1.0, "rho": 1.0}
+    for doc in ([1, 2], {**linear, "alpha": None}, {**linear, "n": 10**400},
+                {**linear, "linear_mode": "false"}):
+        bad.write_text(json.dumps(doc))
+        rc = main(["solve", "--material", str(bad), "--tl", "-1", "--tr",
+                   "1"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and not out, doc
+        assert err.startswith("invalid material: "), doc
 
 
 def test_solver_failure_exits_3(capsys):

@@ -34,7 +34,7 @@ from barwaves import material, riemann
 from barwaves.material import _newton_bisect
 from barwaves.verify import check_rh, continuity_probe, speeds_ordered
 from barwaves.wave_curves import WaveCurve, forward_delta
-from conftest import cubic_fan_integral
+from conftest import A_CASES, B_CASES, C_CASES, cubic_fan_integral, place
 
 
 def middle_stress(pattern):
@@ -711,18 +711,88 @@ def branching_zero_velocity_case(T_l, T_r, T_bar, composite):
     return "V" if composite else "IV"
 
 
-def test_zero_velocity_index_on_floats_and_lanes_follows_the_table():
+def leg_summary(legs):
+    """The code of the legs of a wave curve, branch by branch."""
+    if not legs:
+        return riemann._EMPTY
+    if len(legs) == 2:
+        return riemann._SR if legs[0].kind == SHOCK else riemann._X
+    leg = legs[0]
+    if leg.kind == RAREFACTION:
+        return riemann._R
+    if leg.family == FORWARD and leg.start.T * leg.end.T < 0.0:
+        return riemann._X
+    return riemann._S
+
+
+def branching_region_label(T_l, T_r, T_bar, back, fwd):
+    """The label off the dividing curves, as the region table reads."""
+    if abs(T_r) <= riemann.BOUNDARY_TOL * max(abs(T_l), abs(T_r)):
+        return "on-T0"
+    system = "A" if T_l < 0.0 else ("B" if T_l > 0.0 else "C")
+    entry = riemann._REGION_MAPS[system].get((back, fwd))
+    if entry is None:
+        return "unclassified"
+    if isinstance(entry, tuple):
+        return entry[0] if T_bar < 0.0 else entry[1]
+    return entry
+
+
+def assert_on_floats_and_lanes(fn, rows, read, want):
+    """fn on each row and on all rows as numpy lanes, read into labels."""
     import numpy as np
+    assert [read(fn(*row)) for row in rows] == want
+    lanes = fn(*(np.array(a) for a in zip(*rows)))
+    assert [read(i) for i in lanes] == want
+
+
+def test_zero_velocity_index_on_floats_and_lanes_follows_the_table():
+    # and so do the other classifiers that the scalar solve and the lanes
+    # share: the boundary label, the leg summary and the region
     values = (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0)
     rows = [(a, b, c, composite) for a in values for b in values
             for c in values for composite in (False, True)]
     want = [branching_zero_velocity_case(*row) for row in rows]
     assert set(want) == set(riemann._ZERO_VELOCITY_CASES)
-    assert [riemann._ZERO_VELOCITY_CASES[riemann._zero_velocity_index(*row)]
-            for row in rows] == want
-    T_l, T_r, T_bar, composite = (np.array(a) for a in zip(*rows))
-    index = riemann._zero_velocity_index(T_l, T_r, T_bar, composite)
-    assert [riemann._ZERO_VELOCITY_CASES[i] for i in index] == want
+    assert_on_floats_and_lanes(riemann._zero_velocity_index, rows,
+                               riemann._ZERO_VELOCITY_CASES.__getitem__,
+                               want)
+
+    rows = [(row, T_l) for row in range(4) for T_l in values]
+    want = [["on-W1", "on-W2", "on-W2F", "on-W2B"][row] if T_l < 0.0
+            else ["on-W1", "on-W2", "on-W2E", "on-W2C"][row]
+            for row, T_l in rows]
+    assert_on_floats_and_lanes(riemann._boundary_index, rows,
+                               riemann._LABELS.__getitem__, want)
+
+    # the middle stress at the anchor, on both sides of zero, across it,
+    # at the tangency stress (y == Tt) and past it
+    rows, want = [], []
+    for m in (PRESETS["cubic"], PRESETS["quintic"]):
+        for family, codes in ((BACKWARD, (riemann._S, riemann._SR)),
+                              (FORWARD, (riemann._X, riemann._X))):
+            for T_a in (-1.0, -0.0, 0.0, 0.5, 1.0):
+                curve = WaveCurve(m, State(T_a, 0.0), family)
+                for T_bar in (*values, 0.3, -0.3, T_a, curve.tangency):
+                    rows.append((curve.A, curve.s, curve.Tt, T_bar, T_a,
+                                 *codes))
+                    want.append(leg_summary(curve.legs(
+                        State(T_bar, curve.v(T_bar)))))
+    assert set(want) == set(range(5))
+    assert_on_floats_and_lanes(riemann._summary, rows, int, want)
+
+    # on-T0 within BOUNDARY_TOL of T_r = 0, and every pair of leg codes
+    # on both sides of zero middle stress
+    rows = [(T_l, T_r, T_bar, back, fwd)
+            for T_l in (-1.0, -0.0, 0.0, 1.0)
+            for T_r in (-1.0, -1e-9, -0.0, 0.0, 2e-9, 1.0)
+            for T_bar in (-1.0, -0.0, 0.0, 1.0)
+            for back in range(5) for fwd in range(5)]
+    want = [branching_region_label(*row) for row in rows]
+    assert_on_floats_and_lanes(
+        riemann._region_index, rows,
+        lambda i: riemann._LABELS[riemann._REGIONS[i]], want)
+    assert set(want) == set(riemann._LABELS[riemann._LABELS.index("on-T0"):])
 
 #: Default atlas cells (cubic at --res 81, quintic at --res 41) whose right
 #: stress lies within an ulp of the first threshold -T_l and whose middle
@@ -861,20 +931,6 @@ def test_solve_case_matches_the_threshold_reference():
 # region labels
 
 
-def place(m, U_l, T_mid, T_r):
-    """Right state reached through middle stress T_mid."""
-    v = backward_v(m, U_l, T_mid) + forward_delta(m, T_mid, T_r)
-    return State(T_r, v)
-
-
-A_CASES = [
-    ("A1", -1.5, -2.0), ("A2", -1.5, -1.2), ("A3", -1.5, 0.5),
-    ("A4", -0.5, -0.8), ("A5", -0.5, -0.2), ("A6", -0.5, 0.3),
-    ("A7", 0.2, -0.1), ("A8", 0.2, 0.1), ("A9", 0.2, 0.8),
-    ("A10", 0.8, -0.5), ("A11", 0.8, 0.3), ("A12", 0.8, 1.5),
-]
-
-
 @pytest.mark.parametrize("label,T_mid,T_r", A_CASES)
 def test_region_labels_negative_left_stress(cubic, label, T_mid, T_r):
     U_l = State(-1.0, 0.0)
@@ -912,10 +968,7 @@ def test_region_label_swallowed_fan_is_composite_band(cubic):
     assert [w.kind for w in p.waves] == [SHOCK, SHOCK]
 
 
-@pytest.mark.parametrize("label,T_mid,T_r", [
-    ("B7", 0.5, -0.3), ("B4", -0.2, -0.8), ("B12", 1.5, 2.0),
-    ("B1", -0.8, -1.2), ("B10", 1.5, -0.5),
-])
+@pytest.mark.parametrize("label,T_mid,T_r", B_CASES)
 def test_region_labels_positive_left_stress(cubic, label, T_mid, T_r):
     U_l = State(1.0, 0.0)
     U_r = place(cubic, U_l, T_mid, T_r)
@@ -924,10 +977,8 @@ def test_region_labels_positive_left_stress(cubic, label, T_mid, T_r):
 
 def test_region_labels_zero_left_stress(cubic):
     U_l = State(0.0, 0.1)
-    cases = [("C1", 0.5, 1.0), ("C2", 0.5, 0.2), ("C3", -0.5, 0.3),
-             ("C4", 0.5, -0.3), ("C5", -0.5, -0.2), ("C6", -0.5, -1.0)]
     seen = set()
-    for label, T_mid, T_r in cases:
+    for label, T_mid, T_r in C_CASES:
         U_r = place(cubic, U_l, T_mid, T_r)
         got = solve(cubic, U_l, U_r).region_label
         assert got == label
