@@ -30,7 +30,6 @@ from .material import (
 )
 from .riemann import (
     Thresholds,
-    Wave,
     WavePattern,
     solve,
     solve_linear,
@@ -39,8 +38,8 @@ from .riemann import (
 from .wave_curves import (
     RAREFACTION,
     SHOCK,
-    CurveLeg,
     State,
+    Wave,
     backward_v,
     decompose_backward,
     decompose_forward,
@@ -50,7 +49,7 @@ from .wave_curves import (
 
 __all__ = [
     "BACKWARD", "FORWARD", "RAREFACTION", "SHOCK",
-    "Material", "PRESETS", "State", "CurveLeg", "Wave", "WavePattern",
+    "Material", "PRESETS", "State", "Wave", "WavePattern",
     "Thresholds", "Profile",
     "MaterialError", "RootNotBracketed", "NoBracket", "NonMonotone",
     "strain", "strain_prime", "strain_second", "wave_speed",

@@ -46,7 +46,6 @@ import numpy as np
 
 from . import riemann
 from .material import (
-    BACKWARD,
     Material,
     _CUBIC_TO_ROUNDOFF,
     _GL_RULE,
@@ -70,12 +69,12 @@ from .riemann import (
     _X,
     _boundary_index,
     _hermite_start,
+    _linear_middle,
     _middle_stress_error,
     _region_index,
     _stopped_residual,
     _summary,
     _zero_velocity_index,
-    solve_linear,
 )
 from .wave_curves import State, _jump_v, _shock_slope, _w
 
@@ -131,15 +130,12 @@ def solve_many(m: Material, T_l, v_l, T_r, v_r) -> Solutions:
     out.v_bar[trivial] = v_l[trivial]
     out.region_label[trivial] = "trivial"
     lanes = np.flatnonzero(~trivial)
-    if m.linear_mode:
-        for i in lanes:
-            U_l, U_r = _states(T_l, v_l, T_r, v_r, i)
-            wave = solve_linear(m, U_l, U_r).waves[0]
-            mid = wave.right if wave.family == BACKWARD else wave.left
-            out.T_bar[i], out.v_bar[i] = mid.T, mid.v
-            out.region_label[i] = "linear"
-    elif lanes.size:
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        if m.linear_mode:
+            out.T_bar[lanes], out.v_bar[lanes] = _linear_middle(
+                m, T_l[lanes], v_l[lanes], T_r[lanes], v_r[lanes])
+            out.region_label[lanes] = "linear"
+        elif lanes.size:
             _solve_lanes(m, T_l[lanes], v_l[lanes], T_r[lanes], v_r[lanes],
                          out, lanes)
     return Solutions(*(getattr(out, f.name).reshape(shape)
@@ -342,30 +338,25 @@ class _Curves:
     """WaveCurve's constants on lanes of either family: the call's fan
     table (material._fan_table), then per lane the mirror s, the velocity
     sign k, the anchor A = s*U.T <= 0 and its strain e_A, its tangency
-    stress Tt, the degenerate shock's jump vt and the anchor velocity, and
-    for n = 1 the roots s_A and s_Tt that the fans from A and Tt take
-    (material._cubic_root; None for other n)."""
+    stress Tt, the degenerate shock's jump vt and the anchor velocity.  As
+    on WaveCurve, a fan is computed from the table when it is read."""
 
-    __slots__ = ("table", "s", "k", "A", "e_A", "Tt", "vt", "v0", "s_A",
-                 "s_Tt")
+    __slots__ = ("table", "s", "k", "A", "e_A", "Tt", "vt", "v0")
 
     def __init__(self, *values):
         for name, a in zip(self.__slots__, values):
             setattr(self, name, a)
 
     def take(self, idx) -> "_Curves":
-        return _Curves(self.table, *(None if (a := getattr(self, n)) is None
-                                     else a[idx] for n in self.__slots__[1:]))
+        return _Curves(self.table,
+                       *(getattr(self, n)[idx] for n in self.__slots__[1:]))
 
     def v(self, m: Material, idx, T):
         """WaveCurve.v of lanes idx at stresses T (one row per lane, or
         several rows)."""
         A, Tt = self.A[idx], self.Tt[idx]
         y = self.s[idx] * T
-        from_A = y <= A
-        s_a = (None if self.s_A is None
-               else np.where(from_A, self.s_A[idx], self.s_Tt[idx]))
-        fan = _fan_lanes(m, self.table, np.where(from_A, A, Tt), y, s_a)
+        fan = _fan_lanes(m, self.table, np.where(y <= A, A, Tt), y)
         shock = _jump_v(m, A, self.e_A[idx], y, np)
         d = np.where(y <= A, fan, np.where(y <= Tt, shock,
                                            self.vt[idx] + fan))
@@ -392,13 +383,8 @@ def _curve_pair(m, T_l, v_l, T_r, v_r):
     vt = np.where(A == 0.0, 0.0, (Tt - A) * _w(m, Tt, np))
     overflow |= ~np.isfinite(vt)
     k = np.concatenate([s[:n], -s[n:]])
-    e_A = strain(m, A)
-    table = _fan_table(m)
-    roots = [None, None]
-    if m.n == 1.0:
-        roots = [_cubic_root(table, A, np), _cubic_root(table, Tt, np)]
     v0 = np.concatenate([v_l, v_r])
-    return (_Curves(table, s, k, A, e_A, Tt, vt, v0, *roots),
+    return (_Curves(_fan_table(m), s, k, A, strain(m, A), Tt, vt, v0),
             overflow[:n] | overflow[n:])
 
 
@@ -425,22 +411,19 @@ def _tangency(m, A):
     return Tt, overflow
 
 
-def _fan_lanes(m: Material, table, T_a, T_b, s_a=None):
+def _fan_lanes(m: Material, table, T_a, T_b):
     """rarefaction_integral on lanes, for fans that run outward from T_a on
     one side of zero (T_a*T_b >= 0, |T_a| <= |T_b|), the only ones the
     wave curves build, on the call's table (material._fan_table).  For
-    n = 1 the table is the fan's constants and s_a is material._cubic_root
-    at T_a, which a curve keeps; it is taken here when not given.
-    Otherwise each lane is the fan of material._FanTable on it: one block
-    of 16 rows holds the head (or single) panel of every lane and the tail
-    panel of every lane that crosses a knot, and numpy adds the rows of a
-    block of two columns or more in _fan_panel's order, so a lane takes
-    the scalar fan's operations."""
+    n = 1 the table is the fan's constants and each lane is material._fan's
+    closed form.  Otherwise each lane is the fan of material._FanTable on
+    it: one block of 16 rows holds the head (or single) panel of every
+    lane and the tail panel of every lane that crosses a knot, and numpy
+    adds the rows of a block of two columns or more in _fan_panel's order,
+    so a lane takes the scalar fan's operations."""
     T_a, T_b = np.broadcast_arrays(T_a, T_b)
     if m.n == 1.0:
-        if s_a is None:
-            s_a = _cubic_root(table, T_a, np)
-        d = _cubic_fan(table, T_a, s_a, T_b, np)
+        d = _cubic_fan(table, T_a, _cubic_root(table, T_a, np), T_b, np)
     else:
         u_0, u = np.abs(T_a).ravel(), np.abs(T_b).ravel()
         # only the lanes whose fan runs outward are summed: the curves

@@ -15,10 +15,10 @@ _FanTable, which one call creates and grows (one table per thread), so
 concurrent use is safe.  The material alone places the knots of the
 16-node fan panels; a table sums each panel between two knots once, and
 every n != 1 fan of its call is a head panel, a difference of two prefix
-sums and a tail panel.  _fan_from gives a wave curve its fans for every
-material: the closed forms for n = 1 and linear_mode, otherwise fans of
-the table that the curve's solve shares.  The module imports no numpy, and
-neither does the scalar solve built on it.
+sums and a tail panel.  _fan computes a wave curve's fan when the curve
+reads it, for every material: the closed forms for n = 1 and linear_mode,
+otherwise a fan of the table that the curve's solve shares.  The module
+imports no numpy, and neither does the scalar solve built on it.
 
 Kernels that the scalar solve and the lanes of ``batch.solve_many`` both
 evaluate have one body each, written against a namespace argument ``xp``:
@@ -123,6 +123,9 @@ class Material:
             if key not in doc:
                 raise MaterialError(f"material document missing key {key!r}")
             try:
+                # float() would read true and "1" as 1.0
+                if isinstance(doc[key], (bool, str)):
+                    raise TypeError(key)
                 values.append(float(doc[key]))
             except (TypeError, OverflowError) as exc:
                 raise MaterialError(
@@ -207,18 +210,18 @@ def rarefaction_integral(m: Material, T_a: float, T_b: float) -> float:
 
     The integrand is even, so the integral is an odd antiderivative G(|T|)
     signed by T, evaluated without cancellation as the fans of the wave
-    curves (_fan_from), which run outward from a stress T_0: from the end
+    curves (_fan), which run outward from a stress T_0: from the end
     nearer zero, or from zero itself for ends of opposite signs, whose two
     fans then add magnitudes.  Each call takes a fan table of its own.
     """
     if T_a == T_b:
         return 0.0
     if m.linear_mode:
-        return (T_b - T_a) * math.sqrt((m.alpha + m.beta) / m.rho)
+        return _fan(m, None, T_a, T_b)
     T_0 = (0.0 if min(T_a, T_b) < 0.0 < max(T_a, T_b)
            else min(T_a, T_b, key=abs))
-    fan = _fan_from(m, T_0, _fan_table(m))
-    return fan(T_b) - fan(T_a)
+    table = _fan_table(m)
+    return _fan(m, table, T_0, T_b) - _fan(m, table, T_0, T_a)
 
 
 def _cubic_constants(m: Material) -> tuple:
@@ -240,7 +243,7 @@ def _cubic_root(k: tuple, T, xp=math):
 def _cubic_fan(k: tuple, T_a, s_a, T_b, xp=math):
     """n = 1 closed form of rarefaction_integral for stresses on one side
     of zero (T_a*T_b >= 0), on the constants k of _cubic_constants and
-    s_a = _cubic_root(k, T_a), which a wave curve takes once per fan."""
+    s_a = _cubic_root(k, T_a)."""
     # the antiderivative of the root s(T) is
     # T*s(T)/2 + a/(2*sqrt(b))*asinh(sqrt(b/a)*T); rewrite each difference
     # as (T_b - T_a)*(T_b + T_a) over a sum of like-signed terms; grouping
@@ -254,18 +257,18 @@ def _cubic_fan(k: tuple, T_a, s_a, T_b, xp=math):
     return (0.5 * lin + half_a_rb * arc) / root_rho
 
 
-def _fan_from(m: Material, T_0: float, table):
-    """rarefaction_integral(m, T_0, T) on the fans outward from T_0 (the
-    wave curves'), for every material, on the call's table (_fan_table):
-    the closed forms for n = 1, on its constants and the root at T_0 taken
-    once per fan, and linear_mode, and otherwise a fan of the table."""
+def _fan(m: Material, table, T_0: float, T: float) -> float:
+    """rarefaction_integral(m, T_0, T) on a fan outward from T_0 (a wave
+    curve's), for every material, on the call's table (_fan_table),
+    computed when it is read: the closed forms for linear_mode and n = 1,
+    and otherwise a fan of the table."""
     if m.linear_mode:
-        return lambda T: rarefaction_integral(m, T_0, T)
+        return (T - T_0) * math.sqrt((m.alpha + m.beta) / m.rho)
+    if T == T_0:
+        return 0.0
     if m.n == 1.0:
-        s_0 = _cubic_root(table, T_0)
-        return lambda T: 0.0 if T == T_0 else _cubic_fan(table, T_0, s_0, T)
-    return lambda T: (0.0 if T == T_0
-                      else math.copysign(table.fan(abs(T_0), abs(T)), T))
+        return _cubic_fan(table, T_0, _cubic_root(table, T_0), T)
+    return math.copysign(table.fan(abs(T_0), abs(T)), T)
 
 
 def _fan_table(m: Material) -> "_FanTable | tuple | None":

@@ -2,6 +2,8 @@
 
 The self-similar solution is a backward elementary wave from the left state
 to a middle state, followed by a forward elementary wave to the right state.
+``solve`` finds the middle state on the curve pair of wave_curves and takes
+the finished waves, speeds included, from the pair (WaveCurve.legs).
 Velocity is strictly increasing along the backward curve and strictly
 decreasing along every forward curve, so the predicted right-state velocity
 is strictly increasing in the middle stress and a bracketed root finder
@@ -35,11 +37,12 @@ I..XII is read off the solution (see ``_zero_velocity_index``);
 atlas`` uses it).  The tolerances, the residual the root finders see
 (_stopped_residual), rtsafe's start (_hermite_start), the classification
 (_boundary_index, _summary, _region_index and the tables _LABELS and
-_REGIONS built from _REGION_MAPS), the zero-velocity type and the error
-of a failed middle-stress search (_middle_stress_error) are defined here
-once, each as one body for floats and lanes, and serve both paths: on
-narrow shocks the root lands wherever the residual reaches its noise, so
-the paths agree only if they take the same iterates.
+_REGIONS built from _REGION_MAPS), the zero-velocity type, the error of a
+failed middle-stress search (_middle_stress_error) and the linear middle
+state (_linear_middle) are defined here once, each as one body for floats
+and lanes, and serve both paths: on narrow shocks the root lands wherever
+the residual reaches its noise, so the paths agree only if they take the
+same iterates.
 """
 
 from __future__ import annotations
@@ -58,17 +61,8 @@ from .material import (
     strain,
     strain_prime,
     tangent_point,
-    wave_speed,
 )
-from .wave_curves import (
-    RAREFACTION,
-    SHOCK,
-    CurveLeg,
-    State,
-    WaveCurve,
-    _w,
-    shock_speed,
-)
+from .wave_curves import SHOCK, State, Wave, WaveCurve, _w
 
 #: Distance, relative to the velocity jumps of the problem, below which a
 #: right state counts as lying on a dividing curve of the phase plane.
@@ -91,17 +85,6 @@ _ROUNDOFF = RESIDUAL_ROUNDOFF * math.ulp(1.0)
 #: Distance, relative to the data stresses, within which a middle stress
 #: snaps to T_l or T_r.
 SNAP_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Wave:
-    kind: str            # RAREFACTION or SHOCK
-    family: str          # BACKWARD or FORWARD
-    left: State
-    right: State
-    speed_head: float
-    speed_tail: float    # equal to speed_head for shocks
-    degenerate: str = ""
 
 
 @dataclass(frozen=True)
@@ -132,24 +115,6 @@ class WavePattern:
 
     def shocks(self) -> list[Wave]:
         return [w for w in self.waves if w.kind == SHOCK]
-
-
-def _wave_from_leg(m: Material, leg: CurveLeg) -> Wave:
-    if leg.kind == SHOCK:
-        # a degenerate shock travels with the characteristic at its tangency
-        # state, so it shares its ray with the attached fan edge bit for bit
-        if leg.degenerate == "left":
-            s = wave_speed(m, leg.start.T, leg.family)
-        elif leg.degenerate == "right":
-            s = wave_speed(m, leg.end.T, leg.family)
-        else:
-            s = shock_speed(m, leg.start.T, leg.end.T, leg.family)
-        return Wave(SHOCK, leg.family, leg.start, leg.end, s, s,
-                    leg.degenerate)
-    head = wave_speed(m, leg.start.T, leg.family)
-    tail = wave_speed(m, leg.end.T, leg.family)
-    return Wave(RAREFACTION, leg.family, leg.start, leg.end, head, tail,
-                leg.degenerate)
 
 
 def _bracket(fn, lo: float, hi: float, f_lo: float, f_hi: float,
@@ -507,8 +472,7 @@ def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
         fwd = WaveCurve(m, U_r, FORWARD, back.table)
         T_bar, v_bar, label = _find_middle_stress(m, U_l, U_r, back, fwd)
         middle = State(T_bar, v_bar)
-        waves = tuple(_wave_from_leg(m, leg)
-                      for leg in back.legs(middle) + fwd.legs(middle))
+        waves = tuple(back.legs(middle) + fwd.legs(middle))
     except OverflowError as exc:
         raise _middle_stress_error("overflow", U_l, U_r) from exc
     middles = tuple(w.right for w in waves[:-1])
@@ -523,17 +487,22 @@ def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
     return WavePattern(m, U_l, waves, middles, _LABELS[label], case)
 
 
+def _linear_middle(m: Material, T_l, v_l, T_r, v_r):
+    """The middle state (T, v) of the two contacts of a linear-mode
+    material, in closed form; one body for floats and numpy lanes."""
+    k = m.alpha + m.beta
+    return (0.5 * (T_r + T_l) + 0.5 * math.sqrt(m.rho / k) * (v_r - v_l),
+            0.5 * (v_r + v_l) + 0.5 * math.sqrt(k / m.rho) * (T_r - T_l))
+
+
 def solve_linear(m: Material, U_l: State, U_r: State) -> WavePattern:
     """Closed-form two-contact solution for a linear-mode material."""
     if not m.linear_mode:
         raise ValueError("solve_linear requires a linear_mode material")
     if U_l == U_r:
         return WavePattern(m, U_l, (), (), "trivial")
-    k = m.alpha + m.beta
-    c = _slope_speed(m, k)
-    T_mid = 0.5 * (U_r.T + U_l.T) + 0.5 * math.sqrt(m.rho / k) * (U_r.v - U_l.v)
-    v_mid = 0.5 * (U_r.v + U_l.v) + 0.5 * math.sqrt(k / m.rho) * (U_r.T - U_l.T)
-    mid = State(T_mid, v_mid)
+    c = _slope_speed(m, m.alpha + m.beta)
+    mid = State(*_linear_middle(m, U_l.T, U_l.v, U_r.T, U_r.v))
     waves = []
     if mid != U_l:
         waves.append(Wave(SHOCK, BACKWARD, U_l, mid, -c, -c, "both"))
@@ -541,3 +510,4 @@ def solve_linear(m: Material, U_l: State, U_r: State) -> WavePattern:
         waves.append(Wave(SHOCK, FORWARD, mid, U_r, c, c, "both"))
     middles = tuple(w.right for w in waves[:-1])
     return WavePattern(m, U_l, tuple(waves), middles, "linear")
+

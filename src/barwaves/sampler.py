@@ -22,8 +22,8 @@ import numpy as np
 
 from .batch import _fan_lanes, _newton_bisect_many
 from .material import _fan_table, _slope_speed, strain_prime, strain_second
-from .riemann import Wave, WavePattern
-from .wave_curves import BACKWARD, SHOCK, State
+from .riemann import WavePattern
+from .wave_curves import BACKWARD, SHOCK, State, Wave
 
 
 @dataclass(frozen=True, eq=False)

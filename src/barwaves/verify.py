@@ -28,9 +28,9 @@ from .material import (
     strain,
     wave_speed,
 )
-from .riemann import Wave, WavePattern, solve
+from .riemann import WavePattern, solve
 from .sampler import Profile, _sample_lanes, profile
-from .wave_curves import BACKWARD, FORWARD, SHOCK, State, backward_v
+from .wave_curves import BACKWARD, FORWARD, SHOCK, State, Wave, backward_v
 
 
 def _shock_scale(w: Wave) -> float:

@@ -43,18 +43,19 @@ backward curve and that of T_r on the forward curves, all of which end at
 U_r.  A solve therefore builds one curve pair, WaveCurve(m, U_l, BACKWARD)
 and WaveCurve(m, U_r, FORWARD).  Each is sign-normalised once and holds its
 anchor's strain, its tangency stress (one tangent_point call, closed form
-for n = 1), its degenerate shock's velocity jump and one fan per branch,
-from A and from Tt, for every n; the residual of the middle stress, its
-slope and the legs of the solution all read from the pair.  A shock-branch
-velocity or slope evaluates the strain once, at its end.  For n != 1 both
-curves read one fan table (material._FanTable), which the backward curve
-creates and the forward curve takes: a fan sums its head panel on its
-first read, each panel between two knots is summed once per solve, and a
-residual adds one tail panel.  A curve therefore serves one thread, but
-nothing is cached between solves: each builds its own pair and table, and
-a curve built alone takes its own table.  A linear material has no
-tangency: its curve is one line through the anchor, crossed by a contact.
-The module-level functions evaluate a curve once.
+for n = 1), its degenerate shock's velocity jump and the call's fan table;
+the residual of the middle stress, its slope and the waves of the solution
+(WaveCurve.legs, with their speeds) all read from the pair.  A fan, from A
+or from Tt, is computed when it is read (material._fan), and a
+shock-branch velocity or slope evaluates the strain once, at its end.  For
+n != 1 both curves read one fan table (material._FanTable), which the
+backward curve creates and the forward curve takes: a fan sums its head
+panel on its first read, each panel between two knots is summed once per
+solve, and a residual adds one tail panel.  A curve therefore serves one
+thread, but nothing is cached between solves: each builds its own pair and
+table, and a curve built alone takes its own table.  A linear material has
+no tangency: its curve is one line through the anchor, crossed by a
+contact.  The module-level functions evaluate a curve once.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .material import (
     BACKWARD,
     FORWARD,
     Material,
-    _fan_from,
+    _fan,
     _fan_table,
     _slope_speed,
     strain,
@@ -86,11 +87,13 @@ class State:
 
 
 @dataclass(frozen=True)
-class CurveLeg:
+class Wave:
     kind: str            # RAREFACTION or SHOCK
     family: str          # BACKWARD or FORWARD
-    start: State
-    end: State
+    left: State
+    right: State
+    speed_head: float
+    speed_tail: float    # equal to speed_head for shocks
     degenerate: str = ""  # "", "left", "right" or "both"
 
 
@@ -142,17 +145,17 @@ class WaveCurve:
     (T, v) -> (-T, -v) that makes the anchor A = s*U.T <= 0, with the
     constants of its branches: the anchor strain e_A = strain(A) of the
     shock branch, the tangency stress Tt of A and the velocity jump
-    vt = (Tt - A)*w(Tt) of the degenerate shock to it, and the fans from A
-    and from Tt, read from its fan table (material._fan_table), which a
-    solve's forward curve takes from its backward curve.  The family sets
-    the sign k of the velocity change (k = s backward, -s forward).  For
-    U.T = 0 the curve is a rarefaction both ways, which Tt = vt = 0
-    reproduces.  A linear material has no tangency: Tt = A leaves no shock
-    branch, its fans are one line through U, and its legs are the contact
-    ("both" degenerate) of riemann.solve_linear."""
+    vt = (Tt - A)*w(Tt) of the degenerate shock to it, and its fan table
+    (material._fan_table), which a solve's forward curve takes from its
+    backward curve and from which the fans from A and from Tt are read.
+    The family sets the sign k of the velocity change (k = s backward, -s
+    forward).  For U.T = 0 the curve is a rarefaction both ways, which
+    Tt = vt = 0 reproduces.  A linear material has no tangency: Tt = A
+    leaves no shock branch, its fans are one line through U, and its legs
+    are the contact ("both" degenerate) of riemann.solve_linear."""
 
     __slots__ = ("m", "U", "family", "s", "k", "A", "e_A", "Tt", "vt",
-                 "table", "fans")
+                 "table")
 
     def __init__(self, m: Material, U: State, family: str, table=None):
         self.m, self.U, self.family = m, U, family
@@ -167,8 +170,7 @@ class WaveCurve:
             self.Tt = Tt = tangent_point(m, A)
             self.vt = (Tt - A) * _w(m, Tt)
         self.e_A = strain(m, A)
-        self.table = table = _fan_table(m) if table is None else table
-        self.fans = (_fan_from(m, A, table), _fan_from(m, self.Tt, table))
+        self.table = _fan_table(m) if table is None else table
 
     @property
     def tangency(self) -> float:
@@ -178,13 +180,13 @@ class WaveCurve:
 
     def v(self, T: float) -> float:
         """Velocity at stress T."""
-        A, y = self.A, self.s * T
+        m, A, Tt, y = self.m, self.A, self.Tt, self.s * T
         if y <= A:
-            d = self.fans[0](y)
-        elif y <= self.Tt:
-            d = _jump_v(self.m, A, self.e_A, y)
+            d = _fan(m, self.table, A, y)
+        elif y <= Tt:
+            d = _jump_v(m, A, self.e_A, y)
         else:
-            d = self.vt + self.fans[1](y)
+            d = self.vt + _fan(m, self.table, Tt, y)
         return self.U.v + self.k * d
 
     def slope(self, T: float) -> float:
@@ -202,15 +204,20 @@ class WaveCurve:
                 "characteristic limit", self.U.T, T)
         return _w(m, y)
 
-    def legs(self, end: State) -> list[CurveLeg]:
-        """Legs (0, 1 or 2) between U and `end`, a point of the curve: from
+    def legs(self, end: State) -> list[Wave]:
+        """Waves (0, 1 or 2) between U and `end`, a point of the curve: from
         U to `end` backward, from `end` to U forward.  Both are built from
         U, so a composite's junction is U plus the degenerate shock's jump
-        and every leg's jump comes from its own outer state."""
+        and every wave's jump comes from its own outer state.  A fan takes
+        the characteristic speeds at its ends; a shock degenerate at one
+        state takes the characteristic speed there, so it shares its ray
+        with the attached fan edge bit for bit, and any other shock the
+        speed of its jump."""
+        m, family = self.m, self.family
         U, A, Tt, y = self.U, self.A, self.Tt, self.s * end.T
         if end.T == U.T:
             return []
-        if self.m.linear_mode:
+        if m.linear_mode:
             legs = [(SHOCK, U, end, "both")]
         elif y < A or A == 0.0:
             legs = [(RAREFACTION, U, end, "")]
@@ -222,14 +229,25 @@ class WaveCurve:
             junction = State(self.s * Tt, U.v + self.k * self.vt)
             legs = [(SHOCK, U, junction, "right"),
                     (RAREFACTION, junction, end, "")]
-        if self.family == BACKWARD:
-            return [CurveLeg(kind, BACKWARD, a, b, degenerate)
-                    for kind, a, b, degenerate in legs]
-        # reflected in space: each leg runs the other way, and a shock
-        # degenerate at its right state becomes one degenerate at its left
-        return [CurveLeg(kind, FORWARD, b, a,
-                         degenerate.replace("right", "left"))
-                for kind, a, b, degenerate in reversed(legs)]
+        if family == FORWARD:
+            # reflected in space: each leg runs the other way, and a shock
+            # degenerate at its right state becomes one degenerate at its
+            # left
+            legs = [(kind, b, a, degenerate.replace("right", "left"))
+                    for kind, a, b, degenerate in reversed(legs)]
+        waves = []
+        for kind, left, right, degenerate in legs:
+            if kind == RAREFACTION:
+                head = wave_speed(m, left.T, family)
+                tail = wave_speed(m, right.T, family)
+            elif degenerate in ("left", "right"):
+                at = left if degenerate == "left" else right
+                head = tail = wave_speed(m, at.T, family)
+            else:
+                head = tail = shock_speed(m, left.T, right.T, family)
+            waves.append(Wave(kind, family, left, right, head, tail,
+                              degenerate))
+        return waves
 
 
 # ---------------------------------------------------------------------------
@@ -241,22 +259,19 @@ def backward_v(m: Material, U_l: State, T: float) -> float:
     return WaveCurve(m, U_l, BACKWARD).v(T)
 
 
-def decompose_backward(m: Material, U_l: State, T: float) -> list[CurveLeg]:
-    """Explicit leg sequence (0, 1 or 2 legs) realizing backward_v."""
+def decompose_backward(m: Material, U_l: State, T: float) -> list[Wave]:
+    """Explicit wave sequence (0, 1 or 2 waves) realizing backward_v."""
     curve = WaveCurve(m, U_l, BACKWARD)
     return curve.legs(State(T, curve.v(T)))
 
 
-def forward_delta(m: Material, T_0: float, T: float) -> float:
-    """Velocity change along the forward wave curve from stress T_0 to T."""
-    return -WaveCurve(m, State(T, 0.0), FORWARD).v(T_0)
-
-
 def forward_v(m: Material, U_0: State, T: float) -> float:
-    """Velocity on the forward wave curve through U_0 at terminal stress T."""
-    return U_0.v + forward_delta(m, U_0.T, T)
+    """Velocity on the forward wave curve through U_0 at terminal stress T.
+    The forward curves ending at stress T differ by a shift of v, so it is
+    U_0.v less the velocity at U_0.T of the one ending at (T, 0)."""
+    return U_0.v - WaveCurve(m, State(T, 0.0), FORWARD).v(U_0.T)
 
 
-def decompose_forward(m: Material, U_0: State, T: float) -> list[CurveLeg]:
-    """Explicit leg sequence (0, 1 or 2 legs) realizing forward_v."""
+def decompose_forward(m: Material, U_0: State, T: float) -> list[Wave]:
+    """Explicit wave sequence (0, 1 or 2 waves) realizing forward_v."""
     return WaveCurve(m, State(T, forward_v(m, U_0, T)), FORWARD).legs(U_0)

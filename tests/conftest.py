@@ -11,8 +11,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from barwaves import Material, PRESETS, State, backward_v, strain
-from barwaves.wave_curves import forward_delta
+from barwaves import Material, PRESETS, State, backward_v, forward_v, strain
 
 
 @pytest.fixture(scope="session")
@@ -76,7 +75,7 @@ def driving_force_integral(m, T_l, T_r):
 
 def place(m, U_l, T_mid, T_r):
     """Right state reached through middle stress T_mid."""
-    v = backward_v(m, U_l, T_mid) + forward_delta(m, T_mid, T_r)
+    v = forward_v(m, State(T_mid, backward_v(m, U_l, T_mid)), T_r)
     return State(T_r, v)
 
 

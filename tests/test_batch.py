@@ -25,6 +25,7 @@ from barwaves import (
     profile,
     riemann,
     solve,
+    solve_linear,
     solve_many,
     tangent_point,
 )
@@ -238,6 +239,20 @@ def test_broadcast_shape_trivial_and_linear_lanes():
     assert (sol.T_bar[0, 0], sol.v_bar[0, 0]) == (-1.0, 0.0)
     assert_parity(PRESETS["linear"], [(-1.0, 0.5, 2.0, -0.3),
                                       (0.4, 0.0, 0.4, 0.0)])
+    # linear lanes at magnitudes 1e-9..1e9 take solve_linear's middle state
+    # bit for bit: both paths evaluate riemann._linear_middle
+    rng = random.Random(25)
+    for m in (PRESETS["linear"], Material.linear(2.5, -0.3, 7.0),
+              Material.linear(1e-3, -0.9e-3, 1e3)):
+        problems = [[log_uniform(rng, -9.0, 9.0) for _ in range(4)]
+                    for _ in range(300)]
+        sol = solve_many(m, *np.array(problems).T)
+        for i, (T_l, v_l, T_r, v_r) in enumerate(problems):
+            wave = solve_linear(m, State(T_l, v_l), State(T_r, v_r)).waves[0]
+            mid = wave.right if wave.family == BACKWARD else wave.left
+            assert sol.region_label[i] == "linear"
+            assert (sol.T_bar[i].tobytes(), sol.v_bar[i].tobytes()) == (
+                np.float64(mid.T).tobytes(), np.float64(mid.v).tobytes())
 
 
 # off every dividing curve: the bracket search and the root finder run

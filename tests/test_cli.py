@@ -61,10 +61,13 @@ def test_invalid_material_exits_2(capsys, tmp_path):
     assert rc == 2
     assert "hyperbolicity" in err
     # malformed documents are invalid too, not a traceback (exit 1) or a
-    # material built from a misread field
+    # material built from a misread field, such as a JSON boolean or string
+    # read as a number (on the cubic preset's constants, which are valid)
     linear = {"alpha": 1.0, "beta": -0.5, "gamma": 0.0, "n": 1.0, "rho": 1.0}
+    cubic = {"alpha": 2.0, "beta": -1.0, "gamma": 2.0, "n": 1.0, "rho": 1.0}
     for doc in ([1, 2], {**linear, "alpha": None}, {**linear, "n": 10**400},
-                {**linear, "linear_mode": "false"}):
+                {**linear, "linear_mode": "false"}, {**cubic, "alpha": True},
+                {**cubic, "gamma": "1"}):
         bad.write_text(json.dumps(doc))
         rc = main(["solve", "--material", str(bad), "--tl", "-1", "--tr",
                    "1"])

@@ -33,7 +33,7 @@ import barwaves
 from barwaves import material, riemann
 from barwaves.material import _newton_bisect
 from barwaves.verify import check_rh, continuity_probe, speeds_ordered
-from barwaves.wave_curves import WaveCurve, forward_delta
+from barwaves.wave_curves import WaveCurve
 from conftest import A_CASES, B_CASES, C_CASES, cubic_fan_integral, place
 
 
@@ -424,7 +424,7 @@ def test_tiny_magnitude_solve_is_resolved_to_its_own_scale(quintic):
     assert abs(p.right_state.v - U_r.v) <= 1e-12 * 3e-6
     T_mid = middle_stress(p)
     v_mid = backward_v(quintic, U_l, T_mid)
-    assert v_mid + forward_delta(quintic, T_mid, U_r.T) == pytest.approx(
+    assert forward_v(quintic, State(T_mid, v_mid), U_r.T) == pytest.approx(
         U_r.v, rel=1e-12)
 
 
@@ -720,7 +720,7 @@ def leg_summary(legs):
     leg = legs[0]
     if leg.kind == RAREFACTION:
         return riemann._R
-    if leg.family == FORWARD and leg.start.T * leg.end.T < 0.0:
+    if leg.family == FORWARD and leg.left.T * leg.right.T < 0.0:
         return riemann._X
     return riemann._S
 

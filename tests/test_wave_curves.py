@@ -27,7 +27,12 @@ from barwaves import (
     wave_speed,
 )
 from barwaves import material, wave_curves
-from barwaves.material import _fan_table, _panel_ends, rarefaction_integral
+from barwaves.material import (
+    _fan,
+    _fan_table,
+    _panel_ends,
+    rarefaction_integral,
+)
 from barwaves.wave_curves import WaveCurve, _w
 from conftest import cubic_fan_integral, make_material
 
@@ -161,13 +166,13 @@ def test_decompose_backward_composite(cubic):
     assert [leg.kind for leg in legs] == [SHOCK, RAREFACTION]
     shock, fan = legs
     assert shock.degenerate == "right"
-    assert shock.end.T == pytest.approx(0.5, rel=1e-12)
-    assert shock.end.v == pytest.approx(1.5 * math.sqrt(2.5), rel=1e-12)
-    assert fan.start == shock.end
-    assert fan.end.T == 1.2
-    assert fan.end.v == pytest.approx(backward_v(cubic, U, 1.2), abs=1e-14)
+    assert shock.right.T == pytest.approx(0.5, rel=1e-12)
+    assert shock.right.v == pytest.approx(1.5 * math.sqrt(2.5), rel=1e-12)
+    assert fan.left == shock.right
+    assert fan.right.T == 1.2
+    assert fan.right.v == pytest.approx(backward_v(cubic, U, 1.2), abs=1e-14)
     # degeneracy: the jump speed equals the backward speed at the junction
-    s = shock_speed(cubic, shock.start.T, shock.end.T, BACKWARD)
+    s = shock_speed(cubic, shock.left.T, shock.right.T, BACKWARD)
     assert s == pytest.approx(wave_speed(cubic, 0.5, BACKWARD), rel=1e-12)
 
 
@@ -187,14 +192,14 @@ def test_decompose_forward_composite(cubic):
     assert [leg.kind for leg in legs] == [RAREFACTION, SHOCK]
     fan, shock = legs
     assert shock.degenerate == "left"
-    assert fan.end.T == pytest.approx(tangent_point(cubic, 0.8), rel=1e-12)
-    assert fan.end.v == pytest.approx(-cubic_fan_integral(-1.0, -0.4),
-                                      abs=1e-11)
+    assert fan.right.T == pytest.approx(tangent_point(cubic, 0.8), rel=1e-12)
+    assert fan.right.v == pytest.approx(-cubic_fan_integral(-1.0, -0.4),
+                                        abs=1e-11)
     # the jump is tangent on its left: speed equals the fan-edge speed
-    s = shock_speed(cubic, shock.start.T, shock.end.T, FORWARD)
-    assert s == pytest.approx(wave_speed(cubic, shock.start.T, FORWARD),
+    s = shock_speed(cubic, shock.left.T, shock.right.T, FORWARD)
+    assert s == pytest.approx(wave_speed(cubic, shock.left.T, FORWARD),
                               rel=1e-10)
-    assert shock.end.v == pytest.approx(forward_v(cubic, U, 0.8), abs=1e-14)
+    assert shock.right.v == pytest.approx(forward_v(cubic, U, 0.8), abs=1e-14)
 
 
 def test_decompose_forward_mirrored_composite(cubic):
@@ -202,7 +207,7 @@ def test_decompose_forward_mirrored_composite(cubic):
     legs = decompose_forward(cubic, U, -0.8)
     assert [leg.kind for leg in legs] == [RAREFACTION, SHOCK]
     assert legs[1].degenerate == "left"
-    assert legs[0].end.T == pytest.approx(0.4, rel=1e-12)
+    assert legs[0].right.T == pytest.approx(0.4, rel=1e-12)
 
 
 def test_rarefaction_legs_have_increasing_speed(cubic):
@@ -217,8 +222,9 @@ def test_rarefaction_legs_have_increasing_speed(cubic):
     for fn, U, T in cases:
         for leg in fn(cubic, U, T):
             if leg.kind == RAREFACTION:
-                head = wave_speed(cubic, leg.start.T, leg.family)
-                tail = wave_speed(cubic, leg.end.T, leg.family)
+                head = wave_speed(cubic, leg.left.T, leg.family)
+                tail = wave_speed(cubic, leg.right.T, leg.family)
+                assert (leg.speed_head, leg.speed_tail) == (head, tail)
                 assert head < tail
 
 
@@ -233,15 +239,20 @@ def test_shock_legs_satisfy_jump_conditions_and_dissipation(cubic, quintic):
         for leg in fn(m, U, T):
             if leg.kind != SHOCK:
                 continue
-            s = shock_speed(m, leg.start.T, leg.end.T, leg.family)
-            dT = leg.end.T - leg.start.T
-            dv = leg.end.v - leg.start.v
-            de = strain(m, leg.end.T) - strain(m, leg.start.T)
-            scale = max(1.0, abs(leg.start.T), abs(leg.end.T),
-                        abs(leg.start.v), abs(leg.end.v))
+            s = shock_speed(m, leg.left.T, leg.right.T, leg.family)
+            # a shock degenerate at one state travels with the
+            # characteristic there, any other with its jump
+            at = {"left": leg.left, "right": leg.right}.get(leg.degenerate)
+            own = s if at is None else wave_speed(m, at.T, leg.family)
+            assert leg.speed_head == leg.speed_tail == own
+            dT = leg.right.T - leg.left.T
+            dv = leg.right.v - leg.left.v
+            de = strain(m, leg.right.T) - strain(m, leg.left.T)
+            scale = max(1.0, abs(leg.left.T), abs(leg.right.T),
+                        abs(leg.left.v), abs(leg.right.v))
             assert abs(s * m.rho * dv + dT) < 1e-10 * scale
             assert abs(s * de + dv) < 1e-10 * scale
-            assert s * dT * (leg.end.T + leg.start.T) >= -1e-12
+            assert s * dT * (leg.right.T + leg.left.T) >= -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +413,7 @@ def test_curve_fans_equal_a_fresh_walk_in_any_order(name, T_0, family,
                       FORWARD if family == BACKWARD else BACKWARD, table)
     starts = (curve.A, curve.Tt)
     for i, y in ends:
-        got = curve.fans[i](y)
+        got = _fan(m, table, starts[i], y)
         assert same_float(got, rarefaction_integral(m, starts[i], y)), (i, y)
         if i == 0 or y > curve.Tt:  # the curve's shock owns y = Tt
             d = got if i == 0 else curve.vt + got
@@ -422,8 +433,33 @@ def test_closed_form_curves_keep_their_fans_too(m, T_0):
     for i, start in enumerate((curve.A, curve.Tt)):
         for y in (start, 2.0 * start - 0.5, start + 0.5, -3.0, 3.0):
             if (y <= start) if i == 0 else (y >= start):
-                assert same_float(curve.fans[i](y),
+                assert same_float(_fan(m, curve.table, start, y),
                                   rarefaction_integral(m, start, y)), (i, y)
+
+
+@pytest.mark.parametrize("m", [make_material(2.0, -1.0, 2.0, 1.0, 1.0),
+                               *PANEL_MATERIALS.values()],
+                         ids=["cubic", *PANEL_MATERIALS])
+@pytest.mark.parametrize("family", [BACKWARD, FORWARD])
+def test_a_curve_computes_no_fan_before_it_reads_one(monkeypatch, m,
+                                                     family):
+    # building a curve and reading its shock branch compute no fan: no
+    # n = 1 root and no head panel; the first read of the fan from A then
+    # computes one root at A (and the end's) or one head panel
+    roots = []
+    original = material._cubic_root
+    monkeypatch.setattr(material, "_cubic_root", lambda k, T, xp=math: (
+        roots.append(T) or original(k, T, xp)))
+    curve = WaveCurve(m, State(-1.2, 0.25), family)
+    curve.v(curve.s * 0.5 * (curve.A + curve.Tt))
+    heads = getattr(curve.table, "heads", {})
+    assert roots == [] and heads == {}
+    y = 10.0 * curve.A  # past a knot, so that a table keeps the head
+    curve.v(curve.s * y)
+    if m.n == 1.0:
+        assert roots == [curve.A, y]
+    else:
+        assert roots == [] and list(heads) == [-curve.A]
 
 
 @pytest.mark.parametrize("m", [make_material(2.0, -1.0, 2.0, 1.0, 1.0),
@@ -556,7 +592,7 @@ def test_linear_curves_meet_at_solve_linears_middle_state(m, T_l, v_l, T_r,
         w = waves[leg.family]
         assert (leg.kind, leg.degenerate) == (w.kind, w.degenerate) == (
             SHOCK, "both")
-        for a, b in ((leg.start, w.left), (leg.end, w.right)):
+        for a, b in ((leg.left, w.left), (leg.right, w.right)):
             assert a.T == b.T
             assert a.v == pytest.approx(b.v, abs=1e-14 * scale)
 
@@ -572,4 +608,4 @@ def test_linear_curve_at_a_nonzero_anchor(linear):
     [shock] = decompose_forward(linear, U, 0.4)
     assert (shock.kind, shock.family, shock.degenerate) == (
         SHOCK, FORWARD, "both")
-    assert shock.start == U
+    assert shock.left == U
