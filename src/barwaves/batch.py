@@ -3,26 +3,29 @@ each problem a lane of numpy arrays.
 
 ``solve_many`` runs the steps of ``solve`` on every lane at once: the
 curve pair with its tangency stresses, the residual at the four dividing
-stresses (boundary labels, their tolerance and the bracket seed), the
-widening of ``riemann._bracket``, the sample at ``riemann._hermite_start``
-that narrows the bracket, masked rtsafe, the final-residual gate,
-the monotonicity check and the snap, then the labels.  As in ``solve``,
-the bracket search and rtsafe see the residual zeroed within its roundoff
-(``riemann._stopped_residual``), so a lane stops once its residual is
-noise and no straggler keeps the others' rounds going.  Both curves of
-every lane are rows of one ``_Curves``: a residual or slope round is one
-curve call.
+stresses, then the middle-stress search through the bodies that
+``solve`` runs on floats: ``riemann._seed`` (boundary labels, their
+tolerance and the bracket seed), ``riemann._seed_step``,
+``riemann._widen`` and ``riemann._ordered`` (the bracket search),
+``riemann._hermite_start`` and ``riemann._narrow`` (the sample that
+narrows the bracket), ``material._rtsafe_step`` (rtsafe) and
+``riemann._verdict`` (scale, monotonicity, gate and snap), then the
+labels.  As in ``solve``, the bracket search and rtsafe see the residual
+zeroed within its roundoff (``riemann._stopped_residual``), so a lane
+stops once its residual is noise and no straggler keeps the others'
+rounds going.  Both curves of every lane are rows of one ``_Curves``: a
+residual or slope round is one curve call.
 
-This module keeps the control flow on lanes (masks where the scalar path
-branches, a failed lane that stops alone) and the numpy twins of two
-scalar routines, which ``sampler`` shares: the lane fans ``_fan_lanes``,
-which read the knots and prefix sums of the call's ``material._FanTable``
-and sum only a head and a tail panel per lane, and the root finder
-``_newton_bisect_many``.  The formulas are shared:
-``material``'s tangency condition and n = 1 fan; ``wave_curves``' shock
-jump, fan integrand and shock-branch slope; ``riemann``'s tolerances,
+This module keeps the control flow on lanes (loops that compact their
+live lanes where the scalar path branches, a failed lane that stops
+alone) and the lane fans ``_fan_lanes``, which read the knots and prefix
+sums of the call's ``material._FanTable`` and sum only a head and a tail
+panel per lane; ``sampler`` shares them and the rtsafe loop
+``_newton_bisect_many``.  The formulas are shared: ``material``'s
+tangency condition and n = 1 fan; ``wave_curves``' shock jump, fan
+integrand and shock-branch slope; ``riemann``'s tolerances, search,
 classification (its labels and tables) and error of a failed search, so
-a lane's labels are those of ``solve`` by construction.  Each kernel is
+a lane's labels are those of ``solve`` by construction.  Each body is
 called with ``xp = numpy``, so a lane agrees with ``solve`` to the
 last-bit roundings that ``material`` describes and does not depend on
 the other lanes of its call.
@@ -49,21 +52,21 @@ from .material import (
     Material,
     _CUBIC_TO_ROUNDOFF,
     _GL_RULE,
+    _RTSAFE_STEPS,
     _cubic_fan,
     _cubic_root,
     _excess,
     _fan_table,
-    _knee_stress,
+    _rtsafe_step,
     _tangency_residual,
     _tangency_slope,
     strain,
     strain_prime,
 )
 from .riemann import (
-    BOUNDARY_TOL,
-    MONOTONE_SLACK,
-    RESIDUAL_GATE,
-    SNAP_TOL,
+    _DOUBLINGS,
+    _NO_BRACKET,
+    _OVERFLOW,
     _S,
     _SR,
     _X,
@@ -71,9 +74,15 @@ from .riemann import (
     _hermite_start,
     _linear_middle,
     _middle_stress_error,
+    _narrow,
+    _ordered,
     _region_index,
+    _seed,
+    _seed_step,
     _stopped_residual,
     _summary,
+    _verdict,
+    _widen,
     _zero_velocity_index,
 )
 from .wave_curves import State, _jump_v, _shock_slope, _w
@@ -155,23 +164,21 @@ def _solve_lanes(m, T_l, v_l, T_r, v_r, out: Solutions, lanes) -> None:
     """Fill `out` at `lanes` (non-trivial problems of a nonlinear
     material): the curve pair, the middle stress, then the labels."""
     curves, overflow = _curve_pair(m, T_l, v_l, T_r, v_r)
-    failures = {int(j): "overflow" for j in np.flatnonzero(overflow)}
     solved = np.flatnonzero(~overflow)
     curves = curves.take(np.concatenate([solved, solved + T_l.size]))
-    T_bar, v_bar, label, failed = _middle_stress(
+    failure, residual = overflow * _OVERFLOW, np.full(T_l.size, np.nan)
+    T_bar, v_bar, label, failure[solved], residual[solved] = _middle_stress(
         m, T_l[solved], v_l[solved], T_r[solved], v_r[solved], curves)
-    failures.update((int(solved[j]), kind) for j, kind in failed.items())
-    keep = np.ones(solved.size, bool)
-    keep[list(failed)] = False
-    rows = np.flatnonzero(keep)
-    solved, T_bar, v_bar, label = (
-        a[keep] for a in (solved, T_bar, v_bar, label))
-    for j, kind in failures.items():
+    for j in np.flatnonzero(failure):
         out.error[lanes[j]] = _middle_stress_error(
-            kind, *_states(T_l, v_l, T_r, v_r, j))
+            failure[j], *_states(T_l, v_l, T_r, v_r, j), float(residual[j]))
+    # the solved lanes' rows in curves: backward, then forward
+    back = np.flatnonzero(failure[solved] == 0)
+    fwd = back + solved.size
+    solved, T_bar, v_bar, label = (
+        a[back] for a in (solved, T_bar, v_bar, label))
 
     T_l, v_l, T_r, v_r = T_l[solved], v_l[solved], T_r[solved], v_r[solved]
-    back, fwd = rows, rows + keep.size
     b_code = _summary(curves.A[back], curves.s[back], curves.Tt[back], T_bar,
                       T_l, _S, _SR)
     f_code = _summary(curves.A[fwd], curves.s[fwd], curves.Tt[fwd], T_bar,
@@ -188,11 +195,13 @@ def _solve_lanes(m, T_l, v_l, T_r, v_r, out: Solutions, lanes) -> None:
 
 
 def _middle_stress(m, T_l, v_l, T_r, v_r, c):
-    """riemann._find_middle_stress on lanes: (T_bar, v_bar, label, failed),
-    with label the code in _LABELS of a boundary label or -1, and failed a
-    dict from lane to the kind of failure ('overflow', 'bracket',
-    'monotone', or the residual that missed the gate).  Lane i has its
-    backward and forward curves in rows i and i + n of c."""
+    """riemann._find_middle_stress on lanes, through the same bodies
+    (riemann's _seed, _seed_step, _widen, _hermite_start, _narrow and
+    _verdict, and material._rtsafe_step): (T_bar, v_bar, label, failure,
+    residual), with label the code in _LABELS of a boundary label or -1,
+    and failure (0 where solved) and the final residual what
+    riemann._middle_stress_error takes.  Lane i has its backward and
+    forward curves in rows i and i + n of c."""
     n = T_l.size
     rec: list[np.ndarray] = []   # (T, g, back.v, fwd.v) of every sample
     overflow = np.zeros(n, bool)
@@ -206,10 +215,9 @@ def _middle_stress(m, T_l, v_l, T_r, v_r, c):
         val = v_back - v_fwd
         full = np.full(np.shape(T)[:-1] + (4, n), np.nan)
         full[..., idx] = np.stack([T, val, v_back, v_fwd], axis=-2)
-        rec.extend(full.reshape(-1, 4, n))
+        rec.extend(full if full.ndim == 3 else [full])
         finite = np.isfinite(val)
-        lane_finite = finite if val.ndim == 1 else finite.all(axis=0)
-        overflow[idx[~lane_finite]] = True
+        overflow[idx] |= ~(finite if val.ndim == 1 else finite.all(axis=0))
         # an overflowed lane stops the root finders; it reports the overflow
         return np.where(finite, val, np.nan), v_back, v_fwd
 
@@ -220,114 +228,73 @@ def _middle_stress(m, T_l, v_l, T_r, v_r, c):
     def dg(idx, T):
         return np.add(*pair(c.slope, idx, T))
 
-    # W1, W2 and, for T_l != 0, the forward curves from the zero-stress and
-    # the tangency points of the backward curve, in order of precedence
+    # W1, W2, W2F/W2E and W2B/W2C in order of precedence; for T_l = 0 the
+    # last two rows repeat the second (all at stress 0), so never come first
     dividing = np.stack([T_r, T_l, np.zeros(n), c.s[:n] * c.Tt[:n]])
     res, vb, vf = g(np.arange(n), dividing)
-    tol = BOUNDARY_TOL * np.maximum.reduce(
-        [np.abs(v_r - v_l), np.abs(vb[0] - v_l), np.abs(vf[1] - v_r)])
-    overflow |= tol == np.inf
-    # for T_l = 0 the last two rows repeat the second (all at stress 0),
-    # so they never come first
-    hit = np.abs(res) <= tol
-    first = np.argmax(hit, axis=0)
-    labelled = hit.any(axis=0) & ~overflow
-    T_bar = np.full(n, np.nan)
-    v_bar = np.full(n, np.nan)
-    label = np.full(n, -1)
-    at = np.flatnonzero(labelled)
-    T_bar[at] = dividing[first[at], at]
-    v_bar[at] = vb[first[at], at]
-    label[at] = _boundary_index(first[at], T_l[at])
+    failure, row, lo, hi, f_lo, f_hi = _seed(v_l, v_r, dividing, res, vb, vf,
+                                             np)
+    overflow |= failure > 0
+    residual = np.full(n, np.nan)
+    T_bar, v_bar = dividing[row, np.arange(n)], vb[row, np.arange(n)]
+    label = _boundary_index(row, T_l)
 
-    # the samples bracket the root, or the search widens from the outermost
-    # one by the Newton step there, capped as in _find_middle_stress
-    rest = np.flatnonzero(~labelled & ~overflow)
-    r, D = res[:, rest], dividing[:, rest]
-    has_lo, has_hi = (r < 0.0).any(axis=0), (r > 0.0).any(axis=0)
-    i_lo = np.argmax(np.where(r < 0.0, D, -np.inf), axis=0)
-    i_hi = np.argmin(np.where(r > 0.0, D, np.inf), axis=0)
-    i_lo, i_hi = np.where(has_lo, i_lo, i_hi), np.where(has_hi, i_hi, i_lo)
-    cols = np.arange(rest.size)
-    lo, f_lo = D[i_lo, cols], r[i_lo, cols]
-    hi, f_hi = D[i_hi, cols], r[i_hi, cols]
+    # the samples bracket the root, or the search widens from the one seed
+    rest = np.flatnonzero((row < 0) & ~overflow)
+    lo, hi, f_lo, f_hi = (a[rest] for a in (lo, hi, f_lo, f_hi))
+    found = (lo != hi) * 1
+    live = np.flatnonzero(lo == hi)
     step = np.zeros(rest.size)
-    one = np.flatnonzero(~(has_lo & has_hi))
-    if one.size:
-        cap = np.maximum(np.maximum(np.abs(T_l[rest[one]]),
-                                    np.abs(T_r[rest[one]])), _knee_stress(m))
-        newton = np.abs(f_lo[one]) / dg(rest[one], lo[one])
-        step[one] = np.where((0.0 < newton) & (newton < cap), newton, cap)
-    lo, hi, f_lo, f_hi, found = _bracket_many(
-        lambda pos, T: stopped(rest[pos], T), lo, hi, f_lo, f_hi, step)
-    failed: dict[int, object] = {
-        int(i): "bracket" for i in rest[~found & ~overflow[rest]]}
+    if live.size:
+        step[live] = _seed_step(m, T_l[rest[live]], T_r[rest[live]],
+                                f_lo[live], dg(rest[live], lo[live]), np)
+    one = live
+    for _ in range(_DOUBLINGS):
+        found[live], T, step[live] = _widen(lo[live], f_lo[live], hi[live],
+                                            f_hi[live], step[live])
+        go = found[live] == 0
+        live, T = live[go], T[go]
+        if not live.size:
+            break
+        lo[live], f_lo[live], hi[live] = hi[live], f_hi[live], T
+        f_hi[live] = stopped(rest[live], T)
+    lo[one], hi[one], f_lo[one], f_hi[one] = _ordered(
+        lo[one], f_lo[one], hi[one], f_hi[one], np)
+    failure[rest[found != 1]] = _NO_BRACKET
 
-    go = np.flatnonzero(found & ~overflow[rest])
+    go = np.flatnonzero((found == 1) & ~overflow[rest])
     lanes, lo, hi, f_lo, f_hi = rest[go], lo[go], hi[go], f_lo[go], f_hi[go]
     if lanes.size:
         # the Hermite start narrows each bracket as in _find_middle_stress,
-        # outside _newton_bisect_many, with the slopes at both ends from
-        # one call
+        # with the slopes at both ends from one call
         d = dg(lanes, np.stack([lo, hi]))
         x = _hermite_start(lo, hi, f_lo, f_hi, d[0], d[1], np)
         inner = np.flatnonzero((lo < x) & (x < hi))
         if inner.size:
             x = x[inner]
-            f_x = stopped(lanes[inner], x)
-            below = f_x < 0.0
-            lo[inner[below]], f_lo[inner[below]] = x[below], f_x[below]
-            hi[inner[~below]], f_hi[inner[~below]] = x[~below], f_x[~below]
+            lo[inner], f_lo[inner], hi[inner], f_hi[inner] = _narrow(
+                lo[inner], f_lo[inner], hi[inner], f_hi[inner], x,
+                stopped(lanes[inner], x), np)
         root = _newton_bisect_many(
             lambda pos, T: stopped(lanes[pos], T),
             lambda pos, T: dg(lanes[pos], T), lo, hi, f_lo, f_hi)
-        Ts = np.stack(rec)[:, 0, lanes]
-        unseen = ~(Ts == root).any(axis=0)
+        unseen = ~(np.stack(rec)[:, 0, lanes] == root).any(axis=0)
         if unseen.any():
             # the last Newton step was within two ulps, so never evaluated
             g(lanes[unseen], root[unseen])
-        _judge(m, T_l, v_l, T_r, v_r, lanes, root, rec, vb, overflow,
-               T_bar, v_bar, failed)
-    for i in np.flatnonzero(overflow):
-        failed[int(i)] = "overflow"
-    return T_bar, v_bar, label, failed
-
-
-def _judge(m, T_l, v_l, T_r, v_r, lanes, root, rec, vb, overflow,
-           T_bar, v_bar, failed) -> None:
-    """The end of _find_middle_stress on the rtsafe lanes: the residual
-    scale, the monotonicity check, the gate and the snap."""
-    Ts, gs, v_back, v_fwd = np.stack(rec)[:, :, lanes].transpose(1, 0, 2)
-    # the latest sample at the root, as the scalar path's dict keeps it
-    at_root = Ts == root
-    last = len(rec) - 1 - np.argmax(at_root[::-1], axis=0)
-    cols = np.arange(lanes.size)
-    final, vb_root, vf_root = (a[last, cols] for a in (gs, v_back, v_fwd))
-    T_big = np.maximum(np.abs(T_l[lanes]), np.abs(T_r[lanes]))
-    stress_term = T_big * _w(m, T_big, np)
-    overflow[lanes[~np.isfinite(stress_term)]] = True
-    scale = np.maximum.reduce([
-        np.abs(v_l[lanes]), np.abs(v_r[lanes]),
-        np.abs(vb_root - v_l[lanes]), np.abs(vf_root - v_r[lanes]),
-        stress_term])
-    order = np.argsort(Ts, axis=0)
-    ordered = np.take_along_axis(gs, order, axis=0)
-    wiggle = (ordered[1:] < ordered[:-1] - MONOTONE_SLACK * scale).any(axis=0)
-    missed = np.abs(final) > RESIDUAL_GATE * scale
-    for j in np.flatnonzero(wiggle):
-        failed[int(lanes[j])] = "monotone"
-    for j in np.flatnonzero(missed & ~wiggle):
-        failed[int(lanes[j])] = float(final[j])
-
-    T_bar[lanes], v_bar[lanes] = root, vb_root
-    snap = SNAP_TOL * T_big
-    # T_r and T_l are the first two dividing samples
-    for row, T_d in ((1, T_l[lanes]), (0, T_r[lanes])):
-        near = np.abs(root - T_d) <= snap
-        hit = lanes[near]
-        T_bar[hit] = T_d[near]
-        v_bar[hit] = vb[row, hit]
-        root = np.where(near, np.nan, root)
+        Ts, gs, v_back, v_fwd = np.stack(rec)[:, :, lanes].transpose(1, 0, 2)
+        # the latest sample at the root, as the scalar path's dict keeps it
+        last = len(rec) - 1 - np.argmax((Ts == root)[::-1], axis=0)
+        final, vb_root, vf_root = (a[last, np.arange(lanes.size)]
+                                   for a in (gs, v_back, v_fwd))
+        # T_r and T_l are the first two dividing samples
+        failure[lanes], _, T_bar[lanes], v_bar[lanes] = _verdict(
+            m, T_l[lanes], v_l[lanes], T_r[lanes], v_r[lanes], root, final,
+            vb_root, vf_root, vb[1, lanes], vb[0, lanes],
+            np.take_along_axis(gs, np.argsort(Ts, axis=0), axis=0), np)
+        residual[lanes] = final
+    failure[overflow] = _OVERFLOW
+    return T_bar, v_bar, label, failure, residual
 
 
 # ---------------------------------------------------------------------------
@@ -458,72 +425,33 @@ def _fan_lanes(m: Material, table, T_a, T_b):
 # masked root finding
 
 
-def _bracket_many(fn, lo, hi, f_lo, f_hi, step):
-    """riemann._bracket on lanes: fn(pos, T) evaluates lanes pos.  Returns
-    (lo, hi, f_lo, f_hi, found); a lane whose value is NaN stops unfound,
-    for its caller to report."""
-    lo, hi, f_lo, f_hi, step = (a.copy() for a in (lo, hi, f_lo, f_hi, step))
-    found = np.zeros(lo.size, bool)
-    live = np.arange(lo.size)
-    for _ in range(2100):
-        inside = (f_lo[live] <= 0.0) & (0.0 <= f_hi[live])
-        found[live[inside]] = True
-        live = live[~inside]
-        if not live.size:
-            break
-        a, b, f_a, f_b, s = (x[live] for x in (lo, hi, f_lo, f_hi, step))
-        down = f_a > 0.0
-        T = np.where(down, a - s, b + s)
-        f = fn(live, T)
-        lo[live], f_lo[live] = np.where(down, T, b), np.where(down, f, f_b)
-        hi[live], f_hi[live] = np.where(down, a, T), np.where(down, f_a, f)
-        step[live] = 2.0 * s
-        live = live[~np.isnan(f)]
-    return lo, hi, f_lo, f_hi, found
-
-
 def _newton_bisect_many(fn, dfn, lo, hi, f_lo, f_hi):
-    """material._newton_bisect on lanes, with its steps and exits per lane
-    (the table ROOT_FINDER_EXITS of tests/test_material.py).  fn(pos, x)
-    and dfn(pos, x) evaluate the lanes pos.  A lane whose value is NaN
-    stops where it is, for its caller to report."""
-    first = -f_lo < f_hi
-    x = np.where(first, lo, hi)
-    f = np.where(first, f_lo, f_hi)
-    lo, hi = lo.copy(), hi.copy()
+    """material._newton_bisect on lanes: material._rtsafe_step on the lanes
+    that go on, each taking the steps and exits of the scalar root finder.
+    fn(pos, x) and dfn(pos, x) evaluate the lanes pos.  A lane whose value
+    is NaN stops at the point before, for its caller to report."""
+    x, f = np.where(-f_lo < f_hi, (lo, f_lo), (hi, f_hi))
+    f_old, by_newton = f, np.zeros(x.size, bool)
     step_old = step = hi - lo
     root = x.copy()
     live = np.arange(x.size)
-    for _ in range(200):
-        done = f == 0.0
-        root[live[done]] = x[done]
-        keep = ~done
-        live, x, f, lo, hi, step_old, step = (
-            a[keep] for a in (live, x, f, lo, hi, step_old, step))
+
+    def slope(T, go):
+        d = np.full(T.size, np.nan)
+        if go.any():
+            d[go] = dfn(live[go], T[go])
+        return d
+
+    for _ in range(_RTSAFE_STEPS):
+        x_new, lo, hi, step_old, step, by_newton, exit = _rtsafe_step(
+            slope, x, f, lo, hi, step_old, step, f_old, by_newton, np)
+        done = exit > 0
+        root[live[done]] = x_new[done]
+        live, f_old, x, lo, hi, step_old, step, by_newton = (
+            a[~done] for a in (live, f, x_new, lo, hi, step_old, step,
+                               by_newton))
         if not live.size:
             break
-        below = f < 0.0
-        lo = np.where(below, x, lo)
-        hi = np.where(below, hi, x)
-        d = dfn(live, x)
-        newton = np.where((0.0 < d) & (d < np.inf), f / d, np.inf)
-        close = np.abs(newton) <= 2.0 * np.spacing(np.abs(x))
-        root[live[close]] = (x - newton)[close]
-        use = ((lo < x - newton) & (x - newton < hi)
-               & (np.abs(newton) <= 0.5 * np.abs(step_old)))
-        step_new = np.where(use, newton, 0.5 * (hi - lo))
-        x_new = np.where(use, x - newton, lo + step_new)
-        collapsed = ~close & ~use & ((x_new == lo) | (x_new == hi))
-        root[live[collapsed]] = x_new[collapsed]
-        go = ~close & ~collapsed
-        f_new = np.full(x.size, np.nan)
-        if go.any():
-            f_new[go] = fn(live[go], x_new[go])
-        stalled = go & (np.isnan(f_new) | (
-            use & ((f_new > 0.0) == (f > 0.0)) & (np.abs(f_new) >= np.abs(f))))
-        root[live[stalled]] = x[stalled]
-        keep = go & ~stalled
-        root[live[keep]] = x_new[keep]
-        live, x, f, lo, hi, step_old, step = (
-            a[keep] for a in (live, x_new, f_new, lo, hi, step, step_new))
+        f = fn(live, x)
+    root[live] = x
     return root

@@ -34,21 +34,31 @@ I..XII is read off the solution (see ``_zero_velocity_index``);
 ``thresholds`` solves the stress thresholds for ``barwaves thresholds``.
 
 ``batch.solve_many`` runs the same solve on numpy lanes (``barwaves
-atlas`` uses it).  The tolerances, the residual the root finders see
-(_stopped_residual), rtsafe's start (_hermite_start), the classification
-(_boundary_index, _summary, _region_index and the tables _LABELS and
-_REGIONS built from _REGION_MAPS), the zero-velocity type, the error of a
-failed middle-stress search (_middle_stress_error) and the linear middle
-state (_linear_middle) are defined here once, each as one body for floats
-and lanes, and serve both paths: on narrow shocks the root lands wherever
-the residual reaches its noise, so the paths agree only if they take the
-same iterates.
+atlas`` uses it).  Every decision of the middle-stress search is defined
+once, as one body for floats and lanes, and serves both paths; only the
+loops differ, the scalar one branching and the lane one compacting its
+live lanes.  Here: the tolerances, what the dividing samples decide (the
+boundary tolerance and row and the bracket seed, _seed) and the first
+step from a one-sided seed (_seed_step), one doubling of the bracket
+search (_widen, whose loop _bracket also serves ``thresholds``) and the
+bracket it ends with (_ordered), the residual the root finders see
+(_stopped_residual), rtsafe's start (_hermite_start) and the narrowing
+there (_narrow), the judgement of the root (_verdict: scale,
+monotonicity, gate and snap) and the error of a failed search
+(_middle_stress_error); in ``material``, each step of rtsafe and its
+exits (_rtsafe_step).  So are the classification (_boundary_index,
+_summary, _region_index and the tables _LABELS and _REGIONS built from
+_REGION_MAPS), the zero-velocity type and the linear middle state
+(_linear_middle).  On narrow shocks the root lands wherever the residual
+reaches its noise, so the paths agree only if they take the same
+iterates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import getitem
 
 from .errors import NoBracket, NonMonotone, RootNotBracketed
 from .material import (
@@ -57,6 +67,7 @@ from .material import (
     Material,
     _knee_stress,
     _newton_bisect,
+    _picker,
     _slope_speed,
     strain,
     strain_prime,
@@ -117,24 +128,43 @@ class WavePattern:
         return [w for w in self.waves if w.kind == SHOCK]
 
 
+#: Doublings of the bracket search, on floats (_bracket) and on lanes
+#: (batch._middle_stress), after which it fails: they cross the float range.
+_DOUBLINGS = 2100
+
+
+def _widen(lo, f_lo, hi, f_hi, step):
+    """One doubling of the bracket search for the root of an increasing
+    function, from its inner end lo and its outer end hi, where it takes
+    f_lo and f_hi: outward is up for f_lo <= 0 and down otherwise, and the
+    search stays on that side, so f_lo is on the far side of the root.
+    Returns a code (1 where f_hi has reached the root's side, so that lo
+    and hi bracket it, 2 where f_hi is NaN, else 0), the next outer end
+    `step` further out and the next step, twice this one.  One body for
+    floats and numpy lanes."""
+    s = 1.0 - 2.0 * (f_lo > 0.0)
+    return (s * f_hi >= 0.0) + 2 * (f_hi != f_hi), hi + s * step, 2.0 * step
+
+
+def _ordered(lo, f_lo, hi, f_hi, xp=math):
+    """The bracket that a search widened to, as (lo, hi, f_lo, f_hi) with
+    lo < hi: the function is increasing, so its values order as its ends
+    do.  One body for floats and numpy lanes."""
+    lower, upper = (min, max) if xp is math else (xp.minimum, xp.maximum)
+    return lower(lo, hi), upper(lo, hi), lower(f_lo, f_hi), upper(f_lo, f_hi)
+
+
 def _bracket(fn, lo: float, hi: float, f_lo: float, f_hi: float,
              step: float):
     """Widen [lo, hi], where the increasing fn takes f_lo and f_hi, until fn
-    changes sign in it: the end on the wrong side becomes the other end and
-    moves out by `step`, which doubles each time.  Returns (lo, hi, f_lo,
-    f_hi), or None after 2100 doublings, which cross the float range."""
-    for _ in range(2100):
-        if f_lo <= 0.0 <= f_hi:
-            return lo, hi, f_lo, f_hi
-        if f_lo > 0.0:
-            hi, f_hi = lo, f_lo
-            lo -= step
-            f_lo = fn(lo)
-        else:
-            lo, f_lo = hi, f_hi
-            hi += step
-            f_hi = fn(hi)
-        step *= 2.0
+    changes sign in it, one _widen at a time: from hi, or from lo = hi
+    where f_lo > 0, by `step`, which doubles each time.  Returns (lo, hi,
+    f_lo, f_hi), or None at a NaN or after _DOUBLINGS doublings."""
+    for _ in range(_DOUBLINGS):
+        found, T, step = _widen(lo, f_lo, hi, f_hi, step)
+        if found:
+            return _ordered(lo, f_lo, hi, f_hi) if found == 1 else None
+        lo, f_lo, hi, f_hi = hi, f_hi, T, fn(T)
     return None
 
 
@@ -191,6 +221,105 @@ def _hermite_start(lo, hi, f_lo, f_hi, d_lo, d_hi, xp=math):
     return xp.where(usable, x, xp.where(-f_lo < f_hi, lo, hi))
 
 
+#: Failures of a middle-stress search, as _seed and _verdict report them
+#: and _middle_stress_error words them.
+_OVERFLOW, _NO_BRACKET, _NON_MONOTONE, _MISSED_GATE = 1, 2, 3, 4
+
+
+def _seed(v_l, v_r, dividing, g, v_back, v_fwd, xp=math):
+    """What the samples at the dividing stresses (the rows of
+    _find_middle_stress: a list on floats, stacked rows on numpy lanes)
+    decide: a failure code (_OVERFLOW where the boundary tolerance is not
+    finite), the first row whose |g| is within that tolerance (-1 for
+    none), and the bracket seed (lo, hi, f_lo, f_hi): the largest
+    dividing stress where g < 0 and the smallest where g > 0, or the one
+    of them there is as both ends.
+
+    The tolerance is BOUNDARY_TOL of the velocity jumps from U_l to U_r
+    and along both curves through U_l to T_r, not of velocities: a common
+    shift of v (Galilean invariance) must leave the solution's shape
+    unchanged.  One body for floats and numpy lanes."""
+    floats = xp is math
+    maximum, pick = (max, getitem) if floats else (xp.maximum, _picker(xp))
+    tol = BOUNDARY_TOL * maximum(maximum(
+        abs(v_r - v_l), abs(v_back[0] - v_l)), abs(v_fwd[1] - v_r))
+    row = -1
+    lo, hi, f_lo, f_hi = -math.inf, math.inf, math.nan, math.nan
+    for k, (T, r) in enumerate(zip(dividing, g)):
+        row = row + (row < 0) * (abs(r) <= tol) * (k + 1)
+        lo, f_lo = pick(((lo, f_lo), (T, r)), (r < 0.0) & (T > lo))
+        hi, f_hi = pick(((hi, f_hi), (T, r)), (r > 0.0) & (T < hi))
+    # samples on one side only: the outermost one is both ends
+    lo, f_lo = pick(((lo, f_lo), (hi, f_hi)), f_lo != f_lo)
+    hi, f_hi = pick(((hi, f_hi), (lo, f_lo)), f_hi != f_hi)
+    return _OVERFLOW * (tol == math.inf), row, lo, hi, f_lo, f_hi
+
+
+def _seed_step(m: Material, T_l, T_r, f, d, xp=math):
+    """The first step of the bracket search from a seed lo = hi, where the
+    residual is f and its slope d: the Newton step |f|/d, if it is
+    positive and below the cap, the stress scale of the data and of the
+    strain's knee (_knee_stress), beyond which g steepens and the Newton
+    step overshoots; else the cap, also where the slope is not positive.
+    One body for floats and numpy lanes."""
+    floats = xp is math
+    maximum, pick = (max, getitem) if floats else (xp.maximum, _picker(xp))
+    cap = maximum(maximum(abs(T_l), abs(T_r)), _knee_stress(m))
+    newton = abs(f) / (d + (d == 0.0))
+    return pick((cap, newton), (0.0 < d) & (0.0 < newton) & (newton < cap))
+
+
+def _narrow(lo, f_lo, hi, f_hi, x, f_x, xp=math):
+    """The bracket [lo, hi] of the increasing residual, where it takes f_lo
+    and f_hi, narrowed at x inside it, where it takes f_x: the end on
+    f_x's side moves to x.  Returns (lo, f_lo, hi, f_hi); one body for
+    floats and numpy lanes."""
+    pick = getitem if xp is math else _picker(xp)
+    below = f_x < 0.0
+    return (*pick(((lo, f_lo), (x, f_x)), below),
+            *pick(((x, f_x), (hi, f_hi)), below))
+
+
+def _verdict(m: Material, T_l, v_l, T_r, v_r, root, g, v_back, v_fwd,
+             v_l_back, v_r_back, ordered, xp=math):
+    """Judge the root of a middle-stress search, where the residual is g
+    and the curves' velocities v_back and v_fwd, given the backward
+    velocities at T_l and T_r and the residuals of every sample `ordered`
+    by stress (rows on lanes).  Returns (failure, snap, T_bar, v_bar):
+    failure is _OVERFLOW where the velocity scale is not finite, else
+    _NON_MONOTONE where a residual falls by more than MONOTONE_SLACK of it
+    from its neighbour, else _MISSED_GATE where |g| exceeds RESIDUAL_GATE
+    of it, else 0; snap names the data stress within SNAP_TOL of the
+    larger one that the root snaps to (1 for T_l, else 2 for T_r, else 0),
+    and (T_bar, v_bar) is the middle state there.
+
+    The scale is that of the data and of both wave curves at the root,
+    with no absolute floor: it holds at every magnitude.  Two terms bound
+    the roundoff of the residual: |v_l| and |v_r| under a common velocity
+    shift, and T*w(T) at the larger data stress T for a narrow shock from
+    it, whose strain difference cancels.  One body for floats and numpy
+    lanes."""
+    floats = xp is math
+    maximum, pick = (max, getitem) if floats else (xp.maximum, _picker(xp))
+    T_big = maximum(abs(T_l), abs(T_r))
+    stress = T_big * _w(m, T_big, xp)
+    terms = (abs(v_l), abs(v_r), abs(v_back - v_l), abs(v_fwd - v_r), stress)
+    scale = max(terms) if floats else xp.maximum.reduce(terms)
+    slack = MONOTONE_SLACK * scale
+    wiggle = False
+    for a, b in zip(ordered, ordered[1:]):
+        wiggle = wiggle | (b < a - slack)
+    finite = abs(stress) < math.inf
+    failure = (1 - finite) * _OVERFLOW + finite * (
+        wiggle * _NON_MONOTONE
+        + (1 - wiggle) * (abs(g) > RESIDUAL_GATE * scale) * _MISSED_GATE)
+    near_l = abs(root - T_l) <= SNAP_TOL * T_big
+    snap = near_l + 2 * (1 - near_l) * (abs(root - T_r) <= SNAP_TOL * T_big)
+    return (failure, snap,
+            *pick(((root, v_back), pick(((T_l, v_l_back), (T_r, v_r_back)),
+                                        snap == 2)), snap > 0))
+
+
 def _find_middle_stress(m: Material, U_l: State, U_r: State,
                         back: WaveCurve,
                         fwd: WaveCurve) -> tuple[float, float, int]:
@@ -200,7 +329,12 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
     middle stress is one dividing stress T_d, so the residual g(T_d) is
     the velocity distance of U_r from it.  One sample of g at each T_d
     decides the label and its tolerance, brackets the root and joins the
-    monotonicity check.
+    monotonicity check (_seed).  g is strictly increasing and unbounded
+    both ways: the samples bracket the root, or the search widens from
+    the outermost one (_seed_step, _bracket).  One sample at the root of
+    the bracket's cubic Hermite interpolant narrows the bracket that
+    rtsafe gets (_hermite_start; not in _newton_bisect: see the module
+    docstring), and _verdict judges the root.
 
     The root finders see the residual zeroed within its roundoff
     (_stopped_residual), so rtsafe stops at its exact-zero exit instead of
@@ -228,94 +362,57 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
 
     # W1, W2 and, for T_l != 0, the forward curves from the zero-stress and
     # the tangency points of the backward curve, in order of precedence
-    dividing = [U_r.T, U_l.T]
-    if U_l.T != 0.0:
-        dividing += [0.0, back.tangency]
-    for T_d in dividing:
-        sample(T_d)
-    # the velocity jumps from U_l to U_r and along both curves through U_l
-    # to T_r, not velocities: a common shift of v (Galilean invariance) must
-    # leave the solution's shape unchanged
-    tol = BOUNDARY_TOL * max(abs(U_r.v - U_l.v),
-                             abs(samples[U_r.T][1] - U_l.v),
-                             abs(samples[U_l.T][2] - U_r.v))
-    if tol == math.inf:
-        raise OverflowError("wave-curve velocity")
-    for row, T_d in enumerate(dividing):
-        if abs(samples[T_d][0]) <= tol:
-            return T_d, samples[T_d][1], _boundary_index(row, U_l.T)
-
-    # g is strictly increasing and unbounded both ways: the samples bracket
-    # the root, or the search widens from the outermost one by the Newton
-    # step there, at most the stress scale of the data and of the strain's
-    # knee, beyond which g steepens and the Newton step overshoots.
-    lo = max((T for T, p in samples.items() if p[0] < 0.0), default=None)
-    hi = min((T for T, p in samples.items() if p[0] > 0.0), default=None)
-    step = 0.0
-    if lo is None or hi is None:
-        lo = hi = hi if lo is None else lo
-        cap = max(abs(U_l.T), abs(U_r.T), _knee_stress(m))
-        newton = abs(samples[lo][0]) / dg(lo)
-        step = newton if 0.0 < newton < cap else cap
-    found = _bracket(g, lo, hi, samples[lo][0], samples[hi][0], step)
-    if found is None:
-        raise _middle_stress_error("bracket", U_l, U_r)
-    # one sample at the root of the bracket's cubic Hermite interpolant
-    # narrows the bracket that rtsafe gets (not in _newton_bisect: see the
-    # module docstring)
-    lo, hi, f_lo, f_hi = found
+    dividing = [U_r.T, U_l.T] + ([0.0, back.tangency] if U_l.T else [])
+    rows = list(map(sample, dividing))
+    failure, row, lo, hi, f_lo, f_hi = _seed(U_l.v, U_r.v, dividing,
+                                             *zip(*rows))
+    if failure:
+        raise _middle_stress_error(failure, U_l, U_r)
+    if row >= 0:
+        return dividing[row], rows[row][1], _boundary_index(row, U_l.T)
+    if lo == hi:
+        found = _bracket(g, lo, hi, f_lo, f_hi,
+                         _seed_step(m, U_l.T, U_r.T, f_lo, dg(lo)))
+        if found is None:
+            raise _middle_stress_error(_NO_BRACKET, U_l, U_r)
+        lo, hi, f_lo, f_hi = found
     x = _hermite_start(lo, hi, f_lo, f_hi, dg(lo), dg(hi))
     if lo < x < hi:
-        f_x = g(x)
-        if f_x < 0.0:
-            lo, f_lo = x, f_x
-        else:
-            hi, f_hi = x, f_x
+        lo, f_lo, hi, f_hi = _narrow(lo, f_lo, hi, f_hi, x, g(x))
     root = _newton_bisect(g, dg, lo, hi, f_lo, f_hi)
     if root not in samples:
         # the last Newton step was within two ulps, so never evaluated
         g(root)
 
-    # Judge residuals against the velocity scale of the data and of both
-    # wave curves at the root, with no absolute floor: it holds at every
-    # magnitude.  Two terms bound the roundoff of the residual: |v_l| and
-    # |v_r| under a common velocity shift, and T*w(T) at the larger data
-    # stress T for a narrow shock from it, whose strain difference cancels.
-    final, v_back, v_fwd = samples[root]
-    T_big = max(abs(U_l.T), abs(U_r.T))
-    scale = max(abs(U_l.v), abs(U_r.v), abs(v_back - U_l.v),
-                abs(v_fwd - U_r.v), T_big * _w(m, T_big))
-    ordered = sorted(samples.items())
-    for (_, a), (_, b) in zip(ordered, ordered[1:]):
-        if b[0] < a[0] - MONOTONE_SLACK * scale:
-            raise _middle_stress_error("monotone", U_l, U_r)
-    if abs(final) > RESIDUAL_GATE * scale:
-        raise _middle_stress_error(final, U_l, U_r)
-    snap = SNAP_TOL * max(abs(U_l.T), abs(U_r.T))
-    for T_d in (U_l.T, U_r.T):
-        if abs(root - T_d) <= snap:
-            # rare: logging is imported here, not on every start
-            import logging
-            logging.getLogger(__name__).debug(
-                "middle stress %r snaps to the data stress %r", root, T_d)
-            return T_d, samples[T_d][1], -1
-    return root, v_back, -1
+    failure, snap, T_bar, v_bar = _verdict(
+        m, U_l.T, U_l.v, U_r.T, U_r.v, root, *samples[root],
+        samples[U_l.T][1], samples[U_r.T][1],
+        [p[0] for _, p in sorted(samples.items())])
+    if failure:
+        raise _middle_stress_error(failure, U_l, U_r, samples[root][0])
+    if snap:
+        # rare: logging is imported here, not on every start
+        import logging
+        logging.getLogger(__name__).debug(
+            "middle stress %r snaps to the data stress %r", root, T_bar)
+    return T_bar, v_bar, -1
 
 
-def _middle_stress_error(kind, U_l: State, U_r: State) -> Exception:
+def _middle_stress_error(failure, U_l: State, U_r: State,
+                         residual=math.nan) -> Exception:
     """The error of a middle-stress search from U_l to U_r that failed:
-    kind is 'overflow', 'bracket', 'monotone', or the final residual that
-    missed the gate."""
-    if kind == "overflow":
+    failure is _OVERFLOW, _NO_BRACKET, _NON_MONOTONE or _MISSED_GATE, the
+    last with the final residual that missed the gate."""
+    if failure == _OVERFLOW:
         return NoBracket(
             f"wave-curve velocities overflow between {U_l} and {U_r}")
-    if kind == "bracket":
+    if failure == _NO_BRACKET:
         return NoBracket(
             f"no bracket for the middle stress between {U_l} and {U_r}")
-    if kind == "monotone":
+    if failure == _NON_MONOTONE:
         return NonMonotone("sampled residuals are not monotone in the "
                            f"middle stress between {U_l} and {U_r}")
-    return NoBracket(f"middle-stress residual {kind} between {U_l} "
+    return NoBracket(f"middle-stress residual {residual} between {U_l} "
                      f"and {U_r} misses the tolerance")
 
 
@@ -474,7 +571,7 @@ def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
         middle = State(T_bar, v_bar)
         waves = tuple(back.legs(middle) + fwd.legs(middle))
     except OverflowError as exc:
-        raise _middle_stress_error("overflow", U_l, U_r) from exc
+        raise _middle_stress_error(_OVERFLOW, U_l, U_r) from exc
     middles = tuple(w.right for w in waves[:-1])
     b = _summary(back.A, back.s, back.Tt, T_bar, U_l.T, _S, _SR)
     if label < 0:

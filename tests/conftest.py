@@ -7,6 +7,7 @@ paths and frozen into the tests.
 """
 
 import math
+import sys
 
 import pytest
 from scipy.integrate import quad
@@ -99,3 +100,30 @@ C_CASES = [("C1", 0.5, 1.0), ("C2", 0.5, 0.2), ("C3", -0.5, 0.3),
            ("C4", 0.5, -0.3), ("C5", -0.5, -0.2), ("C6", -0.5, -1.0)]
 REGION_CASES = {State(-1.0, 0.0): A_CASES, State(1.0, 0.0): B_CASES,
                 State(0.0, 0.1): C_CASES}
+
+
+def inject(monkeypatch, module, name, fault):
+    """Replace module.name by fault(module.name) in every barwaves module
+    that imported it by name: one fault in a body that the scalar solve
+    and the lanes of solve_many share reaches both paths."""
+    original = getattr(module, name)
+    faulty = fault(original)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "barwaves" or mod_name.startswith("barwaves."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, faulty)
+
+
+def errors_on_both_paths(m, U_l, U_r):
+    """The error solve raises from U_l to U_r and the one solve_many
+    reports for that lane beside a trivial one, which it must solve."""
+    from barwaves import solve, solve_many
+    from barwaves.errors import NoBracket, NonMonotone
+    with pytest.raises((NoBracket, NonMonotone)) as scalar:
+        solve(m, U_l, U_r)
+    sol = solve_many(m, [U_l.T, 0.4], [U_l.v, 0.0], [U_r.T, 0.4],
+                     [U_r.v, 0.0])
+    assert sol.error[1] is None and sol.region_label[1] == "trivial"
+    assert type(sol.error[0]) is type(scalar.value)
+    return scalar.value, sol.error[0]

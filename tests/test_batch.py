@@ -18,10 +18,12 @@ from barwaves import (
     NoBracket,
     NonMonotone,
     PRESETS,
+    RootNotBracketed,
     State,
     backward_v,
     batch,
     forward_v,
+    material,
     profile,
     riemann,
     solve,
@@ -30,9 +32,10 @@ from barwaves import (
     tangent_point,
 )
 from barwaves.cli import _grid, main
+from barwaves.material import _COLLAPSED
 from barwaves.riemann import BOUNDARY_TOL
 from barwaves.wave_curves import WaveCurve
-from conftest import REGION_CASES, place
+from conftest import REGION_CASES, errors_on_both_paths, inject, place
 
 CUBIC = PRESETS["cubic"]
 QUINTIC = PRESETS["quintic"]
@@ -41,11 +44,12 @@ NEAR_HYPERBOLIC = Material(1.0, -0.999, 1.0, 1.0, 1.0)
 
 def scalar_outcome(m, U_l, U_r):
     """(T_bar, v_bar, region label, case, T scale, v scale) of scalar solve,
-    or the error it raises.  The middle state is where the backward wave
-    ends; the scales are the pattern's largest stress and velocity jump."""
+    or the typed error it raises; any other error fails the test.  The
+    middle state is where the backward wave ends; the scales are the
+    pattern's largest stress and velocity jump."""
     try:
         p = solve(m, U_l, U_r)
-    except ArithmeticError as exc:
+    except (NoBracket, NonMonotone, RootNotBracketed) as exc:
         return exc
     if not p.waves:
         mid = U_l
@@ -182,6 +186,36 @@ def test_overflowing_lane_fails_alone():
     assert alone.v_bar.tolist() == sol.v_bar[[1, 3]].tolist()
 
 
+def test_extreme_materials_solve_or_fail_typed_alike():
+    # alpha and gamma log-uniform over 1e-30..1e30, rho over 1e-300..1e300
+    # and data over 1e-23..1e23: every problem solves or raises a typed
+    # error, alike on both paths
+    rng = random.Random(26)
+    for _ in range(40):
+        alpha = 10.0 ** rng.uniform(-30.0, 30.0)
+        m = Material(alpha, rng.uniform(-1.0, 0.0) * alpha,
+                     10.0 ** rng.uniform(-30.0, 30.0),
+                     rng.choice((0.5, 1.0, 1.5, 2.0, 3.5, 8.0)),
+                     10.0 ** rng.uniform(-300.0, 300.0))
+        assert_parity(m, [tuple(log_uniform(rng, -23.0, 23.0)
+                                for _ in range(4)) for _ in range(25)])
+
+
+def test_flat_seed_slope_takes_the_step_cap():
+    # at rho = 1e308 the shock slope's product overflows and reads 0 at
+    # the seed, where a Newton step divided by it
+    m = Material(1.0, -0.5, 1.0, 1.0, 1e308)
+    sol = assert_parity(m, [(-7.831779474195463, -6.629300083610611e-34,
+                             -8.424729512545245, -1.3094716185227136e-122)])
+    assert sol.region_label[0] == "A10"
+
+
+def test_a_call_whose_every_lane_overflows_reports_each_error():
+    sol = assert_parity(QUINTIC, [(-1e80, 0.0, 1.0, 0.0)])
+    assert isinstance(sol.error[0], NoBracket)
+    assert "overflow" in str(sol.error[0])
+
+
 def lane_outcome(sol, i):
     """Lane i of a solve_many result, NaN-safe for comparison."""
     return (sol.T_bar[i].tobytes(), sol.v_bar[i].tobytes(),
@@ -255,49 +289,46 @@ def test_broadcast_shape_trivial_and_linear_lanes():
                 np.float64(mid.T).tobytes(), np.float64(mid.v).tobytes())
 
 
-# off every dividing curve: the bracket search and the root finder run
-OFF_CURVE = ((-1.0, 0.3, 1.2, -2.0), (0.4, 0.0, 0.4, 0.0))
-STATES = f"between {State(-1.0, 0.3)} and {State(1.2, -2.0)}"
+# Faults injected once, into a body both paths share (conftest.inject): off
+# every dividing curve the root finder runs, and from a seed on one side of
+# the root the bracket search widens.
+OFF_CURVE = (State(-1.0, 0.3), State(1.2, -2.0))
+ONE_SIDED = (State(-1.0, 0.3), State(1.2, -6.0))
 
 
 def test_missed_gate_is_the_lanes_error(monkeypatch):
-    # root finders that return the low end of their bracket, on both paths
-    monkeypatch.setattr(riemann, "_newton_bisect", lambda *args: args[2])
-    with pytest.raises(NoBracket) as scalar:
-        solve(CUBIC, State(-1.0, 0.3), State(1.2, -2.0))
-    monkeypatch.setattr(batch, "_newton_bisect_many",
-                        lambda fn, dfn, lo, *args: lo)
-    sol = solve_many(CUBIC, *zip(*OFF_CURVE))
-    assert type(sol.error[0]) is NoBracket
-    pattern = (r"middle-stress residual (\S+) " + re.escape(STATES)
+    # a root finder that returns the low end of its bracket
+    inject(monkeypatch, material, "_rtsafe_step",
+           lambda step: lambda dfn, x, f, lo, *args: (
+               lo, lo, *args[:3], lo != lo, _COLLAPSED + 0.0 * lo))
+    scalar, lane = errors_on_both_paths(CUBIC, *OFF_CURVE)
+    pattern = (r"middle-stress residual (\S+) "
+               + re.escape(f"between {OFF_CURVE[0]} and {OFF_CURVE[1]}")
                + " misses the tolerance")
-    got = re.fullmatch(pattern, str(sol.error[0]))
-    want = re.fullmatch(pattern, str(scalar.value))
+    got = re.fullmatch(pattern, str(lane))
+    want = re.fullmatch(pattern, str(scalar))
     assert got and want
     assert float(got[1]) == pytest.approx(float(want[1]), rel=1e-14)
-    assert sol.error[1] is None and sol.region_label[1] == "trivial"
 
 
 def test_non_monotone_samples_are_the_lanes_error(monkeypatch):
-    # a wiggle of opposite sign on the two curves (s = 1 backward, -1
-    # forward here) that does not cancel in the residual
-    curve_v = batch._Curves.v
-    monkeypatch.setattr(batch._Curves, "v", lambda self, m, idx, T: curve_v(
-        self, m, idx, T) - self.s[idx] * np.sin(40.0 * T))
-    sol = solve_many(CUBIC, *zip(*OFF_CURVE))
-    assert type(sol.error[0]) is NonMonotone
-    assert str(sol.error[0]) == ("sampled residuals are not monotone in "
-                                 f"the middle stress {STATES}")
-    assert sol.error[1] is None
+    # the residuals of every sample judged in reverse order of stress
+    inject(monkeypatch, riemann, "_verdict", lambda verdict: lambda *args: (
+        verdict(*args[:11], args[11][::-1], *args[12:])))
+    scalar, lane = errors_on_both_paths(CUBIC, *OFF_CURVE)
+    assert str(lane) == str(scalar) == (
+        "sampled residuals are not monotone in the middle stress between "
+        f"{OFF_CURVE[0]} and {OFF_CURVE[1]}")
 
 
 def test_unbracketed_lane_is_the_lanes_error(monkeypatch):
-    monkeypatch.setattr(batch, "_bracket_many", lambda fn, lo, hi, f_lo,
-                        f_hi, step: (lo, hi, f_lo, f_hi,
-                                     np.zeros(lo.size, bool)))
-    sol = solve_many(CUBIC, *zip(*OFF_CURVE))
-    assert type(sol.error[0]) is NoBracket
-    assert str(sol.error[0]) == f"no bracket for the middle stress {STATES}"
+    # a bracket search that meets NaN at its first doubling
+    inject(monkeypatch, riemann, "_widen", lambda widen: lambda *args: (
+        2 + 0 * widen(*args)[0], *widen(*args)[1:]))
+    scalar, lane = errors_on_both_paths(CUBIC, *ONE_SIDED)
+    assert str(lane) == str(scalar) == (
+        f"no bracket for the middle stress between {ONE_SIDED[0]} and "
+        f"{ONE_SIDED[1]}")
 
 
 # ---------------------------------------------------------------------------

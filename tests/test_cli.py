@@ -324,6 +324,17 @@ def test_atlas_reports_the_first_failed_cell(capsys):
     assert capsys.readouterr().err == f"solver failure: {first}\n"
 
 
+def test_atlas_whose_every_cell_overflows_exits_3(capsys):
+    # no cell survives the curve constants, yet each reports its error
+    rc = main(["atlas", "--material", "quintic", "--tl-min", "1e80",
+               "--tl-max", "2e80", "--tr-min", "1e80", "--tr-max", "2e80",
+               "--res", "2"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "solver failure: wave-curve velocities overflow between "
+        f"{State(1e80, 0.0)} and {State(2e80, 0.0)}\n")
+
+
 def test_atlas_solves_no_thresholds(monkeypatch, tmp_path):
     # the solution type is read off the solved waves; an atlas that
     # solved T** per cell again would call thresholds

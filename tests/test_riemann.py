@@ -2,7 +2,6 @@ import logging
 import math
 import random
 import re
-import sys
 
 import pytest
 
@@ -34,7 +33,15 @@ from barwaves import material, riemann
 from barwaves.material import _newton_bisect
 from barwaves.verify import check_rh, continuity_probe, speeds_ordered
 from barwaves.wave_curves import WaveCurve
-from conftest import A_CASES, B_CASES, C_CASES, cubic_fan_integral, place
+from conftest import (
+    A_CASES,
+    B_CASES,
+    C_CASES,
+    cubic_fan_integral,
+    errors_on_both_paths,
+    inject,
+    place,
+)
 
 
 def middle_stress(pattern):
@@ -178,18 +185,15 @@ def test_forward_legs_end_exactly_at_the_right_state():
 def count_calls(monkeypatch, module, name):
     """Calls of module.name, counted through every barwaves module that
     imported it by name."""
-    original = getattr(module, name)
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(original):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return counted
 
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name == "barwaves" or mod_name.startswith("barwaves."):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
+    inject(monkeypatch, module, name, counting)
     return calls
 
 
@@ -221,33 +225,43 @@ def test_a_solve_makes_at_most_two_tangency_calls(monkeypatch, name):
     assert (len(newton) > 0) == (m.n != 1.0)
 
 
-def assert_names_both_states(exc_info, U_l, U_r):
-    text = str(exc_info.value)
+def assert_names_both_states(error, U_l, U_r):
+    text = str(error)
     assert str(U_l) in text and str(U_r) in text, text
 
 
-# off every dividing curve: the bracket search and the root finder run
+# Faults injected once, into a body both paths share (conftest.inject): off
+# every dividing curve the root finder runs, and from a seed on one side of
+# the root the bracket search widens.
 OFF_CURVE = (State(-1.0, 0.3), State(1.2, -2.0))
+ONE_SIDED = (State(-1.0, 0.3), State(1.2, -6.0))
+
+
+def at_low_end(step):
+    """A root finder's step that returns the low end of its bracket."""
+    return lambda dfn, x, f, lo, *args: (
+        lo, lo, *args[:3], lo != lo, material._COLLAPSED + 0.0 * lo)
 
 
 def test_no_bracket_error_names_both_states(monkeypatch, cubic):
-    monkeypatch.setattr(riemann, "_bracket", lambda *args: None)
-    with pytest.raises(NoBracket, match="^no bracket for the middle stress") \
-            as exc_info:
-        solve(cubic, *OFF_CURVE)
-    assert_names_both_states(exc_info, *OFF_CURVE)
+    inject(monkeypatch, riemann, "_widen", lambda widen: lambda *args: (
+        2 + 0 * widen(*args)[0], *widen(*args)[1:]))
+    scalar, lane = errors_on_both_paths(cubic, *ONE_SIDED)
+    assert isinstance(scalar, NoBracket)
+    assert str(scalar).startswith("no bracket for the middle stress")
+    assert str(lane) == str(scalar)
+    assert_names_both_states(scalar, *ONE_SIDED)
 
 
 def test_missed_residual_error_names_both_states(monkeypatch, cubic):
-    # a root finder that returns the low end of its bracket
-    monkeypatch.setattr(riemann, "_newton_bisect", lambda *args: args[2])
-    with pytest.raises(NoBracket) as exc_info:
-        solve(cubic, *OFF_CURVE)
-    text = str(exc_info.value)
-    # bench/workloads.is_residual_fault matches both ends of the message
-    assert text.startswith("middle-stress residual")
-    assert text.endswith("misses the tolerance")
-    assert_names_both_states(exc_info, *OFF_CURVE)
+    inject(monkeypatch, material, "_rtsafe_step", at_low_end)
+    scalar, lane = errors_on_both_paths(cubic, *OFF_CURVE)
+    for text in (str(scalar), str(lane)):
+        # bench/workloads.is_residual_fault matches both ends of the message
+        assert text.startswith("middle-stress residual")
+        assert text.endswith("misses the tolerance")
+    assert isinstance(scalar, NoBracket)
+    assert_names_both_states(scalar, *OFF_CURVE)
 
 
 def test_middle_stress_gate_is_relative_at_small_scale(monkeypatch, cubic):
@@ -255,17 +269,17 @@ def test_middle_stress_gate_is_relative_at_small_scale(monkeypatch, cubic):
     # velocity scale 1e-10 the residual there is 8e-13, which a gate with
     # an absolute floor of 1.0 took for converged.  The error is set by the
     # root, not by the bracket, which the Hermite start narrows.
-    root_finder = riemann._newton_bisect
-
-    def sloppy(fn, dfn, lo, hi, f_lo, f_hi):
-        root = root_finder(fn, dfn, lo, hi, f_lo, f_hi)
-        return root + 4e-3 * abs(root)
+    def sloppy(step):
+        def faulty(*args):
+            x, *rest, exit = step(*args)
+            return (x + 4e-3 * abs(x) * (exit > 0), *rest, exit)
+        return faulty
 
     U_l, U_r = State(-4e-10, 3e-10), State(7e-10, -2e-10)
     assert solve(cubic, U_l, U_r).region_label == "A6"
-    monkeypatch.setattr(riemann, "_newton_bisect", sloppy)
-    with pytest.raises(NoBracket, match="misses the tolerance"):
-        solve(cubic, U_l, U_r)
+    inject(monkeypatch, material, "_rtsafe_step", sloppy)
+    for error in errors_on_both_paths(cubic, U_l, U_r):
+        assert str(error).endswith("misses the tolerance")
 
 
 @pytest.mark.parametrize("U_l,U_r", [
@@ -302,22 +316,14 @@ def test_solve_off_the_snap_logs_nothing(cubic, caplog):
 
 
 def test_non_monotone_error_names_both_states(monkeypatch, cubic):
-    # wiggle the forward family only: a wiggle on both curves would cancel
-    # in the residual back.v - fwd.v.  Its amplitude makes the residual
-    # fall from T = 0.5 to T = 1.2, so the four dividing samples alone
-    # expose it, wherever the root finder samples.
-    class Wiggly(WaveCurve):
-        __slots__ = ()
-
-        def v(self, T):
-            wiggle = (4.0 * math.sin(40.0 * T) if self.family == FORWARD
-                      else 0.0)
-            return super().v(T) - wiggle
-
-    monkeypatch.setattr(riemann, "WaveCurve", Wiggly)
-    with pytest.raises(NonMonotone, match="^sampled residuals") as exc_info:
-        solve(cubic, *OFF_CURVE)
-    assert_names_both_states(exc_info, *OFF_CURVE)
+    # the residuals of every sample judged in reverse order of stress
+    inject(monkeypatch, riemann, "_verdict", lambda verdict: lambda *args: (
+        verdict(*args[:11], args[11][::-1], *args[12:])))
+    scalar, lane = errors_on_both_paths(cubic, *OFF_CURVE)
+    assert isinstance(scalar, NonMonotone)
+    assert str(scalar).startswith("sampled residuals")
+    assert str(lane) == str(scalar)
+    assert_names_both_states(scalar, *OFF_CURVE)
 
 
 def test_overflow_inside_the_middle_stress_solve_is_typed(quintic):
