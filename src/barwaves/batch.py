@@ -8,9 +8,8 @@ stresses, then the middle-stress search through the bodies that
 tolerance and the bracket seed), ``riemann._seed_step``,
 ``riemann._widen`` and ``riemann._ordered`` (the bracket search),
 ``riemann._hermite_start`` and ``riemann._narrow`` (the sample that
-narrows the bracket), ``material._rtsafe_step`` (rtsafe) and
-``riemann._verdict`` (scale, monotonicity, gate and snap), then the
-labels.  As in ``solve``, the bracket search and rtsafe see the residual
+narrows the bracket) and ``riemann._verdict`` (scale, monotonicity,
+gate and snap), with rtsafe in ``_newton_bisect_many``, then the labels.  As in ``solve``, the bracket search and rtsafe see the residual
 zeroed within its roundoff (``riemann._stopped_residual``), so a lane
 stops once its residual is noise and no straggler keeps the others'
 rounds going.  Both curves of every lane are rows of one ``_Curves``: a
@@ -21,7 +20,9 @@ live lanes where the scalar path branches, a failed lane that stops
 alone) and the lane fans ``_fan_lanes``, which read the knots and prefix
 sums of the call's ``material._FanTable`` and sum only a head and a tail
 panel per lane; ``sampler`` shares them and the rtsafe loop
-``_newton_bisect_many``.  The formulas are shared: ``material``'s
+``_newton_bisect_many``, whose steps and exits are those of
+``material._newton_bisect`` (a step shared with floats would cost the
+scalar path a Python call per step).  The formulas are shared: ``material``'s
 tangency condition and n = 1 fan; ``wave_curves``' shock jump, fan
 integrand and shock-branch slope; ``riemann``'s tolerances, search,
 classification (its labels and tables) and error of a failed search, so
@@ -57,7 +58,6 @@ from .material import (
     _cubic_root,
     _excess,
     _fan_table,
-    _rtsafe_step,
     _tangency_residual,
     _tangency_slope,
     strain,
@@ -196,8 +196,8 @@ def _solve_lanes(m, T_l, v_l, T_r, v_r, out: Solutions, lanes) -> None:
 
 def _middle_stress(m, T_l, v_l, T_r, v_r, c):
     """riemann._find_middle_stress on lanes, through the same bodies
-    (riemann's _seed, _seed_step, _widen, _hermite_start, _narrow and
-    _verdict, and material._rtsafe_step): (T_bar, v_bar, label, failure,
+    (riemann's _seed, _seed_step, _widen, _ordered, _hermite_start,
+    _narrow and _verdict) and _newton_bisect_many: (T_bar, v_bar, label, failure,
     residual), with label the code in _LABELS of a boundary label or -1,
     and failure (0 where solved) and the final residual what
     riemann._middle_stress_error takes.  Lane i has its backward and
@@ -426,32 +426,47 @@ def _fan_lanes(m: Material, table, T_a, T_b):
 
 
 def _newton_bisect_many(fn, dfn, lo, hi, f_lo, f_hi):
-    """material._newton_bisect on lanes: material._rtsafe_step on the lanes
-    that go on, each taking the steps and exits of the scalar root finder.
-    fn(pos, x) and dfn(pos, x) evaluate the lanes pos.  A lane whose value
-    is NaN stops at the point before, for its caller to report."""
-    x, f = np.where(-f_lo < f_hi, (lo, f_lo), (hi, f_hi))
-    f_old, by_newton = f, np.zeros(x.size, bool)
+    """material._newton_bisect on lanes, with its steps and exits per lane
+    (the table ROOT_FINDER_EXITS of tests/test_material.py runs every exit
+    through both).  fn(pos, x) and dfn(pos, x) evaluate the lanes pos.  A
+    lane whose value is NaN stops where it is, for its caller to report."""
+    first = -f_lo < f_hi
+    x = np.where(first, lo, hi)
+    f = np.where(first, f_lo, f_hi)
+    lo, hi = lo.copy(), hi.copy()
     step_old = step = hi - lo
     root = x.copy()
     live = np.arange(x.size)
-
-    def slope(T, go):
-        d = np.full(T.size, np.nan)
-        if go.any():
-            d[go] = dfn(live[go], T[go])
-        return d
-
     for _ in range(_RTSAFE_STEPS):
-        x_new, lo, hi, step_old, step, by_newton, exit = _rtsafe_step(
-            slope, x, f, lo, hi, step_old, step, f_old, by_newton, np)
-        done = exit > 0
-        root[live[done]] = x_new[done]
-        live, f_old, x, lo, hi, step_old, step, by_newton = (
-            a[~done] for a in (live, f, x_new, lo, hi, step_old, step,
-                               by_newton))
+        done = f == 0.0
+        root[live[done]] = x[done]
+        keep = ~done
+        live, x, f, lo, hi, step_old, step = (
+            a[keep] for a in (live, x, f, lo, hi, step_old, step))
         if not live.size:
             break
-        f = fn(live, x)
-    root[live] = x
+        below = f < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        d = dfn(live, x)
+        newton = np.where((0.0 < d) & (d < np.inf), f / d, np.inf)
+        close = np.abs(newton) <= 2.0 * np.spacing(np.abs(x))
+        root[live[close]] = (x - newton)[close]
+        use = ((lo < x - newton) & (x - newton < hi)
+               & (np.abs(newton) <= 0.5 * np.abs(step_old)))
+        step_new = np.where(use, newton, 0.5 * (hi - lo))
+        x_new = np.where(use, x - newton, lo + step_new)
+        collapsed = ~close & ~use & ((x_new == lo) | (x_new == hi))
+        root[live[collapsed]] = x_new[collapsed]
+        go = ~close & ~collapsed
+        f_new = np.full(x.size, np.nan)
+        if go.any():
+            f_new[go] = fn(live[go], x_new[go])
+        stalled = go & (np.isnan(f_new) | (
+            use & ((f_new > 0.0) == (f > 0.0)) & (np.abs(f_new) >= np.abs(f))))
+        root[live[stalled]] = x[stalled]
+        keep = go & ~stalled
+        root[live[keep]] = x_new[keep]
+        live, x, f, lo, hi, step_old, step = (
+            a[keep] for a in (live, x_new, f_new, lo, hi, step, step_new))
     return root

@@ -396,121 +396,56 @@ def _graded(m: Material, fn, u: float) -> float:
 #: (batch._newton_bisect_many), after which it returns its last point.
 _RTSAFE_STEPS = 200
 
-#: The exits of _rtsafe_step, each returned with the root it names (0 goes
-#: on): an exact zero (at x), a Newton step within two ulps of x (the point
-#: it reaches), a Newton step that rounding kept from shrinking |f| (the
-#: point before), and a bisection that collapsed on a bracket end (that
-#: end).
-_EXACT_ZERO, _TWO_ULPS, _STALLED, _COLLAPSED = 1, 2, 3, 4
-
-
-def _picker(xp):
-    """pick(pair, c) on numpy lanes: pair[1] where c, else pair[0],
-    element by element of a pair of tuples, as operator.getitem takes it
-    on floats, a bool indexing (if_false, if_true).  The bodies shared by
-    floats and lanes select with it."""
-    def pick(pair, c):
-        if isinstance(pair[0], tuple):
-            return tuple(xp.where(c, b, a) for a, b in zip(*pair))
-        return xp.where(c, pair[1], pair[0])
-    return pick
-
-
-def _rtsafe_step(dfn, x, f, lo, hi, step_old, step, f_old, by_newton,
-                 xp=math):
-    """One step of rtsafe (Press et al., Numerical Recipes 9.4) on an
-    increasing function from x, where it takes f, in the bracket [lo, hi],
-    with the sizes of the last two steps; f_old is the value at the point
-    before and by_newton whether a Newton step led from it to x.  That
-    point is the bracket end on its side: a step from it lands strictly
-    inside.
-
-    The step judges f (the exits _EXACT_ZERO and _STALLED: a step toward
-    the root that stays on its side must shrink |f| of an increasing
-    function; only rounding keeps it from doing so), moves the bracket end
-    on f's side to x, reads the slope dfn(x) and takes the Newton step, or
-    bisects where the slope is not positive and finite or the step leaves
-    the bracket or fails to halve the one before the last (the exits
-    _TWO_ULPS and _COLLAPSED).  Returns (x, lo, hi, step_old, step,
-    by_newton, exit): for exit 0 the next point to evaluate and the state
-    after it, else the root.
-
-    One body for floats and numpy lanes.  On lanes dfn(x, go) reads the
-    slope at the lanes go only, the others carry their exit, and a lane
-    whose value is NaN stops, for its caller to report; on floats NaN goes
-    on as a value that is not below the root."""
-    floats = xp is math
-    zero = f == 0.0
-    stalled = by_newton & ((f > 0.0) == (f_old > 0.0)) & (
-        abs(f) >= abs(f_old))
-    if not floats:
-        stalled = stalled | (f != f)
-    # floats, which branch, skip the codes of exits they do not take, and
-    # the selections are written for them and for lanes
-    if not floats or zero or stalled:
-        stop = _EXACT_ZERO * zero + _STALLED * stalled
-        if floats:
-            return ((lo if f_old < 0.0 else hi) if stalled else x, lo, hi,
-                    step_old, step, by_newton, stop)
-        pick = _picker(xp)
-        root = pick((x, pick((hi, lo), f_old < 0.0)), stalled)
-        lo, hi = pick(((lo, x), (x, hi)), f < 0.0)
-        d, ulp = dfn(x, stop == 0), xp.spacing(abs(x))
-    else:
-        if f < 0.0:
-            lo = x
-        else:
-            hi = x
-        d, ulp = dfn(x), math.ulp(x)
-    newton = f / (d + (d == 0.0))
-    x_newton, size = x - newton, abs(newton)
-    slope_ok = (0.0 < d) & (d < math.inf)
-    close = slope_ok & (size <= 2.0 * ulp)
-    by_newton = (slope_ok & (lo < x_newton) & (x_newton < hi)
-                 & (size <= 0.5 * step_old))
-    if floats:
-        if by_newton or close:
-            step_new, x_new = size, x_newton
-        else:
-            step_new = 0.5 * (hi - lo)
-            x_new = lo + step_new
-    else:
-        half = 0.5 * (hi - lo)
-        step_new, x_new = pick(((half, lo + half), (size, x_newton)),
-                               by_newton | close)
-    # a Newton step lands strictly inside the bracket, never on an end
-    collapsed = (x_new == lo) | (x_new == hi)
-    exit = 0
-    if not floats or close or collapsed:
-        exit = _TWO_ULPS * close + _COLLAPSED * (1 - close) * collapsed
-    if not floats:
-        x_new, exit = pick(((x_new, exit), (root, stop)), stop > 0)
-    return x_new, lo, hi, step, step_new, by_newton, exit
-
 
 def _newton_bisect(fn, dfn, lo: float, hi: float, f_lo: float,
                    f_hi: float) -> float:
     """Root of an increasing function inside [lo, hi], f_lo <= 0 <= f_hi.
 
-    Safeguarded Newton ("rtsafe", Press et al., Numerical Recipes 9.4)
-    with the analytic derivative dfn, from the end with the smaller |f|.
-    Each step and its exits are _rtsafe_step, one body that
-    batch._newton_bisect_many runs on lanes; this loop branches on the
-    exit, and after _RTSAFE_STEPS steps returns the last point it
-    evaluated.  None of the exits involves a residual tolerance, so the
-    root is resolved to full precision at every magnitude, or to where fn
-    returns an exact zero (riemann._stopped_residual zeroes roundoff).  It
-    is the package's only scalar root finder.
+    Safeguarded Newton ("rtsafe", Press et al., Numerical Recipes 9.4):
+    Newton steps with the analytic derivative dfn, replaced by bisection
+    when the slope is not positive and finite, or when a step leaves the
+    bracket or fails to halve the one before the last.  Its exits are
+    those of batch._newton_bisect_many, the table ROOT_FINDER_EXITS of
+    tests/test_material.py, which runs every exit through both; none
+    involves a residual tolerance, so the root is resolved to full
+    precision at every magnitude, or to where fn returns an exact zero
+    (riemann._stopped_residual zeroes roundoff).  It is the package's only
+    scalar root finder.
+
+    The step is written here for floats and there for lanes, the one part
+    of the middle-stress search that is not one body: a body shared on
+    floats costs a Python call and the selections of every exit per step,
+    which made scalar solves about 15% slower.
     """
     x, f = (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
-    f_old, by_newton = f, False
     step_old = step = hi - lo
     for _ in range(_RTSAFE_STEPS):
-        x_new, lo, hi, step_old, step, by_newton, exit = _rtsafe_step(
-            dfn, x, f, lo, hi, step_old, step, f_old, by_newton)
-        if exit:
-            return x_new
-        f_old, x, f = f, x_new, fn(x_new)
+        if f == 0.0:
+            return x
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        d = dfn(x)
+        newton = f / d if 0.0 < d < math.inf else math.inf
+        if abs(newton) <= 2.0 * math.ulp(x):
+            return x - newton
+        if lo < x - newton < hi and abs(newton) <= 0.5 * abs(step_old):
+            step_old, step = step, newton
+            x_new = x - newton
+            f_new = fn(x_new)
+            if (f_new > 0.0) == (f > 0.0) and abs(f_new) >= abs(f):
+                # a step toward the root that stays on its side must
+                # shrink |f| of an increasing function; only rounding
+                # keeps it from doing so
+                return x
+        else:
+            step_old, step = step, 0.5 * (hi - lo)
+            x_new = lo + step
+            if x_new == lo or x_new == hi:
+                return x_new
+            f_new = fn(x_new)
+        x, f = x_new, f_new
     return x
 
 

@@ -34,10 +34,10 @@ I..XII is read off the solution (see ``_zero_velocity_index``);
 ``thresholds`` solves the stress thresholds for ``barwaves thresholds``.
 
 ``batch.solve_many`` runs the same solve on numpy lanes (``barwaves
-atlas`` uses it).  Every decision of the middle-stress search is defined
-once, as one body for floats and lanes, and serves both paths; only the
-loops differ, the scalar one branching and the lane one compacting its
-live lanes.  Here: the tolerances, what the dividing samples decide (the
+atlas`` uses it).  Every decision of the middle-stress search but the
+rtsafe step is defined once, as one body for floats and lanes, and serves
+both paths; only the loops differ, the scalar one branching and the lane
+one compacting its live lanes.  Here: the tolerances, what the dividing samples decide (the
 boundary tolerance and row and the bracket seed, _seed) and the first
 step from a one-sided seed (_seed_step), one doubling of the bracket
 search (_widen, whose loop _bracket also serves ``thresholds``) and the
@@ -45,8 +45,10 @@ bracket it ends with (_ordered), the residual the root finders see
 (_stopped_residual), rtsafe's start (_hermite_start) and the narrowing
 there (_narrow), the judgement of the root (_verdict: scale,
 monotonicity, gate and snap) and the error of a failed search
-(_middle_stress_error); in ``material``, each step of rtsafe and its
-exits (_rtsafe_step).  So are the classification (_boundary_index,
+(_middle_stress_error), each selecting with _where.  rtsafe is
+material._newton_bisect on floats and batch._newton_bisect_many on lanes,
+with the same steps and exits: a step shared on floats would cost a
+Python call per step.  So are the classification (_boundary_index,
 _summary, _region_index and the tables _LABELS and _REGIONS built from
 _REGION_MAPS), the zero-velocity type and the linear middle state
 (_linear_middle).  On narrow shocks the root lands wherever the residual
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import getitem
+from functools import reduce
 
 from .errors import NoBracket, NonMonotone, RootNotBracketed
 from .material import (
@@ -67,7 +69,6 @@ from .material import (
     Material,
     _knee_stress,
     _newton_bisect,
-    _picker,
     _slope_speed,
     strain,
     strain_prime,
@@ -126,6 +127,22 @@ class WavePattern:
 
     def shocks(self) -> list[Wave]:
         return [w for w in self.waves if w.kind == SHOCK]
+
+
+def _where(c, a, b, xp=math):
+    """a where c, else b: xp.where on numpy lanes, element by element where
+    a and b are tuples of values; a if c else b on floats.  The bodies that
+    floats and lanes share select with it."""
+    if xp is math:
+        return a if c else b
+    if isinstance(a, tuple):
+        return tuple(xp.where(c, x, y) for x, y in zip(a, b))
+    return xp.where(c, a, b)
+
+
+def _largest(values, xp=math):
+    """The largest of values, element by element on numpy lanes."""
+    return max(values) if xp is math else reduce(xp.maximum, values)
 
 
 #: Doublings of the bracket search, on floats (_bracket) and on lanes
@@ -216,9 +233,7 @@ def _hermite_start(lo, hi, f_lo, f_hi, d_lo, d_hi, xp=math):
     usable = ((0.0 < d_lo) & (d_lo < math.inf) & (0.0 < d_hi)
               & (d_hi < math.inf) & (f_lo != 0.0) & (f_hi != 0.0)
               & (lo < x) & (x < hi))
-    if xp is math:
-        return x if usable else (lo if -f_lo < f_hi else hi)
-    return xp.where(usable, x, xp.where(-f_lo < f_hi, lo, hi))
+    return _where(usable, x, _where(-f_lo < f_hi, lo, hi, xp), xp)
 
 
 #: Failures of a middle-stress search, as _seed and _verdict report them
@@ -239,19 +254,17 @@ def _seed(v_l, v_r, dividing, g, v_back, v_fwd, xp=math):
     and along both curves through U_l to T_r, not of velocities: a common
     shift of v (Galilean invariance) must leave the solution's shape
     unchanged.  One body for floats and numpy lanes."""
-    floats = xp is math
-    maximum, pick = (max, getitem) if floats else (xp.maximum, _picker(xp))
-    tol = BOUNDARY_TOL * maximum(maximum(
-        abs(v_r - v_l), abs(v_back[0] - v_l)), abs(v_fwd[1] - v_r))
+    tol = BOUNDARY_TOL * _largest(
+        (abs(v_r - v_l), abs(v_back[0] - v_l), abs(v_fwd[1] - v_r)), xp)
     row = -1
     lo, hi, f_lo, f_hi = -math.inf, math.inf, math.nan, math.nan
     for k, (T, r) in enumerate(zip(dividing, g)):
         row = row + (row < 0) * (abs(r) <= tol) * (k + 1)
-        lo, f_lo = pick(((lo, f_lo), (T, r)), (r < 0.0) & (T > lo))
-        hi, f_hi = pick(((hi, f_hi), (T, r)), (r > 0.0) & (T < hi))
+        lo, f_lo = _where((r < 0.0) & (T > lo), (T, r), (lo, f_lo), xp)
+        hi, f_hi = _where((r > 0.0) & (T < hi), (T, r), (hi, f_hi), xp)
     # samples on one side only: the outermost one is both ends
-    lo, f_lo = pick(((lo, f_lo), (hi, f_hi)), f_lo != f_lo)
-    hi, f_hi = pick(((hi, f_hi), (lo, f_lo)), f_hi != f_hi)
+    lo, f_lo = _where(f_lo != f_lo, (hi, f_hi), (lo, f_lo), xp)
+    hi, f_hi = _where(f_hi != f_hi, (lo, f_lo), (hi, f_hi), xp)
     return _OVERFLOW * (tol == math.inf), row, lo, hi, f_lo, f_hi
 
 
@@ -262,11 +275,10 @@ def _seed_step(m: Material, T_l, T_r, f, d, xp=math):
     strain's knee (_knee_stress), beyond which g steepens and the Newton
     step overshoots; else the cap, also where the slope is not positive.
     One body for floats and numpy lanes."""
-    floats = xp is math
-    maximum, pick = (max, getitem) if floats else (xp.maximum, _picker(xp))
-    cap = maximum(maximum(abs(T_l), abs(T_r)), _knee_stress(m))
+    cap = _largest((abs(T_l), abs(T_r), _knee_stress(m)), xp)
     newton = abs(f) / (d + (d == 0.0))
-    return pick((cap, newton), (0.0 < d) & (0.0 < newton) & (newton < cap))
+    return _where((0.0 < d) & (0.0 < newton) & (newton < cap), newton, cap,
+                  xp)
 
 
 def _narrow(lo, f_lo, hi, f_hi, x, f_x, xp=math):
@@ -274,10 +286,9 @@ def _narrow(lo, f_lo, hi, f_hi, x, f_x, xp=math):
     and f_hi, narrowed at x inside it, where it takes f_x: the end on
     f_x's side moves to x.  Returns (lo, f_lo, hi, f_hi); one body for
     floats and numpy lanes."""
-    pick = getitem if xp is math else _picker(xp)
     below = f_x < 0.0
-    return (*pick(((lo, f_lo), (x, f_x)), below),
-            *pick(((x, f_x), (hi, f_hi)), below))
+    return (*_where(below, (x, f_x), (lo, f_lo), xp),
+            *_where(below, (hi, f_hi), (x, f_x), xp))
 
 
 def _verdict(m: Material, T_l, v_l, T_r, v_r, root, g, v_back, v_fwd,
@@ -299,12 +310,10 @@ def _verdict(m: Material, T_l, v_l, T_r, v_r, root, g, v_back, v_fwd,
     shift, and T*w(T) at the larger data stress T for a narrow shock from
     it, whose strain difference cancels.  One body for floats and numpy
     lanes."""
-    floats = xp is math
-    maximum, pick = (max, getitem) if floats else (xp.maximum, _picker(xp))
-    T_big = maximum(abs(T_l), abs(T_r))
+    T_big = _largest((abs(T_l), abs(T_r)), xp)
     stress = T_big * _w(m, T_big, xp)
-    terms = (abs(v_l), abs(v_r), abs(v_back - v_l), abs(v_fwd - v_r), stress)
-    scale = max(terms) if floats else xp.maximum.reduce(terms)
+    scale = _largest((abs(v_l), abs(v_r), abs(v_back - v_l),
+                      abs(v_fwd - v_r), stress), xp)
     slack = MONOTONE_SLACK * scale
     wiggle = False
     for a, b in zip(ordered, ordered[1:]):
@@ -315,9 +324,9 @@ def _verdict(m: Material, T_l, v_l, T_r, v_r, root, g, v_back, v_fwd,
         + (1 - wiggle) * (abs(g) > RESIDUAL_GATE * scale) * _MISSED_GATE)
     near_l = abs(root - T_l) <= SNAP_TOL * T_big
     snap = near_l + 2 * (1 - near_l) * (abs(root - T_r) <= SNAP_TOL * T_big)
-    return (failure, snap,
-            *pick(((root, v_back), pick(((T_l, v_l_back), (T_r, v_r_back)),
-                                        snap == 2)), snap > 0))
+    return (failure, snap, *_where(
+        snap > 0, _where(snap == 2, (T_r, v_r_back), (T_l, v_l_back), xp),
+        (root, v_back), xp))
 
 
 def _find_middle_stress(m: Material, U_l: State, U_r: State,

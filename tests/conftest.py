@@ -115,6 +115,35 @@ def inject(monkeypatch, module, name, fault):
                     monkeypatch.setattr(mod, attr, faulty)
 
 
+def fault_root_finders(monkeypatch, fault):
+    """Make the middle-stress search's rtsafe, on floats in riemann and on
+    lanes in batch, return fault(root, lo, hi) for the root it finds in
+    [lo, hi]: one fault, written once for floats and arrays, reaches both
+    paths."""
+    from barwaves import batch, riemann
+    for module, name in ((riemann, "_newton_bisect"),
+                         (batch, "_newton_bisect_many")):
+        finder = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda fn, dfn, lo, hi, *ends, finder=finder: (
+                fault(finder(fn, dfn, lo, hi, *ends), lo, hi)))
+
+
+def wiggle_curves(monkeypatch):
+    """Add s*sin(40*T) to the velocity of every wave curve of mirror s, on
+    riemann's WaveCurve and on batch's lane curves: a wiggle of opposite
+    sign on a backward curve through T_l < 0 and a forward curve to
+    T_r > 0, which does not cancel in their residual."""
+    import numpy as np
+    from barwaves import batch
+    from barwaves.wave_curves import WaveCurve
+    curve_v, lanes_v = WaveCurve.v, batch._Curves.v
+    monkeypatch.setattr(WaveCurve, "v", lambda self, T: (
+        curve_v(self, T) - self.s * math.sin(40.0 * T)))
+    monkeypatch.setattr(batch._Curves, "v", lambda self, m, idx, T: (
+        lanes_v(self, m, idx, T) - self.s[idx] * np.sin(40.0 * T)))
+
+
 def errors_on_both_paths(m, U_l, U_r):
     """The error solve raises from U_l to U_r and the one solve_many
     reports for that lane beside a trivial one, which it must solve."""

@@ -23,19 +23,12 @@ from barwaves import (
     strain_prime,
     strain_second,
     tangent_point,
-    batch,
-    material,
     wave_speed,
 )
 from barwaves.batch import _NODES, _WEIGHTS
 from barwaves.material import _GL_RULE, _FanTable, _fan_panel
 from barwaves.verify import residual_slope_rows, strain_residual_slope
-from conftest import (
-    cubic_fan_integral,
-    driving_force_integral,
-    inject,
-    make_material,
-)
+from conftest import cubic_fan_integral, driving_force_integral, make_material
 
 stress = st.floats(-5.0, 5.0)
 #: |T| log-uniform over 1e-300..1e50, either sign
@@ -661,26 +654,8 @@ def test_search_bodies_give_the_same_bits_on_floats_and_arrays(name):
     def draw_any(*extra):
         return draw(math.inf, -math.inf, *extra)
 
-    # rtsafe: the slope is an argument, read where the step goes on; a
-    # NaN value stops a lane only, so f is never NaN here.  A step that
-    # stops gives its root and exit; the state it leaves is not read.
-    def step(m, dfn_value, *args, xp):
-        x, *state, exit = material._rtsafe_step(lambda *_: dfn_value,
-                                                *args, xp=xp)
-        if xp is math:
-            return (x, exit, *(0.0 if exit else a for a in state))
-        return (x, exit, *(np.where(exit > 0, 0.0, a) for a in state))
-
     # the lanes run under np.errstate(all='ignore'), as solve_many does
     with np.errstate(all="ignore"):
-        # the iterate and the bracket are finite
-        x, lo = draw(), draw()
-        hi = lo + np.abs(draw())
-        assert_float_calls_match_array_call(
-            step, m, draw_any(math.nan), x, draw_any(), lo, hi,
-            np.abs(draw_any()), np.abs(draw_any()), draw_any(), draw() > 0.0,
-            xp=np)
-
         assert_float_calls_match_array_call(
             lambda m, *args, xp: riemann._widen(*args), m, draw_any(),
             draw_any(math.nan), draw_any(), draw_any(math.nan),
@@ -691,6 +666,10 @@ def test_search_bodies_give_the_same_bits_on_floats_and_arrays(name):
         assert_float_calls_match_array_call(
             riemann._seed_step, m, draw_any(), draw_any(), draw_any(),
             draw_any(math.nan), xp=np)
+        assert_float_calls_match_array_call(
+            lambda m, *args, xp: riemann._narrow(*args, xp=xp), m, draw(),
+            draw_any(), draw(), draw_any(), draw(), draw_any(math.nan),
+            xp=np)
 
         def seed(m, v_l, v_r, *args, xp):
             rows = [rows_of(xp, *args[k:k + 4]) for k in range(0, 16, 4)]
@@ -733,87 +712,59 @@ def adjacent_bracket(points, root):
                for to in (-math.inf, math.inf))
 
 
-#: The exits of material._rtsafe_step, which _newton_bisect and
-#: _newton_bisect_many take step by step, one row each: (exit, fn, dfn, lo,
-#: hi, test of the evaluated points {x: fn(x)} and the root that shows the
-#: row took that exit, the exit code of its last step: 0 where the root
-#: finders stop after _RTSAFE_STEPS steps).
+#: The exits of _newton_bisect and _newton_bisect_many, one row each:
+#: (exit, fn, dfn, lo, hi, test of the evaluated points {x: fn(x)} and the
+#: root that shows the row took that exit).
 ROOT_FINDER_EXITS = [
     ("exact zero", lambda x: x - 0.5, lambda x: 1.0, 0.0, 1.0,
-     lambda pts, root: pts.get(root) == 0.0, material._EXACT_ZERO),
+     lambda pts, root: pts.get(root) == 0.0),
     # its last two Newton steps are 2.8 and 0.6 ulps long
     ("Newton step within two ulps", lambda x: x * x - 13.0,
      lambda x: 2.0 * x, 0.0, 14.0,
-     lambda pts, root: root not in pts and 0.0 not in pts.values(),
-     material._TWO_ULPS),
+     lambda pts, root: root not in pts and 0.0 not in pts.values()),
     ("rounding keeps a Newton step from shrinking |f|", quantized,
      lambda x: 1.0, 0.0, 1.0,
      lambda pts, root: len(pts) == 2 and abs(list(pts.values())[-1])
-     >= abs(pts[root]), material._STALLED),
+     >= abs(pts[root])),
     ("collapsed bracket", lambda x: x * x - 2.0, lambda x: math.nan, 0.0,
-     2.0, adjacent_bracket, material._COLLAPSED),
+     2.0, adjacent_bracket),
     ("200 steps", lambda x: x - 1e-300, lambda x: math.nan, 0.0, 1e300,
-     lambda pts, root: len(pts) == 200, 0),
+     lambda pts, root: len(pts) == 200),
 ]
-
-
-def recorded_steps(monkeypatch):
-    """(x, exit) of every _rtsafe_step call on either path, a lane's as
-    floats."""
-    steps = []
-
-    def recording(step):
-        def recorded(*args):
-            out = step(*args)
-            steps.append((float(np.ravel(out[0])[0]),
-                          int(np.ravel(out[-1])[0])))
-            return out
-        return recorded
-
-    inject(monkeypatch, material, "_rtsafe_step", recording)
-    return steps
 
 
 @pytest.mark.parametrize("row", ROOT_FINDER_EXITS,
                          ids=[row[0] for row in ROOT_FINDER_EXITS])
-def test_both_root_finders_take_each_exit_alike(row, monkeypatch):
-    # the same rtsafe steps on floats and on a one-lane array: the same
-    # iterates, points evaluated, root and exit
-    _, fn, dfn, lo, hi, took_exit, exit = row
-    steps = recorded_steps(monkeypatch)
+def test_both_root_finders_take_each_exit_alike(row):
+    from barwaves.batch import _newton_bisect_many
+    from barwaves.material import _newton_bisect
+    _, fn, dfn, lo, hi, took_exit = row
     scalar, lanes = {}, []
 
     def recorded(x):
         scalar[x] = fn(x)
         return scalar[x]
 
-    root = material._newton_bisect(recorded, dfn, lo, hi, fn(lo), fn(hi))
+    root = _newton_bisect(recorded, dfn, lo, hi, fn(lo), fn(hi))
     assert took_exit(scalar, root)
-    scalar_steps = steps[:]
-    assert scalar_steps[-1] == (root, exit)
-    # a step judges the point evaluated after the step before
-    assert len(scalar_steps) == (material._RTSAFE_STEPS if exit == 0
-                                 else len(scalar) + 1)
 
     def lane_fn(pos, x):
         lanes.extend(x.tolist())
         return np.array([fn(v) for v in x.tolist()])
 
-    del steps[:]
     with np.errstate(divide="ignore"):
-        got = batch._newton_bisect_many(
+        got = _newton_bisect_many(
             lane_fn, lambda pos, x: np.array([dfn(v) for v in x.tolist()]),
             np.array([lo]), np.array([hi]), np.array([fn(lo)]),
             np.array([fn(hi)]))
     assert got.tolist() == [root]
     assert lanes == list(scalar)
-    assert steps == scalar_steps
 
 
 def test_lane_root_finder_runs_every_exit_at_once_and_stops_at_nan():
     from barwaves.batch import _newton_bisect_many
     from barwaves.material import _newton_bisect
-    rows = [(fn, dfn, lo, hi) for _, fn, dfn, lo, hi, *_ in ROOT_FINDER_EXITS]
+    rows = [(fn, dfn, lo, hi) for _, fn, dfn, lo, hi, _ in ROOT_FINDER_EXITS]
     # a lane whose value turns NaN stops at its last finite point: from
     # x = 1, Newton proposes 0.2, where this function is undefined
     rows.append((lambda x: x - 0.2 if x > 0.5 else math.nan,

@@ -39,8 +39,10 @@ from conftest import (
     C_CASES,
     cubic_fan_integral,
     errors_on_both_paths,
+    fault_root_finders,
     inject,
     place,
+    wiggle_curves,
 )
 
 
@@ -230,17 +232,11 @@ def assert_names_both_states(error, U_l, U_r):
     assert str(U_l) in text and str(U_r) in text, text
 
 
-# Faults injected once, into a body both paths share (conftest.inject): off
-# every dividing curve the root finder runs, and from a seed on one side of
-# the root the bracket search widens.
+# Faults written once and injected into both paths (conftest): off every
+# dividing curve the root finder runs, and from a seed on one side of the
+# root the bracket search widens.
 OFF_CURVE = (State(-1.0, 0.3), State(1.2, -2.0))
 ONE_SIDED = (State(-1.0, 0.3), State(1.2, -6.0))
-
-
-def at_low_end(step):
-    """A root finder's step that returns the low end of its bracket."""
-    return lambda dfn, x, f, lo, *args: (
-        lo, lo, *args[:3], lo != lo, material._COLLAPSED + 0.0 * lo)
 
 
 def test_no_bracket_error_names_both_states(monkeypatch, cubic):
@@ -254,7 +250,8 @@ def test_no_bracket_error_names_both_states(monkeypatch, cubic):
 
 
 def test_missed_residual_error_names_both_states(monkeypatch, cubic):
-    inject(monkeypatch, material, "_rtsafe_step", at_low_end)
+    # root finders that return the low end of their bracket
+    fault_root_finders(monkeypatch, lambda root, lo, hi: lo)
     scalar, lane = errors_on_both_paths(cubic, *OFF_CURVE)
     for text in (str(scalar), str(lane)):
         # bench/workloads.is_residual_fault matches both ends of the message
@@ -269,15 +266,10 @@ def test_middle_stress_gate_is_relative_at_small_scale(monkeypatch, cubic):
     # velocity scale 1e-10 the residual there is 8e-13, which a gate with
     # an absolute floor of 1.0 took for converged.  The error is set by the
     # root, not by the bracket, which the Hermite start narrows.
-    def sloppy(step):
-        def faulty(*args):
-            x, *rest, exit = step(*args)
-            return (x + 4e-3 * abs(x) * (exit > 0), *rest, exit)
-        return faulty
-
     U_l, U_r = State(-4e-10, 3e-10), State(7e-10, -2e-10)
     assert solve(cubic, U_l, U_r).region_label == "A6"
-    inject(monkeypatch, material, "_rtsafe_step", sloppy)
+    fault_root_finders(monkeypatch,
+                       lambda root, lo, hi: root + 4e-3 * abs(root))
     for error in errors_on_both_paths(cubic, U_l, U_r):
         assert str(error).endswith("misses the tolerance")
 
@@ -316,9 +308,10 @@ def test_solve_off_the_snap_logs_nothing(cubic, caplog):
 
 
 def test_non_monotone_error_names_both_states(monkeypatch, cubic):
-    # the residuals of every sample judged in reverse order of stress
-    inject(monkeypatch, riemann, "_verdict", lambda verdict: lambda *args: (
-        verdict(*args[:11], args[11][::-1], *args[12:])))
+    # the wiggle makes the residual fall from T = 0 to the tangency stress
+    # 0.5, so the four dividing samples alone expose it, wherever the root
+    # finder samples
+    wiggle_curves(monkeypatch)
     scalar, lane = errors_on_both_paths(cubic, *OFF_CURVE)
     assert isinstance(scalar, NonMonotone)
     assert str(scalar).startswith("sampled residuals")
