@@ -233,7 +233,9 @@ def _hermite_start(lo, hi, f_lo, f_hi, d_lo, d_hi, xp=math):
     usable = ((0.0 < d_lo) & (d_lo < math.inf) & (0.0 < d_hi)
               & (d_hi < math.inf) & (f_lo != 0.0) & (f_hi != 0.0)
               & (lo < x) & (x < hi))
-    return _where(usable, x, _where(-f_lo < f_hi, lo, hi, xp), xp)
+    if xp is math:
+        return x if usable else (lo if -f_lo < f_hi else hi)
+    return xp.where(usable, x, xp.where(-f_lo < f_hi, lo, hi))
 
 
 #: Failures of a middle-stress search, as _seed and _verdict report them
@@ -286,9 +288,7 @@ def _narrow(lo, f_lo, hi, f_hi, x, f_x, xp=math):
     and f_hi, narrowed at x inside it, where it takes f_x: the end on
     f_x's side moves to x.  Returns (lo, f_lo, hi, f_hi); one body for
     floats and numpy lanes."""
-    below = f_x < 0.0
-    return (*_where(below, (x, f_x), (lo, f_lo), xp),
-            *_where(below, (hi, f_hi), (x, f_x), xp))
+    return _where(f_x < 0.0, (x, f_x, hi, f_hi), (lo, f_lo, x, f_x), xp)
 
 
 def _verdict(m: Material, T_l, v_l, T_r, v_r, root, g, v_back, v_fwd,
