@@ -8,11 +8,12 @@ stresses, then the middle-stress search through the bodies that
 tolerance and the bracket seed), ``riemann._seed_step``,
 ``riemann._widen`` and ``riemann._ordered`` (the bracket search),
 ``riemann._hermite_start`` and ``riemann._narrow`` (the sample that
-narrows the bracket) and ``riemann._verdict`` (scale, monotonicity,
-gate and snap), with rtsafe in ``_newton_bisect_many``, then the labels.  As in ``solve``, the bracket search and rtsafe see the residual
-zeroed within its roundoff (``riemann._stopped_residual``), so a lane
-stops once its residual is noise and no straggler keeps the others'
-rounds going.  Both curves of every lane are rows of one ``_Curves``: a
+narrows the bracket) and ``riemann._verdict`` (scale, monotonicity, gate
+and snap), with rtsafe in ``_newton_bisect_many``, then the labels.  As
+in ``solve``, the bracket search and rtsafe see the residual zeroed
+within its roundoff (``riemann._stopped_residual``), so a lane stops
+once its residual is noise and no straggler keeps the others' rounds
+going.  Both curves of every lane are rows of one ``_Curves``: a
 residual or slope round is one curve call.
 
 This module keeps the control flow on lanes (loops that compact their
@@ -22,14 +23,14 @@ sums of the call's ``material._FanTable`` and sum only a head and a tail
 panel per lane; ``sampler`` shares them and the rtsafe loop
 ``_newton_bisect_many``, whose steps and exits are those of
 ``material._newton_bisect`` (a step shared with floats would cost the
-scalar path a Python call per step).  The formulas are shared: ``material``'s
-tangency condition and n = 1 fan; ``wave_curves``' shock jump, fan
-integrand and shock-branch slope; ``riemann``'s tolerances, search,
-classification (its labels and tables) and error of a failed search, so
-a lane's labels are those of ``solve`` by construction.  Each body is
-called with ``xp = numpy``, so a lane agrees with ``solve`` to the
-last-bit roundings that ``material`` describes and does not depend on
-the other lanes of its call.
+scalar path a Python call per step).  The formulas are shared:
+``material``'s tangency condition and n = 1 fan; ``wave_curves``' shock
+jump, fan integrand and shock-branch slope; ``riemann``'s tolerances,
+search, classification (its labels and tables) and error of a failed
+search, so a lane's labels are those of ``solve`` by construction.  Each
+body is called with ``xp = numpy``, so a lane agrees with ``solve`` to
+the last-bit roundings that ``material`` describes and does not depend
+on the other lanes of its call.
 
 It returns the middle state and the labels of each lane, not its waves; a
 failed lane carries the error ``solve`` raises for it.  Where the scalar
@@ -197,9 +198,9 @@ def _solve_lanes(m, T_l, v_l, T_r, v_r, out: Solutions, lanes) -> None:
 def _middle_stress(m, T_l, v_l, T_r, v_r, c):
     """riemann._find_middle_stress on lanes, through the same bodies
     (riemann's _seed, _seed_step, _widen, _ordered, _hermite_start,
-    _narrow and _verdict) and _newton_bisect_many: (T_bar, v_bar, label, failure,
-    residual), with label the code in _LABELS of a boundary label or -1,
-    and failure (0 where solved) and the final residual what
+    _narrow and _verdict) and _newton_bisect_many: (T_bar, v_bar, label,
+    failure, residual), with label the code in _LABELS of a boundary label
+    or -1, and failure (0 where solved) and the final residual what
     riemann._middle_stress_error takes.  Lane i has its backward and
     forward curves in rows i and i + n of c."""
     n = T_l.size

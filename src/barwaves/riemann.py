@@ -35,24 +35,24 @@ I..XII is read off the solution (see ``_zero_velocity_index``);
 
 ``batch.solve_many`` runs the same solve on numpy lanes (``barwaves
 atlas`` uses it).  Every decision of the middle-stress search but the
-rtsafe step is defined once, as one body for floats and lanes, and serves
-both paths; only the loops differ, the scalar one branching and the lane
-one compacting its live lanes.  Here: the tolerances, what the dividing samples decide (the
-boundary tolerance and row and the bracket seed, _seed) and the first
-step from a one-sided seed (_seed_step), one doubling of the bracket
-search (_widen, whose loop _bracket also serves ``thresholds``) and the
-bracket it ends with (_ordered), the residual the root finders see
-(_stopped_residual), rtsafe's start (_hermite_start) and the narrowing
-there (_narrow), the judgement of the root (_verdict: scale,
-monotonicity, gate and snap) and the error of a failed search
-(_middle_stress_error), each selecting with _where.  rtsafe is
+rtsafe step is defined here once, as one body for floats and lanes that
+selects with _where, and serves both paths; only the loops differ, the
+scalar one branching and the lane one compacting its live lanes.  These
+are the tolerances, what the dividing samples decide (the boundary
+tolerance and row and the bracket seed, _seed) and the first step from a
+one-sided seed (_seed_step), one doubling of the bracket search (_widen,
+whose loop _bracket also serves ``thresholds``) and the bracket it ends
+with (_ordered), the residual the root finders see (_stopped_residual),
+rtsafe's start (_hermite_start) and the narrowing there (_narrow), the
+judgement of the root (_verdict: scale, monotonicity, gate and snap) and
+the error of a failed search (_middle_stress_error).  So are the
+classification (_boundary_index, _summary, _region_index and the tables
+_LABELS and _REGIONS built from _REGION_MAPS), the zero-velocity type and
+the linear middle state (_linear_middle).  rtsafe is
 material._newton_bisect on floats and batch._newton_bisect_many on lanes,
 with the same steps and exits: a step shared on floats would cost a
-Python call per step.  So are the classification (_boundary_index,
-_summary, _region_index and the tables _LABELS and _REGIONS built from
-_REGION_MAPS), the zero-velocity type and the linear middle state
-(_linear_middle).  On narrow shocks the root lands wherever the residual
-reaches its noise, so the paths agree only if they take the same
+Python call per step.  On narrow shocks the root lands wherever the
+residual reaches its noise, so the paths agree only if they take the same
 iterates.
 """
 
