@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .riemann import (
     solve,
     thresholds,
 )
+from .wave_curves import SHOCK, backward_v
 
 
 def _fmt(x: float) -> str:
@@ -174,9 +177,110 @@ def cmd_thresholds(args, m: Material) -> int:
     return 0
 
 
+# The verification suite of `barwaves verify`, with every bound it passes
+# or fails on.  It drives the solver and checks what it returns with the
+# oracles of verify, which never call the solver themselves.
+
+#: Zero-velocity data for the refinement study, solved on the material the
+#: suite is given: on the cubic preset a fan+shock, a two-shock and a
+#: composite-backward solution.
+CANONICAL_CASES = (
+    ("fan+shock", -0.5, -1.0),
+    ("two-shock", -0.5, 0.65),
+    ("composite-backward", -0.5, 1.0),
+)
+
+#: Small linear-mode jump for the closed-form convergence check.
+CANONICAL_LINEAR = (0.06, -0.06)
+
+
+def _corrupt_speeds(pattern: WavePattern) -> WavePattern:
+    return replace(pattern, waves=tuple(
+        replace(w, speed_head=w.speed_head + 1e-3,
+                speed_tail=w.speed_tail + 1e-3) if w.kind == SHOCK else w
+        for w in pattern.waves))
+
+
+def run_invariant_suite(materials, seed: int, trials: int,
+                        inject: bool = False) -> list[tuple[str, bool, str]]:
+    """Randomized admissibility/symmetry suite over `trials` problems with
+    stresses in [-3, 3] and velocities in [-5, 5], drawn round-robin from
+    `materials`.  Returns (check name, passed, detail) rows.  With
+    `inject`, shock speeds are perturbed by 1e-3 before the jump-condition
+    check, which must then fail (sensitivity control)."""
+    from .verify import (check_dissipation, check_lax, check_liu, check_rh,
+                         mirror_deviation, negation_deviation, speeds_ordered)
+    rng = random.Random(seed)
+    worst_rh = worst_mirror = worst_negation = 0.0
+    worst_slack = worst_liu = math.inf
+    ordered = lax_ok = True
+    for i in range(trials):
+        m = materials[i % len(materials)]
+        U_l = State(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
+        U_r = State(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
+        pattern = solve(m, U_l, U_r)
+        checked = _corrupt_speeds(pattern) if inject else pattern
+        worst_rh = max(worst_rh, check_rh(checked))
+        worst_slack = min(worst_slack, check_dissipation(pattern))
+        ordered = ordered and speeds_ordered(pattern)
+        for w in pattern.shocks():
+            if not w.degenerate:
+                worst_liu = min(worst_liu, check_liu(m, w))
+                lax_ok = lax_ok and check_lax(m, w)
+        mirrored = solve(m, State(-U_r.T, U_r.v), State(-U_l.T, U_l.v))
+        worst_mirror = max(worst_mirror, mirror_deviation(pattern, mirrored))
+        negated = solve(m, State(-U_l.T, -U_l.v), State(-U_r.T, -U_r.v))
+        worst_negation = max(worst_negation,
+                             negation_deviation(pattern, negated))
+
+    rows = [
+        ("rh-residual", worst_rh < 1e-9, f"max={worst_rh:.3e}"),
+        ("dissipation-slack", worst_slack >= -1e-12, f"min={worst_slack:.3e}"),
+        ("liu-margin", worst_liu >= -1e-10, f"min={worst_liu:.3e}"),
+        ("lax-inequalities", lax_ok, "classical shocks"),
+        ("speed-ordering", ordered, "non-overlapping wave fans"),
+        ("mirror-symmetry", worst_mirror < 1e-10, f"max={worst_mirror:.3e}"),
+        ("negation-symmetry", worst_negation < 1e-10,
+         f"max={worst_negation:.3e}"),
+    ]
+    if trials == 0:
+        rows = [(name, True, "vacuous (0 trials)") for name, _, _ in rows]
+    return rows
+
+
+def continuity_probe(m: Material) -> float:
+    """Largest profile change when the right state crosses the backward
+    wave curve by +-1e-6 in velocity; O(1e-6) for a continuous solver."""
+    from .sampler import _sample_lanes
+    U_l = State(-1.0, 0.0)
+    T_r = 0.3
+    v_on = backward_v(m, U_l, T_r)
+    lo = solve(m, U_l, State(T_r, v_on - 1e-6))
+    hi = solve(m, U_l, State(T_r, v_on + 1e-6))
+    edges = np.array([s for w in lo.waves + hi.waves
+                      for s in (w.speed_head, w.speed_tail)])
+    xi = -3.0 + 6.0 * np.arange(201) / 200
+    xi = xi[(np.abs(xi[:, None] - edges) >= 1e-3).all(axis=1)]
+    diff = np.subtract(_sample_lanes(lo, xi), _sample_lanes(hi, xi))
+    return float(np.max(np.abs(diff), initial=0.0))
+
+
+def refinement_study(m: Material, T_l: float, T_r: float,
+                     cells_list) -> list[float]:
+    """L1 distances between the reference scheme, at CFL number 0.45 and
+    t_end = 0.5, and the exact solution at each resolution."""
+    from . import sampler, verify
+    U_l, U_r = State(T_l, 0.0), State(T_r, 0.0)
+    pattern = solve(m, U_l, U_r)
+    dists = []
+    for cells in cells_list:
+        fv = verify.fv_reference(m, U_l, U_r, cells, 0.45, 0.5)
+        exact = sampler.profile(pattern, fv.xi[0], fv.xi[-1], 4001)
+        dists.append(verify.l1_distance(exact, fv))
+    return dists
+
+
 def cmd_verify(args, m: Material) -> int:
-    from .verify import (CANONICAL_CASES, CANONICAL_LINEAR, continuity_probe,
-                         refinement_study, run_invariant_suite)
     rows = run_invariant_suite([m], args.seed, args.trials,
                                inject=args.inject)
 
@@ -185,14 +289,12 @@ def cmd_verify(args, m: Material) -> int:
 
     cells = (200, 400, 800)
     for name, T_l, T_r in CANONICAL_CASES:
-        dists = refinement_study(m, T_l, T_r, cells, cfl=0.45, t_end=0.5)
+        dists = refinement_study(m, T_l, T_r, cells)
         monotone = all(b < a for a, b in zip(dists, dists[1:]))
         detail = " -> ".join(f"{d:.4f}" for d in dists)
         rows.append((f"fv-refinement[{name}]", monotone and dists[-1] < 0.1,
                      detail))
-    lin = PRESETS["linear"]
-    dists = refinement_study(lin, *CANONICAL_LINEAR, cells_list=cells,
-                             cfl=0.45, t_end=0.5)
+    dists = refinement_study(PRESETS["linear"], *CANONICAL_LINEAR, cells)
     rows.append(("fv-linear-closed-form", dists[-1] < 0.05,
                  " -> ".join(f"{d:.4f}" for d in dists)))
 

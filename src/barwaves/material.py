@@ -189,9 +189,21 @@ def strain_second(m: Material, T):
             * q ** (m.n - 2.0))
 
 
+#: The smallest normal float.
+_NORMAL_MIN = 2.0 ** -1022
+
+
 def _slope_speed(m: Material, slope, xp=math):
-    """1/sqrt(rho*slope): the forward speed at slope = strain_prime(T)."""
-    return 1.0 / xp.sqrt(m.rho * slope)
+    """1/sqrt(rho*slope): the forward speed at slope = strain_prime(T).
+    Where rho*slope is below the smallest normal float, it has lost digits
+    (at tiny rho it underflows to 0), so the roots are taken apart there:
+    1/(sqrt(rho)*sqrt(slope)).  One body for floats and numpy lanes."""
+    prod = m.rho * slope
+    if xp is math:
+        return 1.0 / (math.sqrt(prod) if prod >= _NORMAL_MIN
+                      else math.sqrt(m.rho) * math.sqrt(slope))
+    return 1.0 / xp.where(prod >= _NORMAL_MIN, xp.sqrt(prod),
+                          math.sqrt(m.rho) * xp.sqrt(slope))
 
 
 def wave_speed(m: Material, T: float, family: str) -> float:
@@ -481,6 +493,9 @@ def tangent_point(m: Material, T_anchor: float) -> float:
     For a cubic strain (n = 1) the root is exactly -T_anchor/2; otherwise
     each call solves the tangency condition afresh (nothing is cached: a
     solve needs at most two tangency stresses, which its wave curves keep).
+    Raises OverflowError where the constitutive functions overflow at the
+    anchor: where r or r' of _excess is not finite there, the test of
+    batch._tangency, or where math raises it.
     """
     if T_anchor == 0.0:
         raise ValueError("tangent_point requires a nonzero anchor stress")
@@ -496,6 +511,9 @@ def tangent_point(m: Material, T_anchor: float) -> float:
         return sign * (0.5 * A)
 
     r_a, dr_a = _excess(m, -A)
+    if not (math.isfinite(r_a) and math.isfinite(dr_a)):
+        raise OverflowError(
+            f"the tangency of the anchor stress {T_anchor} overflows")
     return sign * _newton_bisect(
         partial(_tangency_residual, m, A, r_a), partial(_tangency_slope, m, A),
         0.0, A, r_a, 2.0 * (r_a + A * dr_a))

@@ -40,12 +40,11 @@ selects with _where, and serves both paths; only the loops differ, the
 scalar one branching and the lane one compacting its live lanes.  These
 are the tolerances, what the dividing samples decide (the boundary
 tolerance and row and the bracket seed, _seed) and the first step from a
-one-sided seed (_seed_step), one doubling of the bracket search (_widen,
-whose loop _bracket also serves ``thresholds``) and the bracket it ends
-with (_ordered), the residual the root finders see (_stopped_residual),
-rtsafe's start (_hermite_start) and the narrowing there (_narrow), the
-judgement of the root (_verdict: scale, monotonicity, gate and snap) and
-the error of a failed search (_middle_stress_error).  So are the
+one-sided seed (_seed_step), one doubling of the bracket search (_widen)
+and the bracket it ends with (_ordered), the residual the root finders
+see (_stopped_residual), rtsafe's start (_hermite_start) and the narrowing
+there (_narrow), the judgement of the root (_verdict: scale, monotonicity,
+gate and snap) and the error of a failed search (_middle_stress_error).  So are the
 classification (_boundary_index, _summary, _region_index and the tables
 _LABELS and _REGIONS built from _REGION_MAPS), the zero-velocity type and
 the linear middle state (_linear_middle).  rtsafe is
@@ -145,8 +144,9 @@ def _largest(values, xp=math):
     return max(values) if xp is math else reduce(xp.maximum, values)
 
 
-#: Doublings of the bracket search, on floats (_bracket) and on lanes
-#: (batch._middle_stress), after which it fails: they cross the float range.
+#: Doublings of the bracket search, on floats (_find_middle_stress) and on
+#: lanes (batch._middle_stress), after which it fails: they cross the float
+#: range.
 _DOUBLINGS = 2100
 
 
@@ -169,20 +169,6 @@ def _ordered(lo, f_lo, hi, f_hi, xp=math):
     do.  One body for floats and numpy lanes."""
     lower, upper = (min, max) if xp is math else (xp.minimum, xp.maximum)
     return lower(lo, hi), upper(lo, hi), lower(f_lo, f_hi), upper(f_lo, f_hi)
-
-
-def _bracket(fn, lo: float, hi: float, f_lo: float, f_hi: float,
-             step: float):
-    """Widen [lo, hi], where the increasing fn takes f_lo and f_hi, until fn
-    changes sign in it, one _widen at a time: from hi, or from lo = hi
-    where f_lo > 0, by `step`, which doubles each time.  Returns (lo, hi,
-    f_lo, f_hi), or None at a NaN or after _DOUBLINGS doublings."""
-    for _ in range(_DOUBLINGS):
-        found, T, step = _widen(lo, f_lo, hi, f_hi, step)
-        if found:
-            return _ordered(lo, f_lo, hi, f_hi) if found == 1 else None
-        lo, f_lo, hi, f_hi = hi, f_hi, T, fn(T)
-    return None
 
 
 def _stopped_residual(g, v_back, v_fwd):
@@ -340,7 +326,7 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
     decides the label and its tolerance, brackets the root and joins the
     monotonicity check (_seed).  g is strictly increasing and unbounded
     both ways: the samples bracket the root, or the search widens from
-    the outermost one (_seed_step, _bracket).  One sample at the root of
+    the outermost one (_seed_step, _widen).  One sample at the root of
     the bracket's cubic Hermite interpolant narrows the bracket that
     rtsafe gets (_hermite_start; not in _newton_bisect: see the module
     docstring), and _verdict judges the root.
@@ -380,11 +366,17 @@ def _find_middle_stress(m: Material, U_l: State, U_r: State,
     if row >= 0:
         return dividing[row], rows[row][1], _boundary_index(row, U_l.T)
     if lo == hi:
-        found = _bracket(g, lo, hi, f_lo, f_hi,
-                         _seed_step(m, U_l.T, U_r.T, f_lo, dg(lo)))
-        if found is None:
+        # widen from the seed, one _widen at a time, until the outer end
+        # crosses the root: a NaN or _DOUBLINGS doublings end it unfound
+        step = _seed_step(m, U_l.T, U_r.T, f_lo, dg(lo))
+        for _ in range(_DOUBLINGS):
+            found, T, step = _widen(lo, f_lo, hi, f_hi, step)
+            if found:
+                break
+            lo, f_lo, hi, f_hi = hi, f_hi, T, g(T)
+        if found != 1:
             raise _middle_stress_error(_NO_BRACKET, U_l, U_r)
-        lo, hi, f_lo, f_hi = found
+        lo, hi, f_lo, f_hi = _ordered(lo, f_lo, hi, f_hi)
     x = _hermite_start(lo, hi, f_lo, f_hi, dg(lo), dg(hi))
     if lo < x < hi:
         lo, f_lo, hi, f_hi = _narrow(lo, f_lo, hi, f_hi, x, g(x))
@@ -504,7 +496,10 @@ def thresholds(m: Material, T_l: float) -> Thresholds:
     zero, so it equals -T_l exactly; T_star_star solves the equal-velocity
     condition (T - Tt)(strain(T) - strain(Tt)) = (Tt - T_l)**2 *
     strain_prime(Tt) beyond the tangency stress Tt of T_l.  `solve` does
-    not call this: it reads the solution type off its waves.
+    not call this: it reads the solution type off its waves.  Raises
+    RootNotBracketed where the constitutive functions overflow at the
+    tangency, at T_l (so that no T_star_star can be computed) or at the
+    bracket end 4*|T_l|.
     """
     if not math.isfinite(T_l):
         raise ValueError(f"thresholds require a finite left stress, got {T_l}")
@@ -528,12 +523,16 @@ def thresholds(m: Material, T_l: float) -> Thresholds:
             return (strain(m, A * t) - eps_t) / A + (t - t_t) * strain_prime(
                 m, A * t)
 
-        # k(t_t) = -rhs < 0 and k grows without bound beyond t_t
-        found = _bracket(k, t_t, 4.0, -rhs, k(4.0), 4.0)
-        if found is None:
-            raise RootNotBracketed("bracket search failed for the "
-                                   f"equal-velocity threshold of {T_l}")
-        return Thresholds(-T_l, -T_l * _newton_bisect(k, dk, *found))
+        # k(t_t) = -rhs < 0 and k(4) > 0: strain is convex beyond 0, so
+        # k(t) >= strain_prime(Tt)*(t - 2*t_t - 1)*(t + 1), which is
+        # 5*(3 - 2*t_t)*strain_prime(Tt) > 0 at t = 4, as t_t < 1
+        k_4 = k(4.0)
+        if not (abs(strain(m, A)) < math.inf and k_4 >= 0.0):
+            # the strain overflows at T_l, and so at T** beyond it, or to
+            # inf - inf (NaN) at t = 4
+            raise OverflowError("strain")
+        return Thresholds(-T_l, -T_l * _newton_bisect(k, dk, t_t, 4.0, -rhs,
+                                                      k_4))
     except OverflowError as exc:
         raise RootNotBracketed(
             f"constitutive functions overflow at left stress {T_l}") from exc

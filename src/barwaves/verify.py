@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import random
 from dataclasses import replace
 
 import numpy as np
@@ -28,9 +27,9 @@ from .material import (
     strain,
     wave_speed,
 )
-from .riemann import WavePattern, solve
-from .sampler import Profile, _sample_lanes, profile
-from .wave_curves import BACKWARD, FORWARD, SHOCK, State, Wave, backward_v
+from .riemann import WavePattern
+from .sampler import Profile
+from .wave_curves import BACKWARD, FORWARD, State, Wave
 
 
 def _shock_scale(w: Wave) -> float:
@@ -102,22 +101,97 @@ def check_lax(m: Material, shock: Wave) -> bool:
     return lam_l >= s - tol and s >= lam_r - tol
 
 
-def check_liu(m: Material, shock: Wave, samples: int = 64) -> float:
-    """Minimum margin s(U_l, U) - s(U_l, U_r) over `samples` stresses U
-    strictly between the shock's end states, with signed speeds.  The
-    admissible shock is the slowest signed speed over all partial chords
-    from its left state, so the margin should be >= 0 up to roundoff."""
+def check_liu(m: Material, shock: Wave) -> float:
+    """Minimum margin s(U_l, U) - s(U_l, U_r) over the 64 stresses U =
+    T_l + (T_r - T_l)*i/65, i = 1..64, strictly between the shock's end
+    states, with signed speeds.  The admissible shock is the slowest signed
+    speed over all partial chords from its left state, so the margin should
+    be >= 0 up to roundoff."""
     sign = -1.0 if shock.family == BACKWARD else 1.0
     T_a, T_b = shock.left.T, shock.right.T
     eps_a = strain(m, T_a)
     s_full = shock.speed_head
     margin = math.inf
-    for i in range(1, samples + 1):
-        T = T_a + (T_b - T_a) * i / (samples + 1)
+    for i in range(1, 65):
+        T = T_a + (T_b - T_a) * i / 65
         slope = (strain(m, T) - eps_a) / (T - T_a)
         s_part = sign / math.sqrt(m.rho * slope)
         margin = min(margin, s_part - s_full)
     return margin
+
+
+def speeds_ordered(pattern: WavePattern) -> bool:
+    """Waves sorted by speed with non-overlapping ranges, up to 1e-12."""
+    prev_tail = -math.inf
+    for w in pattern.waves:
+        if w.speed_head > w.speed_tail + 1e-12:
+            return False
+        if prev_tail > w.speed_head + 1e-12:
+            return False
+        prev_tail = w.speed_tail
+    return True
+
+
+# ---------------------------------------------------------------------------
+# symmetries: a pattern against the solution of transformed data
+
+#: What the space reflection swaps: the families and the degenerate sides.
+_MIRROR = {BACKWARD: FORWARD, FORWARD: BACKWARD, "left": "right",
+           "right": "left"}
+
+
+def _mirrored(w: Wave) -> Wave:
+    """w under x -> -x combined with (T, v) -> (-T, v): stresses negated,
+    velocities kept, family, ends and degenerate sides swapped, speeds
+    negated and swapped."""
+    return Wave(w.kind, _MIRROR[w.family], State(-w.right.T, w.right.v),
+                State(-w.left.T, w.left.v), -w.speed_tail, -w.speed_head,
+                _MIRROR.get(w.degenerate, w.degenerate))
+
+
+def _negated(w: Wave) -> Wave:
+    """w under (T, v) -> (-T, -v): states negated, all else kept."""
+    return replace(w, left=State(-w.left.T, -w.left.v),
+                   right=State(-w.right.T, -w.right.v))
+
+
+def _deviation(p: WavePattern, images) -> float:
+    """Largest mismatch between the waves of p and their expected images,
+    in order: inf where the counts, a kind, a family or a degenerate side
+    differ, else the largest difference of an end state or a speed."""
+    if len(p.waves) != len(images):
+        return math.inf
+    dev = 0.0
+    for w, x in zip(p.waves, images):
+        if (w.kind, w.family, w.degenerate) != (x.kind, x.family,
+                                                x.degenerate):
+            return math.inf
+        dev = max(dev,
+                  abs(w.left.T - x.left.T), abs(w.left.v - x.left.v),
+                  abs(w.right.T - x.right.T), abs(w.right.v - x.right.v),
+                  abs(w.speed_head - x.speed_head),
+                  abs(w.speed_tail - x.speed_tail))
+    return dev
+
+
+def mirror_deviation(p: WavePattern, q: WavePattern) -> float:
+    """Largest mismatch between pattern p and the space-reflected pattern q,
+    where q solves the data (-T_r, v_r), (-T_l, v_l).
+
+    The system is invariant under x -> -x combined with the constitutive
+    oddness (T, v) -> (-T, -v); the composition negates stresses, keeps
+    velocities, swaps families, negates speeds and reverses the wave order.
+    (Negating the velocities as well is *not* a symmetry: it already
+    contradicts the closed-form linear solution.)
+    """
+    return _deviation(p, [_mirrored(w) for w in reversed(q.waves)])
+
+
+def negation_deviation(p: WavePattern, q: WavePattern) -> float:
+    """Largest mismatch between p and q where q solves the pointwise-negated
+    data (-T_l, -v_l), (-T_r, -v_r); oddness of the strain makes this a
+    symmetry that negates states and keeps families, speeds and order."""
+    return _deviation(p, list(map(_negated, q.waves)))
 
 
 # ---------------------------------------------------------------------------
@@ -416,169 +490,6 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
     for field in (prof.xi, prof.T, prof.v):
         field.flags.writeable = False
     return prof
-
-
-# ---------------------------------------------------------------------------
-# randomized invariant suite (shared by the CLI and the acceptance tests)
-
-#: Zero-velocity data on the cubic preset exercising a fan+shock, a
-#: two-shock and a composite-backward solution; used by the refinement study.
-CANONICAL_CASES = (
-    ("fan+shock", -0.5, -1.0),
-    ("two-shock", -0.5, 0.65),
-    ("composite-backward", -0.5, 1.0),
-)
-
-#: Small linear-mode jump for the closed-form convergence check.
-CANONICAL_LINEAR = (0.06, -0.06)
-
-
-_DEGENERATE_MIRROR = {"": "", "both": "both", "left": "right",
-                      "right": "left"}
-
-
-def mirror_deviation(p: WavePattern, q: WavePattern) -> float:
-    """Largest mismatch between pattern p and the space-reflected pattern q,
-    where q solves the data (-T_r, v_r), (-T_l, v_l).
-
-    The system is invariant under x -> -x combined with the constitutive
-    oddness (T, v) -> (-T, -v); the composition negates stresses, keeps
-    velocities, swaps families, negates speeds and reverses the wave order.
-    (Negating the velocities as well is *not* a symmetry: it already
-    contradicts the closed-form linear solution.)
-    """
-    if len(p.waves) != len(q.waves):
-        return math.inf
-    dev = 0.0
-    for w, wm in zip(p.waves, reversed(q.waves)):
-        if (w.kind != wm.kind or w.family == wm.family
-                or wm.degenerate != _DEGENERATE_MIRROR[w.degenerate]):
-            return math.inf
-        dev = max(dev,
-                  abs(w.left.T + wm.right.T), abs(w.left.v - wm.right.v),
-                  abs(w.right.T + wm.left.T), abs(w.right.v - wm.left.v),
-                  abs(w.speed_head + wm.speed_tail),
-                  abs(w.speed_tail + wm.speed_head))
-    return dev
-
-
-def negation_deviation(p: WavePattern, q: WavePattern) -> float:
-    """Largest mismatch between p and q where q solves the pointwise-negated
-    data (-T_l, -v_l), (-T_r, -v_r); oddness of the strain makes this a
-    symmetry that negates states and keeps families, speeds and order."""
-    if len(p.waves) != len(q.waves):
-        return math.inf
-    dev = 0.0
-    for w, wn in zip(p.waves, q.waves):
-        if (w.kind != wn.kind or w.family != wn.family
-                or w.degenerate != wn.degenerate):
-            return math.inf
-        dev = max(dev,
-                  abs(w.left.T + wn.left.T), abs(w.left.v + wn.left.v),
-                  abs(w.right.T + wn.right.T), abs(w.right.v + wn.right.v),
-                  abs(w.speed_head - wn.speed_head),
-                  abs(w.speed_tail - wn.speed_tail))
-    return dev
-
-
-def speeds_ordered(pattern: WavePattern, tol: float = 1e-12) -> bool:
-    """Waves sorted by speed with non-overlapping ranges."""
-    prev_tail = -math.inf
-    for w in pattern.waves:
-        if w.speed_head > w.speed_tail + tol:
-            return False
-        if prev_tail > w.speed_head + tol:
-            return False
-        prev_tail = w.speed_tail
-    return True
-
-
-def _corrupt_speeds(pattern: WavePattern) -> WavePattern:
-    waves = tuple(
-        replace(w, speed_head=w.speed_head + 1e-3,
-                speed_tail=w.speed_tail + 1e-3)
-        if w.kind == SHOCK else w
-        for w in pattern.waves)
-    return replace(pattern, waves=waves)
-
-
-def run_invariant_suite(materials, seed: int, trials: int,
-                        inject: bool = False) -> list[tuple[str, bool, str]]:
-    """Randomized admissibility/symmetry suite over `trials` problems with
-    stresses in [-3, 3] and velocities in [-5, 5], drawn round-robin from
-    `materials`.  Returns (check name, passed, detail) rows.  With
-    `inject`, shock speeds are perturbed by 1e-3 before the jump-condition
-    check, which must then fail (sensitivity control)."""
-    rng = random.Random(seed)
-    worst_rh = 0.0
-    worst_slack = math.inf
-    worst_liu = math.inf
-    worst_mirror = 0.0
-    worst_negation = 0.0
-    ordered = True
-    lax_ok = True
-    for i in range(trials):
-        m = materials[i % len(materials)]
-        U_l = State(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
-        U_r = State(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
-        pattern = solve(m, U_l, U_r)
-        checked = _corrupt_speeds(pattern) if inject else pattern
-        worst_rh = max(worst_rh, check_rh(checked))
-        worst_slack = min(worst_slack, check_dissipation(pattern))
-        ordered = ordered and speeds_ordered(pattern)
-        for w in pattern.shocks():
-            if not w.degenerate:
-                worst_liu = min(worst_liu, check_liu(m, w))
-                lax_ok = lax_ok and check_lax(m, w)
-        mirrored = solve(m, State(-U_r.T, U_r.v), State(-U_l.T, U_l.v))
-        worst_mirror = max(worst_mirror, mirror_deviation(pattern, mirrored))
-        negated = solve(m, State(-U_l.T, -U_l.v), State(-U_r.T, -U_r.v))
-        worst_negation = max(worst_negation,
-                             negation_deviation(pattern, negated))
-
-    rows = [
-        ("rh-residual", worst_rh < 1e-9, f"max={worst_rh:.3e}"),
-        ("dissipation-slack", worst_slack >= -1e-12, f"min={worst_slack:.3e}"),
-        ("liu-margin", worst_liu >= -1e-10, f"min={worst_liu:.3e}"),
-        ("lax-inequalities", lax_ok, "classical shocks"),
-        ("speed-ordering", ordered, "non-overlapping wave fans"),
-        ("mirror-symmetry", worst_mirror < 1e-10, f"max={worst_mirror:.3e}"),
-        ("negation-symmetry", worst_negation < 1e-10,
-         f"max={worst_negation:.3e}"),
-    ]
-    if trials == 0:
-        rows = [(name, True, "vacuous (0 trials)") for name, _, _ in rows]
-    return rows
-
-
-def continuity_probe(m: Material, step: float = 1e-6) -> float:
-    """Largest profile change when the right state crosses the backward
-    wave curve by +-step in velocity; O(step) for a continuous solver."""
-    U_l = State(-1.0, 0.0)
-    T_r = 0.3
-    v_on = backward_v(m, U_l, T_r)
-    lo = solve(m, U_l, State(T_r, v_on - step))
-    hi = solve(m, U_l, State(T_r, v_on + step))
-    edges = np.array([s for w in lo.waves + hi.waves
-                      for s in (w.speed_head, w.speed_tail)])
-    xi = -3.0 + 6.0 * np.arange(201) / 200
-    xi = xi[(np.abs(xi[:, None] - edges) >= 1e-3).all(axis=1)]
-    diff = np.subtract(_sample_lanes(lo, xi), _sample_lanes(hi, xi))
-    return float(np.max(np.abs(diff), initial=0.0))
-
-
-def refinement_study(m: Material, T_l: float, T_r: float,
-                     cells_list, cfl: float, t_end: float) -> list[float]:
-    """L1 distances between the reference scheme and the exact solution at
-    each resolution."""
-    U_l, U_r = State(T_l, 0.0), State(T_r, 0.0)
-    pattern = solve(m, U_l, U_r)
-    dists = []
-    for cells in cells_list:
-        fv = fv_reference(m, U_l, U_r, cells, cfl, t_end)
-        exact = profile(pattern, fv.xi[0], fv.xi[-1], 4001)
-        dists.append(l1_distance(exact, fv))
-    return dists
 
 
 def l1_distance(a: Profile, b: Profile) -> float:

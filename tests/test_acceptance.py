@@ -28,10 +28,10 @@ from barwaves import (
     thresholds,
     wave_speed,
 )
-from barwaves.cli import _grid
-from barwaves.verify import (
+from barwaves.cli import (
     CANONICAL_CASES,
     CANONICAL_LINEAR,
+    _grid,
     refinement_study,
     run_invariant_suite,
 )
@@ -180,12 +180,10 @@ def test_criterion_07_second_order_contact():
 def test_criterion_08_fv_cross_check():
     cells = (200, 400, 800, 1600)
     for name, T_l, T_r in CANONICAL_CASES:
-        dists = refinement_study(CUBIC, T_l, T_r, cells, cfl=0.45,
-                                 t_end=0.5)
+        dists = refinement_study(CUBIC, T_l, T_r, cells)
         assert all(b < a for a, b in zip(dists, dists[1:])), (name, dists)
         assert dists[-1] < 0.05, (name, dists)
-    lin = refinement_study(LINEAR, *CANONICAL_LINEAR, cells_list=cells,
-                           cfl=0.45, t_end=0.5)
+    lin = refinement_study(LINEAR, *CANONICAL_LINEAR, cells_list=cells)
     assert all(b < a for a, b in zip(lin, lin[1:]))
     assert lin[-1] < 0.01, lin
     report(8, "finite-volume refinement agrees with the exact solutions")

@@ -391,12 +391,32 @@ def test_solve_byte_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+#: The stdout of `barwaves verify --material cubic --seed 1 --trials 20`,
+#: byte for byte, as recorded before the suite moved beside its subcommand.
+VERIFY_CUBIC_SEED_1 = (
+    "rh-residual                        PASS  max=3.743e-16\n"
+    "dissipation-slack                  PASS  min=5.623e-04\n"
+    "liu-margin                         PASS  min=8.834e-05\n"
+    "lax-inequalities                   PASS  classical shocks\n"
+    "speed-ordering                     PASS  non-overlapping wave fans\n"
+    "mirror-symmetry                    PASS  max=1.776e-15\n"
+    "negation-symmetry                  PASS  max=1.776e-15\n"
+    "continuity                         PASS  max=2.000e-06 at step 1e-6\n"
+    "fv-refinement[fan+shock]           PASS  0.0829 -> 0.0497 -> 0.0291\n"
+    "fv-refinement[two-shock]           PASS  0.1359 -> 0.0646 -> 0.0295\n"
+    "fv-refinement[composite-backward]  PASS  0.2632 -> 0.1470 -> 0.0788\n"
+    "fv-linear-closed-form              PASS  0.0263 -> 0.0174 -> 0.0117\n"
+    "all checks passed\n"
+)
+
+
 def test_verify_quick_pass(capsys):
     rc, out = run(capsys, "verify", "--material", "cubic",
                   "--seed", "1", "--trials", "20")
     assert rc == 0
     assert "all checks passed" in out
     assert "rh-residual" in out and "fv-refinement" in out
+    assert out == VERIFY_CUBIC_SEED_1
 
 
 def test_verify_zero_trials_vacuous(capsys):

@@ -31,7 +31,8 @@ from barwaves import (
 import barwaves
 from barwaves import material, riemann
 from barwaves.material import _newton_bisect
-from barwaves.verify import check_rh, continuity_probe, speeds_ordered
+from barwaves.cli import continuity_probe
+from barwaves.verify import check_rh, speeds_ordered
 from barwaves.wave_curves import WaveCurve
 from conftest import (
     A_CASES,
@@ -550,6 +551,29 @@ def test_solve_zero_velocity_with_tiny_left_stress(cubic):
     assert p.right_state.T == 1.0
     assert abs(p.right_state.v) <= 1e-12
     assert_chained(p)
+
+
+def test_every_returned_second_threshold_lies_beyond_the_first():
+    # where the strain or the tangency overflows, no T** can be computed:
+    # thresholds raises there instead of returning |T**| <= |T*|
+    rng = random.Random(27)
+    returned = raised = 0
+    for _ in range(2000):
+        alpha = 10.0 ** rng.uniform(-30.0, 30.0)
+        m = Material(alpha, -alpha * rng.uniform(1e-6, 1.0),
+                     10.0 ** rng.uniform(-30.0, 30.0), rng.uniform(0.05, 20.0),
+                     10.0 ** rng.uniform(-300.0, 300.0))
+        T_l = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-150.0, 150.0)
+        try:
+            th = thresholds(m, T_l)
+        except RootNotBracketed:
+            raised += 1
+            continue
+        returned += 1
+        assert th.T_star == -T_l
+        assert abs(th.T_star_star) > abs(th.T_star), (m, T_l, th)
+        assert math.copysign(1.0, th.T_star_star) == -math.copysign(1.0, T_l)
+    assert returned > 1000 and raised > 500
 
 
 def test_threshold_requires_nonzero(cubic):
@@ -1081,7 +1105,7 @@ def test_consistency_with_decompositions(cubic):
 
 
 def test_continuity_across_region_boundary(cubic):
-    assert continuity_probe(cubic, step=1e-6) <= 1e-2
+    assert continuity_probe(cubic) <= 1e-2
 
 
 def test_continuity_across_more_boundaries(cubic):

@@ -16,7 +16,8 @@ from barwaves import (
     solve,
     wave_speed,
 )
-from barwaves.verify import continuity_probe, fv_reference
+from barwaves.cli import continuity_probe
+from barwaves.verify import fv_reference
 
 
 @pytest.fixture()
