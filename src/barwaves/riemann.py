@@ -44,10 +44,10 @@ one-sided seed (_seed_step), one doubling of the bracket search (_widen)
 and the bracket it ends with (_ordered), the residual the root finders
 see (_stopped_residual), rtsafe's start (_hermite_start) and the narrowing
 there (_narrow), the judgement of the root (_verdict: scale, monotonicity,
-gate and snap) and the error of a failed search (_middle_stress_error).  So are the
-classification (_boundary_index, _summary, _region_index and the tables
-_LABELS and _REGIONS built from _REGION_MAPS), the zero-velocity type and
-the linear middle state (_linear_middle).  rtsafe is
+gate and snap) and the error of a failed search (_middle_stress_error).
+So are the classification (_boundary_index, _summary, _region_index and
+the tables _LABELS and _REGIONS built from _REGION_MAPS), the zero-velocity
+type and the linear middle state (_linear_middle).  rtsafe is
 material._newton_bisect on floats and batch._newton_bisect_many on lanes,
 with the same steps and exits: a step shared on floats would cost a
 Python call per step.  On narrow shocks the root lands wherever the

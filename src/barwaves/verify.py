@@ -102,11 +102,11 @@ def check_lax(m: Material, shock: Wave) -> bool:
 
 
 def check_liu(m: Material, shock: Wave) -> float:
-    """Minimum margin s(U_l, U) - s(U_l, U_r) over the 64 stresses U =
-    T_l + (T_r - T_l)*i/65, i = 1..64, strictly between the shock's end
-    states, with signed speeds.  The admissible shock is the slowest signed
-    speed over all partial chords from its left state, so the margin should
-    be >= 0 up to roundoff."""
+    """Minimum margin s(U_l, U) - s(U_l, U_r) over the 64 stresses
+    T_a + (T_b - T_a)*i/65, i = 1..64, strictly between the shock's end
+    stresses T_a and T_b, with signed speeds.  The admissible shock is the
+    slowest signed speed over all partial chords from its left state, so
+    the margin should be >= 0 up to roundoff."""
     sign = -1.0 if shock.family == BACKWARD else 1.0
     T_a, T_b = shock.left.T, shock.right.T
     eps_a = strain(m, T_a)

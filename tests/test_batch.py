@@ -217,8 +217,8 @@ def test_flat_seed_slope_takes_the_step_cap():
 
 def test_tiny_rho_wave_speeds_solve_alike():
     # found by the extreme-material sweep above at random.Random(100):
-    # rho*strain_prime underflows to 0 here, and solve's wave speeds
-    # divided by its root until _slope_speed took the roots apart
+    # rho*strain_prime underflows to 0 here, so solve's wave speeds take
+    # the roots apart
     m = Material(1.714299675934326e-30, -1.1867288832854454e-30,
                  5024390.090506056, 3.5, 8.383455695210854e-296)
     assert_parity(m, [(-7.276433153883162e-22, -1.0476873851579382e-20,
@@ -228,22 +228,22 @@ def test_tiny_rho_wave_speeds_solve_alike():
 @pytest.mark.parametrize("n", [2.0, 1.5, 3.5])
 def test_scalar_tangency_overflows_exactly_where_the_lanes_flag(n):
     # where _excess's product reads inf at the anchor, rtsafe on floats
-    # returned a wrong tangency (quintic: 0.3229 of the anchor at 1e62,
-    # where the ratio is 0.60583) until the scalar took the lanes' test
+    # would return a wrong tangency (quintic: 0.3229 of the anchor at 1e62,
+    # where the ratio is 0.60583), so the scalar takes the lanes' test
     m = Material(1.0, -0.5, 1.0, n, 1.0)
     anchors = -np.logspace(0.0, 160.0, 8001)
     with np.errstate(all="ignore"):
         _, flagged = batch._tangency(m, anchors)
-    raised = []
-    for A in anchors.tolist():
+
+    def raises(A):
         try:
             tangent_point(m, A)
         except OverflowError:
-            raised.append(True)
-        else:
-            raised.append(False)
+            return True
+        return False
+
     assert 1000 < np.count_nonzero(flagged) < 7000
-    assert raised == flagged.tolist()
+    assert [raises(A) for A in anchors.tolist()] == flagged.tolist()
 
 
 def test_a_call_whose_every_lane_overflows_reports_each_error():

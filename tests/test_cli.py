@@ -392,7 +392,7 @@ def test_solve_byte_stable(tmp_path):
 
 
 #: The stdout of `barwaves verify --material cubic --seed 1 --trials 20`,
-#: byte for byte, as recorded before the suite moved beside its subcommand.
+#: byte for byte.
 VERIFY_CUBIC_SEED_1 = (
     "rh-residual                        PASS  max=3.743e-16\n"
     "dissipation-slack                  PASS  min=5.623e-04\n"
