@@ -498,8 +498,10 @@ def thresholds(m: Material, T_l: float) -> Thresholds:
     strain_prime(Tt) beyond the tangency stress Tt of T_l.  `solve` does
     not call this: it reads the solution type off its waves.  Raises
     RootNotBracketed where the constitutive functions overflow at the
-    tangency, at T_l (so that no T_star_star can be computed) or at the
-    bracket end 4*|T_l|.
+    tangency, at T_l (so that no T_star_star can be computed), at the
+    bracket end 4*|T_l| or just beyond the root found: where the strain
+    overflows inside the bracket, the condition reads inf beyond that
+    point, and rtsafe converges to the point instead of the root.
     """
     if not math.isfinite(T_l):
         raise ValueError(f"thresholds require a finite left stress, got {T_l}")
@@ -531,8 +533,12 @@ def thresholds(m: Material, T_l: float) -> Thresholds:
             # the strain overflows at T_l, and so at T** beyond it, or to
             # inf - inf (NaN) at t = 4
             raise OverflowError("strain")
-        return Thresholds(-T_l, -T_l * _newton_bisect(k, dk, t_t, 4.0, -rhs,
-                                                      k_4))
+        t = _newton_bisect(k, dk, t_t, 4.0, -rhs, k_4)
+        # the strain increases on t > 0, so finite just beyond the root
+        # means finite at it
+        if not strain(m, A * math.nextafter(t, math.inf)) < math.inf:
+            raise OverflowError("strain")
+        return Thresholds(-T_l, -T_l * t)
     except OverflowError as exc:
         raise RootNotBracketed(
             f"constitutive functions overflow at left stress {T_l}") from exc

@@ -7,9 +7,13 @@ position exactly, the right limit is returned.
 
 Every point is evaluated on numpy lanes by one routine, ``_sample_lanes``,
 which fills float arrays of T and v: ``sample`` is a call with one point,
-and ``profile`` inverts all of its fan points at once.  The lane root
-finder and the lane fan integral are ``batch``'s, the ones ``solve_many``
-uses; the fans of one call read one fan table.
+and ``profile`` inverts all of its fan points at once.  For n = 1,
+strain_prime = a + b*T**2 and the fan state is in closed form, as the
+package's other n = 1 quantities are (the fan integral, the tangency, the
+inverse strain of the reference scheme); otherwise the lane root finder
+solves it.  The lane root finder and the lane fan integral are
+``batch``'s, the ones ``solve_many`` uses; the fans of one call read one
+fan table, whose constants are the closed form's for n = 1.
 """
 
 from __future__ import annotations
@@ -21,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import _fan_lanes, _newton_bisect_many
-from .material import _fan_table, _slope_speed, strain_prime, strain_second
+from .material import (
+    Material,
+    _fan_table,
+    _slope_speed,
+    strain_prime,
+    strain_second,
+)
 from .riemann import WavePattern
 from .wave_curves import BACKWARD, SHOCK, State, Wave
 
@@ -76,13 +86,47 @@ def _sample_lanes(pattern: WavePattern,
 def _fan_states(pattern: WavePattern, wave: Wave, xi: np.ndarray,
                 fans) -> tuple[np.ndarray, np.ndarray]:
     """(T, v) inside a fan at rays xi strictly between its edges, its fan
-    integrals read from the call's fan table (material._fan_table)."""
+    integrals read from the call's fan table (material._fan_table): the
+    stress in closed form for n = 1 (_cubic_fan_stress), by lane rtsafe
+    otherwise (_fan_stress)."""
     m = pattern.material
     a, b = wave.left.T, wave.right.T
+    sigma = -1.0 if wave.family == BACKWARD else 1.0
+    # the lane code, as in solve_many, computes branches outside their
+    # masks (a zero slope at T = 0, a fan of zero width) and discards them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T = (_cubic_fan_stress(m, fans, a, b, xi) if m.n == 1.0
+             else _fan_stress(m, a, b, sigma, xi))
+        # _fan_lanes takes fans running outward from zero stress; a fan
+        # that runs inward is the negated outward one
+        d = (_fan_lanes(m, fans, a, T) if abs(a) <= abs(b)
+             else -_fan_lanes(m, fans, T, a))
+    return T, wave.left.v - sigma * d
+
+
+def _cubic_fan_stress(m: Material, k: tuple, a: float, b: float,
+                      xi: np.ndarray) -> np.ndarray:
+    """The stress of the n = 1 fan from a to b at rays xi, on the fan's
+    constants k (material._cubic_constants): strain_prime = k0 + k1*T**2
+    equals 1/(rho*xi**2) there, so T = +-sqrt((1/(rho*xi**2) - k0)/k1),
+    signed like the fan's stresses (a fan lies on one side of zero) and
+    kept within its ends.  Its error is the roundoff of the radicand times
+    the condition number strain_prime/(k1*T**2) of the stress as a
+    function of the ray, which grows without bound toward T = 0, where
+    every method loses digits."""
+    lo, hi = min(a, b), max(a, b)
+    radicand = (1.0 / (m.rho * xi * xi) - k[0]) / k[1]
+    return np.clip(math.copysign(1.0, a + b)
+                   * np.sqrt(np.maximum(radicand, 0.0)), lo, hi)
+
+
+def _fan_stress(m: Material, a: float, b: float, sigma: float,
+                xi: np.ndarray) -> np.ndarray:
+    """The stress of the fan from a to b of direction sigma at rays xi, by
+    lane rtsafe on wave_speed(T) = xi, for any material."""
     # wave_speed = sigma/sqrt(rho*strain_prime) is strictly monotone from
     # speed_head (at a) to speed_tail (at b) along the fan, whichever way T
     # runs; k orients it to increase with T.
-    sigma = -1.0 if wave.family == BACKWARD else 1.0
     k = math.copysign(1.0, b - a)
 
     def f(pos, T):
@@ -95,16 +139,8 @@ def _fan_states(pattern: WavePattern, wave: Wave, xi: np.ndarray,
 
     everyone = np.arange(xi.size)
     lo, hi = np.repeat([[min(a, b)], [max(a, b)]], xi.size, axis=1)
-    # the lane code, as in solve_many, computes branches outside their
-    # masks (a zero slope at T = 0, a fan of zero width) and discards them
-    with np.errstate(divide="ignore", invalid="ignore"):
-        T = _newton_bisect_many(f, df, lo, hi, f(everyone, lo),
-                                f(everyone, hi))
-        # _fan_lanes takes fans running outward from zero stress; a fan
-        # that runs inward is the negated outward one
-        d = (_fan_lanes(m, fans, a, T) if abs(a) <= abs(b)
-             else -_fan_lanes(m, fans, T, a))
-    return T, wave.left.v - sigma * d
+    return _newton_bisect_many(f, df, lo, hi, f(everyone, lo),
+                               f(everyone, hi))
 
 
 def sample(pattern: WavePattern, xi: float) -> State:

@@ -106,7 +106,9 @@ def check_liu(m: Material, shock: Wave) -> float:
     T_a + (T_b - T_a)*i/65, i = 1..64, strictly between the shock's end
     stresses T_a and T_b, with signed speeds.  The admissible shock is the
     slowest signed speed over all partial chords from its left state, so
-    the margin should be >= 0 up to roundoff."""
+    the margin should be >= 0 up to roundoff.  The chord speeds are
+    material._slope_speed's, which takes the roots apart where rho*slope
+    is below the smallest normal float (at tiny rho)."""
     sign = -1.0 if shock.family == BACKWARD else 1.0
     T_a, T_b = shock.left.T, shock.right.T
     eps_a = strain(m, T_a)
@@ -115,7 +117,7 @@ def check_liu(m: Material, shock: Wave) -> float:
     for i in range(1, 65):
         T = T_a + (T_b - T_a) * i / 65
         slope = (strain(m, T) - eps_a) / (T - T_a)
-        s_part = sign / math.sqrt(m.rho * slope)
+        s_part = sign * _slope_speed(m, slope)
         margin = min(margin, s_part - s_full)
     return margin
 
@@ -218,23 +220,34 @@ def strain_residual_slope(m: Material, T, eps, r, slope, tmp, k) -> None:
     so both results match them bit for bit.  The constants come from the
     rows k, by the dispatch rule of fv_reference, but the exponents n and
     n - 1 stay Python floats: numpy's power rounds differently with an
-    array exponent (power(q, 2.0) is q*q, an array of 2.0 is not)."""
+    array exponent (power(q, 2.0) is q*q, an array of 2.0 is not).  A
+    power of exponent 1 or 0 is not called, since numpy's power(q, 1.0) is
+    q and power(q, 0.0) is 1 bit for bit, inf and NaN included, and
+    1*alpha is alpha: a pass makes 13 numpy calls for n = 1, 15 for n = 2
+    and 16 otherwise."""
     half_gamma, one, alpha, beta, c = k
     q = np.multiply(T, half_gamma, slope)
     np.multiply(q, T, q)
     np.add(q, one, q)
-    np.power(q, m.n, r)
-    np.multiply(r, alpha, r)
+    if m.n == 1.0:
+        np.multiply(q, alpha, r)
+    else:
+        np.power(q, m.n, r)
+        np.multiply(r, alpha, r)
     np.multiply(r, T, r)
     np.multiply(T, beta, tmp)
     np.add(tmp, r, r)
     np.subtract(r, eps, r)
-    np.power(q, m.n - 1.0, slope)
-    np.multiply(slope, alpha, slope)
+    # q**(n - 1)*alpha, with q still in slope: alpha itself for n = 1
+    scaled = alpha
+    if m.n != 1.0:
+        if m.n != 2.0:
+            np.power(q, m.n - 1.0, slope)
+        scaled = np.multiply(slope, alpha, slope)
     np.multiply(T, c, tmp)
     np.multiply(tmp, T, tmp)
     np.add(tmp, one, tmp)
-    np.multiply(slope, tmp, slope)
+    np.multiply(scaled, tmp, slope)
     np.add(slope, beta, slope)
 
 
@@ -353,7 +366,10 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
     arrays of their partners' shapes, made once per call, and the boundary
     fluxes are summed in Python floats read off the edge columns (the same
     IEEE operations).  The exceptions are np.maximum, which deprecates a
-    positional out, and the exponents of strain_residual_slope.
+    positional out, and the exponents of strain_residual_slope.  For the
+    same reason the pass makes no call whose result is known bit for bit:
+    it skips the powers of exponent 1 and 0, three calls per pass for
+    n = 1 and one for n = 2.
 
     When a dict is passed as `tallies`, the accumulated boundary fluxes and
     the initial/final conserved sums are stored in it (keys flux_eps,

@@ -7,6 +7,8 @@ the library: its fan integrals are tanh-sinh quadrature on panels graded
 away from zero, and its tangency stresses come from bisection.
 """
 
+import math
+import random
 from functools import lru_cache
 
 import mpmath
@@ -15,10 +17,13 @@ import pytest
 from barwaves import (
     Material,
     PRESETS,
+    RootNotBracketed,
     State,
     backward_v,
     forward_v,
+    strain,
     tangent_point,
+    thresholds,
 )
 
 SCALES = (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6)
@@ -80,6 +85,18 @@ class Oracle:
             return (self.strain(T) - self.strain(T_0)
                     - self.strain_prime(T_0) * (T - T_0))
         return self._bisect(excess, -T_0, -4 * T_0)
+
+    def second_threshold(self, T_l):
+        """T** of the left stress T_l: beyond the tangency stress Tt, the
+        stress T with (T - Tt)*(strain(T) - strain(Tt)) equal to
+        (Tt - T_l)**2*strain_prime(Tt)."""
+        if T_l > 0:
+            return -self.second_threshold(-T_l)
+        Tt = self.tangency(T_l)
+        rhs = (Tt - T_l) ** 2 * self.strain_prime(Tt)
+        return self._bisect(
+            lambda T: (T - Tt) * (self.strain(T) - self.strain(Tt)) - rhs,
+            Tt, -4 * T_l)
 
     @staticmethod
     def _bisect(fn, a, b):
@@ -195,3 +212,31 @@ def test_near_hyperbolic_wave_curves_match_high_precision():
     m = Material(1.0, -0.999, 1.0, 1.0, 1.0)
     err, where = worst_error(m)
     assert err <= BOUND, f"{err:.2e} at {where}"
+
+
+def test_thresholds_match_high_precision_where_the_strain_overflows():
+    # on extreme materials, the returns whose bracket end 4*|T_l|
+    # overflows the strain: where it overflows before the root, rtsafe
+    # converged to the overflow point, and thresholds raises there instead
+    rng = random.Random(4)
+    checked = 0
+    for _ in range(4000):
+        alpha = 10.0 ** rng.uniform(-30.0, 30.0)
+        m = Material(alpha, -alpha * rng.uniform(1e-6, 1.0),
+                     10.0 ** rng.uniform(-30.0, 30.0), rng.uniform(0.05, 20.0),
+                     10.0 ** rng.uniform(-300.0, 300.0))
+        T_l = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-150.0, 150.0)
+        try:
+            got = thresholds(m, T_l).T_star_star
+        except RootNotBracketed:
+            continue
+        try:
+            if math.isfinite(strain(m, 4.0 * abs(T_l))):
+                continue
+        except OverflowError:
+            pass
+        with mpmath.workdps(50):
+            want = Oracle(m).second_threshold(mpmath.mpf(T_l))
+            assert abs((got - want) / want) <= 1e-13, (m, T_l)
+        checked += 1
+    assert checked == 4

@@ -115,6 +115,15 @@ def test_strain_residual_slope_is_strain_and_strain_prime_bit_for_bit(m):
         strain_residual_slope(m, T, eps, r, slope, tmp, k)
         assert r.tobytes() == (strain(m, T) - eps).tobytes()
         assert slope.tobytes() == strain_prime(m, T).tobytes()
+    # the powers of exponent 1 and 0 that the pass skips keep inf and NaN
+    # too: stresses whose q overflows, and non-finite ones
+    T = np.array([1e200, -1e200, math.inf, -math.inf, math.nan])
+    r, slope, tmp = np.empty((3, T.size))
+    k = residual_slope_rows(m, T.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        strain_residual_slope(m, T, np.zeros(T.size), r, slope, tmp, k)
+        assert r.tobytes() == strain(m, T).tobytes()
+        assert slope.tobytes() == strain_prime(m, T).tobytes()
 
 
 @pytest.mark.parametrize("m", [

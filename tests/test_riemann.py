@@ -576,6 +576,25 @@ def test_every_returned_second_threshold_lies_beyond_the_first():
     assert returned > 1000 and raised > 500
 
 
+@pytest.mark.parametrize("m,T_l", [
+    # T**/|T_l| read -1.1775, 1.0047 and -1.0559 where 50-digit mpmath
+    # gives -1.3073, 1.1680 and -1.0831: the strain overflows between T_l
+    # and the root, and rtsafe converged to the overflow point
+    (Material(6.871000203587529e+29, -4.904734422212335e+29,
+              2.6403338727684858e-12, 0.9769440662068365,
+              5.614031965045691e+126), 1.2959300168452668e+98),
+    (Material(5.255771923835004e+19, -3.8860399793662756e+18,
+              45606114.61486401, 3.9617524311366763, 2.410002747181548e-205),
+     -1.1626026069874911e+29),
+    (Material(1.9552984455657587e+19, -3.249253336203773e+18,
+              4.750416265325514e-18, 12.915778874362058,
+              4.0120237854000135e-278), 1.6967682276942076e+19),
+])
+def test_thresholds_raise_where_the_strain_overflows_before_the_root(m, T_l):
+    with pytest.raises(RootNotBracketed, match=re.escape(f"{T_l}")):
+        thresholds(m, T_l)
+
+
 def test_threshold_requires_nonzero(cubic):
     with pytest.raises(ValueError):
         thresholds(cubic, 0.0)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,7 +17,9 @@ from barwaves import (
     solve,
     wave_speed,
 )
+from barwaves import sampler
 from barwaves.cli import continuity_probe
+from barwaves.material import _cubic_constants
 from barwaves.verify import fv_reference
 
 
@@ -259,3 +262,124 @@ def test_continuity_probe_is_unchanged(cubic):
     # the value of the point-by-point sampler this lane sampler replaced
     assert continuity_probe(cubic) == pytest.approx(2.000000000279556e-06,
                                                     rel=0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the n = 1 fan state in closed form
+
+
+def test_n1_fan_states_take_no_rtsafe(monkeypatch):
+    # the cubic fan state is closed-form; the quintic one takes one lane
+    # rtsafe per fan of the call (the fvcheck data: one forward fan)
+    calls = []
+    rtsafe = sampler._newton_bisect_many
+
+    def counted(*args):
+        calls.append(args[2].size)
+        return rtsafe(*args)
+
+    monkeypatch.setattr(sampler, "_newton_bisect_many", counted)
+    for name, want in (("cubic", []), ("quintic", [1, 55])):
+        calls.clear()
+        p = solve(PRESETS[name], State(-1.3, 0.0), State(0.9, 0.0))
+        fan = next(w for w in p.waves if w.kind == RAREFACTION)
+        sample(p, 0.5 * (fan.speed_head + fan.speed_tail))
+        profile(p, -3.0, 3.0, 4001)
+        assert calls == want, name
+
+
+def n1_fans(m, seed, zero_end):
+    """Eight fans with distinct edges of seeded zero-velocity solutions on
+    m, with stresses up to twice the knee 1/sqrt(gamma); with zero_end,
+    every fan has an end at T = 0."""
+    rng = random.Random(seed)
+    scale = 2.0 / math.sqrt(m.gamma)
+    fans = []
+    while len(fans) < 8:
+        T_l = rng.uniform(-scale, scale)
+        T_r = 0.0 if zero_end else rng.uniform(-scale, scale)
+        if zero_end and rng.random() < 0.5:
+            T_l, T_r = T_r, T_l
+        p = solve(m, State(T_l, 0.0), State(T_r, 0.0))
+        fans += [(p, w) for w in p.waves if w.kind == RAREFACTION
+                 and w.speed_head < w.speed_tail
+                 and (not zero_end or 0.0 in (w.left.T, w.right.T))]
+    return fans[:8]
+
+
+def fan_stress_errors(m, fans):
+    """Worst error of the closed-form fan stress and of lane rtsafe (the
+    sampler's route for n != 1) against 40-digit mpmath, at 200 rays per
+    fan: relative, and relative over the condition number
+    strain_prime/(b*T**2) of the stress as a function of the ray."""
+    k = _cubic_constants(m)
+    worst = {"closed": [0.0, 0.0], "rtsafe": [0.0, 0.0]}
+    with mpmath.workdps(40):
+        a = mpmath.mpf(m.alpha) + mpmath.mpf(m.beta)
+        b = 1.5 * mpmath.mpf(m.alpha) * mpmath.mpf(m.gamma)
+        for p, w in fans:
+            xi = np.linspace(w.speed_head, w.speed_tail, 202)[1:-1]
+            xi = xi[(w.speed_head < xi) & (xi < w.speed_tail)]
+            sigma = -1.0 if w.family == BACKWARD else 1.0
+            sign = math.copysign(1.0, w.left.T + w.right.T)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = {"closed": sampler._cubic_fan_stress(
+                           m, k, w.left.T, w.right.T, xi),
+                       "rtsafe": sampler._fan_stress(
+                           m, w.left.T, w.right.T, sigma, xi)}
+            for i, x in enumerate(xi.tolist()):
+                X = mpmath.mpf(x)
+                want = sign * mpmath.sqrt((1 / (m.rho * X * X) - a) / b)
+                cond = (a + b * want * want) / (b * want * want)
+                for name, T in got.items():
+                    rel = float(abs((T[i] - want) / want))
+                    worst[name][0] = max(worst[name][0], rel)
+                    worst[name][1] = max(worst[name][1], float(rel / cond))
+    return worst
+
+
+@pytest.mark.parametrize("m", [
+    PRESETS["cubic"],
+    Material(1.0, -0.999, 1.0, 1.0, 1.0),
+    Material(4.0, -2.0, 4.0 ** -3, 1.0, 4.0 ** 2),
+], ids=["cubic", "near-hyperbolic", "power-of-two-scaled"])
+@pytest.mark.parametrize("zero_end", [False, True], ids=["", "zero-end"])
+def test_n1_fan_stress_is_as_accurate_as_rtsafe(m, zero_end):
+    # toward T = 0 the condition number grows without bound and every
+    # method loses digits, so the error over it is the measure that stays
+    # bounded; the closed form is within one ulp there
+    worst = fan_stress_errors(m, n1_fans(m, 7, zero_end))
+    assert worst["closed"][0] <= worst["rtsafe"][0]
+    assert worst["closed"][1] <= worst["rtsafe"][1]
+    assert worst["closed"][1] <= math.ulp(1.0)
+
+
+def test_n1_fan_states_next_to_the_edges_stay_within_the_fan():
+    # within a few ulps of an edge the radicand can round below 0 (at a
+    # T = 0 end) and the root past the end stress, on constants that are
+    # not powers of two
+    rng = random.Random(1)
+    checked = 0
+    for _ in range(3000):
+        alpha = 10.0 ** rng.uniform(-3.0, 3.0)
+        m = Material(alpha, -alpha * rng.uniform(0.01, 0.999),
+                     10.0 ** rng.uniform(-3.0, 3.0), 1.0,
+                     10.0 ** rng.uniform(-3.0, 3.0))
+        scale = 2.0 / math.sqrt(m.gamma)
+        T_l = rng.uniform(-scale, scale)
+        T_r = rng.choice((0.0, rng.uniform(-scale, scale)))
+        p = solve(m, State(T_l, 0.0), State(T_r, 0.0))
+        for w in p.waves:
+            if w.kind != RAREFACTION or not w.speed_head < w.speed_tail:
+                continue
+            xi = []
+            for edge, inward in ((w.speed_head, w.speed_tail),
+                                 (w.speed_tail, w.speed_head)):
+                for _ in range(8):
+                    edge = math.nextafter(edge, inward)
+                    xi.append(edge)
+            T, v = sampler._sample_lanes(p, np.array(xi))
+            lo, hi = sorted((w.left.T, w.right.T))
+            assert np.all((lo <= T) & (T <= hi) & np.isfinite(v)), w
+            checked += 1
+    assert checked > 2000
