@@ -290,8 +290,8 @@ def test_n1_fan_states_take_no_rtsafe(monkeypatch):
 
 def n1_fans(m, seed, zero_end):
     """Eight fans with distinct edges of seeded zero-velocity solutions on
-    m, with stresses up to twice the knee 1/sqrt(gamma); with zero_end,
-    every fan has an end at T = 0."""
+    m, with data stresses up to 2/sqrt(gamma); with zero_end, every fan
+    has an end at T = 0."""
     rng = random.Random(seed)
     scale = 2.0 / math.sqrt(m.gamma)
     fans = []
