@@ -24,10 +24,11 @@ panel per lane; ``sampler`` shares them and the rtsafe loop
 ``_newton_bisect_many``, whose steps and exits are those of
 ``material._newton_bisect`` (a step shared with floats would cost the
 scalar path a Python call per step).  The formulas are shared:
-``material``'s tangency condition and n = 1 fan; ``wave_curves``' shock
-jump, fan integrand and shock-branch slope; ``riemann``'s tolerances,
-search, classification (its labels and tables) and error of a failed
-search, so a lane's labels are those of ``solve`` by construction.  Each
+``material``'s tangency condition and bracket (with the n = 2 start)
+and n = 1 fan; ``wave_curves``' shock jump, fan integrand and
+shock-branch slope; ``riemann``'s tolerances, search, classification
+(its labels and tables) and error of a failed search, so a lane's labels
+are those of ``solve`` by construction.  Each
 body is called with ``xp = numpy``, so a lane agrees with ``solve`` to
 the last-bit roundings that ``material`` describes and does not depend
 on the other lanes of its call.
@@ -59,6 +60,8 @@ from .material import (
     _cubic_root,
     _excess,
     _fan_table,
+    _narrow,
+    _tangency_bracket,
     _tangency_residual,
     _tangency_slope,
     strain,
@@ -75,7 +78,6 @@ from .riemann import (
     _hermite_start,
     _linear_middle,
     _middle_stress_error,
-    _narrow,
     _ordered,
     _region_index,
     _seed,
@@ -368,14 +370,14 @@ def _tangency(m, A):
     B = B[lanes]
     r_B, dr_B = _excess(m, -B, np)
     f_hi = 2.0 * (r_B + B * dr_B)
-    bad = ~(np.isfinite(r_B) & np.isfinite(dr_B))
+    bad = ~np.isfinite(f_hi)
     overflow[lanes[bad]] = True
     good = np.flatnonzero(~bad)
     B, r_B = B[good], r_B[good]
+    lo, f_lo, hi, f_hi = _tangency_bracket(m, B, r_B, f_hi[good], np)
     Tt[lanes[good]] = _newton_bisect_many(
         lambda pos, T: _tangency_residual(m, B[pos], r_B[pos], T, np),
-        lambda pos, T: _tangency_slope(m, B[pos], T),
-        np.zeros(good.size), B, r_B, f_hi[good])
+        lambda pos, T: _tangency_slope(m, B[pos], T), lo, hi, f_lo, f_hi)
     return Tt, overflow
 
 

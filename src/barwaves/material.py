@@ -484,18 +484,79 @@ def _tangency_slope(m: Material, B, T):
     return strain_second(m, T) * (T + B) / m.alpha
 
 
+#: Newton steps of _quintic_tangency_start.  From its first guess they
+#: reach the root at roundoff (one ulp of t) for every anchor.
+_TANGENCY_STEPS = 4
+
+
+def _where(c, a, b, xp=math):
+    """a where c, else b: xp.where on numpy lanes, element by element where
+    a and b are tuples of values; a if c else b on floats.  The bodies that
+    floats and lanes share select with it."""
+    if xp is math:
+        return a if c else b
+    if isinstance(a, tuple):
+        return tuple(xp.where(c, x, y) for x, y in zip(a, b))
+    return xp.where(c, a, b)
+
+
+def _narrow(lo, f_lo, hi, f_hi, x, f_x, xp=math):
+    """The bracket [lo, hi] of the increasing residual, where it takes f_lo
+    and f_hi, narrowed at x inside it, where it takes f_x: the end on
+    f_x's side moves to x.  Returns (lo, f_lo, hi, f_hi); one body for
+    floats and numpy lanes."""
+    return _where(f_x < 0.0, (x, f_x, hi, f_hi), (lo, f_lo, x, f_x), xp)
+
+
+def _quintic_tangency_start(m: Material, B):
+    """The tangency stress of the anchor -B for n = 2, to roundoff.
+
+    There strain = (alpha+beta)*T + alpha*gamma*T**3 + (alpha*gamma**2/4)*T**5,
+    and the tangency residual with its double root at -B divided out is,
+    in t = T/B, P(t) = k*(1 - 2t) + t**2*(3 - 4t) with k = 1 + 4/(gamma*B**2).
+    P falls strictly on (0, 1) and is concave beyond t = 1/4, and its one
+    root lies in [1/2, 0.61).  At t_0 = 1/2 + 1/(8k), P = -3d**2 - 4d**3 < 0
+    with d = 1/(8k), so Newton's steps from t_0 fall monotonically to the
+    root.  Only + - * / are used: floats and numpy lanes get the same bits."""
+    k = 1.0 + 4.0 / (m.gamma * B * B)
+    t = 0.5 + 0.125 / k
+    for _ in range(_TANGENCY_STEPS):
+        t = t - ((k * (1.0 - 2.0 * t) + t * t * (3.0 - 4.0 * t))
+                 / (6.0 * t * (1.0 - 2.0 * t) - 2.0 * k))
+    return B * t
+
+
+def _tangency_bracket(m: Material, B, r_B, f_hi, xp=math):
+    """(lo, f_lo, hi, f_hi): the bracket of the tangency of the anchor
+    -B < 0 and its residuals, given r_B = r(-B) of _excess and the
+    residual f_hi = 2*(r_B + B*r'(-B)) at B.  It is [0, B]; for n = 2 it
+    is narrowed at _quintic_tangency_start's point, whose residual is
+    taken there, so rtsafe polishes the closed form and the start is
+    checked, not trusted.  One body for floats and numpy lanes."""
+    lo, f_lo, hi = 0.0 * B, r_B, B
+    if m.n != 2.0:
+        return lo, f_lo, hi, f_hi
+    x = _quintic_tangency_start(m, B)
+    return _narrow(lo, f_lo, hi, f_hi, x, _tangency_residual(m, B, r_B, x, xp),
+                   xp)
+
+
 def tangent_point(m: Material, T_anchor: float) -> float:
     """Stress on the other convexity branch where the chord from
     (T_anchor, strain(T_anchor)) is tangent to the strain curve.
 
     For T_anchor < 0 the result is positive, mirrored for T_anchor > 0;
     since strain_prime is even and U-shaped, |result| < |T_anchor| always.
-    For a cubic strain (n = 1) the root is exactly -T_anchor/2; otherwise
-    each call solves the tangency condition afresh (nothing is cached: a
-    solve needs at most two tangency stresses, which its wave curves keep).
-    Raises OverflowError where the constitutive functions overflow at the
-    anchor: where r or r' of _excess is not finite there, the test of
-    batch._tangency, or where math raises it.
+    For a cubic strain (n = 1) the root is exactly -T_anchor/2.  Otherwise
+    each call solves the tangency condition afresh by rtsafe (nothing is
+    cached: a solve needs at most two tangency stresses, which its wave
+    curves keep); for n = 2 rtsafe starts from the closed-form root of
+    _quintic_tangency_start and polishes it (_tangency_bracket).  Raises
+    OverflowError where the constitutive functions overflow at the
+    anchor: where the residual at the bracket end |T_anchor| is not
+    finite (so neither are r or r' of _excess there, or the residual's
+    terms near the root may overflow), the test of batch._tangency, or
+    where math raises it.
     """
     if T_anchor == 0.0:
         raise ValueError("tangent_point requires a nonzero anchor stress")
@@ -511,12 +572,14 @@ def tangent_point(m: Material, T_anchor: float) -> float:
         return sign * (0.5 * A)
 
     r_a, dr_a = _excess(m, -A)
-    if not (math.isfinite(r_a) and math.isfinite(dr_a)):
+    f_hi = 2.0 * (r_a + A * dr_a)
+    if not math.isfinite(f_hi):
         raise OverflowError(
             f"the tangency of the anchor stress {T_anchor} overflows")
+    lo, f_lo, hi, f_hi = _tangency_bracket(m, A, r_a, f_hi)
     return sign * _newton_bisect(
         partial(_tangency_residual, m, A, r_a), partial(_tangency_slope, m, A),
-        0.0, A, r_a, 2.0 * (r_a + A * dr_a))
+        lo, hi, f_lo, f_hi)
 
 
 def driving_force(m: Material, T_l: float, T_r: float) -> float:

@@ -36,15 +36,16 @@ I..XII is read off the solution (see ``_zero_velocity_index``);
 ``batch.solve_many`` runs the same solve on numpy lanes (``barwaves
 atlas`` uses it).  Every decision of the middle-stress search but the
 rtsafe step is defined here once, as one body for floats and lanes that
-selects with _where, and serves both paths; only the loops differ, the
-scalar one branching and the lane one compacting its live lanes.  These
-are the tolerances, what the dividing samples decide (the boundary
-tolerance and row and the bracket seed, _seed) and the first step from a
-one-sided seed (_seed_step), one doubling of the bracket search (_widen)
-and the bracket it ends with (_ordered), the residual the root finders
-see (_stopped_residual), rtsafe's start (_hermite_start) and the narrowing
-there (_narrow), the judgement of the root (_verdict: scale, monotonicity,
-gate and snap) and the error of a failed search (_middle_stress_error).
+selects with material._where, and serves both paths; only the loops
+differ, the scalar one branching and the lane one compacting its live
+lanes.  These are the tolerances, what the dividing samples decide (the
+boundary tolerance and row and the bracket seed, _seed) and the first
+step from a one-sided seed (_seed_step), one doubling of the bracket
+search (_widen) and the bracket it ends with (_ordered), the residual the
+root finders see (_stopped_residual), rtsafe's start (_hermite_start) and
+the narrowing there (material._narrow, which the tangency shares), the
+judgement of the root (_verdict: scale, monotonicity, gate and snap) and
+the error of a failed search (_middle_stress_error).
 So are the classification (_boundary_index, _summary, _region_index and
 the tables _LABELS and _REGIONS built from _REGION_MAPS), the zero-velocity
 type and the linear middle state (_linear_middle).  rtsafe is
@@ -67,8 +68,10 @@ from .material import (
     FORWARD,
     Material,
     _knee_stress,
+    _narrow,
     _newton_bisect,
     _slope_speed,
+    _where,
     strain,
     strain_prime,
     tangent_point,
@@ -126,17 +129,6 @@ class WavePattern:
 
     def shocks(self) -> list[Wave]:
         return [w for w in self.waves if w.kind == SHOCK]
-
-
-def _where(c, a, b, xp=math):
-    """a where c, else b: xp.where on numpy lanes, element by element where
-    a and b are tuples of values; a if c else b on floats.  The bodies that
-    floats and lanes share select with it."""
-    if xp is math:
-        return a if c else b
-    if isinstance(a, tuple):
-        return tuple(xp.where(c, x, y) for x, y in zip(a, b))
-    return xp.where(c, a, b)
 
 
 def _largest(values, xp=math):
@@ -267,14 +259,6 @@ def _seed_step(m: Material, T_l, T_r, f, d, xp=math):
     newton = abs(f) / (d + (d == 0.0))
     return _where((0.0 < d) & (0.0 < newton) & (newton < cap), newton, cap,
                   xp)
-
-
-def _narrow(lo, f_lo, hi, f_hi, x, f_x, xp=math):
-    """The bracket [lo, hi] of the increasing residual, where it takes f_lo
-    and f_hi, narrowed at x inside it, where it takes f_x: the end on
-    f_x's side moves to x.  Returns (lo, f_lo, hi, f_hi); one body for
-    floats and numpy lanes."""
-    return _where(f_x < 0.0, (x, f_x, hi, f_hi), (lo, f_lo, x, f_x), xp)
 
 
 def _verdict(m: Material, T_l, v_l, T_r, v_r, root, g, v_back, v_fwd,

@@ -7,13 +7,14 @@ position exactly, the right limit is returned.
 
 Every point is evaluated on numpy lanes by one routine, ``_sample_lanes``,
 which fills float arrays of T and v: ``sample`` is a call with one point,
-and ``profile`` inverts all of its fan points at once.  For n = 1,
-strain_prime = a + b*T**2 and the fan state is in closed form, as the
-package's other n = 1 quantities are (the fan integral, the tangency, the
-inverse strain of the reference scheme); otherwise the lane root finder
-solves it.  The lane root finder and the lane fan integral are
-``batch``'s, the ones ``solve_many`` uses; the fans of one call read one
-fan table, whose constants are the closed form's for n = 1.
+and ``profile`` inverts all of its fan points at once.  For n = 1 and
+n = 2, strain_prime is a polynomial of degree 1 or 2 in T**2 and the fan
+state is in closed form (_closed_fan_stress), as the tangency of both is
+(material.tangent_point: exact for n = 1, a polished closed-form start
+for n = 2); otherwise the lane root finder solves it.  The lane root
+finder and the lane fan integral are ``batch``'s, the ones ``solve_many``
+uses; the fans of one call read one fan table, whose constants are the
+n = 1 fan integral's for n = 1.
 """
 
 from __future__ import annotations
@@ -87,15 +88,15 @@ def _fan_states(pattern: WavePattern, wave: Wave, xi: np.ndarray,
                 fans) -> tuple[np.ndarray, np.ndarray]:
     """(T, v) inside a fan at rays xi strictly between its edges, its fan
     integrals read from the call's fan table (material._fan_table): the
-    stress in closed form for n = 1 (_cubic_fan_stress), by lane rtsafe
-    otherwise (_fan_stress)."""
+    stress in closed form for n = 1 and n = 2 (_closed_fan_stress), by
+    lane rtsafe otherwise (_fan_stress)."""
     m = pattern.material
     a, b = wave.left.T, wave.right.T
     sigma = -1.0 if wave.family == BACKWARD else 1.0
     # the lane code, as in solve_many, computes branches outside their
     # masks (a zero slope at T = 0, a fan of zero width) and discards them
     with np.errstate(divide="ignore", invalid="ignore"):
-        T = (_cubic_fan_stress(m, fans, a, b, xi) if m.n == 1.0
+        T = (_closed_fan_stress(m, a, b, xi) if m.n in (1.0, 2.0)
              else _fan_stress(m, a, b, sigma, xi))
         # _fan_lanes takes fans running outward from zero stress; a fan
         # that runs inward is the negated outward one
@@ -104,20 +105,29 @@ def _fan_states(pattern: WavePattern, wave: Wave, xi: np.ndarray,
     return T, wave.left.v - sigma * d
 
 
-def _cubic_fan_stress(m: Material, k: tuple, a: float, b: float,
-                      xi: np.ndarray) -> np.ndarray:
-    """The stress of the n = 1 fan from a to b at rays xi, on the fan's
-    constants k (material._cubic_constants): strain_prime = k0 + k1*T**2
-    equals 1/(rho*xi**2) there, so T = +-sqrt((1/(rho*xi**2) - k0)/k1),
-    signed like the fan's stresses (a fan lies on one side of zero) and
-    kept within its ends.  Its error is the roundoff of the radicand times
-    the condition number strain_prime/(k1*T**2) of the stress as a
-    function of the ray, which grows without bound toward T = 0, where
-    every method loses digits."""
+def _closed_fan_stress(m: Material, a: float, b: float,
+                       xi: np.ndarray) -> np.ndarray:
+    """The stress of the fan from a to b at rays xi for n = 1 or n = 2.
+
+    There strain_prime = a0 + a1*u + a2*u**2 in u = T**2, with a0 = alpha +
+    beta, a1 = 1.5*n*alpha*gamma and a2 = 0 for n = 1, a2 = 1.25*alpha*
+    gamma**2 for n = 2.  It equals 1/(rho*xi**2) on the ray, a quadratic
+    whose root u >= 0 is -2*c0/(1 + sqrt(1 - 4*c2*c0)) with c0 = (a0 -
+    1/(rho*xi**2))/a1 <= 0 and c2 = a2/a1 = (n - 1)*5*gamma/12: no
+    cancellation and no square of a1, and for n = 1 exactly -c0, the
+    root of the linear equation.  T = +-sqrt(u), signed like the fan's
+    stresses (a fan lies on one side of zero) and kept within its ends.
+    Its error is the roundoff of c0 times the condition number
+    strain_prime/(u*d(strain_prime)/du) of the stress as a function of the
+    ray, which grows without bound toward T = 0, where every method loses
+    digits."""
     lo, hi = min(a, b), max(a, b)
-    radicand = (1.0 / (m.rho * xi * xi) - k[0]) / k[1]
-    return np.clip(math.copysign(1.0, a + b)
-                   * np.sqrt(np.maximum(radicand, 0.0)), lo, hi)
+    c0 = (m.alpha + m.beta - 1.0 / (m.rho * xi * xi)) / (
+        1.5 * m.n * m.alpha * m.gamma)
+    u = -2.0 * c0 / (1.0 + np.sqrt(1.0 - 4.0 * ((m.n - 1.0) * m.gamma / 2.4)
+                                   * c0))
+    return np.clip(math.copysign(1.0, a + b) * np.sqrt(np.maximum(u, 0.0)),
+                   lo, hi)
 
 
 def _fan_stress(m: Material, a: float, b: float, sigma: float,

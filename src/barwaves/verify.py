@@ -272,7 +272,8 @@ def cubic_inverse(eps, T, rows) -> None:
     depressed cubic with p > 0, on the rows of cubic_inverse_rows.  Five
     in-place ufunc calls; relative error a few ulps at unit scale, growing
     with asinh(K1*|eps|) through sinh's argument.  Where K1*|eps| exceeds
-    the largest float, T overflows to +-inf (with a RuntimeWarning)."""
+    the largest float, T overflows to +-inf (with a RuntimeWarning), and
+    _invert_strain_grid restarts those cells from the cube root."""
     K1, three, K2 = rows
     np.multiply(eps, K1, T)
     np.arcsinh(T, T)
@@ -288,7 +289,11 @@ def _invert_strain_grid(m: Material, eps: np.ndarray, T: np.ndarray,
     """Vectorized Newton for strain(T) = eps, in place, started either from
     the closed form or warm.  With the rows cubic = cubic_inverse_rows(m,
     T.size) of an n = 1 material, T is overwritten by cubic_inverse and one
-    strain_residual_slope pass takes its residual and slope; otherwise
+    strain_residual_slope pass takes its residual and slope; if some cell
+    is then outside the stopping rule, the cells where the closed form
+    overflowed restart from cbrt(eps)/cbrt(c), c = alpha*gamma/2, which
+    is exact to rounding there (the linear term is below 1e-200 of the
+    cubic one), with one more pass before any update; otherwise
     (cubic is None) T is the warm start, r = strain(T) - eps its residual
     and slope = strain_prime(T).  T, r and slope are overwritten with their
     values at the stress found.  Each update T -= r/slope is followed by
@@ -306,12 +311,20 @@ def _invert_strain_grid(m: Material, eps: np.ndarray, T: np.ndarray,
     # maximum, unlike the other ufuncs, deprecates a positional out
     np.maximum(tol, k[1], out=tol)
     np.multiply(tol, rel, tol)
-    updates = 0
+    updates, restart = 0, cubic is not None
     # all() by count_nonzero, which skips the reduction machinery
     while np.count_nonzero(np.less_equal(np.abs(r, work), tol, ok)) < T.size:
+        if restart:
+            restart = False
+            over = np.flatnonzero(~np.isfinite(T))
+            if over.size:
+                c = 0.5 * m.alpha * m.gamma
+                T[over] = np.cbrt(eps[over]) / np.cbrt(c)
+                strain_residual_slope(m, T, eps, r, slope, work, k)
+                continue
         if updates == 60:
-            # ~ok, not work > tol: a cell whose residual is NaN (a closed
-            # form that overflowed) is stuck too
+            # ~ok, not work > tol: a cell whose residual is NaN is stuck
+            # too
             stuck = np.flatnonzero(~ok)
             for i in stuck:
                 T[i] = invert_strain(m, float(eps[i]))

@@ -126,11 +126,24 @@ def _shock_slope(m: Material, A, e_A, y, xp=math):
     """|dv/dT| of the shock branch from A to y, given e_A = strain(m, A),
     as a numerator and a denominator; the denominator is not positive for
     a shock of roundoff width, whose slope is its characteristic limit
-    _w(m, y)."""
+    _w(m, y).  Where rho*(y - A)*de overflows, the root of the
+    denominator is taken factor by factor (y > A on the shock branch), as
+    _slope_speed takes its roots apart where its product underflows.  One
+    body for floats and numpy lanes."""
     de = strain(m, y) - e_A
     prod = m.rho * (y - A) * de
-    return de + (y - A) * strain_prime(m, y), 2.0 * xp.sqrt(
-        prod * (prod > 0.0))
+    num = de + (y - A) * strain_prime(m, y)
+    if xp is math:
+        return num, 2.0 * (
+            math.sqrt(prod * (prod > 0.0)) if prod < math.inf
+            else math.sqrt(m.rho) * math.sqrt(y - A) * math.sqrt(de))
+    root = xp.sqrt(prod * (prod > 0.0))
+    finite = prod < math.inf
+    if not finite.all():
+        # lanes off the shock branch take discarded roots of magnitudes
+        root = xp.where(finite, root, math.sqrt(m.rho) * xp.sqrt(
+            xp.abs(y - A)) * xp.sqrt(xp.abs(de)))
+    return num, 2.0 * root
 
 
 # ---------------------------------------------------------------------------

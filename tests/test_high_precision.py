@@ -9,9 +9,11 @@ away from zero, and its tangency stresses come from bisection.
 
 import math
 import random
+import struct
 from functools import lru_cache
 
 import mpmath
+import numpy as np
 import pytest
 
 from barwaves import (
@@ -25,6 +27,8 @@ from barwaves import (
     tangent_point,
     thresholds,
 )
+from barwaves.batch import _tangency
+from barwaves.material import _CUBIC_TO_ROUNDOFF
 
 SCALES = (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6)
 BOUND = 1e-13
@@ -203,6 +207,63 @@ MATERIALS = {
 def test_wave_curves_match_high_precision(name):
     err, where = worst_error(MATERIALS[name])
     assert err <= BOUND, f"{err:.2e} at {where}"
+
+
+#: n = 2 materials of the tangency gate: the preset, one near
+#: hyperbolicity loss and one whose constants are not powers of two.
+N2_MATERIALS = {
+    "quintic": PRESETS["quintic"],
+    "near-hyperbolic": Material(1.0, -0.999, 1.0, 2.0, 1.0),
+    "scaled": Material(3.0, -1.0, 1e-4, 2.0, 2.0),
+}
+
+
+def float_bisect(ok, lo, hi):
+    """The largest float x in [lo, hi) with ok(x), given ok(lo) and not
+    ok(hi), for a predicate that holds up to a point and fails beyond."""
+    i, j = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (lo, hi))
+    while j - i > 1:
+        mid = (i + j) // 2
+        if ok(struct.unpack("<d", struct.pack("<q", mid))[0]):
+            i = mid
+        else:
+            j = mid
+    return struct.unpack("<d", struct.pack("<q", i))[0]
+
+
+@pytest.mark.parametrize("name", N2_MATERIALS)
+def test_n2_tangency_matches_high_precision_up_to_the_overflow_edge(name):
+    # tangent_point and the lanes' _tangency, rtsafe polishing the closed-
+    # form start, over |A| from the first anchor past the cubic switch to
+    # the last whose tangency does not overflow; the worst error, 1.4e-14
+    # at |A| near 1e56, is the roundoff of the residual's expm1/log1p form
+    m = N2_MATERIALS[name]
+
+    def cubic_to_roundoff(A):
+        return 0.5 * m.gamma * A * A <= _CUBIC_TO_ROUNDOFF
+
+    def finite(A):
+        try:
+            tangent_point(m, -A)
+        except OverflowError:
+            return False
+        return True
+
+    low = math.nextafter(float_bisect(cubic_to_roundoff, 0.0, 1.0), 1.0)
+    edge = float_bisect(finite, 1.0, 1e300)
+    rng = random.Random(name)
+    anchors = [low, edge] + [
+        math.exp(rng.uniform(math.log(low), math.log(edge)))
+        for _ in range(150)]
+    with np.errstate(all="ignore"):
+        lanes, overflow = _tangency(m, -np.array(anchors))
+    assert not overflow.any()
+    oracle = Oracle(m)
+    with mpmath.workdps(50):
+        for A, lane in zip(anchors, lanes.tolist()):
+            want = oracle.tangency(-mpmath.mpf(A))
+            assert abs(tangent_point(m, -A) / want - 1) <= 2e-14, A
+            assert abs(lane / want - 1) <= 2e-14, A
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -25,8 +25,14 @@ from barwaves import (
     tangent_point,
     wave_speed,
 )
+from barwaves import material
 from barwaves.batch import _NODES, _WEIGHTS
-from barwaves.material import _GL_RULE, _FanTable, _fan_panel
+from barwaves.material import (
+    _GL_RULE,
+    _FanTable,
+    _fan_panel,
+    _quintic_tangency_start,
+)
 from barwaves.verify import residual_slope_rows, strain_residual_slope
 from conftest import cubic_fan_integral, driving_force_integral, make_material
 
@@ -386,6 +392,36 @@ def test_tangent_point_matches_bisection_with_one_sign_change(name):
         got = tangent_point(m, anchor)
         assert abs(got - lo) <= 1e-13 * A, (anchor, got, lo)
         assert tangent_point(m, A) == -got
+
+
+def test_quintic_tangency_start_is_one_body_for_floats_and_lanes(quintic):
+    # + - * / only: math on floats and numpy on lanes give the same bits,
+    # from the cubic switch to beyond the overflow edge, where gamma*B*B
+    # overflows (silently on floats)
+    rng = random.Random(11)
+    B = [10.0 ** rng.uniform(-16.0, 160.0) for _ in range(2000)]
+    with np.errstate(over="ignore"):
+        lanes = _quintic_tangency_start(quintic, np.array(B))
+    assert lanes.tolist() == [_quintic_tangency_start(quintic, b) for b in B]
+
+
+def test_quintic_tangent_point_takes_one_residual_evaluation(monkeypatch,
+                                                             quintic):
+    # the residual at the closed-form start, then rtsafe's first Newton
+    # step is within two ulps and returns; rtsafe from [0, A] took 5.31
+    # residual evaluations per call on these anchors
+    calls = [0]
+    residual = material._tangency_residual
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(material, "_tangency_residual", counted)
+    rng = random.Random(3)
+    for _ in range(200):
+        tangent_point(quintic, -rng.uniform(0.01, 3.0))
+    assert calls[0] == 201
 
 
 def test_tangent_point_requires_nonzero_anchor(cubic):

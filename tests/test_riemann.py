@@ -228,6 +228,32 @@ def test_a_solve_makes_at_most_two_tangency_calls(monkeypatch, name):
     assert (len(newton) > 0) == (m.n != 1.0)
 
 
+def test_quintic_box_solves_take_pinned_rtsafe_steps(monkeypatch):
+    # each rtsafe step takes one slope.  On the benchmark's box (|T| <= 3,
+    # |v| <= 5) the tangency's closed-form start leaves about one step per
+    # tangency, where rtsafe from [0, A] took 6.2: 15.04 steps per solve
+    # went to 4.55, of which the middle stress takes 2.61
+    steps = {"tangency": 0, "middle": 0}
+    root_finder = material._newton_bisect
+
+    def counting(key):
+        def counted(fn, dfn, *args):
+            def slope(x):
+                steps[key] += 1
+                return dfn(x)
+            return root_finder(fn, slope, *args)
+        return counted
+
+    monkeypatch.setattr(material, "_newton_bisect", counting("tangency"))
+    monkeypatch.setattr(riemann, "_newton_bisect", counting("middle"))
+    rng = random.Random(2024)
+    for _ in range(1000):
+        solve(PRESETS["quintic"],
+              State(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0)),
+              State(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0)))
+    assert steps == {"tangency": 1939, "middle": 2608}
+
+
 def assert_names_both_states(error, U_l, U_r):
     text = str(error)
     assert str(U_l) in text and str(U_r) in text, text

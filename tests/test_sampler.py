@@ -19,7 +19,6 @@ from barwaves import (
 )
 from barwaves import sampler
 from barwaves.cli import continuity_probe
-from barwaves.material import _cubic_constants
 from barwaves.verify import fv_reference
 
 
@@ -268,9 +267,10 @@ def test_continuity_probe_is_unchanged(cubic):
 # the n = 1 fan state in closed form
 
 
-def test_n1_fan_states_take_no_rtsafe(monkeypatch):
-    # the cubic fan state is closed-form; the quintic one takes one lane
-    # rtsafe per fan of the call (the fvcheck data: one forward fan)
+def test_n1_and_n2_fan_states_take_no_rtsafe(monkeypatch):
+    # the cubic and quintic fan states are closed-form; at n = 1.5 the
+    # sampler takes one lane rtsafe per fan of the call (the fvcheck data:
+    # one forward fan)
     calls = []
     rtsafe = sampler._newton_bisect_many
 
@@ -279,16 +279,17 @@ def test_n1_fan_states_take_no_rtsafe(monkeypatch):
         return rtsafe(*args)
 
     monkeypatch.setattr(sampler, "_newton_bisect_many", counted)
-    for name, want in (("cubic", []), ("quintic", [1, 55])):
+    for m, want in ((PRESETS["cubic"], []), (PRESETS["quintic"], []),
+                    (Material(1.0, -0.5, 1.0, 1.5, 1.0), [1, 13])):
         calls.clear()
-        p = solve(PRESETS[name], State(-1.3, 0.0), State(0.9, 0.0))
+        p = solve(m, State(-1.3, 0.0), State(0.9, 0.0))
         fan = next(w for w in p.waves if w.kind == RAREFACTION)
         sample(p, 0.5 * (fan.speed_head + fan.speed_tail))
         profile(p, -3.0, 3.0, 4001)
-        assert calls == want, name
+        assert calls == want, m
 
 
-def n1_fans(m, seed, zero_end):
+def seeded_fans(m, seed, zero_end):
     """Eight fans with distinct edges of seeded zero-velocity solutions on
     m, with data stresses up to 2/sqrt(gamma); with zero_end, every fan
     has an end at T = 0."""
@@ -309,28 +310,32 @@ def n1_fans(m, seed, zero_end):
 
 def fan_stress_errors(m, fans):
     """Worst error of the closed-form fan stress and of lane rtsafe (the
-    sampler's route for n != 1) against 40-digit mpmath, at 200 rays per
-    fan: relative, and relative over the condition number
-    strain_prime/(b*T**2) of the stress as a function of the ray."""
-    k = _cubic_constants(m)
+    sampler's route for other n) against 50-digit mpmath, at 200 rays per
+    fan of an n = 1 or n = 2 material: relative, and relative over the
+    condition number S/(u*dS/du) of the stress as a function of the ray,
+    where u = T**2 and S = strain_prime = a0 + a1*u + a2*u**2."""
     worst = {"closed": [0.0, 0.0], "rtsafe": [0.0, 0.0]}
-    with mpmath.workdps(40):
-        a = mpmath.mpf(m.alpha) + mpmath.mpf(m.beta)
-        b = 1.5 * mpmath.mpf(m.alpha) * mpmath.mpf(m.gamma)
+    with mpmath.workdps(50):
+        alpha, gamma = mpmath.mpf(m.alpha), mpmath.mpf(m.gamma)
+        a0 = alpha + mpmath.mpf(m.beta)
+        a1 = 1.5 * m.n * alpha * gamma
+        a2 = 1.25 * (m.n - 1) * alpha * gamma ** 2
         for p, w in fans:
             xi = np.linspace(w.speed_head, w.speed_tail, 202)[1:-1]
             xi = xi[(w.speed_head < xi) & (xi < w.speed_tail)]
             sigma = -1.0 if w.family == BACKWARD else 1.0
             sign = math.copysign(1.0, w.left.T + w.right.T)
             with np.errstate(divide="ignore", invalid="ignore"):
-                got = {"closed": sampler._cubic_fan_stress(
-                           m, k, w.left.T, w.right.T, xi),
+                got = {"closed": sampler._closed_fan_stress(
+                           m, w.left.T, w.right.T, xi),
                        "rtsafe": sampler._fan_stress(
                            m, w.left.T, w.right.T, sigma, xi)}
             for i, x in enumerate(xi.tolist()):
                 X = mpmath.mpf(x)
-                want = sign * mpmath.sqrt((1 / (m.rho * X * X) - a) / b)
-                cond = (a + b * want * want) / (b * want * want)
+                rise = 1 / (m.rho * X * X) - a0
+                u = 2 * rise / (a1 + mpmath.sqrt(a1 * a1 + 4 * a2 * rise))
+                want = sign * mpmath.sqrt(u)
+                cond = (a0 + rise) / (u * (a1 + 2 * a2 * u))
                 for name, T in got.items():
                     rel = float(abs((T[i] - want) / want))
                     worst[name][0] = max(worst[name][0], rel)
@@ -348,22 +353,37 @@ def test_n1_fan_stress_is_as_accurate_as_rtsafe(m, zero_end):
     # toward T = 0 the condition number grows without bound and every
     # method loses digits, so the error over it is the measure that stays
     # bounded; the closed form is within one ulp there
-    worst = fan_stress_errors(m, n1_fans(m, 7, zero_end))
+    worst = fan_stress_errors(m, seeded_fans(m, 7, zero_end))
     assert worst["closed"][0] <= worst["rtsafe"][0]
     assert worst["closed"][1] <= worst["rtsafe"][1]
     assert worst["closed"][1] <= math.ulp(1.0)
 
 
-def test_n1_fan_states_next_to_the_edges_stay_within_the_fan():
-    # within a few ulps of an edge the radicand can round below 0 (at a
-    # T = 0 end) and the root past the end stress, on constants that are
-    # not powers of two
+@pytest.mark.parametrize("m", [
+    PRESETS["quintic"],
+    Material(1.0, -0.999, 1.0, 2.0, 1.0),
+], ids=["quintic", "near-hyperbolic"])
+@pytest.mark.parametrize("zero_end", [False, True], ids=["", "zero-end"])
+def test_n2_fan_stress_is_as_accurate_as_rtsafe(m, zero_end):
+    # lane rtsafe inherits the cancellation of strain_prime = beta +
+    # alpha*(...) near alpha + beta = 0; the closed form takes alpha +
+    # beta once.  The root of the quadratic adds roundings that the
+    # condition number does not scale, so its bound is two ulps, not one
+    worst = fan_stress_errors(m, seeded_fans(m, 7, zero_end))
+    assert worst["closed"][0] <= worst["rtsafe"][0]
+    assert worst["closed"][1] <= worst["rtsafe"][1]
+    assert worst["closed"][1] <= 2.0 * math.ulp(1.0)
+
+
+def fan_edges_checked(n):
+    """Fans of seeded materials of exponent n checked eight ulps from each
+    edge: their sampled stresses stay within the fan and are finite."""
     rng = random.Random(1)
     checked = 0
     for _ in range(3000):
         alpha = 10.0 ** rng.uniform(-3.0, 3.0)
         m = Material(alpha, -alpha * rng.uniform(0.01, 0.999),
-                     10.0 ** rng.uniform(-3.0, 3.0), 1.0,
+                     10.0 ** rng.uniform(-3.0, 3.0), n,
                      10.0 ** rng.uniform(-3.0, 3.0))
         scale = 2.0 / math.sqrt(m.gamma)
         T_l = rng.uniform(-scale, scale)
@@ -382,4 +402,15 @@ def test_n1_fan_states_next_to_the_edges_stay_within_the_fan():
             lo, hi = sorted((w.left.T, w.right.T))
             assert np.all((lo <= T) & (T <= hi) & np.isfinite(v)), w
             checked += 1
-    assert checked > 2000
+    return checked
+
+
+def test_n1_fan_states_next_to_the_edges_stay_within_the_fan():
+    # within a few ulps of an edge the radicand can round below 0 (at a
+    # T = 0 end) and the root past the end stress, on constants that are
+    # not powers of two
+    assert fan_edges_checked(1.0) > 2000
+
+
+def test_n2_fan_states_next_to_the_edges_stay_within_the_fan():
+    assert fan_edges_checked(2.0) > 2000
