@@ -533,7 +533,7 @@ def _tangency_bracket(m: Material, B, r_B, f_hi, xp=math):
     is narrowed at _quintic_tangency_start's point, whose residual is
     taken there, so rtsafe polishes the closed form and the start is
     checked, not trusted.  One body for floats and numpy lanes."""
-    lo, f_lo, hi = 0.0 * B, r_B, B
+    lo, f_lo, hi = 0.0 * B, r_B, B   # 0.0*B: a zero float or lane row
     if m.n != 2.0:
         return lo, f_lo, hi, f_hi
     x = _quintic_tangency_start(m, B)

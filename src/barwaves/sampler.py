@@ -124,8 +124,8 @@ def _closed_fan_stress(m: Material, a: float, b: float,
     lo, hi = min(a, b), max(a, b)
     c0 = (m.alpha + m.beta - 1.0 / (m.rho * xi * xi)) / (
         1.5 * m.n * m.alpha * m.gamma)
-    u = -2.0 * c0 / (1.0 + np.sqrt(1.0 - 4.0 * ((m.n - 1.0) * m.gamma / 2.4)
-                                   * c0))
+    c2 = (m.n - 1.0) * m.gamma / 2.4
+    u = -2.0 * c0 / (1.0 + np.sqrt(1.0 - 4.0 * c2 * c0))
     return np.clip(math.copysign(1.0, a + b) * np.sqrt(np.maximum(u, 0.0)),
                    lo, hi)
 

@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from barwaves import (
+    BACKWARD,
+    FORWARD,
     Material,
     PRESETS,
     RootNotBracketed,
@@ -27,8 +29,9 @@ from barwaves import (
     tangent_point,
     thresholds,
 )
-from barwaves.batch import _tangency
+from barwaves.batch import _curve_pair, _tangency
 from barwaves.material import _CUBIC_TO_ROUNDOFF
+from barwaves.wave_curves import WaveCurve
 
 SCALES = (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6)
 BOUND = 1e-13
@@ -264,6 +267,31 @@ def test_n2_tangency_matches_high_precision_up_to_the_overflow_edge(name):
             want = oracle.tangency(-mpmath.mpf(A))
             assert abs(tangent_point(m, -A) / want - 1) <= 2e-14, A
             assert abs(lane / want - 1) <= 2e-14, A
+
+
+def test_shock_slope_survives_an_overflowing_product():
+    # at rho = 1e308, rho*(y - A)*de overflows to inf, and a slope taken
+    # from its root read 0.0 on both curves where it is about 1e-154
+    m = Material(1.0, -0.5, 1.0, 1.0, 1e308)
+    U_l = State(-7.831779474195463, -6.629300083610611e-34)
+    U_r = State(-8.424729512545245, -1.3094716185227136e-122)
+    T = 3.9158897370977317
+    curves, _ = _curve_pair(m, *(np.array([x]) for x in (
+        U_l.T, U_l.v, U_r.T, U_r.v)))
+    with np.errstate(all="ignore"):
+        lanes = curves.slope(m, np.array([0, 1]), np.array([T, T]))
+    oracle = Oracle(m)
+    for U, family, lane in zip((U_l, U_r), (BACKWARD, FORWARD), lanes):
+        curve = WaveCurve(m, U, family)
+        assert m.rho * (curve.s * T - curve.A) * (
+            strain(m, curve.s * T) - curve.e_A) == math.inf
+        with mpmath.workdps(50):
+            A, y = mpmath.mpf(curve.A), mpmath.mpf(curve.s * T)
+            de = oracle.strain(y) - oracle.strain(A)
+            want = ((de + (y - A) * oracle.strain_prime(y))
+                    / (2 * mpmath.sqrt(oracle.rho * (y - A) * de)))
+            assert abs(curve.slope(T) / want - 1) <= 1e-14
+            assert abs(lane / want - 1) <= 1e-14
 
 
 @pytest.mark.xfail(strict=True, reason=(
