@@ -35,10 +35,11 @@ on the other lanes of its call.
 
 It returns the middle state and the labels of each lane, not its waves; a
 failed lane carries the error ``solve`` raises for it.  Where the scalar
-path meets a power or expm1 that overflows, ``math`` raises; a product
-that overflows, which takes data beyond about 1e150, gives inf without
-raising.  Either way ``solve`` reports the overflow ``NoBracket`` at its
-first non-finite residual, and so does a lane, where numpy returns inf.
+path meets a power or expm1 that overflows (real n), ``math`` raises; a
+product that overflows, which takes data beyond about 1e150 (and every
+overflow of the integer-n law), gives inf without raising.  Either way
+``solve`` reports the overflow ``NoBracket`` at its first non-finite
+residual, and so does a lane, where numpy returns inf.
 
 A batch of one costs far more than a scalar ``solve`` (numpy's per-call
 overhead), so single problems stay on the scalar path.

@@ -20,13 +20,22 @@ reads it, for every material: the closed forms for n = 1 and linear_mode,
 otherwise a fan of the table that the curve's solve shares.  The module
 imports no numpy, and neither does the scalar solve built on it.
 
+For integer n the constitutive law is a table of Horner polynomials in
+w = gamma*T**2/2, built once per Material (_integer_law), which every
+constitutive kernel reads: strain, strain_prime and strain_second, the
+tangency's _excess, the fan panels and the n = 1 fan's constants.  Real n
+keeps the power forms.
+
 Kernels that the scalar solve and the lanes of ``batch.solve_many`` both
 evaluate have one body each, written against a namespace argument ``xp``:
 ``math`` for floats, ``numpy`` for arrays, which the lane callers pass in.
-The arithmetic is the same, but numpy's array loops for ``expm1``,
-``log1p``, ``asinh`` and ``power`` (often at non-integer n, rarely at
-integer n) may round an element differently from ``math`` in the last
-bit, so the lanes agree with the scalar path to roundoff.
+The integer-n law takes + and * alone, and the tangency and the fans add
+- / and sqrt, which numpy rounds as ``math`` does (IEEE 754), so for
+integer n >= 2 the lanes equal the scalar path bit for bit on every host.
+The n = 1 fans keep numpy's ``asinh``, and real n its ``expm1``,
+``log1p`` and ``power``, whose array loops (numpy's own SIMD routines on
+hosts with AVX-512) may round an element differently from ``math`` in the
+last bit; there the lanes agree with the scalar path to roundoff.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import MaterialError, RootNotBracketed
@@ -68,6 +77,51 @@ _GL_RULE = tuple((-t, w) for t, w in reversed(_GL_HALF)) + _GL_HALF
 #: tangency takes its n = 1 closed form.
 _CUBIC_TO_ROUNDOFF = 1e-32
 
+#: The largest integer n whose law coefficients (_integer_law) are all
+#: integers that a float holds exactly; beyond it n takes the power forms.
+_LAW_MAX_N = 45
+
+
+def _integer_law(m) -> tuple | None:
+    """The coefficient table of the constitutive law of an integer n >= 1
+    outside linear_mode, or None: real n, and n beyond _LAW_MAX_N, keep the
+    power forms.
+
+    With w = gamma*T**2/2 and q = 1 + w, the binomial theorem makes
+    r(T) = (q**n - 1)*T = T*w*R(w), and its derivatives are r'(T) = w*P(w)
+    and r''(T) = gamma*T*S(w), where R, P and S have the coefficients
+    C(n, k), (2k + 1)*C(n, k) and k*(2k + 1)*C(n, k) of w**(k - 1),
+    k = 1..n.  So strain = T*((alpha + beta) + alpha*w*R(w)), strain_prime
+    = (alpha + beta) + alpha*w*P(w) and strain_second = alpha*gamma*T*S(w):
+    sums of positive terms, a few ulps off with no cancellation (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 5), by + and *
+    alone, which IEEE 754 rounds alike on every host.  w, not T**2, keeps
+    powers of gamma, which overflow at extreme gamma, out of the table.
+
+    The table is (gamma/2, alpha + beta, R, P, S), each polynomial a tuple
+    of its coefficients, highest power first, as _horner takes them; R's
+    leading coefficient C(n, n) is 1."""
+    if m.linear_mode or m.n != math.floor(m.n) or m.n > _LAW_MAX_N:
+        return None
+    n = int(m.n)
+    ks = range(n, 0, -1)
+    R = tuple(float(math.comb(n, k)) for k in ks)
+    P = tuple(float((2 * k + 1) * math.comb(n, k)) for k in ks)
+    S = tuple(float(k * (2 * k + 1) * math.comb(n, k)) for k in ks)
+    return 0.5 * m.gamma, m.alpha + m.beta, R, P, S
+
+
+def _horner(c: tuple, w):
+    """The polynomial with the coefficients c, highest power first, at w,
+    by Horner's rule, for floats and numpy arrays alike.  strain,
+    strain_prime and _fan_panel, the scalar solve's hot kernels, write out
+    the one- and two-term polynomials of n = 1 and n = 2 with the same
+    operations: a call costs them about a third of their time."""
+    h = c[0]
+    for x in c[1:]:
+        h = h * w + x
+    return h
+
 
 @dataclass(frozen=True)
 class Material:
@@ -84,6 +138,9 @@ class Material:
     n: float
     rho: float
     linear_mode: bool = False
+    #: The coefficient table of the integer-n law (_integer_law), or None.
+    law: tuple | None = field(default=None, init=False, compare=False,
+                              repr=False)
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "n", "rho"):
@@ -107,6 +164,7 @@ class Material:
         if not self.alpha + self.beta > 0.0:
             raise MaterialError(
                 "material requires alpha + beta > 0 (hyperbolicity)")
+        object.__setattr__(self, "law", _integer_law(self))
 
     @classmethod
     def linear(cls, alpha: float, beta: float, rho: float) -> "Material":
@@ -170,23 +228,41 @@ def load_material(source: str) -> Material:
 
 
 def strain(m: Material, T):
-    """Strain at stress T.  Odd and strictly increasing; array friendly."""
-    return m.beta * T + m.alpha * (1.0 + 0.5 * m.gamma * T * T) ** m.n * T
+    """Strain at stress T.  Odd and strictly increasing; array friendly.
+    For integer n the polynomial of _integer_law, else the power form."""
+    law = m.law
+    if law is None:
+        return m.beta * T + m.alpha * (1.0 + 0.5 * m.gamma * T * T) ** m.n * T
+    w = law[0] * T * T
+    R = law[2]
+    return T * (law[1] + m.alpha * w * (
+        R[0] if len(R) == 1 else R[0] * w + R[1] if len(R) == 2
+        else _horner(R, w)))
 
 
 def strain_prime(m: Material, T):
     """d(strain)/dT.  Even, strictly positive, minimized at T = 0."""
-    q = 1.0 + 0.5 * m.gamma * T * T
-    return m.beta + m.alpha * q ** (m.n - 1.0) * (
-        1.0 + 0.5 * (1.0 + 2.0 * m.n) * m.gamma * T * T)
+    law = m.law
+    if law is None:
+        q = 1.0 + 0.5 * m.gamma * T * T
+        return m.beta + m.alpha * q ** (m.n - 1.0) * (
+            1.0 + 0.5 * (1.0 + 2.0 * m.n) * m.gamma * T * T)
+    w = law[0] * T * T
+    P = law[3]
+    return law[1] + m.alpha * w * (
+        P[0] if len(P) == 1 else P[0] * w + P[1] if len(P) == 2
+        else _horner(P, w))
 
 
 def strain_second(m: Material, T):
     """d2(strain)/dT2.  Odd with sign(strain_second(T)) = sign(T)."""
-    q = 1.0 + 0.5 * m.gamma * T * T
-    return (m.alpha * m.n * m.gamma * T
-            * (3.0 + 0.5 * (1.0 + 2.0 * m.n) * m.gamma * T * T)
-            * q ** (m.n - 2.0))
+    law = m.law
+    if law is None:
+        q = 1.0 + 0.5 * m.gamma * T * T
+        return (m.alpha * m.n * m.gamma * T
+                * (3.0 + 0.5 * (1.0 + 2.0 * m.n) * m.gamma * T * T)
+                * q ** (m.n - 2.0))
+    return m.alpha * (m.gamma * T * _horner(law[4], law[0] * T * T))
 
 
 #: The smallest normal float.
@@ -239,10 +315,11 @@ def rarefaction_integral(m: Material, T_a: float, T_b: float) -> float:
 
 def _cubic_constants(m: Material) -> tuple:
     """The constants of the n = 1 fan as _cubic_fan takes them:
-    strain_prime = a + b*T**2 with a = alpha + beta and b =
-    1.5*alpha*gamma, then sqrt(b), 0.5*a/sqrt(b) and sqrt(rho)."""
-    a = m.alpha + m.beta
-    b = 1.5 * m.alpha * m.gamma
+    strain_prime = a + b*T**2 with a = alpha + beta and b = alpha*P*gamma/2
+    on the table's P = 3 (_integer_law), then sqrt(b), 0.5*a/sqrt(b) and
+    sqrt(rho)."""
+    a, _, P = m.law[1:4]
+    b = m.alpha * P[0] * (0.5 * m.gamma)
     rb = math.sqrt(b)
     return a, b, rb, 0.5 * a / rb, math.sqrt(m.rho)
 
@@ -315,9 +392,12 @@ class _FanTable:
 
     def __init__(self, m: Material):
         # strain_prime's constants as _fan_panel takes them, each rounded
-        # as there: gamma/2, (1 + 2n)*gamma/2, n - 1, alpha and beta
-        self.k = (0.5 * m.gamma, 0.5 * (1.0 + 2.0 * m.n) * m.gamma,
-                  m.n - 1.0, m.alpha, m.beta)
+        # as there: for integer n gamma/2, alpha + beta and the table's P
+        # (_integer_law), with alpha; otherwise gamma/2, (1 + 2n)*gamma/2,
+        # n - 1, alpha and beta
+        self.k = ((*m.law[:2], m.law[3], m.alpha) if m.law is not None
+                  else (0.5 * m.gamma, 0.5 * (1.0 + 2.0 * m.n) * m.gamma,
+                        m.n - 1.0, m.alpha, m.beta))
         self.root_rho, self.ends = math.sqrt(m.rho), _panel_ends(m)
         self.knots, self.sums, self.heads = [0.0], [0.0], {}
 
@@ -357,16 +437,31 @@ def _fan_panel(k: tuple, x: float, end: float) -> float:
     """The rule of _graded on the panel [x, end] for the integrand
     sqrt(strain_prime), written out, with strain_prime's operations inline
     in its order on the constants k of _FanTable, so that each node
-    has strain_prime's value bit for bit."""
-    half_gamma, c, n_1, alpha, beta = k
+    has strain_prime's value bit for bit; a two-term P (n = 2) is written
+    out there as in _horner."""
     sqrt = math.sqrt
     h = 0.5 * (end - x)
     mid = x + h
     panel = 0.0
-    for t, w in _GL_RULE:
+    if len(k) == 5:
+        half_gamma, c, n_1, alpha, beta = k
+        for t, w in _GL_RULE:
+            T = mid + h * t
+            panel += w * sqrt(beta + alpha * (1.0 + half_gamma * T * T) ** n_1
+                              * (1.0 + c * T * T))
+        return h * panel
+    half_gamma, a, P, alpha = k
+    if len(P) == 2:
+        p0, p1 = P
+        for t, wt in _GL_RULE:
+            T = mid + h * t
+            w = half_gamma * T * T
+            panel += wt * sqrt(a + alpha * w * (p0 * w + p1))
+        return h * panel
+    for t, wt in _GL_RULE:
         T = mid + h * t
-        panel += w * sqrt(beta + alpha * (1.0 + half_gamma * T * T) ** n_1
-                          * (1.0 + c * T * T))
+        w = half_gamma * T * T
+        panel += wt * sqrt(a + alpha * w * _horner(P, w))
     return h * panel
 
 
@@ -463,9 +558,12 @@ def _newton_bisect(fn, dfn, lo: float, hi: float, f_lo: float,
 
 def _excess(m: Material, T, xp=math):
     """r(T) = (q**n - 1)*T with q = 1 + gamma*T**2/2, and r'(T): strain
-    less its linear part is alpha*r(T).  The expm1/log1p form leaves no
+    less its linear part is alpha*r(T).  For integer n the polynomials of
+    _integer_law; otherwise the expm1/log1p form, which leaves no
     cancellation for small stresses."""
     u = 0.5 * m.gamma * T * T
+    if m.law is not None:
+        return T * u * _horner(m.law[2], u), u * _horner(m.law[3], u)
     excess = xp.expm1(m.n * xp.log1p(u))
     return excess * T, excess + 2.0 * m.n * u * (1.0 + u) ** (m.n - 1.0)
 
@@ -526,19 +624,29 @@ def _quintic_tangency_start(m: Material, B):
     return B * t
 
 
+#: The roundoff of the tangency residual at its root, in units of |r(-B)|:
+#: its three terms, each a few roundings off, sum to between 2*|r(-B)| and
+#: 4*|r(-B)| there (r'(T)*(T + B) = r(T) - r(-B) and 0 < r(T) < |r(-B)|).
+_TANGENCY_ROUNDOFF = 8.0 * math.ulp(1.0)
+
+
 def _tangency_bracket(m: Material, B, r_B, f_hi, xp=math):
     """(lo, f_lo, hi, f_hi): the bracket of the tangency of the anchor
     -B < 0 and its residuals, given r_B = r(-B) of _excess and the
     residual f_hi = 2*(r_B + B*r'(-B)) at B.  It is [0, B]; for n = 2 it
     is narrowed at _quintic_tangency_start's point, whose residual is
-    taken there, so rtsafe polishes the closed form and the start is
-    checked, not trusted.  One body for floats and numpy lanes."""
+    taken there, so the start is checked, not trusted.  A residual within
+    its roundoff (_TANGENCY_ROUNDOFF) reads as 0 there, at which rtsafe
+    returns the start with no step: a step could only move it within that
+    roundoff, which spans several ulps of the root at large anchors.
+    Otherwise rtsafe polishes it.  One body for floats and numpy lanes."""
     lo, f_lo, hi = 0.0 * B, r_B, B   # 0.0*B: a zero float or lane row
     if m.n != 2.0:
         return lo, f_lo, hi, f_hi
     x = _quintic_tangency_start(m, B)
-    return _narrow(lo, f_lo, hi, f_hi, x, _tangency_residual(m, B, r_B, x, xp),
-                   xp)
+    f_x = _tangency_residual(m, B, r_B, x, xp)
+    f_x = _where(abs(f_x) <= _TANGENCY_ROUNDOFF * -r_B, 0.0 * f_x, f_x, xp)
+    return _narrow(lo, f_lo, hi, f_hi, x, f_x, xp)
 
 
 def tangent_point(m: Material, T_anchor: float) -> float:
@@ -550,8 +658,10 @@ def tangent_point(m: Material, T_anchor: float) -> float:
     For a cubic strain (n = 1) the root is exactly -T_anchor/2.  Otherwise
     each call solves the tangency condition afresh by rtsafe (nothing is
     cached: a solve needs at most two tangency stresses, which its wave
-    curves keep); for n = 2 rtsafe starts from the closed-form root of
-    _quintic_tangency_start and polishes it (_tangency_bracket).  Raises
+    curves keep); for n = 2 it is the closed-form root of
+    _quintic_tangency_start, taken as it is where its residual is within
+    the residual's roundoff and polished by rtsafe otherwise
+    (_tangency_bracket).  Raises
     OverflowError where the constitutive functions overflow at the
     anchor: where the residual at the bracket end |T_anchor| is not
     finite (so neither are r or r' of _excess there, or the residual's

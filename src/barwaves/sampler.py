@@ -10,11 +10,11 @@ which fills float arrays of T and v: ``sample`` is a call with one point,
 and ``profile`` inverts all of its fan points at once.  For n = 1 and
 n = 2, strain_prime is a polynomial of degree 1 or 2 in T**2 and the fan
 state is in closed form (_closed_fan_stress), as the tangency of both is
-(material.tangent_point: exact for n = 1, a polished closed-form start
-for n = 2); otherwise the lane root finder solves it.  The lane root
-finder and the lane fan integral are ``batch``'s, the ones ``solve_many``
-uses; the fans of one call read one fan table, whose constants are the
-n = 1 fan integral's for n = 1.
+(material.tangent_point: exact for n = 1, a closed form checked by one
+residual for n = 2); otherwise the lane root finder solves it.  The lane
+root finder and the lane fan integral are ``batch``'s, the ones
+``solve_many`` uses; the fans of one call read one fan table, whose
+constants are the n = 1 fan integral's for n = 1.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .batch import _fan_lanes, _newton_bisect_many
 from .material import (
     Material,
     _fan_table,
+    _horner,
     _slope_speed,
     strain_prime,
     strain_second,
@@ -109,23 +110,34 @@ def _closed_fan_stress(m: Material, a: float, b: float,
                        xi: np.ndarray) -> np.ndarray:
     """The stress of the fan from a to b at rays xi for n = 1 or n = 2.
 
-    There strain_prime = a0 + a1*u + a2*u**2 in u = T**2, with a0 = alpha +
-    beta, a1 = 1.5*n*alpha*gamma and a2 = 0 for n = 1, a2 = 1.25*alpha*
-    gamma**2 for n = 2.  It equals 1/(rho*xi**2) on the ray, a quadratic
-    whose root u >= 0 is -2*c0/(1 + sqrt(1 - 4*c2*c0)) with c0 = (a0 -
-    1/(rho*xi**2))/a1 <= 0 and c2 = a2/a1 = (n - 1)*5*gamma/12: no
-    cancellation and no square of a1, and for n = 1 exactly -c0, the
-    root of the linear equation.  T = +-sqrt(u), signed like the fan's
-    stresses (a fan lies on one side of zero) and kept within its ends.
-    Its error is the roundoff of c0 times the condition number
+    There strain_prime = a0 + alpha*w*P(w) on the table's P
+    (material._integer_law), with a0 = alpha + beta and w = gamma*u/2 in
+    u = T**2: P = p1 for n = 1 and p2*w + p1 for n = 2.  So strain_prime
+    = a0 + a1*u*(1 + c2*u) with a1 = alpha*p1*gamma/2, c2 = p2*gamma/(2*p1)
+    for n = 2 and c2 = 0 for n = 1.  It equals 1/(rho*xi**2) on the ray, a
+    quadratic whose root u >= 0 is -2*c0/(1 + sqrt(1 - 4*c2*c0)) with c0 =
+    (a0 - 1/(rho*xi**2))/a1 <= 0: no cancellation and no power of gamma,
+    and for n = 1 exactly -c0, the root of the linear equation.  For
+    n = 2 one Newton step on rho*xi**2*strain_prime - 1, on the table's
+    polynomial in u, takes the roundings of the quadratic's root out; the
+    step's residual takes no quotient, and its difference is exact near
+    the root.  T = +-sqrt(u), signed like the fan's stresses (a fan lies
+    on one side of zero) and kept within its ends.  Its error is the
+    roundoff of c0 (or of the residual) times the condition number
     strain_prime/(u*d(strain_prime)/du) of the stress as a function of the
     ray, which grows without bound toward T = 0, where every method loses
     digits."""
     lo, hi = min(a, b), max(a, b)
-    c0 = (m.alpha + m.beta - 1.0 / (m.rho * xi * xi)) / (
-        1.5 * m.n * m.alpha * m.gamma)
-    c2 = (m.n - 1.0) * m.gamma / 2.4
+    half_gamma, a0, _, P = m.law[:4]
+    a1 = m.alpha * P[-1] * half_gamma
+    c2 = P[0] * half_gamma / P[1] if len(P) == 2 else 0.0
+    c0 = (a0 - 1.0 / (m.rho * xi * xi)) / a1
     u = -2.0 * c0 / (1.0 + np.sqrt(1.0 - 4.0 * c2 * c0))
+    if len(P) == 2:
+        w = half_gamma * u
+        rho_xi = m.rho * xi
+        u = u - ((rho_xi * (xi * (a0 + m.alpha * w * _horner(P, w))) - 1.0)
+                 / (rho_xi * (xi * a1 * (1.0 + 2.0 * c2 * u))))
     return np.clip(math.copysign(1.0, a + b) * np.sqrt(np.maximum(u, 0.0)),
                    lo, hi)
 

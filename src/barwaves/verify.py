@@ -202,52 +202,86 @@ def negation_deviation(p: WavePattern, q: WavePattern) -> float:
 
 def residual_slope_rows(m: Material, size: int) -> tuple:
     """The constant operands k of strain_residual_slope for arrays of
-    `size` elements: rows holding 0.5*gamma, 1, alpha, beta and
-    0.5*(1 + 2n)*gamma, in that order, views of one array."""
-    return tuple(np.repeat(
-        [[0.5 * m.gamma], [1.0], [m.alpha], [m.beta],
-         [0.5 * (1.0 + 2.0 * m.n) * m.gamma]], size, axis=1))
+    `size` elements, views of one array, built once per fv_reference
+    call.  The second row is all ones for every material.
+
+    For a material with the coefficient table of material._integer_law:
+    rows holding 0.5*gamma, 1, alpha and alpha + beta; the row of R's
+    second coefficient (None for n = 1, whose R is its leading 1) and a
+    tuple of the rows of its later ones; the row of P's leading
+    coefficient and a tuple of the rows of its later ones; and a work row.
+    Otherwise rows holding 0.5*gamma, 1, alpha, beta and
+    0.5*(1 + 2n)*gamma, in that order."""
+    if m.law is None:
+        return tuple(np.repeat(
+            [[0.5 * m.gamma], [1.0], [m.alpha], [m.beta],
+             [0.5 * (1.0 + 2.0 * m.n) * m.gamma]], size, axis=1))
+    half_gamma, a, R, P = m.law[:4]
+    rows = list(np.repeat([[c] for c in (
+        half_gamma, 1.0, m.alpha, a, *R[1:], *P, 0.0)], size, axis=1))
+    r_rows, (p_lead, *p_rows, work) = rows[4:3 + len(R)], rows[3 + len(R):]
+    return (*rows[:4], r_rows[0] if r_rows else None, tuple(r_rows[1:]),
+            p_lead, tuple(p_rows), work)
 
 
 def strain_residual_slope(m: Material, T, eps, r, slope, tmp, k) -> None:
     """Write strain(T) - eps into r and strain_prime(T) into slope, for
     float arrays T and eps, caller buffers r, slope and tmp of their shape
-    that alias neither, and the rows k = residual_slope_rows(m, T.size).
-    q = 1 + gamma*T**2/2 is computed once, held in slope until its last
-    use, and no temporary array is made.
+    that alias neither, and the rows k = residual_slope_rows(m, T.size);
+    no temporary array is made.
 
     The operations are those of strain and strain_prime, in the same order,
-    so both results match them bit for bit.  The constants come from the
-    rows k, by the dispatch rule of fv_reference, but the exponents n and
-    n - 1 stay Python floats: numpy's power rounds differently with an
-    array exponent (power(q, 2.0) is q*q, an array of 2.0 is not).  A
-    power of exponent 1 or 0 is not called, since numpy's power(q, 1.0) is
-    q and power(q, 0.0) is 1 bit for bit, inf and NaN included, and
-    1*alpha is alpha: a pass makes 13 numpy calls for n = 1, 15 for n = 2
-    and 16 otherwise."""
+    so both results match them bit for bit.  For integer n they are the
+    Horner polynomials of material._integer_law: w = gamma*T**2/2 is held
+    in slope and alpha*w in tmp, both read by the strain and the slope.
+    R's leading coefficient, 1, is not multiplied (1*w is w bit for bit),
+    so a pass makes 8 numpy calls for n = 1 and 12 for n = 2.
+
+    Otherwise q = 1 + gamma*T**2/2 is computed once and held in slope until
+    its last use; the constants come from the rows k, by the dispatch rule
+    of fv_reference, but the exponents n and n - 1 stay Python floats:
+    numpy's power rounds differently with an array exponent (power(q, 2.0)
+    is q*q, an array of 2.0 is not).  16 calls."""
+    if m.law is not None:
+        half_gamma, _, alpha, a, r_second, r_rows, p_lead, p_rows, work = k
+        w = np.multiply(T, half_gamma, slope)
+        np.multiply(w, T, w)
+        aw = np.multiply(w, alpha, tmp)
+        # T*(a + alpha*w*R(w)), R = 1 for n = 1
+        h = aw
+        if r_second is not None:
+            h = np.add(w, r_second, r)
+            for c in r_rows:
+                np.multiply(h, w, h)
+                np.add(h, c, h)
+            np.multiply(h, aw, h)
+        np.add(h, a, r)
+        np.multiply(r, T, r)
+        np.subtract(r, eps, r)
+        # a + alpha*w*P(w), w still in slope
+        h = p_lead
+        for c in p_rows:
+            h = np.multiply(h, w, work)
+            np.add(h, c, h)
+        np.multiply(aw, h, slope)
+        np.add(slope, a, slope)
+        return
     half_gamma, one, alpha, beta, c = k
     q = np.multiply(T, half_gamma, slope)
     np.multiply(q, T, q)
     np.add(q, one, q)
-    if m.n == 1.0:
-        np.multiply(q, alpha, r)
-    else:
-        np.power(q, m.n, r)
-        np.multiply(r, alpha, r)
+    np.power(q, m.n, r)
+    np.multiply(r, alpha, r)
     np.multiply(r, T, r)
     np.multiply(T, beta, tmp)
     np.add(tmp, r, r)
     np.subtract(r, eps, r)
-    # q**(n - 1)*alpha, with q still in slope: alpha itself for n = 1
-    scaled = alpha
-    if m.n != 1.0:
-        if m.n != 2.0:
-            np.power(q, m.n - 1.0, slope)
-        scaled = np.multiply(slope, alpha, slope)
+    np.power(q, m.n - 1.0, slope)
+    np.multiply(slope, alpha, slope)
     np.multiply(T, c, tmp)
     np.multiply(tmp, T, tmp)
     np.add(tmp, one, tmp)
-    np.multiply(scaled, tmp, slope)
+    np.multiply(slope, tmp, slope)
     np.add(slope, beta, slope)
 
 
@@ -379,10 +413,12 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
     arrays of their partners' shapes, made once per call, and the boundary
     fluxes are summed in Python floats read off the edge columns (the same
     IEEE operations).  The exceptions are np.maximum, which deprecates a
-    positional out, and the exponents of strain_residual_slope.  For the
-    same reason the pass makes no call whose result is known bit for bit:
-    it skips the powers of exponent 1 and 0, three calls per pass for
-    n = 1 and one for n = 2.
+    positional out, and the exponents of strain_residual_slope for real n.
+    For integer n the pass is the Horner polynomials of the material's
+    law, on rows built once per call (residual_slope_rows), and it makes
+    no Python slice and no call whose result is known bit for bit: 8
+    numpy calls for n = 1 and 12 for n = 2, where the power form took 13
+    and 15.
 
     When a dict is passed as `tallies`, the accumulated boundary fluxes and
     the initial/final conserved sums are stored in it (keys flux_eps,

@@ -8,6 +8,8 @@ import math
 import os
 import random
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -443,6 +445,60 @@ def test_solve_output_is_pinned(path, digest, name):
     pool = pinned_pool(sorted(PINNED).index(name))
     assert digest(PINNED[name], pool) == pinned_solve_digests()[
         f"{path} {name}"]
+
+
+def test_quintic_lanes_equal_solve_bit_for_bit():
+    # the integer-n law, the tangency and the fan are + - * / and sqrt
+    # alone, which numpy's loops round as math does (IEEE 754), so every
+    # quintic lane equals its scalar solve; the power forms differed on
+    # 225 of these 6543 problems where numpy's SIMD routines round apart
+    for seed in range(3):
+        pool = pinned_pool(seed)
+        sol = solve_many(QUINTIC, *np.array(pool, dtype=float).T)
+        for i, (a, b, c, d) in enumerate(pool):
+            want = scalar_outcome(QUINTIC, State(a, b), State(c, d))
+            where = f"lane {i} of pool {seed}: {(a, b, c, d)}"
+            if isinstance(want, Exception):
+                assert repr(sol.error[i]) == repr(want), where
+                continue
+            assert sol.error[i] is None, where
+            assert (float(sol.T_bar[i]), float(sol.v_bar[i]),
+                    sol.region_label[i], sol.zero_velocity_case[i]) == (
+                        want[:4]), where
+
+
+#: The tests of quintic output bit for bit, the FV ones included.
+QUINTIC_PINS = [
+    "tests/test_batch.py::test_solve_output_is_pinned"
+    "[quintic-solve-solve_digest]",
+    "tests/test_batch.py::test_solve_output_is_pinned"
+    "[quintic-solve_many-solve_many_digest]",
+    "tests/test_batch.py::test_quintic_lanes_equal_solve_bit_for_bit",
+    "tests/test_cli.py::test_profile_bytes_are_pinned"
+    "[profile --material quintic --tl -1 --tr 0.8 --vr -3 --count 401]",
+    "tests/test_verify.py::test_fv_reference_output_is_pinned"
+    "[oracle-1 cells=200]",
+    "tests/test_verify.py::test_fv_reference_output_is_pinned"
+    "[oracle-4 cells=200]",
+]
+
+
+def test_quintic_pins_hold_without_numpy_simd_routines():
+    # numpy computes arcsinh, expm1, log1p and power by its own AVX-512
+    # routines where the host has them, and they round apart from libm's;
+    # switched off in a child process, they stand in for a host without
+    # AVX-512.  The quintic output takes none of them: its pins hold
+    # either way (the cubic fans keep numpy's arcsinh, and n = 1.5 its
+    # power)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ,
+               NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *QUINTIC_PINS], cwd=root, env=env, capture_output=True, text=True,
+        timeout=600)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert f"{len(QUINTIC_PINS)} passed" in run.stdout, run.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -107,9 +107,9 @@ def residual_slope_stresses(m):
 @pytest.mark.parametrize("m", [
     *PRESETS.values(),
     # constants that are not powers of two, so that no product is exact
-    *(Material(1.3, -0.7, 0.9, n, 1.0) for n in (0.5, 1.5, 3.5)),
+    *(Material(1.3, -0.7, 0.9, n, 1.0) for n in (0.5, 1.5, 3.0, 3.5, 20.0)),
     Material(1.0, -0.999, 1.0, 1.0, 1.0),
-], ids=[*PRESETS, "n=0.5", "n=1.5", "n=3.5", "near-hyperbolic"])
+], ids=[*PRESETS, "n=0.5", "n=1.5", "n=3", "n=3.5", "n=20", "near-hyperbolic"])
 def test_strain_residual_slope_is_strain_and_strain_prime_bit_for_bit(m):
     # the array pass and the two kernels evaluated on the same array: a
     # fix to one formula must land in both (numpy's power can differ from
@@ -134,8 +134,9 @@ def test_strain_residual_slope_is_strain_and_strain_prime_bit_for_bit(m):
 
 @pytest.mark.parametrize("m", [
     PRESETS["cubic"], PRESETS["quintic"], Material(1.0, -0.999, 1.0, 1.0, 1.0),
-    *(Material(1.3, -0.7, 0.9, n, 1.0) for n in (0.5, 1.5, 3.5)),
-], ids=["cubic", "quintic", "near-hyperbolic", "n=0.5", "n=1.5", "n=3.5"])
+    *(Material(1.3, -0.7, 0.9, n, 1.0) for n in (0.5, 1.5, 3.0, 3.5)),
+], ids=["cubic", "quintic", "near-hyperbolic", "n=0.5", "n=1.5", "n=3",
+        "n=3.5"])
 def test_fan_panel_is_the_rule_on_strain_prime_bit_for_bit(m):
     # _fan_panel writes strain_prime out inline on constants taken once
     # per fan table: a fix to one formula must land in both
@@ -407,21 +408,50 @@ def test_quintic_tangency_start_is_one_body_for_floats_and_lanes(quintic):
 
 def test_quintic_tangent_point_takes_one_residual_evaluation(monkeypatch,
                                                              quintic):
-    # the residual at the closed-form start, then rtsafe's first Newton
-    # step is within two ulps and returns; rtsafe from [0, A] took 5.31
-    # residual evaluations per call on these anchors
-    calls = [0]
-    residual = material._tangency_residual
+    # the residual at the closed-form start is within its roundoff, so
+    # rtsafe returns the start with no step: one residual evaluation and
+    # no slope per call, on the box and up to the overflow edge; rtsafe
+    # from [0, A] took 5.31 residual evaluations per call on these anchors
+    calls = {"residual": 0, "slope": 0}
+    for name in calls:
+        kernel = getattr(material, f"_tangency_{name}")
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return residual(*args, **kwargs)
+        def counted(*args, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(*args)
 
-    monkeypatch.setattr(material, "_tangency_residual", counted)
+        monkeypatch.setattr(material, f"_tangency_{name}", counted)
     rng = random.Random(3)
     for _ in range(200):
         tangent_point(quintic, -rng.uniform(0.01, 3.0))
-    assert calls[0] == 201
+    assert calls == {"residual": 200, "slope": 0}
+    for _ in range(600):
+        tangent_point(quintic, -(10.0 ** rng.uniform(-15.5, 61.5)))
+    assert calls == {"residual": 800, "slope": 0}
+
+
+def test_quintic_tangency_start_is_checked_not_trusted(monkeypatch,
+                                                       quintic):
+    # a start 1e-12 off the root is outside the residual's roundoff, so
+    # rtsafe polishes it back to within the roundoff of the residual, a
+    # few ulps of the accepted start
+    rng = random.Random(4)
+    anchors = [rng.uniform(0.01, 3.0) for _ in range(50)]
+    want = [tangent_point(quintic, -A) for A in anchors]
+    start = material._quintic_tangency_start
+    monkeypatch.setattr(material, "_quintic_tangency_start",
+                        lambda m, B: start(m, B) * (1.0 + 1e-12))
+    slopes = [0]
+    slope = material._tangency_slope
+
+    def counted(*args):
+        slopes[0] += 1
+        return slope(*args)
+
+    monkeypatch.setattr(material, "_tangency_slope", counted)
+    for A, T in zip(anchors, want):
+        assert abs(tangent_point(quintic, -A) - T) <= 4.0 * math.ulp(T)
+    assert slopes[0] >= len(anchors)
 
 
 def test_tangent_point_requires_nonzero_anchor(cubic):

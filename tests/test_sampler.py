@@ -375,6 +375,47 @@ def test_n2_fan_stress_is_as_accurate_as_rtsafe(m, zero_end):
     assert worst["closed"][1] <= 2.0 * math.ulp(1.0)
 
 
+def test_rtsafe_fan_stress_is_accurate_near_hyperbolicity_loss():
+    # n = 3 keeps lane rtsafe, on strain_prime = (alpha + beta) +
+    # alpha*w*P(w), which takes alpha + beta once; the power form's
+    # beta + alpha*q**(n - 1)*(...) cancelled near alpha + beta = 0 and
+    # read 446 ulps over the condition number here (851 on zero-end fans)
+    m = Material(1.0, -0.999, 1.0, 3.0, 1.0)
+    for zero_end in (False, True):
+        worst = 0.0
+        with mpmath.workdps(50):
+            alpha, beta, gamma, n, rho = map(
+                mpmath.mpf, (m.alpha, m.beta, m.gamma, m.n, m.rho))
+
+            def slope_and_rise(u):
+                # strain_prime and d(strain_prime)/du in u = T**2
+                q = 1 + gamma * u / 2
+                c = (1 + 2 * n) * gamma / 2
+                return (beta + alpha * q ** (n - 1) * (1 + c * u),
+                        alpha * q ** (n - 2) * ((n - 1) * gamma / 2
+                                                * (1 + c * u) + q * c))
+
+            for p, w in seeded_fans(m, 7, zero_end):
+                xi = np.linspace(w.speed_head, w.speed_tail, 202)[1:-1]
+                xi = xi[(w.speed_head < xi) & (xi < w.speed_tail)]
+                sigma = -1.0 if w.family == BACKWARD else 1.0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    got = sampler._fan_stress(m, w.left.T, w.right.T, sigma,
+                                              xi)
+                for T, x in zip(got.tolist(), xi.tolist()):
+                    target = 1 / (rho * mpmath.mpf(x) ** 2)
+                    # Newton in 50 digits from the float stress
+                    u = mpmath.mpf(T) ** 2
+                    for _ in range(6):
+                        S, dS = slope_and_rise(u)
+                        u -= (S - target) / dS
+                    S, dS = slope_and_rise(u)
+                    assert abs(S - target) <= 1e-40 * target
+                    rel = abs(abs(T) / mpmath.sqrt(u) - 1)
+                    worst = max(worst, float(rel * u * dS / S))
+        assert worst <= 2.0 * math.ulp(1.0), zero_end
+
+
 def fan_edges_checked(n):
     """Fans of seeded materials of exponent n checked eight ulps from each
     edge: their sampled stresses stay within the fan and are finite."""

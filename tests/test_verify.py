@@ -437,16 +437,16 @@ class CountingNumpy:
 
 
 @pytest.mark.parametrize("name,calls,steps,passes,per_pass", [
-    ("cubic", 8773, 257, 258, 13),
-    ("quintic", 25165, 257, 1039, 15),
+    ("cubic", 7483, 257, 258, 8),
+    ("quintic", 22048, 257, 1039, 12),
 ])
 def test_fv_numpy_calls_are_pinned(monkeypatch, name, calls, steps, passes,
                                    per_pass):
     # the benchmark's released-bar grid: numpy's dispatch sets the step's
-    # time, so each call counts.  A residual pass skips the powers of
-    # exponent 1 and 0 (16 calls otherwise): 34.1 calls per step for the
-    # cubic preset, one pass per step, and for the quintic 97.9, 4.04
-    # passes per step
+    # time, so each call counts.  A residual pass is the integer-n law's
+    # Horner polynomials (16 calls for the power form of real n): 29.1
+    # calls per step for the cubic preset, one pass per step, and for the
+    # quintic 85.8, 4.04 passes per step
     counting = CountingNumpy()
     monkeypatch.setattr(verify, "np", counting)
     in_passes = [0, 0]

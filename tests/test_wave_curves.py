@@ -548,7 +548,7 @@ def test_shock_of_roundoff_width_logs_its_characteristic_slope(quintic,
                                                               caplog):
     # one ulp of stress across which the strain rounds to one value: the
     # chord has no width, so the slope is the characteristic limit
-    A = -0.4896563079259635
+    A = -0.48965630792596443
     y = math.nextafter(A, math.inf)
     assert strain(quintic, y) == strain(quintic, A)
     caplog.set_level(logging.DEBUG, logger="barwaves.wave_curves")
