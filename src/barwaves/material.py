@@ -560,10 +560,17 @@ def _excess(m: Material, T, xp=math):
     """r(T) = (q**n - 1)*T with q = 1 + gamma*T**2/2, and r'(T): strain
     less its linear part is alpha*r(T).  For integer n the polynomials of
     _integer_law; otherwise the expm1/log1p form, which leaves no
-    cancellation for small stresses."""
+    cancellation for small stresses.  The one- and two-term R and P of
+    n = 1 and n = 2 are written out, as in strain."""
     u = 0.5 * m.gamma * T * T
-    if m.law is not None:
-        return T * u * _horner(m.law[2], u), u * _horner(m.law[3], u)
+    law = m.law
+    if law is not None:
+        R, P = law[2], law[3]
+        if len(R) == 1:
+            return T * u * R[0], u * P[0]
+        if len(R) == 2:
+            return T * u * (R[0] * u + R[1]), u * (P[0] * u + P[1])
+        return T * u * _horner(R, u), u * _horner(P, u)
     excess = xp.expm1(m.n * xp.log1p(u))
     return excess * T, excess + 2.0 * m.n * u * (1.0 + u) ** (m.n - 1.0)
 

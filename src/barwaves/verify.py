@@ -242,47 +242,48 @@ def strain_residual_slope(m: Material, T, eps, r, slope, tmp, k) -> None:
     of fv_reference, but the exponents n and n - 1 stay Python floats:
     numpy's power rounds differently with an array exponent (power(q, 2.0)
     is q*q, an array of 2.0 is not).  16 calls."""
+    multiply, add = np.multiply, np.add
     if m.law is not None:
         half_gamma, _, alpha, a, r_second, r_rows, p_lead, p_rows, work = k
-        w = np.multiply(T, half_gamma, slope)
-        np.multiply(w, T, w)
-        aw = np.multiply(w, alpha, tmp)
+        w = multiply(T, half_gamma, slope)
+        multiply(w, T, w)
+        aw = multiply(w, alpha, tmp)
         # T*(a + alpha*w*R(w)), R = 1 for n = 1
         h = aw
         if r_second is not None:
-            h = np.add(w, r_second, r)
+            h = add(w, r_second, r)
             for c in r_rows:
-                np.multiply(h, w, h)
-                np.add(h, c, h)
-            np.multiply(h, aw, h)
-        np.add(h, a, r)
-        np.multiply(r, T, r)
+                multiply(h, w, h)
+                add(h, c, h)
+            multiply(h, aw, h)
+        add(h, a, r)
+        multiply(r, T, r)
         np.subtract(r, eps, r)
         # a + alpha*w*P(w), w still in slope
         h = p_lead
         for c in p_rows:
-            h = np.multiply(h, w, work)
-            np.add(h, c, h)
-        np.multiply(aw, h, slope)
-        np.add(slope, a, slope)
+            h = multiply(h, w, work)
+            add(h, c, h)
+        multiply(aw, h, slope)
+        add(slope, a, slope)
         return
     half_gamma, one, alpha, beta, c = k
-    q = np.multiply(T, half_gamma, slope)
-    np.multiply(q, T, q)
-    np.add(q, one, q)
+    q = multiply(T, half_gamma, slope)
+    multiply(q, T, q)
+    add(q, one, q)
     np.power(q, m.n, r)
-    np.multiply(r, alpha, r)
-    np.multiply(r, T, r)
-    np.multiply(T, beta, tmp)
-    np.add(tmp, r, r)
+    multiply(r, alpha, r)
+    multiply(r, T, r)
+    multiply(T, beta, tmp)
+    add(tmp, r, r)
     np.subtract(r, eps, r)
     np.power(q, m.n - 1.0, slope)
-    np.multiply(slope, alpha, slope)
-    np.multiply(T, c, tmp)
-    np.multiply(tmp, T, tmp)
-    np.add(tmp, one, tmp)
-    np.multiply(slope, tmp, slope)
-    np.add(slope, beta, slope)
+    multiply(slope, alpha, slope)
+    multiply(T, c, tmp)
+    multiply(tmp, T, tmp)
+    add(tmp, one, tmp)
+    multiply(slope, tmp, slope)
+    add(slope, beta, slope)
 
 
 def cubic_inverse_rows(m: Material, size: int) -> tuple | None:
@@ -341,13 +342,15 @@ def _invert_strain_grid(m: Material, eps: np.ndarray, T: np.ndarray,
     if cubic is not None:
         cubic_inverse(eps, T, cubic)
         strain_residual_slope(m, T, eps, r, slope, work, k)
-    np.abs(eps, tol)
+    absolute, less_equal, count_nonzero, divide, subtract = (
+        np.abs, np.less_equal, np.count_nonzero, np.divide, np.subtract)
+    absolute(eps, tol)
     # maximum, unlike the other ufuncs, deprecates a positional out
     np.maximum(tol, k[1], out=tol)
     np.multiply(tol, rel, tol)
     updates, restart = 0, cubic is not None
     # all() by count_nonzero, which skips the reduction machinery
-    while np.count_nonzero(np.less_equal(np.abs(r, work), tol, ok)) < T.size:
+    while count_nonzero(less_equal(absolute(r, work), tol, ok)) < T.size:
         if restart:
             restart = False
             over = np.flatnonzero(~np.isfinite(T))
@@ -364,8 +367,8 @@ def _invert_strain_grid(m: Material, eps: np.ndarray, T: np.ndarray,
                 T[i] = invert_strain(m, float(eps[i]))
             strain_residual_slope(m, T, eps, r, slope, work, k)
             return T, r, slope, updates, stuck.size
-        np.divide(r, slope, work)
-        np.subtract(T, work, T)
+        divide(r, slope, work)
+        subtract(T, work, T)
         strain_residual_slope(m, T, eps, r, slope, work, k)
         updates += 1
     return T, r, slope, updates, 0
@@ -418,7 +421,26 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
     law, on rows built once per call (residual_slope_rows), and it makes
     no Python slice and no call whose result is known bit for bit: 8
     numpy calls for n = 1 and 12 for n = 2, where the power form took 13
-    and 15.
+    and 15.  The ufuncs a hot function calls are bound to locals when it
+    starts, from the module's np, so each call skips two lookups.
+
+    numpy runs a call on contiguous operands as one loop, and a strided
+    2-row view as one loop per row, about twice as slow at this size.  So
+    the flux half of the step works on the conserved rows (eps, mom) and
+    on the flux rows (mom, T) as flat 1-D views of W, which holds them
+    contiguously, and every neighbour operand is a 1-D slice: the fluxes
+    F and the interface fluxes fhat have 2*(cells + 2) and
+    2*(cells + 2) - 1 entries.  One interface straddles the two rows,
+    between the right ghost of eps and the left ghost of mom: its flux is
+    computed and never read, and its share of d lands only on those two
+    ghost cells, which the outflow copy rewrites before they are read
+    again.  That copy, ghost columns from edge columns, is the one call
+    left on strided operands, once per step.  The scales -2*rho and -2
+    give the physical fluxes halved, so the sum of two neighbours is
+    their average.  Halving commutes with rounding, so the sum equals
+    0.5*(F_lo + F_hi) bit for bit except where a halved flux is subnormal
+    (a bit may be lost) or where F_lo + F_hi exceeds the largest float
+    (the sum of the halves stays finite).
 
     When a dict is passed as `tallies`, the accumulated boundary fluxes and
     the initial/final conserved sums are stored in it (keys flux_eps,
@@ -458,7 +480,6 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
     # strain, momentum and stress, with one ghost cell at each end; the
     # first two rows are the conserved variables
     W = np.empty((3, cells + 2))
-    U = W[:2]
     eps, mom, T = W[0, 1:-1], W[1, 1:-1], W[2, 1:-1]
     T[:] = np.where(x < 0.0, U_l.T, U_r.T)
     mom[:] = np.where(x < 0.0, m.rho * U_l.v, m.rho * U_r.v)
@@ -473,29 +494,35 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
     strain_residual_slope(m, T, r, eps, slope, work, k)
     sum0_eps = float(np.sum(eps))
     sum0_mom = float(np.sum(mom))
-    F = np.empty((2, cells + 2))
-    fhat = np.empty((2, cells + 1))
-    jump = np.empty((2, cells + 1))
-    d = np.empty((2, cells))
+    # flat views of the row pairs (eps, mom) and (mom, T); fhat gets one
+    # slot more than its interfaces, for the 2-row view of its ends
+    size = 2 * (cells + 2)
+    U, W_flux = W[:2].reshape(-1), W[1:].reshape(-1)
+    F = np.empty(size)
+    fhat_rows = np.empty(size)
+    fhat = fhat_rows[:-1]
+    jump = np.empty(size - 1)
+    d = np.empty(size - 2)
     # the constant operands, of their partners' shapes: the stopping
-    # rule's 1e-13; the scales -rho and -1 of the physical fluxes
-    # f(strain) = -v and f(momentum) = -T; the 0.5 of the flux average;
-    # and 0.5*a and dt/dx, refilled when a or dt changes
+    # rule's 1e-13; the scales -2*rho and -2 of the halved physical fluxes
+    # f(strain)/2 = -v/2 and f(momentum)/2 = -T/2; and 0.5*a and dt/dx,
+    # refilled when a or dt changes
     rel = np.full(cells, 1e-13)
-    flux_scale = np.repeat([[-m.rho], [-1.0]], cells + 2, axis=1)
-    half = np.full((2, cells + 1), 0.5)
-    half_a = np.full((2, cells + 1), 0.5 * a)
-    dt_dx = np.empty((2, cells))
+    flux_scale = np.repeat([-2.0 * m.rho, -2.0], cells + 2)
+    half_a = np.full(size - 1, 0.5 * a)
+    dt_dx = np.empty(size - 2)
     dt_set = None
     # views of the step's operands, taken once: the ghost columns 0 and
     # cells + 1 with the edge columns 1 and cells they copy, the left and
-    # right neighbours of each interface, and the boundary fluxes
+    # right neighbours of each interface, the boundary fluxes and the
+    # strain row's share of d
     ghosts, edges = W[:, ::cells + 1], W[:, 1:cells + 1:cells - 1]
-    F_lo, F_hi = F[:, :-1], F[:, 1:]
-    U_lo, U_hi = U[:, :-1], U[:, 1:]
-    fhat_lo, fhat_hi = fhat[:, :-1], fhat[:, 1:]
-    U_in, W_flux, r_shift = U[:, 1:-1], W[1:], d[0]
-    fhat_ends = fhat[:, ::cells]
+    F_lo, F_hi = F[:-1], F[1:]
+    U_lo, U_hi, U_in = U[:-1], U[1:], U[1:-1]
+    fhat_lo, fhat_hi = fhat[:-1], fhat[1:]
+    fhat_ends, r_shift = fhat_rows.reshape(2, -1)[:, ::cells], d[:cells]
+    copyto, add, subtract, multiply, divide = (
+        np.copyto, np.add, np.subtract, np.multiply, np.divide)
     flux_eps = flux_mom = 0.0
     steps = newton_steps = rescued = 0
 
@@ -505,26 +532,26 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
         if dt != dt_set:
             dt_set = dt
             dt_dx.fill(dt / dx)
-        np.copyto(ghosts, edges)  # outflow
-        np.divide(W_flux, flux_scale, F)
-        # interface fluxes with global dissipation speed a:
+        copyto(ghosts, edges)  # outflow
+        divide(W_flux, flux_scale, F)
+        # interface fluxes with global dissipation speed a, the 0.5 of the
+        # average taken by the scales:
         # fhat = 0.5*(F_lo + F_hi) - 0.5*a*(U_hi - U_lo)
-        np.add(F_lo, F_hi, fhat)
-        np.multiply(fhat, half, fhat)
-        np.subtract(U_hi, U_lo, jump)
-        np.multiply(jump, half_a, jump)
-        np.subtract(fhat, jump, fhat)
+        add(F_lo, F_hi, fhat)
+        subtract(U_hi, U_lo, jump)
+        multiply(jump, half_a, jump)
+        subtract(fhat, jump, fhat)
         # d = (dt/dx)*(fhat_hi - fhat_lo)
-        np.subtract(fhat_hi, fhat_lo, d)
-        np.multiply(d, dt_dx, d)
-        np.subtract(U_in, d, U_in)
+        subtract(fhat_hi, fhat_lo, d)
+        multiply(d, dt_dx, d)
+        subtract(U_in, d, U_in)
         (lo_eps, hi_eps), (lo_mom, hi_mom) = fhat_ends.tolist()
         flux_eps += dt * (hi_eps - lo_eps)
         flux_mom += dt * (hi_mom - lo_mom)
-        # eps moved by -d[0], so a kept residual moves by +d[0]; the
-        # closed form takes a fresh one
+        # eps moved by -d[:cells], so a kept residual moves by +d[:cells];
+        # the closed form takes a fresh one
         if cubic is None:
-            np.add(r, r_shift, r)
+            add(r, r_shift, r)
         # T, r and slope are updated in place; T stays the stress row of W
         *_, updates, stuck = _invert_strain_grid(m, eps, T, r, slope, k,
                                                  cubic, rel, tol, work, ok)

@@ -30,7 +30,9 @@ from barwaves.batch import _NODES, _WEIGHTS
 from barwaves.material import (
     _GL_RULE,
     _FanTable,
+    _excess,
     _fan_panel,
+    _horner,
     _quintic_tangency_start,
 )
 from barwaves.verify import residual_slope_rows, strain_residual_slope
@@ -149,6 +151,29 @@ def test_fan_panel_is_the_rule_on_strain_prime_bit_for_bit(m):
             for t, w in _GL_RULE:
                 panel += w * math.sqrt(strain_prime(m, x + h + h * t))
             assert repr(_fan_panel(k, x, end)) == repr(h * panel), (x, end)
+
+
+@pytest.mark.parametrize("m", [
+    PRESETS["cubic"], PRESETS["quintic"], Material(1.0, -0.999, 1.0, 1.0, 1.0),
+    *(Material(1.3, -0.7, 0.9, n, 1.0) for n in (1.0, 2.0, 3.0)),
+], ids=["cubic", "quintic", "near-hyperbolic", "n=1", "n=2", "n=3"])
+def test_excess_is_the_horner_form_bit_for_bit(m):
+    # _excess writes out the one- and two-term R and P of n = 1 and n = 2:
+    # the same operations as _horner on the law's table, on floats and on
+    # numpy lanes
+    mags = np.logspace(-8.0, 3.0, 221)
+    T = np.concatenate((mags, -mags))
+    R, P = m.law[2], m.law[3]
+
+    def horner_form(T):
+        u = 0.5 * m.gamma * T * T
+        return T * u * _horner(R, u), u * _horner(P, u)
+
+    lanes = _excess(m, T, np)
+    assert [x.tobytes() for x in lanes] == [
+        x.tobytes() for x in horner_form(T)]
+    for t in T.tolist():
+        assert repr(_excess(m, t)) == repr(horner_form(t)), t
 
 
 def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
