@@ -434,10 +434,13 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
     between the right ghost of eps and the left ghost of mom: its flux is
     computed and never read, and its share of d lands only on those two
     ghost cells, which the outflow copy rewrites before they are read
-    again.  That copy, ghost columns from edge columns, is the one call
-    left on strided operands, once per step.  The scales -2*rho and -2
-    give the physical fluxes halved, so the sum of two neighbours is
-    their average.  Halving commutes with rounding, so the sum equals
+    again.  Its jump, a momentum less a strain, can overflow only where
+    one of those ghosts exceeds half the largest float; the edge states
+    fill half a row each, so on such data the sum of that row taken at
+    the start overflows already.  The outflow copy, ghost columns from
+    edge columns, is the one call left on strided operands, once per
+    step.  The scales -2*rho and -2 give the physical fluxes halved, so
+    the sum of two neighbours is their average.  Halving commutes with rounding, so the sum equals
     0.5*(F_lo + F_hi) bit for bit except where a halved flux is subnormal
     (a bit may be lost) or where F_lo + F_hi exceeds the largest float
     (the sum of the halves stays finite).

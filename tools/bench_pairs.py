@@ -3,7 +3,7 @@
 Usage:
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N
-        --seed S [--seconds SECONDS] --out FILE
+        --seed S --out FILE
 
 PARENT and CHANGE are directories that each hold a copy of the repository
 (at least src/, bench/ and BENCHMARK.json).  Pair i runs both sides on the
@@ -14,8 +14,8 @@ sides alike.  Each run is
     python3 bench/run.py --workload W --seed S+i --seconds SECONDS --trace 0
 
 in its checkout, and its last line of output, a JSON object, is kept.
-SECONDS defaults to the run_seconds of CHANGE's BENCHMARK.json, and the
-summary covers the end-to-end metrics declared there.
+SECONDS is the run_seconds of CHANGE's BENCHMARK.json, and the summary
+covers the end-to-end metrics declared there.
 
 FILE gets the keys `runs`, one entry per run, and `summary`, one entry per
 workload, as in the committed BENCH_*.json files.  When FILE exists, its
@@ -109,18 +109,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True,
-                        choices=("box", "wide", "atlas", "fvcheck"))
+    parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for the quartiles")
 
     spec = benchmark_spec(args.change)
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
