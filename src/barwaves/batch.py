@@ -16,14 +16,14 @@ once its residual is noise and no straggler keeps the others' rounds
 going.  Both curves of every lane are rows of one ``_Curves``: a
 residual or slope round is one curve call.
 
-This module keeps the control flow on lanes (loops that compact their
-live lanes where the scalar path branches, a failed lane that stops
-alone) and the lane fans ``_fan_lanes``, which read the knots and prefix
-sums of the call's ``material._FanTable`` and sum only a head and a tail
-panel per lane; ``sampler`` shares them and the rtsafe loop
-``_newton_bisect_many``, whose steps and exits are those of
-``material._newton_bisect`` (a step shared with floats would cost the
-scalar path a Python call per step).  The formulas are shared:
+This module keeps the control flow on lanes (where the scalar path
+branches, the bracket search compacts its live lanes and rtsafe retires
+each lane by mask, and a failed lane stops alone) and the lane fans
+``_fan_lanes``, which read the knots and prefix sums of the call's
+``material._FanTable`` and sum only a head and a tail panel per lane;
+``sampler`` shares them and the rtsafe loop ``_newton_bisect_many``,
+whose steps and exits are those of ``material._newton_bisect`` (see there
+for why the two loops stay two).  The formulas are shared:
 ``material``'s tangency condition and bracket (with the n = 2 start)
 and n = 1 fan; ``wave_curves``' shock jump, fan integrand and
 shock-branch slope; ``riemann``'s tolerances, search, classification
@@ -429,48 +429,50 @@ def _fan_lanes(m: Material, table, T_a, T_b):
 # masked root finding
 
 
+def _on_lanes(fn, lanes, x):
+    """fn(pos, x[pos]) at the positions pos where lanes is True, and NaN at
+    the others."""
+    out = np.full(x.size, np.nan)
+    pos = np.flatnonzero(lanes)
+    if pos.size:
+        out[pos] = fn(pos, x[pos])
+    return out
+
+
 def _newton_bisect_many(fn, dfn, lo, hi, f_lo, f_hi):
     """material._newton_bisect on lanes, with its steps and exits per lane
     (the table ROOT_FINDER_EXITS of tests/test_material.py runs every exit
     through both).  fn(pos, x) and dfn(pos, x) evaluate the lanes pos.  A
-    lane whose value is NaN stops where it is, for its caller to report."""
-    first = -f_lo < f_hi
-    x = np.where(first, lo, hi)
-    f = np.where(first, f_lo, f_hi)
-    lo, hi = lo.copy(), hi.copy()
-    step_old = step = hi - lo
-    root = x.copy()
-    live = np.arange(x.size)
+    lane whose value is NaN stops where it is, for its caller to report.
+
+    Every lane keeps its place: each step takes the float loop's exits,
+    in its order, as masks, evaluates fn and dfn on the live lanes only
+    (_on_lanes) and freezes x where a lane retires, at the point the float
+    loop returns, so x holds every lane's root when the last lane retires
+    or the steps run out."""
+    x, f = np.where(-f_lo < f_hi, [lo, f_lo], [hi, f_hi])
+    live, step_old, step = True, hi - lo, hi - lo
     for _ in range(_RTSAFE_STEPS):
-        done = f == 0.0
-        root[live[done]] = x[done]
-        keep = ~done
-        live, x, f, lo, hi, step_old, step = (
-            a[keep] for a in (live, x, f, lo, hi, step_old, step))
-        if not live.size:
+        live &= f != 0.0
+        if not live.any():
             break
         below = f < 0.0
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
-        d = dfn(live, x)
+        d = _on_lanes(dfn, live, x)
         newton = np.where((0.0 < d) & (d < np.inf), f / d, np.inf)
-        close = np.abs(newton) <= 2.0 * np.spacing(np.abs(x))
-        root[live[close]] = (x - newton)[close]
+        close = live & (np.abs(newton) <= 2.0 * np.spacing(np.abs(x)))
         use = ((lo < x - newton) & (x - newton < hi)
                & (np.abs(newton) <= 0.5 * np.abs(step_old)))
-        step_new = np.where(use, newton, 0.5 * (hi - lo))
-        x_new = np.where(use, x - newton, lo + step_new)
-        collapsed = ~close & ~use & ((x_new == lo) | (x_new == hi))
-        root[live[collapsed]] = x_new[collapsed]
-        go = ~close & ~collapsed
-        f_new = np.full(x.size, np.nan)
-        if go.any():
-            f_new[go] = fn(live[go], x_new[go])
-        stalled = go & (np.isnan(f_new) | (
-            use & ((f_new > 0.0) == (f > 0.0)) & (np.abs(f_new) >= np.abs(f))))
-        root[live[stalled]] = x[stalled]
-        keep = go & ~stalled
-        root[live[keep]] = x_new[keep]
-        live, x, f, lo, hi, step_old, step = (
-            a[keep] for a in (live, x_new, f_new, lo, hi, step, step_new))
-    return root
+        step_old, step = step, np.where(use, newton, 0.5 * (hi - lo))
+        x_new = np.where(use, x - newton, lo + step)
+        collapsed = live & ~close & ~use & ((x_new == lo) | (x_new == hi))
+        go = live & ~close & ~collapsed
+        f_new = _on_lanes(fn, go, x_new)
+        # a NaN value, or a Newton step that does not shrink |f|, stops a
+        # lane at x
+        live = go & ~np.isnan(f_new) & ~(
+            use & ((f_new > 0.0) == (f > 0.0)) & (np.abs(f_new) >= np.abs(f)))
+        x, f = np.where(close, x - newton,
+                        np.where(live | collapsed, x_new, x)), f_new
+    return x

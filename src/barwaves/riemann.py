@@ -37,23 +37,24 @@ I..XII is read off the solution (see ``_zero_velocity_index``);
 atlas`` uses it).  Every decision of the middle-stress search but the
 rtsafe step is defined here once, as one body for floats and lanes that
 selects with material._where, and serves both paths; only the loops
-differ, the scalar one branching and the lane one compacting its live
-lanes.  These are the tolerances, what the dividing samples decide (the
-boundary tolerance and row and the bracket seed, _seed) and the first
-step from a one-sided seed (_seed_step), one doubling of the bracket
-search (_widen) and the bracket it ends with (_ordered), the residual the
-root finders see (_stopped_residual), rtsafe's start (_hermite_start) and
-the narrowing there (material._narrow, which the tangency shares), the
-judgement of the root (_verdict: scale, monotonicity, gate and snap) and
-the error of a failed search (_middle_stress_error).
+differ, the scalar one branching where the lane ones compact their live
+lanes (the bracket search) or retire them by mask (rtsafe).  These are
+the tolerances, what the dividing samples decide (the boundary tolerance
+and row and the bracket seed, _seed) and the first step from a one-sided
+seed (_seed_step), one doubling of the bracket search (_widen) and the
+bracket it ends with (_ordered), the residual the root finders see
+(_stopped_residual), rtsafe's start (_hermite_start) and the narrowing
+there (material._narrow, which the tangency shares), the judgement of the
+root (_verdict: scale, monotonicity, gate and snap) and the error of a
+failed search (_middle_stress_error).
 So are the classification (_boundary_index, _summary, _region_index and
 the tables _LABELS and _REGIONS built from _REGION_MAPS), the zero-velocity
 type and the linear middle state (_linear_middle).  rtsafe is
 material._newton_bisect on floats and batch._newton_bisect_many on lanes,
-with the same steps and exits: a step shared on floats would cost a
-Python call per step.  On narrow shocks the root lands wherever the
-residual reaches its noise, so the paths agree only if they take the same
-iterates.
+with the same steps and exits, in two loops: one body for both made
+scalar solves slower (material._newton_bisect gives the measurement).  On
+narrow shocks the root lands wherever the residual reaches its noise, so
+the paths agree only if they take the same iterates.
 """
 
 from __future__ import annotations

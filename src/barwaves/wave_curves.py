@@ -100,13 +100,17 @@ class Wave:
 def shock_speed(m: Material, T_a: float, T_b: float, family: str) -> float:
     """Propagation speed of a jump between stresses T_a and T_b, from the
     jump conditions: s**2 = (T_b - T_a) / (rho * (strain_b - strain_a)),
-    signed by family.  Zero-width jumps fall back to the characteristic
-    speed (the degenerate limit)."""
-    if abs(T_b - T_a) <= 1e-14 * max(1.0, abs(T_a), abs(T_b)):
-        # the chord slope cancels catastrophically; use the tangent limit
-        return wave_speed(m, T_a, family)
-    c = _slope_speed(m, (strain(m, T_b) - strain(m, T_a)) / (T_b - T_a))
-    return -c if family == BACKWARD else c
+    signed by family.  Zero-width jumps, and jumps whose chord slope is
+    not positive, fall back to the characteristic speed (the degenerate
+    limit)."""
+    if abs(T_b - T_a) > 1e-14 * max(1.0, abs(T_a), abs(T_b)):
+        slope = (strain(m, T_b) - strain(m, T_a)) / (T_b - T_a)
+        if slope > 0.0:
+            c = _slope_speed(m, slope)
+            return -c if family == BACKWARD else c
+    # a zero-width jump, or a strain difference that cancels to 0 or
+    # below: the tangent limit
+    return wave_speed(m, T_a, family)
 
 
 def _jump_v(m: Material, T_a, e_a, T_b, xp=math):

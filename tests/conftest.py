@@ -30,6 +30,16 @@ def linear():
     return PRESETS["linear"]
 
 
+#: A near-hyperbolic real-n material and data that one backward shock
+#: joins, across which the strain difference rounds to 0: the jump has
+#: nonzero width and a chord slope of 0.
+ROUNDED_JUMP = (
+    Material(0.8730054183393812, -0.8730031969670576, 0.001982273592506877,
+             0.5, 8.158871979040935),
+    State(-0.003820687034826381, -42.425430608315075),
+    State(-0.0038206870347873957, -42.425430608315075))
+
+
 def cubic_strain(T):
     return T + 2.0 * T ** 3
 

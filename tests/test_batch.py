@@ -27,6 +27,7 @@ from barwaves import (
     forward_v,
     profile,
     riemann,
+    sampler,
     solve,
     solve_linear,
     solve_many,
@@ -659,6 +660,41 @@ def test_default_atlas_evaluates_both_curves_in_one_call(monkeypatch,
     assert main(["atlas", "--material", "cubic",
                  "--out", str(tmp_path / "atlas.csv")]) == 0
     assert calls[0] <= 7 and calls[1] <= 5
+
+
+def test_lane_rtsafe_work_on_an_n3_grid_and_profile(monkeypatch):
+    # (calls, lanes evaluated) of fn and dfn in every lane rtsafe, batch's
+    # and sampler's: integer n runs on + - * / and sqrt alone, so the
+    # counts hold on every host
+    sizes = {"fn": [], "dfn": []}
+    rtsafe = batch._newton_bisect_many
+
+    def counted(fn, dfn, *ends):
+        def fn_lanes(pos, x):
+            sizes["fn"].append(pos.size)
+            return fn(pos, x)
+
+        def dfn_lanes(pos, x):
+            sizes["dfn"].append(pos.size)
+            return dfn(pos, x)
+
+        return rtsafe(fn_lanes, dfn_lanes, *ends)
+
+    def work():
+        done = {name: (len(v), sum(v)) for name, v in sizes.items()}
+        for v in sizes.values():
+            v.clear()
+        return done
+
+    for module in (batch, sampler):
+        monkeypatch.setattr(module, "_newton_bisect_many", counted)
+    m = Material(1.0, -0.5, 1.0, 3.0, 1.0)
+    T_l, T_r = np.meshgrid(np.linspace(-3.0, 3.0, 21),
+                           np.linspace(-3.0, 3.0, 21))
+    solve_many(m, T_l.ravel(), 0.0, T_r.ravel(), 0.0)
+    assert work() == {"fn": (11, 6030), "dfn": (13, 6881)}
+    profile(solve(m, State(-1.0, 0.0), State(1.5, 0.0)), -3.0, 3.0, 2001)
+    assert work() == {"fn": (5, 340), "dfn": (6, 376)}
 
 
 def test_scalar_middle_stress_evaluations_on_a_box_pool(monkeypatch):

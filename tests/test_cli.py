@@ -10,6 +10,7 @@ import pytest
 
 from barwaves import NoBracket, PRESETS, State, cli, riemann
 from barwaves.cli import main
+from conftest import ROUNDED_JUMP
 
 
 def run(capsys, *args):
@@ -50,6 +51,18 @@ def test_solve_zero_velocity_case_in_json(capsys):
                   "--tl", "-1", "--tr", "1.6")
     assert rc == 0
     assert json.loads(out)["zero_velocity_case"] == "V"
+
+
+def test_solve_a_shock_whose_strain_difference_rounds_to_0(capsys, tmp_path):
+    # a material file and data whose shock has a chord slope of 0: a
+    # solution, not a traceback
+    m, U_l, U_r = ROUNDED_JUMP
+    path = tmp_path / "near_hyperbolic.json"
+    path.write_text(json.dumps(m.to_dict()))
+    rc, out = run(capsys, "solve", "--material", str(path), f"--tl={U_l.T!r}",
+                  f"--vl={U_l.v!r}", f"--tr={U_r.T!r}", f"--vr={U_r.v!r}")
+    assert rc == 0
+    assert json.loads(out)["region_label"] == "on-W1"
 
 
 def test_invalid_material_exits_2(capsys, tmp_path):

@@ -866,20 +866,35 @@ def test_lane_root_finder_runs_every_exit_at_once_and_stops_at_nan():
     from barwaves.material import _newton_bisect
     rows = [(fn, dfn, lo, hi) for _, fn, dfn, lo, hi, _ in ROOT_FINDER_EXITS]
     # a lane whose value turns NaN stops at its last finite point: from
-    # x = 1, Newton proposes 0.2, where this function is undefined
+    # x = 1, the step bisects to 0.5, where this function is undefined
     rows.append((lambda x: x - 0.2 if x > 0.5 else math.nan,
                  lambda x: 1.0, 0.0, 1.0))
     lo, hi = (np.array([r[i] for r in rows]) for i in (2, 3))
+    f_lo, f_hi = (np.array([r[0](x) for r, x in zip(rows, ends)])
+                  for ends in (lo, hi))
+    # each lane's calls, in order: (0 for fn or 1 for dfn, x)
+    points = [[] for _ in rows]
 
-    def fn(pos, x):
-        return np.array([rows[p][0](v) for p, v in zip(pos, x.tolist())])
+    def lanes(i):
+        def call(pos, x):
+            for p, v in zip(pos.tolist(), x.tolist()):
+                points[p].append((i, v))
+            return np.array([rows[p][i](v) for p, v in zip(pos, x.tolist())])
+        return call
 
-    def dfn(pos, x):
-        return np.array([rows[p][1](v) for p, v in zip(pos, x.tolist())])
-
-    everyone = np.arange(len(rows))
     with np.errstate(divide="ignore", invalid="ignore"):
-        got = _newton_bisect_many(fn, dfn, lo, hi, fn(everyone, lo),
-                                  fn(everyone, hi))
-    want = [_newton_bisect(f, d, a, b, f(a), f(b)) for f, d, a, b in rows[:-1]]
-    assert got.tolist() == want + [1.0]
+        got = _newton_bisect_many(lanes(0), lanes(1), lo, hi, f_lo, f_hi)
+    want = []
+    for lane, (fn, dfn, a, b) in zip(points, rows):
+        calls = []
+
+        def recorded(i, g):
+            return lambda x: calls.append((i, x)) or g(x)
+
+        want.append(_newton_bisect(recorded(0, fn), recorded(1, dfn), a, b,
+                                   fn(a), fn(b)))
+        # a lane runs its scalar run's calls, up to its first NaN value
+        nan = [k for k, (i, x) in enumerate(calls) if i == 0
+               and math.isnan(fn(x))]
+        assert lane == calls[:nan[0] + 1 if nan else None]
+    assert got.tolist() == want[:-1] + [1.0]

@@ -32,12 +32,13 @@ import barwaves
 from barwaves import material, riemann
 from barwaves.material import _newton_bisect
 from barwaves.cli import continuity_probe
-from barwaves.verify import check_rh, speeds_ordered
+from barwaves.verify import check_lax, check_rh, speeds_ordered
 from barwaves.wave_curves import WaveCurve
 from conftest import (
     A_CASES,
     B_CASES,
     C_CASES,
+    ROUNDED_JUMP,
     cubic_fan_integral,
     errors_on_both_paths,
     fault_root_finders,
@@ -314,6 +315,19 @@ def test_narrow_shock_residual_is_judged_at_the_stress_scale(cubic, U_l, U_r):
     p = solve(cubic, U_l, U_r)
     assert p.right_state == U_r
     assert_chained(p)
+
+
+def test_a_shock_whose_strain_difference_rounds_to_0_on_both_paths():
+    # its chord slope is 0, so its speed is the characteristic limit, and
+    # the lanes, which take no shock speed, give the same label
+    m, U_l, U_r = ROUNDED_JUMP
+    p = solve(m, U_l, U_r)
+    [shock] = p.waves
+    assert (shock.kind, shock.family, p.region_label) == (
+        SHOCK, BACKWARD, "on-W1")
+    assert check_rh(p) < 1e-14 and check_lax(m, shock)
+    sol = solve_many(m, U_l.T, U_l.v, U_r.T, U_r.v)
+    assert (sol.region_label, sol.error) == ("on-W1", None)
 
 
 def test_snap_to_a_data_stress_logs_both_stresses(cubic, caplog):

@@ -34,7 +34,7 @@ from barwaves.material import (
     rarefaction_integral,
 )
 from barwaves.wave_curves import WaveCurve, _w
-from conftest import cubic_fan_integral, make_material
+from conftest import ROUNDED_JUMP, cubic_fan_integral, make_material
 
 stress = st.floats(-3.0, 3.0)
 
@@ -337,6 +337,13 @@ def test_shock_speed_signs_and_degenerate_width(cubic):
         -1.0 / math.sqrt(15.0), rel=1e-14)
     assert shock_speed(cubic, 0.7, 0.7, FORWARD) == wave_speed(
         cubic, 0.7, FORWARD)
+    # a jump of nonzero width whose strain difference rounds to 0 takes
+    # the same limit
+    m, left, right = ROUNDED_JUMP
+    assert left.T != right.T and strain(m, left.T) == strain(m, right.T)
+    for family in (BACKWARD, FORWARD):
+        assert shock_speed(m, left.T, right.T, family) == wave_speed(
+            m, left.T, family)
 
 
 # ---------------------------------------------------------------------------
