@@ -2,7 +2,7 @@
 
 Subcommands: solve | profile | atlas | verify | thresholds.
 Exit codes: 0 success, 1 verification failure, 2 invalid material,
-3 solver failure.
+invalid arguments or an unwritable --out, 3 solver failure.
 
 All floats are written with 17 significant digits so CSV/JSON fixtures are
 round-trip exact and byte-stable on one platform.
@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import re
+import stat
 import sys
 from dataclasses import replace
 
@@ -65,14 +67,39 @@ def _jsonify(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+#: --out is written in place: no O_TRUNC.  Truncating an output whose
+#: blocks are on disk waits for the disk to free them, and ext4's
+#: auto_da_alloc puts them there when a truncated file is closed.  The
+#: price: a crash can leave old and new bytes mixed (README, CLI).
+_OUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
 def _write(text: str, out: str | None) -> None:
+    """text on stdout, with a final newline, or the UTF-8 bytes of text in
+    the file out from offset 0.  A regular file longer than the bytes
+    written is cut to their length, also when the write fails part-way;
+    a device or pipe is never truncated or sought.  An OSError names
+    out."""
     if out is None or out == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        data = text.encode("utf-8")
+        fd = os.open(out, _OUT_FLAGS, 0o666)
+        try:
+            written = 0
+            try:
+                while written < len(data):
+                    written += os.write(fd, data[written:])
+            finally:
+                st = os.fstat(fd)
+                if stat.S_ISREG(st.st_mode) and st.st_size > written:
+                    os.ftruncate(fd, written)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, out) from exc
+        finally:
+            os.close(fd)
 
 
 def _state_doc(s: State) -> dict:
@@ -281,6 +308,8 @@ def refinement_study(m: Material, T_l: float, T_r: float,
 
 
 def cmd_verify(args, m: Material) -> int:
+    if args.trials < 0:
+        raise ValueError("verify requires --trials >= 0")
     rows = run_invariant_suite([m], args.seed, args.trials,
                                inject=args.inject)
 
@@ -393,6 +422,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

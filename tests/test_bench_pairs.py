@@ -5,6 +5,7 @@ no benchmark is run."""
 import importlib.util
 import json
 import os
+import re
 
 import pytest
 
@@ -64,3 +65,20 @@ def test_summary_reproduces_a_committed_bench_file():
     for workload, expected in doc["summary"].items():
         runs = [r for r in doc["runs"] if r["workload"] == workload]
         assert bench_pairs.summarize(runs, better) == expected, workload
+
+
+def test_a_checkout_with_bytecode_under_src_is_refused(tmp_path):
+    # bytecode outside src/ is not the package's, and is allowed
+    (tmp_path / "src" / "barwaves").mkdir(parents=True)
+    (tmp_path / "bench" / "__pycache__").mkdir(parents=True)
+    assert bench_pairs.bytecode_dirs(str(tmp_path)) == []
+    stale = tmp_path / "src" / "barwaves" / "__pycache__"
+    stale.mkdir()
+    assert bench_pairs.bytecode_dirs(str(tmp_path)) == [str(stale)]
+    # refused before bench/run.py is started: the checkout has none
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit, match=re.escape(str(stale))):
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--workload",
+                          "atlas", "--pairs", "2", "--seed", "1",
+                          "--out", str(out)])
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -404,6 +405,112 @@ def test_solve_byte_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+#: One small call of each subcommand that writes --out.
+WRITERS = {
+    "solve": ["solve", "--material", "cubic", "--tl", "-1", "--tr", "1.6"],
+    "profile": ["profile", "--material", "cubic", "--tl", "-0.5", "--tr",
+                "-1", "--count", "9"],
+    "atlas": ["atlas", "--material", "cubic", "--res", "3"],
+    "thresholds": ["thresholds", "--material", "cubic", "--tl", "-1"],
+}
+
+
+def stdout_bytes(capsys, args):
+    rc, out = run(capsys, *args)
+    assert rc == 0
+    return out.encode("utf-8")
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_out_over_a_longer_or_shorter_file_holds_the_stdout_bytes(
+        capsys, tmp_path, name):
+    want = stdout_bytes(capsys, WRITERS[name])
+    path = tmp_path / "out"
+    for old in (b"x" * (3 * len(want) + 5), b"y" * (len(want) // 2), b""):
+        path.write_bytes(old)
+        inode = path.stat().st_ino
+        assert main(WRITERS[name] + ["--out", str(path)]) == 0
+        assert path.read_bytes() == want
+        # written in place, not replaced
+        assert path.stat().st_ino == inode
+
+
+def test_out_through_a_symlink_writes_its_target(capsys, tmp_path):
+    want = stdout_bytes(capsys, WRITERS["atlas"])
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"z" * 5000)
+    link.symlink_to(target)
+    assert main(WRITERS["atlas"] + ["--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == want
+
+
+def test_out_keeps_the_mode_bits_of_an_existing_file(tmp_path):
+    path = tmp_path / "atlas.csv"
+    path.write_bytes(b"old")
+    path.chmod(0o604)
+    assert main(WRITERS["atlas"] + ["--out", str(path)]) == 0
+    assert path.stat().st_mode & 0o7777 == 0o604
+
+
+def test_out_to_the_null_device_exits_0(capsys):
+    # a device is neither truncated nor sought
+    assert main(WRITERS["atlas"] + ["--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                    reason="no /dev/stdout")
+def test_out_to_dev_stdout_into_a_pipe_yields_the_stdout_bytes(capsys):
+    import barwaves
+    want = stdout_bytes(capsys, WRITERS["atlas"])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(barwaves.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "barwaves.cli", *WRITERS["atlas"],
+         "--out", "/dev/stdout"], capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, b"")
+
+
+def test_a_write_failing_part_way_leaves_the_bytes_written_and_exits_2(
+        capsys, monkeypatch, tmp_path):
+    path = tmp_path / "atlas.csv"
+    path.write_bytes(b"x" * 10000)
+    os_write = os.write
+    calls = []
+
+    def short_then_full(fd, data):
+        # the first call writes 40 bytes, the second finds the disk full
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return os_write(fd, data[:40])
+
+    monkeypatch.setattr(os, "write", short_then_full)
+    rc = main(WRITERS["atlas"] + ["--out", str(path)])
+    monkeypatch.undo()
+    out, err = capsys.readouterr()
+    assert rc == 2 and not out
+    assert err == (f"cannot write output: [Errno {errno.ENOSPC}] "
+                   f"{os.strerror(errno.ENOSPC)}: {str(path)!r}\n")
+    assert calls[1] == calls[0] - 40
+    assert path.read_bytes() == stdout_bytes(capsys, WRITERS["atlas"])[:40]
+
+
+@pytest.mark.parametrize("name", ["solve", "atlas"])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_an_unwritable_out_exits_2_naming_the_path(capsys, tmp_path, name,
+                                                    where):
+    path = tmp_path / "missing" / "out" if where == "missing directory" \
+        else tmp_path
+    rc = main(WRITERS[name] + ["--out", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and not out
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1
+    assert repr(str(path)) in err
+
+
 #: The stdout of `barwaves verify --material cubic --seed 1 --trials 20`,
 #: byte for byte.
 VERIFY_CUBIC_SEED_1 = (
@@ -435,6 +542,13 @@ def test_verify_quick_pass(capsys):
 def test_verify_zero_trials_vacuous(capsys):
     rc, out = run(capsys, "verify", "--material", "cubic", "--trials", "0")
     assert rc == 0
+
+
+def test_verify_negative_trials_exits_2(capsys):
+    rc = main(["verify", "--material", "cubic", "--trials", "-1"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and not out
+    assert err == "invalid arguments: verify requires --trials >= 0\n"
 
 
 def test_verify_inject_fails(capsys):

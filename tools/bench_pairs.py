@@ -17,6 +17,11 @@ in its checkout, and its last line of output, a JSON object, is kept.
 SECONDS is the run_seconds of CHANGE's BENCHMARK.json, and the summary
 covers the end-to-end metrics declared there.
 
+A checkout whose src/ holds a __pycache__ directory is refused before
+the first run: imports from stale bytecode skip the compile that setup_s
+times on a host that writes none.  Each run gets
+PYTHONDONTWRITEBYTECODE=1, so the batch writes no bytecode itself.
+
 FILE gets the keys `runs`, one entry per run, and `summary`, one entry per
 workload, as in the committed BENCH_*.json files.  When FILE exists, its
 runs of other workloads are kept and its other keys are left as they are,
@@ -91,13 +96,22 @@ def summarize(runs: list, better: dict) -> dict:
     return out
 
 
+def bytecode_dirs(checkout: str) -> list:
+    """The __pycache__ directories under checkout's src/, sorted."""
+    return sorted(os.path.join(top, d)
+                  for top, dirs, _ in os.walk(os.path.join(checkout, "src"))
+                  for d in dirs if d == "__pycache__")
+
+
 def run_once(checkout: str, workload: str, seed: int,
              seconds: float) -> dict:
-    """One bench/run.py run in checkout; its last line of output, parsed."""
+    """One bench/run.py run in checkout, writing no bytecode; its last
+    line of output, parsed."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if proc.returncode != 0:
         raise SystemExit(f"bench/run.py failed in {checkout} "
                          f"(exit {proc.returncode}):\n{proc.stdout}"
@@ -116,6 +130,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for the quartiles")
+    for checkout in (args.parent, args.change):
+        stale = bytecode_dirs(checkout)
+        if stale:
+            raise SystemExit(f"stale bytecode in {stale[0]}: remove it")
 
     spec = benchmark_spec(args.change)
     seconds = spec["run_seconds"]
