@@ -1,6 +1,10 @@
 """Exact Riemann solver for stress waves in elastic bars whose linearized
 strain is a monotone, non-convex function of the Cauchy stress.
 
+solve returns the wave pattern of one Riemann problem; WaveCurve is the
+wave curve of one family through a state, read at any stress by its v,
+slope, legs and tangency.
+
 The scalar solver (errors, material, wave_curves, riemann) runs on the
 standard library; the names from batch, sampler and verify load numpy on
 first use."""
@@ -40,23 +44,18 @@ from .wave_curves import (
     SHOCK,
     State,
     Wave,
-    backward_v,
-    decompose_backward,
-    decompose_forward,
-    forward_v,
+    WaveCurve,
     shock_speed,
 )
 
 __all__ = [
     "BACKWARD", "FORWARD", "RAREFACTION", "SHOCK",
-    "Material", "PRESETS", "State", "Wave", "WavePattern",
+    "Material", "PRESETS", "State", "Wave", "WaveCurve", "WavePattern",
     "Thresholds", "Profile",
     "MaterialError", "RootNotBracketed", "NoBracket", "NonMonotone",
     "strain", "strain_prime", "strain_second", "wave_speed",
     "rarefaction_integral", "tangent_point", "driving_force",
-    "invert_strain", "load_material",
-    "backward_v", "forward_v", "decompose_backward", "decompose_forward",
-    "shock_speed",
+    "invert_strain", "load_material", "shock_speed",
     "solve", "solve_linear", "solve_many", "thresholds",
     "sample", "profile",
     "check_rh", "check_dissipation", "check_lax", "check_liu",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .batch import solve_many
 from .errors import MaterialError, NoBracket, NonMonotone, RootNotBracketed
-from .material import Material, PRESETS, load_material, tangent_point
+from .material import BACKWARD, Material, PRESETS, load_material, tangent_point
 from .riemann import (
     _ZERO_VELOCITY_CASES,
     State,
@@ -32,7 +32,7 @@ from .riemann import (
     solve,
     thresholds,
 )
-from .wave_curves import SHOCK, backward_v
+from .wave_curves import SHOCK, WaveCurve
 
 
 def _fmt(x: float) -> str:
@@ -75,15 +75,12 @@ _OUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
 def _write(text: str, out: str | None) -> None:
-    """text on stdout, with a final newline, or the UTF-8 bytes of text in
-    the file out from offset 0.  A regular file longer than the bytes
-    written is cut to their length, also when the write fails part-way;
-    a device or pipe is never truncated or sought.  An OSError names
-    out."""
+    """text on stdout, or the UTF-8 bytes of text in the file out from
+    offset 0.  A regular file longer than the bytes written is cut to
+    their length, also when the write fails part-way; a device or pipe is
+    never truncated or sought.  An OSError names out."""
     if out is None or out == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         data = text.encode("utf-8")
         fd = os.open(out, _OUT_FLAGS, 0o666)
@@ -281,7 +278,7 @@ def continuity_probe(m: Material) -> float:
     from .sampler import _sample_lanes
     U_l = State(-1.0, 0.0)
     T_r = 0.3
-    v_on = backward_v(m, U_l, T_r)
+    v_on = WaveCurve(m, U_l, BACKWARD).v(T_r)
     lo = solve(m, U_l, State(T_r, v_on - 1e-6))
     hi = solve(m, U_l, State(T_r, v_on + 1e-6))
     edges = np.array([s for w in lo.waves + hi.waves

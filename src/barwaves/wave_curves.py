@@ -55,7 +55,14 @@ solve, and a residual adds one tail panel.  A curve therefore serves one
 thread, but nothing is cached between solves: each builds its own pair and
 table, and a curve built alone takes its own table.  A linear material has
 no tangency: its curve is one line through the anchor, crossed by a
-contact.  The module-level functions evaluate a curve once.
+contact.
+
+WaveCurve is the curve API.  A curve is built through one state and read
+at a stress T: v gives the velocity there, slope |dv/dT|, legs the waves
+to the curve's state at T, and tangency the stress at which its shock
+branch ends.  A forward curve is anchored at the state it ends at, as
+solve anchors it at U_r; the forward curves that end at one stress differ
+only by a shift of v.
 """
 
 from __future__ import annotations
@@ -265,30 +272,3 @@ class WaveCurve:
             waves.append(Wave(kind, family, left, right, head, tail,
                               degenerate))
         return waves
-
-
-# ---------------------------------------------------------------------------
-# single evaluations
-
-
-def backward_v(m: Material, U_l: State, T: float) -> float:
-    """Velocity on the backward wave curve through U_l at terminal stress T."""
-    return WaveCurve(m, U_l, BACKWARD).v(T)
-
-
-def decompose_backward(m: Material, U_l: State, T: float) -> list[Wave]:
-    """Explicit wave sequence (0, 1 or 2 waves) realizing backward_v."""
-    curve = WaveCurve(m, U_l, BACKWARD)
-    return curve.legs(State(T, curve.v(T)))
-
-
-def forward_v(m: Material, U_0: State, T: float) -> float:
-    """Velocity on the forward wave curve through U_0 at terminal stress T.
-    The forward curves ending at stress T differ by a shift of v, so it is
-    U_0.v less the velocity at U_0.T of the one ending at (T, 0)."""
-    return U_0.v - WaveCurve(m, State(T, 0.0), FORWARD).v(U_0.T)
-
-
-def decompose_forward(m: Material, U_0: State, T: float) -> list[Wave]:
-    """Explicit wave sequence (0, 1 or 2 waves) realizing forward_v."""
-    return WaveCurve(m, State(T, forward_v(m, U_0, T)), FORWARD).legs(U_0)

@@ -12,7 +12,15 @@ import sys
 import pytest
 from scipy.integrate import quad
 
-from barwaves import Material, PRESETS, State, backward_v, forward_v, strain
+from barwaves import (
+    BACKWARD,
+    FORWARD,
+    Material,
+    PRESETS,
+    State,
+    WaveCurve,
+    strain,
+)
 
 
 @pytest.fixture(scope="session")
@@ -85,9 +93,10 @@ def driving_force_integral(m, T_l, T_r):
 
 
 def place(m, U_l, T_mid, T_r):
-    """Right state reached through middle stress T_mid."""
-    v = forward_v(m, State(T_mid, backward_v(m, U_l, T_mid)), T_r)
-    return State(T_r, v)
+    """Right state reached through middle stress T_mid: the forward curve
+    that ends at (T_r, 0), shifted to pass through the middle state."""
+    v_mid = WaveCurve(m, U_l, BACKWARD).v(T_mid)
+    return State(T_r, v_mid - WaveCurve(m, State(T_r, 0.0), FORWARD).v(T_mid))
 
 
 #: (label, T_mid, T_r) from U_l = (-1, 0), (1, 0) and (0, 0.1): a right

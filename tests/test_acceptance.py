@@ -17,7 +17,7 @@ from barwaves import (
     RAREFACTION,
     SHOCK,
     State,
-    backward_v,
+    WaveCurve,
     driving_force,
     invert_strain,
     sample,
@@ -159,8 +159,7 @@ def test_criterion_07_second_order_contact():
     Tt = tangent_point(CUBIC, -1.0)
     h = 1e-4 * max(1.0, abs(Tt))
 
-    def f(T):
-        return backward_v(CUBIC, U_l, T)
+    f = WaveCurve(CUBIC, U_l, BACKWARD).v
 
     def d1(x, step):
         return (-11.0 * f(x) + 18.0 * f(x + step) - 9.0 * f(x + 2 * step)

@@ -16,15 +16,14 @@ import pytest
 
 from barwaves import (
     BACKWARD,
+    FORWARD,
     Material,
     NoBracket,
     NonMonotone,
     PRESETS,
     RootNotBracketed,
     State,
-    backward_v,
     batch,
-    forward_v,
     profile,
     riemann,
     sampler,
@@ -147,14 +146,16 @@ def test_right_states_on_the_dividing_curves_match_solve(m):
     problems = []
     for T_l in (-2.3, -0.6, 0.0, 0.4, 1.7):
         U_l = State(T_l, 0.3)
+        back = WaveCurve(m, U_l, BACKWARD)
         starts = [U_l]
         if T_l != 0.0:
             # the forward curves from the zero-stress and tangency points
             Tt = tangent_point(m, T_l)
-            starts += [State(T, backward_v(m, U_l, T)) for T in (0.0, Tt)]
+            starts += [State(T, back.v(T)) for T in (0.0, Tt)]
         for T in (-2.9, -1.1, -0.2, 0.7, 2.6):
-            on = [backward_v(m, U_l, T)]
-            on += [forward_v(m, U, T) for U in starts]
+            # each forward curve is the one ending at (T, 0), shifted
+            fwd = WaveCurve(m, State(T, 0.0), FORWARD)
+            on = [back.v(T)] + [U.v - fwd.v(U.T) for U in starts]
             # and just inside or outside the boundary tolerance
             problems += [(T_l, 0.3, T, v + f * BOUNDARY_TOL * abs(v - 0.3))
                          for v in on for f in (0.0, -0.6, 0.9, 1.5)]

@@ -435,6 +435,15 @@ def test_out_over_a_longer_or_shorter_file_holds_the_stdout_bytes(
         assert path.stat().st_ino == inode
 
 
+@pytest.mark.parametrize("name", WRITERS)
+def test_out_dash_writes_the_bytes_of_out_file(capsys, tmp_path, name):
+    path = tmp_path / "out"
+    assert main(WRITERS[name] + ["--out", str(path)]) == 0
+    want = path.read_bytes()
+    assert want.endswith(b"\n")
+    assert stdout_bytes(capsys, WRITERS[name] + ["--out", "-"]) == want
+
+
 def test_out_through_a_symlink_writes_its_target(capsys, tmp_path):
     want = stdout_bytes(capsys, WRITERS["atlas"])
     target, link = tmp_path / "target.csv", tmp_path / "link.csv"

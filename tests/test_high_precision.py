@@ -23,8 +23,6 @@ from barwaves import (
     PRESETS,
     RootNotBracketed,
     State,
-    backward_v,
-    forward_v,
     strain,
     tangent_point,
     thresholds,
@@ -177,10 +175,12 @@ def worst_error(m):
         for S in SCALES:
             for name, family, T_0, T in branch_cases(m, oracle, S):
                 if family == "b":
-                    got = backward_v(m, State(T_0, 0.0), T)
+                    got = WaveCurve(m, State(T_0, 0.0), BACKWARD).v(T)
                     want = oracle.backward(mpmath.mpf(T_0), mpmath.mpf(T))
                 else:
-                    got = forward_v(m, State(T_0, 0.0), T)
+                    # the forward curve from (T_0, 0) to stress T is
+                    # the one ending at (T, 0), shifted by its v at T_0
+                    got = -WaveCurve(m, State(T, 0.0), FORWARD).v(T_0)
                     want = oracle.forward(mpmath.mpf(T_0), mpmath.mpf(T))
                 err = float(abs((got - want) / want))
                 if err > worst[0]:

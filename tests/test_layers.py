@@ -18,11 +18,33 @@ LAZY_NAMES = {
     "fv_reference": "verify", "l1_distance": "verify",
 }
 
+#: The package's public names: the solver, its wave curves and kernels,
+#: the sampler and the oracles.
+PUBLIC_NAMES = {
+    "BACKWARD", "FORWARD", "RAREFACTION", "SHOCK",
+    "Material", "PRESETS", "State", "Wave", "WaveCurve", "WavePattern",
+    "Thresholds", "Profile",
+    "MaterialError", "RootNotBracketed", "NoBracket", "NonMonotone",
+    "strain", "strain_prime", "strain_second", "wave_speed",
+    "rarefaction_integral", "tangent_point", "driving_force",
+    "invert_strain", "load_material", "shock_speed",
+    "solve", "solve_linear", "solve_many", "thresholds",
+    "sample", "profile",
+    "check_rh", "check_dissipation", "check_lax", "check_liu",
+    "fv_reference", "l1_distance",
+}
+
 SCALAR_RUN = textwrap.dedent("""
     import importlib, sys
     had_logging = "logging" in sys.modules
     import barwaves as bw
     from barwaves import BACKWARD, FORWARD, Material, State
+
+    def read(m, U, family, T):
+        curve = bw.WaveCurve(m, U, family)
+        curve.legs(State(T, curve.v(T)))
+        curve.slope(T)
+        curve.tangency
 
     for m in (bw.load_material("cubic"), bw.load_material("quintic")):
         U_l, U_r = State(-1.0, 0.0), State(1.6, 0.5)
@@ -32,18 +54,18 @@ SCALAR_RUN = textwrap.dedent("""
         bw.driving_force(m, -1.0, 0.5)
         bw.invert_strain(m, 2.0)
         bw.rarefaction_integral(m, -1.0, 0.3)
-        bw.backward_v(m, U_l, 0.4)
-        bw.forward_v(m, U_r, 0.4)
-        bw.decompose_backward(m, U_l, 0.4)
-        bw.decompose_forward(m, U_r, 0.4)
+        for T in (-1.3, 0.4, 2.0):
+            read(m, U_l, BACKWARD, T)
+            read(m, U_r, FORWARD, T)
         bw.shock_speed(m, -1.0, 0.4, BACKWARD)
         bw.wave_speed(m, 0.4, FORWARD)
     lin = Material.linear(1.0, -0.5, 1.0)
     bw.solve(lin, State(-1.0, 0.0), State(1.0, 0.5))
     bw.solve_linear(lin, State(-1.0, 0.0), State(1.0, 0.5))
     bw.rarefaction_integral(lin, -1.0, 0.3)
-    bw.backward_v(lin, State(0.0, 0.0), 0.4)
-    bw.backward_v(lin, State(-1.0, 0.0), 0.4)
+    for U in (State(0.0, 0.0), State(-1.0, 0.0)):
+        read(lin, U, BACKWARD, 0.4)
+        read(lin, U, FORWARD, 0.4)
     bw.shock_speed(lin, -1.0, 0.4, FORWARD)
     bw.wave_speed(lin, 0.4, BACKWARD)
 
@@ -79,6 +101,11 @@ def test_scalar_solver_imports_no_numpy():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env)
     assert run.returncode == 0, run.stderr
+
+
+def test_public_names_are_pinned():
+    assert set(barwaves.__all__) == PUBLIC_NAMES
+    assert len(barwaves.__all__) == len(PUBLIC_NAMES)
 
 
 def test_lazy_name_reads_its_module_on_every_access(monkeypatch):

@@ -16,4 +16,6 @@ def test_readme_python_blocks_run_in_order(capsys):
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
-    assert "404 -1.0 0.0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "404 -1.0 0.0" in out
+    assert "shock right -1.0 0.5\nrarefaction  0.5 1.2\n" in out

@@ -16,8 +16,6 @@ from barwaves import (
     RootNotBracketed,
     SHOCK,
     State,
-    backward_v,
-    forward_v,
     rarefaction_integral,
     solve,
     solve_linear,
@@ -88,7 +86,7 @@ def test_single_forward_shock(cubic):
 def test_single_backward_wave_on_curve(cubic):
     U_l = State(-1.0, 0.0)
     T_r = 1.2
-    U_r = State(T_r, backward_v(cubic, U_l, T_r))
+    U_r = State(T_r, WaveCurve(cubic, U_l, BACKWARD).v(T_r))
     p = solve(cubic, U_l, U_r)
     assert all(w.family == BACKWARD for w in p.waves)
     assert [w.kind for w in p.waves] == [SHOCK, RAREFACTION]
@@ -414,9 +412,10 @@ def test_common_velocity_shift_only_shifts_the_solution(name, U_l, T_r,
     # wave curve once |v| dwarfs the jumps
     m = PRESETS[name]
     if dv == "on-W1":
-        dv = backward_v(m, U_l, T_r) - U_l.v
+        dv = WaveCurve(m, U_l, BACKWARD).v(T_r) - U_l.v
     elif dv == "on-W2":
-        dv = forward_v(m, U_l, T_r) - U_l.v
+        # on the forward curve that ends at (T_r, 0), shifted through U_l
+        dv = U_l.v - WaveCurve(m, State(T_r, 0.0), FORWARD).v(U_l.T) - U_l.v
     U_r = State(T_r, U_l.v + dv)
     p = solve(m, U_l, U_r)
     q = solve(m, State(U_l.T, U_l.v + V), State(U_r.T, U_r.v + V))
@@ -464,9 +463,9 @@ def test_tiny_magnitude_solve_is_resolved_to_its_own_scale(quintic):
     p = solve(quintic, U_l, U_r)
     assert abs(p.right_state.v - U_r.v) <= 1e-12 * 3e-6
     T_mid = middle_stress(p)
-    v_mid = backward_v(quintic, U_l, T_mid)
-    assert forward_v(quintic, State(T_mid, v_mid), U_r.T) == pytest.approx(
-        U_r.v, rel=1e-12)
+    v_mid = WaveCurve(quintic, U_l, BACKWARD).v(T_mid)
+    fwd = WaveCurve(quintic, State(U_r.T, 0.0), FORWARD)
+    assert v_mid - fwd.v(T_mid) == pytest.approx(U_r.v, rel=1e-12)
 
 
 def test_newton_bisect_resolves_roots_at_any_magnitude():
@@ -1027,7 +1026,7 @@ def test_region_band_above_backward_curve(cubic):
     # a right state just above the composite branch of the backward curve
     # lands in the backward-composite band
     U_l = State(-1.0, 0.0)
-    U_r = State(1.2, backward_v(cubic, U_l, 1.2) + 1e-3)
+    U_r = State(1.2, WaveCurve(cubic, U_l, BACKWARD).v(1.2) + 1e-3)
     p = solve(cubic, U_l, U_r)
     assert p.region_label in ("A10", "A11", "A12")
     assert p.region_label == "A11"  # short forward fan back down in stress
@@ -1080,35 +1079,36 @@ def test_zero_left_stress_never_gets_ab_labels(cubic):
 
 def test_boundary_labels(cubic):
     U_l = State(-1.0, 0.0)
+    back = WaveCurve(cubic, U_l, BACKWARD)
     Tt = tangent_point(cubic, -1.0)
-    B = State(Tt, backward_v(cubic, U_l, Tt))
-    F = State(0.0, backward_v(cubic, U_l, 0.0))
+    B = State(Tt, back.v(Tt))
+    F = State(0.0, back.v(0.0))
     assert solve(cubic, U_l, State(
-        0.7, backward_v(cubic, U_l, 0.7))).region_label == "on-W1"
+        0.7, back.v(0.7))).region_label == "on-W1"
     assert solve(cubic, U_l, State(
-        -1.8, forward_v(cubic, U_l, -1.8))).region_label == "on-W2"
-    assert solve(cubic, U_l, State(
-        1.3, forward_v(cubic, B, 1.3))).region_label == "on-W2B"
-    assert solve(cubic, U_l, State(
-        0.9, forward_v(cubic, F, 0.9))).region_label == "on-W2F"
-    assert solve(cubic, U_l, State(
-        0.0, backward_v(cubic, U_l, 0.0) + 0.9)).region_label == "on-T0"
+        0.0, back.v(0.0) + 0.9)).region_label == "on-T0"
     mirrored_l = State(1.0, 0.0)
-    E = State(0.0, backward_v(cubic, mirrored_l, 0.0))
-    assert solve(cubic, mirrored_l, State(
-        -0.9, forward_v(cubic, E, -0.9))).region_label == "on-W2E"
+    mirrored = WaveCurve(cubic, mirrored_l, BACKWARD)
+    E = State(0.0, mirrored.v(0.0))
     Tc = tangent_point(cubic, 1.0)
-    C = State(Tc, backward_v(cubic, mirrored_l, Tc))
-    assert solve(cubic, mirrored_l, State(
-        -1.3, forward_v(cubic, C, -1.3))).region_label == "on-W2C"
+    C = State(Tc, mirrored.v(Tc))
     # T_l = 0: only W1, W2 and the zero-stress line divide the plane
     Z = State(0.0, 0.5)
     for T_r in (1.2, -0.8):
         assert solve(cubic, Z, State(
-            T_r, backward_v(cubic, Z, T_r))).region_label == "on-W1"
-        assert solve(cubic, Z, State(
-            T_r, forward_v(cubic, Z, T_r))).region_label == "on-W2"
+            T_r, WaveCurve(cubic, Z, BACKWARD).v(T_r))).region_label == "on-W1"
     assert solve(cubic, Z, State(0.0, 1.5)).region_label == "on-T0"
+    # a right state on the forward curve from a point X of the plane: the
+    # forward curve that ends at (T_r, 0), shifted to pass through X
+    for left, X, T_r, label in ((U_l, U_l, -1.8, "on-W2"),
+                                (U_l, B, 1.3, "on-W2B"),
+                                (U_l, F, 0.9, "on-W2F"),
+                                (mirrored_l, E, -0.9, "on-W2E"),
+                                (mirrored_l, C, -1.3, "on-W2C"),
+                                (Z, Z, 1.2, "on-W2"), (Z, Z, -0.8, "on-W2")):
+        fwd = WaveCurve(cubic, State(T_r, 0.0), FORWARD)
+        U_r = State(T_r, X.v - fwd.v(X.T))
+        assert solve(cubic, left, U_r).region_label == label, (X, T_r)
 
 
 @pytest.mark.parametrize("name", ["cubic", "quintic"])
@@ -1121,9 +1121,12 @@ def test_right_state_on_the_tangency_curve_leaves_no_roundoff_fan(name, T_l):
     m = PRESETS[name]
     U_l = State(T_l, 0.3)
     Tt = tangent_point(m, T_l)
-    tangency = State(Tt, backward_v(m, U_l, Tt))
+    tangency = State(Tt, WaveCurve(m, U_l, BACKWARD).v(Tt))
     for T_r in (-2.9, -1.1, -0.35, 0.05, 0.8, 2.6):
-        p = solve(m, U_l, State(T_r, forward_v(m, tangency, T_r)))
+        # on the forward curve that ends at (T_r, 0), shifted through the
+        # tangency point
+        fwd = WaveCurve(m, State(T_r, 0.0), FORWARD)
+        p = solve(m, U_l, State(T_r, tangency.v - fwd.v(Tt)))
         assert p.region_label == ("on-W2B" if T_l < 0.0 else "on-W2C")
         for w in p.waves:
             if w.kind == RAREFACTION:
@@ -1176,11 +1179,13 @@ def test_continuity_across_more_boundaries(cubic):
     step = 1e-6
     U_l = State(-1.0, 0.0)
     Tt = tangent_point(cubic, -1.0)
-    B = State(Tt, backward_v(cubic, U_l, Tt))
+    B = State(Tt, WaveCurve(cubic, U_l, BACKWARD).v(Tt))
+    # the tangency curve at stress 1.3: the forward curve that ends at
+    # (1.3, 0), shifted through B
+    v_on = B.v - WaveCurve(cubic, State(1.3, 0.0), FORWARD).v(Tt)
     probes = [
         (State(step, 1.2), State(-step, 1.2)),          # zero-stress line
-        (State(1.3, forward_v(cubic, B, 1.3) - step),   # tangency curve
-         State(1.3, forward_v(cubic, B, 1.3) + step)),
+        (State(1.3, v_on - step), State(1.3, v_on + step)),
     ]
     for U_a, U_b in probes:
         p_a = solve(cubic, U_l, U_a)

@@ -13,10 +13,6 @@ from barwaves import (
     RAREFACTION,
     SHOCK,
     State,
-    backward_v,
-    decompose_backward,
-    decompose_forward,
-    forward_v,
     shock_speed,
     solve,
     solve_linear,
@@ -39,95 +35,90 @@ from conftest import ROUNDED_JUMP, cubic_fan_integral, make_material
 stress = st.floats(-3.0, 3.0)
 
 
-def curve_points(fn, m, anchor, grid):
-    return [fn(m, anchor, T) for T in grid]
-
-
 # ---------------------------------------------------------------------------
 # backward curve values
 
 
 def test_backward_passes_through_anchor(cubic):
     U = State(-1.0, 0.4)
-    assert backward_v(cubic, U, -1.0) == 0.4
+    assert WaveCurve(cubic, U, BACKWARD).v(-1.0) == 0.4
 
 
 def test_backward_value_at_tangency(cubic):
     # degenerate-shock endpoint: v = (Tt - T_l) * sqrt(strain_prime(Tt))
-    U = State(-1.0, 0.0)
+    curve = WaveCurve(cubic, State(-1.0, 0.0), BACKWARD)
     expect = 1.5 * math.sqrt(2.5)
-    assert backward_v(cubic, U, 0.5) == pytest.approx(expect, rel=1e-12)
+    assert curve.v(0.5) == pytest.approx(expect, rel=1e-12)
 
 
 def test_backward_rarefaction_value(cubic):
-    U = State(-1.0, 0.0)
-    assert backward_v(cubic, U, -2.0) == pytest.approx(
+    curve = WaveCurve(cubic, State(-1.0, 0.0), BACKWARD)
+    assert curve.v(-2.0) == pytest.approx(
         cubic_fan_integral(-1.0, -2.0), abs=1e-11)
-    assert backward_v(cubic, U, -2.0) < 0.0
+    assert curve.v(-2.0) < 0.0
 
 
 def test_backward_composite_value(cubic):
     # shock to the tangency stress, then fan onward
-    U = State(-1.0, 0.0)
+    curve = WaveCurve(cubic, State(-1.0, 0.0), BACKWARD)
     expect = 1.5 * math.sqrt(2.5) + cubic_fan_integral(0.5, 1.2)
-    assert backward_v(cubic, U, 1.2) == pytest.approx(expect, abs=1e-11)
+    assert curve.v(1.2) == pytest.approx(expect, abs=1e-11)
 
 
 def test_backward_positive_anchor_mirror(cubic):
     # the T_l > 0 curve is the negation of the mirrored T_l < 0 curve
-    U = State(1.0, 0.25)
+    curve = WaveCurve(cubic, State(1.0, 0.25), BACKWARD)
+    mirrored = WaveCurve(cubic, State(-1.0, -0.25), BACKWARD)
     for T in (-2.0, -0.5, 0.2, 0.9, 1.7):
-        mirrored = -backward_v(cubic, State(-1.0, -0.25), -T)
-        assert backward_v(cubic, U, T) == mirrored
+        assert curve.v(T) == -mirrored.v(-T)
 
 
 @pytest.mark.parametrize("anchor", [State(-1.0, 0.0), State(0.0, 0.3),
                                     State(0.7, -0.2)])
 def test_backward_strictly_increasing(cubic, anchor):
-    grid = [-2.5 + 5.0 * i / 1000 for i in range(1001)]
-    vals = curve_points(backward_v, cubic, anchor, grid)
+    curve = WaveCurve(cubic, anchor, BACKWARD)
+    vals = [curve.v(-2.5 + 5.0 * i / 1000) for i in range(1001)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 # ---------------------------------------------------------------------------
-# forward curve values
+# forward curve values: a curve anchored at the right state of its wave,
+# read at the left stress
 
 
 def test_forward_passes_through_anchor(cubic):
     U = State(0.3, -0.7)
-    assert forward_v(cubic, U, 0.3) == -0.7
+    assert WaveCurve(cubic, U, FORWARD).v(0.3) == -0.7
 
 
 def test_forward_classical_shock_value(cubic):
     # strain(-2) = -18, strain(-1) = -3: jump = sqrt((-1)(-15)) = sqrt(15)
-    U = State(-1.0, 0.0)
-    assert forward_v(cubic, U, -2.0) == pytest.approx(math.sqrt(15.0),
-                                                      rel=1e-14)
+    curve = WaveCurve(cubic, State(-2.0, 0.0), FORWARD)
+    assert curve.v(-1.0) == pytest.approx(-math.sqrt(15.0), rel=1e-14)
 
 
 def test_forward_shock_from_zero_stress(cubic):
-    U = State(0.0, 0.0)
-    assert forward_v(cubic, U, 1.0) == pytest.approx(-math.sqrt(3.0),
-                                                     rel=1e-14)
-    assert forward_v(cubic, U, -1.0) == pytest.approx(math.sqrt(3.0),
-                                                      rel=1e-14)
+    to_plus = WaveCurve(cubic, State(1.0, 0.0), FORWARD)
+    to_minus = WaveCurve(cubic, State(-1.0, 0.0), FORWARD)
+    assert to_plus.v(0.0) == pytest.approx(math.sqrt(3.0), rel=1e-14)
+    assert to_minus.v(0.0) == pytest.approx(-math.sqrt(3.0), rel=1e-14)
 
 
 def test_forward_composite_value(cubic):
     # fan from -1 to the tangency stress of 0.8, then the degenerate jump
-    U = State(-1.0, 0.0)
+    curve = WaveCurve(cubic, State(0.8, 0.0), FORWARD)
     Tj = -0.4
-    expect = (-cubic_fan_integral(-1.0, Tj)
-              - (0.8 - Tj) * math.sqrt(1.0 + 6.0 * Tj * Tj))
-    assert forward_v(cubic, U, 0.8) == pytest.approx(expect, abs=1e-11)
+    expect = (cubic_fan_integral(-1.0, Tj)
+              + (0.8 - Tj) * math.sqrt(1.0 + 6.0 * Tj * Tj))
+    assert curve.v(-1.0) == pytest.approx(expect, abs=1e-11)
 
 
 def test_forward_swallowed_fan_is_single_shock(cubic):
     # tangency stress of 3.0 is -1.5 < -1, so the leg is one cross-zero jump
-    U = State(-1.0, 0.0)
-    expect = -math.sqrt((3.0 + 1.0) * (57.0 + 3.0))
-    assert forward_v(cubic, U, 3.0) == pytest.approx(expect, rel=1e-14)
-    legs = decompose_forward(cubic, U, 3.0)
+    curve = WaveCurve(cubic, State(3.0, 0.0), FORWARD)
+    expect = math.sqrt((3.0 + 1.0) * (57.0 + 3.0))
+    assert curve.v(-1.0) == pytest.approx(expect, rel=1e-14)
+    legs = curve.legs(State(-1.0, curve.v(-1.0)))
     assert [leg.kind for leg in legs] == [SHOCK]
     assert legs[0].degenerate == ""
 
@@ -135,8 +126,8 @@ def test_forward_swallowed_fan_is_single_shock(cubic):
 @pytest.mark.parametrize("anchor", [State(-1.0, 0.0), State(0.0, 0.3),
                                     State(0.7, -0.2)])
 def test_forward_strictly_decreasing(cubic, anchor):
-    grid = [-2.5 + 5.0 * i / 1000 for i in range(1001)]
-    vals = curve_points(forward_v, cubic, anchor, grid)
+    curve = WaveCurve(cubic, anchor, FORWARD)
+    vals = [curve.v(-2.5 + 5.0 * i / 1000) for i in range(1001)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -144,25 +135,24 @@ def test_forward_strictly_decreasing(cubic, anchor):
 @settings(deadline=None, max_examples=60)
 def test_curves_odd_under_negation(cubic, T_l, v_l, T):
     U, U_neg = State(T_l, v_l), State(-T_l, -v_l)
-    assert backward_v(cubic, U_neg, -T) == pytest.approx(
-        -backward_v(cubic, U, T), abs=1e-12)
-    assert forward_v(cubic, U_neg, -T) == pytest.approx(
-        -forward_v(cubic, U, T), abs=1e-12)
+    for family in (BACKWARD, FORWARD):
+        assert WaveCurve(cubic, U_neg, family).v(-T) == pytest.approx(
+            -WaveCurve(cubic, U, family).v(T), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# decompositions
+# decompositions: the legs of a curve from its anchor to one of its points
 
 
 def test_decompose_empty_at_anchor(cubic):
     U = State(-1.0, 0.0)
-    assert decompose_backward(cubic, U, -1.0) == []
-    assert decompose_forward(cubic, U, -1.0) == []
+    assert WaveCurve(cubic, U, BACKWARD).legs(U) == []
+    assert WaveCurve(cubic, U, FORWARD).legs(U) == []
 
 
 def test_decompose_backward_composite(cubic):
-    U = State(-1.0, 0.0)
-    legs = decompose_backward(cubic, U, 1.2)
+    curve = WaveCurve(cubic, State(-1.0, 0.0), BACKWARD)
+    legs = curve.legs(State(1.2, curve.v(1.2)))
     assert [leg.kind for leg in legs] == [SHOCK, RAREFACTION]
     shock, fan = legs
     assert shock.degenerate == "right"
@@ -170,57 +160,61 @@ def test_decompose_backward_composite(cubic):
     assert shock.right.v == pytest.approx(1.5 * math.sqrt(2.5), rel=1e-12)
     assert fan.left == shock.right
     assert fan.right.T == 1.2
-    assert fan.right.v == pytest.approx(backward_v(cubic, U, 1.2), abs=1e-14)
+    assert fan.right.v == pytest.approx(curve.v(1.2), abs=1e-14)
     # degeneracy: the jump speed equals the backward speed at the junction
     s = shock_speed(cubic, shock.left.T, shock.right.T, BACKWARD)
     assert s == pytest.approx(wave_speed(cubic, 0.5, BACKWARD), rel=1e-12)
 
 
 def test_decompose_backward_single_shock_owns_tangency(cubic):
-    U = State(-1.0, 0.0)
-    legs = decompose_backward(cubic, U, 0.5)
+    curve = WaveCurve(cubic, State(-1.0, 0.0), BACKWARD)
+    legs = curve.legs(State(0.5, curve.v(0.5)))
     assert [leg.kind for leg in legs] == [SHOCK]
     assert legs[0].degenerate == "right"
-    legs = decompose_backward(cubic, U, 0.49)
+    legs = curve.legs(State(0.49, curve.v(0.49)))
     assert [leg.kind for leg in legs] == [SHOCK]
     assert legs[0].degenerate == ""
 
 
 def test_decompose_forward_composite(cubic):
-    U = State(-1.0, 0.0)
-    legs = decompose_forward(cubic, U, 0.8)
+    curve = WaveCurve(cubic, State(0.8, 0.0), FORWARD)
+    U = State(-1.0, curve.v(-1.0))
+    legs = curve.legs(U)
     assert [leg.kind for leg in legs] == [RAREFACTION, SHOCK]
     fan, shock = legs
     assert shock.degenerate == "left"
+    assert fan.left == U
     assert fan.right.T == pytest.approx(tangent_point(cubic, 0.8), rel=1e-12)
-    assert fan.right.v == pytest.approx(-cubic_fan_integral(-1.0, -0.4),
-                                        abs=1e-11)
+    assert fan.right.v - U.v == pytest.approx(
+        -cubic_fan_integral(-1.0, -0.4), abs=1e-11)
     # the jump is tangent on its left: speed equals the fan-edge speed
     s = shock_speed(cubic, shock.left.T, shock.right.T, FORWARD)
     assert s == pytest.approx(wave_speed(cubic, shock.left.T, FORWARD),
                               rel=1e-10)
-    assert shock.right.v == pytest.approx(forward_v(cubic, U, 0.8), abs=1e-14)
+    assert shock.right == curve.U
 
 
 def test_decompose_forward_mirrored_composite(cubic):
-    U = State(1.0, 0.0)
-    legs = decompose_forward(cubic, U, -0.8)
+    curve = WaveCurve(cubic, State(-0.8, 0.0), FORWARD)
+    legs = curve.legs(State(1.0, curve.v(1.0)))
     assert [leg.kind for leg in legs] == [RAREFACTION, SHOCK]
     assert legs[1].degenerate == "left"
     assert legs[0].right.T == pytest.approx(0.4, rel=1e-12)
 
 
 def test_rarefaction_legs_have_increasing_speed(cubic):
+    # (family, anchor, stress of the other end)
     cases = [
-        (decompose_backward, State(-1.0, 0.0), -2.2),
-        (decompose_backward, State(-1.0, 0.0), 1.5),
-        (decompose_backward, State(0.0, 0.0), 1.0),
-        (decompose_forward, State(-1.0, 0.0), -0.3),
-        (decompose_forward, State(-1.0, 0.0), 0.9),
-        (decompose_forward, State(1.2, 0.0), -1.0),
+        (BACKWARD, State(-1.0, 0.0), -2.2),
+        (BACKWARD, State(-1.0, 0.0), 1.5),
+        (BACKWARD, State(0.0, 0.0), 1.0),
+        (FORWARD, State(-0.3, 0.0), -1.0),
+        (FORWARD, State(0.9, 0.0), -1.0),
+        (FORWARD, State(-1.0, 0.0), 1.2),
     ]
-    for fn, U, T in cases:
-        for leg in fn(cubic, U, T):
+    for family, U, T in cases:
+        curve = WaveCurve(cubic, U, family)
+        for leg in curve.legs(State(T, curve.v(T))):
             if leg.kind == RAREFACTION:
                 head = wave_speed(cubic, leg.left.T, leg.family)
                 tail = wave_speed(cubic, leg.right.T, leg.family)
@@ -235,8 +229,9 @@ def test_shock_legs_satisfy_jump_conditions_and_dissipation(cubic, quintic):
         m = cubic if rng.random() < 0.5 else quintic
         U = State(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         T = rng.uniform(-2.5, 2.5)
-        fn = decompose_backward if rng.random() < 0.5 else decompose_forward
-        for leg in fn(m, U, T):
+        family = BACKWARD if rng.random() < 0.5 else FORWARD
+        curve = WaveCurve(m, U, family)
+        for leg in curve.legs(State(T, curve.v(T))):
             if leg.kind != SHOCK:
                 continue
             s = shock_speed(m, leg.left.T, leg.right.T, leg.family)
@@ -272,7 +267,7 @@ def one_sided_second(f, x, h):
 def test_second_order_contact_at_anchor(cubic):
     # shock and fan branches meet twice-differentiably at the anchor state
     U = State(-1.0, 0.0)
-    f = lambda T: backward_v(cubic, U, T)
+    f = WaveCurve(cubic, U, BACKWARD).v
     h = 1e-4
     d1_s = one_sided_first(f, -1.0, h)
     d1_r = one_sided_first(f, -1.0, -h)
@@ -289,7 +284,7 @@ def test_second_order_contact_at_backward_junction(cubic):
     # the analytic fan-side values
     U = State(-1.0, 0.0)
     Tt = tangent_point(cubic, -1.0)
-    f = lambda T: backward_v(cubic, U, T)
+    f = WaveCurve(cubic, U, BACKWARD).v
     h = 1e-4 * max(1.0, abs(Tt))
     d1_gap = abs(one_sided_first(f, Tt, h) - one_sided_first(f, Tt, -h))
     d2_gap = abs(one_sided_second(f, Tt, h) - one_sided_second(f, Tt, -h))
@@ -306,7 +301,7 @@ def test_second_order_contact_at_mirrored_junction(cubic):
     U = State(1.0, 0.0)
     Tt = tangent_point(cubic, 1.0)
     assert Tt == pytest.approx(-0.5, rel=1e-12)
-    f = lambda T: backward_v(cubic, U, T)
+    f = WaveCurve(cubic, U, BACKWARD).v
     h = 1e-4 * max(1.0, abs(Tt))
     d1_gap = abs(one_sided_first(f, Tt, h) - one_sided_first(f, Tt, -h))
     d2_gap = abs(one_sided_second(f, Tt, h) - one_sided_second(f, Tt, -h))
@@ -317,9 +312,10 @@ def test_second_order_contact_at_mirrored_junction(cubic):
 
 
 def test_forward_curve_smooth_across_zero_stress(cubic):
-    # the composite construction keeps the forward curve C^1 through T = 0
-    U = State(-1.0, 0.0)
-    f = lambda T: forward_v(cubic, U, T)
+    # the composite construction keeps the forward curve C^1 through T = 0:
+    # the velocity reached from (-1, 0) at stress T, read on the forward
+    # curve that ends at (T, 0)
+    f = lambda T: -WaveCurve(cubic, State(T, 0.0), FORWARD).v(-1.0)
     h = 1e-5
     left = (f(0.0) - f(-h)) / h
     right = (f(h) - f(0.0)) / h
@@ -586,13 +582,13 @@ def test_linear_curves_meet_at_solve_linears_middle_state(m, T_l, v_l, T_r,
     # the data's velocity scale: rounding in solve_linear is relative to it
     scale = max(abs(v_l), abs(v_r), math.sqrt((m.alpha + m.beta) / m.rho)
                 * max(abs(T_l), abs(T_r)))
-    assert backward_v(m, U_l, mid.T) == pytest.approx(mid.v,
-                                                      abs=1e-14 * scale)
-    assert forward_v(m, U_r, mid.T) == pytest.approx(mid.v, abs=1e-14 * scale)
+    back, fwd = WaveCurve(m, U_l, BACKWARD), WaveCurve(m, U_r, FORWARD)
+    assert back.v(mid.T) == pytest.approx(mid.v, abs=1e-14 * scale)
+    assert fwd.v(mid.T) == pytest.approx(mid.v, abs=1e-14 * scale)
     # the legs are solve_linear's waves: per family, one shock degenerate
     # at both states, between the same states
-    legs = (decompose_backward(m, U_l, mid.T)
-            + decompose_forward(m, mid, U_r.T))
+    legs = (back.legs(State(mid.T, back.v(mid.T)))
+            + fwd.legs(State(mid.T, fwd.v(mid.T))))
     waves = {w.family: w for w in p.waves if w.left.T != w.right.T}
     assert [leg.family for leg in legs] == list(waves)
     for leg in legs:
@@ -607,12 +603,17 @@ def test_linear_curves_meet_at_solve_linears_middle_state(m, T_l, v_l, T_r,
 def test_linear_curve_at_a_nonzero_anchor(linear):
     U = State(-1.0, 0.0)
     c = math.sqrt(linear.alpha + linear.beta)
-    assert backward_v(linear, U, 0.4) == pytest.approx(1.4 * c, rel=1e-15)
-    assert forward_v(linear, U, 0.4) == pytest.approx(-1.4 * c, rel=1e-15)
-    [shock] = decompose_backward(linear, U, 0.4)
+    back = WaveCurve(linear, U, BACKWARD)
+    assert back.v(0.4) == pytest.approx(1.4 * c, rel=1e-15)
+    [shock] = back.legs(State(0.4, back.v(0.4)))
     assert (shock.kind, shock.family, shock.degenerate) == (
         SHOCK, BACKWARD, "both")
-    [shock] = decompose_forward(linear, U, 0.4)
+    # the forward wave from U to stress 0.4, on the curve that ends at
+    # (0.4, 0)
+    fwd = WaveCurve(linear, State(0.4, 0.0), FORWARD)
+    assert fwd.v(-1.0) == pytest.approx(1.4 * c, rel=1e-15)
+    left = State(-1.0, fwd.v(-1.0))
+    [shock] = fwd.legs(left)
     assert (shock.kind, shock.family, shock.degenerate) == (
         SHOCK, FORWARD, "both")
-    assert shock.left == U
+    assert shock.left == left
