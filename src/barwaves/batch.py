@@ -207,7 +207,7 @@ def _middle_stress(m, T_l, v_l, T_r, v_r, c):
     riemann._middle_stress_error takes.  Lane i has its backward and
     forward curves in rows i and i + n of c."""
     n = T_l.size
-    rec: list[np.ndarray] = []   # (T, g, back.v, fwd.v) of every sample
+    rec: list[np.ndarray] = []   # (T, g) of every sample
     overflow = np.zeros(n, bool)
 
     def pair(fn, idx, T):
@@ -217,8 +217,8 @@ def _middle_stress(m, T_l, v_l, T_r, v_r, c):
     def g(idx, T):
         v_back, v_fwd = pair(c.v, idx, T)
         val = v_back - v_fwd
-        full = np.full(np.shape(T)[:-1] + (4, n), np.nan)
-        full[..., idx] = np.stack([T, val, v_back, v_fwd], axis=-2)
+        full = np.full(np.shape(T)[:-1] + (2, n), np.nan)
+        full[..., idx] = np.stack([T, val], axis=-2)
         rec.extend(full if full.ndim == 3 else [full])
         finite = np.isfinite(val)
         overflow[idx] |= ~(finite if val.ndim == 1 else finite.all(axis=0))
@@ -252,7 +252,6 @@ def _middle_stress(m, T_l, v_l, T_r, v_r, c):
     if live.size:
         step[live] = _seed_step(m, T_l[rest[live]], T_r[rest[live]],
                                 f_lo[live], dg(rest[live], lo[live]), np)
-    one = live
     for _ in range(_DOUBLINGS):
         found[live], T, step[live] = _widen(lo[live], f_lo[live], hi[live],
                                             f_hi[live], step[live])
@@ -262,8 +261,8 @@ def _middle_stress(m, T_l, v_l, T_r, v_r, c):
             break
         lo[live], f_lo[live], hi[live] = hi[live], f_hi[live], T
         f_hi[live] = stopped(rest[live], T)
-    lo[one], hi[one], f_lo[one], f_hi[one] = _ordered(
-        lo[one], f_lo[one], hi[one], f_hi[one], np)
+    # a seeded bracket is ordered already, and _ordered returns it as it is
+    lo, hi, f_lo, f_hi = _ordered(lo, f_lo, hi, f_hi, np)
     failure[rest[found != 1]] = _NO_BRACKET
 
     go = np.flatnonzero((found == 1) & ~overflow[rest])
@@ -282,15 +281,11 @@ def _middle_stress(m, T_l, v_l, T_r, v_r, c):
         root = _newton_bisect_many(
             lambda pos, T: stopped(lanes[pos], T),
             lambda pos, T: dg(lanes[pos], T), lo, hi, f_lo, f_hi)
-        unseen = ~(np.stack(rec)[:, 0, lanes] == root).any(axis=0)
-        if unseen.any():
-            # the last Newton step was within two ulps, so never evaluated
-            g(lanes[unseen], root[unseen])
-        Ts, gs, v_back, v_fwd = np.stack(rec)[:, :, lanes].transpose(1, 0, 2)
-        # the latest sample at the root, as the scalar path's dict keeps it
-        last = len(rec) - 1 - np.argmax((Ts == root)[::-1], axis=0)
-        final, vb_root, vf_root = (a[last, np.arange(lanes.size)]
-                                   for a in (gs, v_back, v_fwd))
+        # g depends on the stress alone, so a root that rtsafe sampled reads
+        # the bits of that sample, as the scalar path's dict keeps them; its
+        # second record is an equal neighbour in the monotonicity scan
+        final, vb_root, vf_root = g(lanes, root)
+        Ts, gs = np.stack(rec)[:, :, lanes].transpose(1, 0, 2)
         # T_r and T_l are the first two dividing samples
         failure[lanes], _, T_bar[lanes], v_bar[lanes] = _verdict(
             m, T_l[lanes], v_l[lanes], T_r[lanes], v_r[lanes], root, final,

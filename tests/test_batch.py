@@ -1,7 +1,8 @@
 """solve_many against scalar solve, lane by lane: the same labels, cases and
 errors, and middle states within 1e-13 of the pattern's scale.  Also both
-paths pinned bit for bit, their exact scaling under power-of-two changes of
-units, and the work their middle-stress root finders do."""
+paths pinned bit for bit, their exact scaling (and that of the tangency,
+thresholds, driving force and fans under them) under power-of-two changes
+of units, and the work their middle-stress root finders do."""
 
 import hashlib
 import math
@@ -23,14 +24,18 @@ from barwaves import (
     PRESETS,
     RootNotBracketed,
     State,
+    Thresholds,
     batch,
+    driving_force,
     profile,
+    rarefaction_integral,
     riemann,
     sampler,
     solve,
     solve_linear,
     solve_many,
     tangent_point,
+    thresholds,
 )
 from barwaves.cli import _grid, main
 from barwaves.riemann import BOUNDARY_TOL
@@ -509,6 +514,13 @@ def test_quintic_pins_hold_without_numpy_simd_routines():
 # X = (rho*alpha)**-0.5, a solve is the unit solve in scaled units
 
 
+#: the unit materials (1, r, 1, n, 1), and the scalings (p, j, q) to alpha =
+#: 4**p, gamma = 4**j and rho = 4**q, so c = 2**-j, V = 2**(p - q - j) and
+#: X = 2**(-p - q)
+SCALED_MATERIALS = [(-0.5, 1.0), (-0.5, 2.0), (-0.9, 1.5), (-0.2, 3.5)]
+SCALINGS = ((1, -3, 2), (-2, 5, 0), (3, 1, -4))
+
+
 def count_roundoff_stops(monkeypatch):
     """Residuals that the root finders see as zero although they are not,
     counted on both paths."""
@@ -525,8 +537,7 @@ def count_roundoff_stops(monkeypatch):
     return stops
 
 
-@pytest.mark.parametrize("r,n", [(-0.5, 1.0), (-0.5, 2.0), (-0.9, 1.5),
-                                 (-0.2, 3.5)])
+@pytest.mark.parametrize("r,n", SCALED_MATERIALS)
 def test_power_of_two_units_scale_the_solution_exactly(monkeypatch, r, n):
     # with c, V and X powers of two every operation scales without
     # rounding, the roundoff stop of the middle-stress search included
@@ -555,7 +566,7 @@ def test_power_of_two_units_scale_the_solution_exactly(monkeypatch, r, n):
     unit_patterns = [solve(unit, State(a, b), State(c, d))
                      for a, b, c, d in problems]
     unit_profiles = [profile(p, -4.0, 4.0, 201) for p in unit_patterns[:20]]
-    for p, j, q in ((1, -3, 2), (-2, 5, 0), (3, 1, -4)):
+    for p, j, q in SCALINGS:
         alpha = 4.0 ** p
         m = Material(alpha, r * alpha, 4.0 ** j, n, 4.0 ** q)
         c, V, X = 2.0 ** -j, 2.0 ** (p - q - j), 2.0 ** (-p - q)
@@ -583,6 +594,33 @@ def test_power_of_two_units_scale_the_solution_exactly(monkeypatch, r, n):
                 assert prof.xi.tolist() == (X * want.xi).tolist(), where
                 assert prof.T.tolist() == (c * want.T).tolist(), where
                 assert prof.v.tolist() == (V * want.v).tolist(), where
+
+
+@pytest.mark.parametrize("r,n", SCALED_MATERIALS)
+def test_power_of_two_units_scale_the_material_layers_exactly(r, n):
+    # the layers under the solve, under the changes of units above: the
+    # tangency stress and both thresholds scale with c, the strain with
+    # alpha*c, so the driving force with alpha*c**2, and a fan with V
+    rng = random.Random(12)
+    pairs = [(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+             for _ in range(100)]
+    pairs += [(log_uniform(rng, -4.0, 2.0), log_uniform(rng, -4.0, 2.0))
+              for _ in range(100)]
+    unit = Material(1.0, r, 1.0, n, 1.0)
+    base = [(tangent_point(unit, a), thresholds(unit, a),
+             driving_force(unit, a, b), rarefaction_integral(unit, a, b))
+            for a, b in pairs]
+    for p, j, q in SCALINGS:
+        alpha = 4.0 ** p
+        m = Material(alpha, r * alpha, 4.0 ** j, n, 4.0 ** q)
+        c, V = 2.0 ** -j, 2.0 ** (p - q - j)
+        for (a, b), (Tt, th, D, fan) in zip(pairs, base):
+            where = (r, n, p, j, q, a, b)
+            assert tangent_point(m, c * a) == c * Tt, where
+            assert thresholds(m, c * a) == Thresholds(
+                c * th.T_star, c * th.T_star_star), where
+            assert driving_force(m, c * a, c * b) == alpha * c * c * D, where
+            assert rarefaction_integral(m, c * a, c * b) == V * fan, where
 
 
 # ---------------------------------------------------------------------------

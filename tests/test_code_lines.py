@@ -54,3 +54,15 @@ def test_main_prints_modules_parts_and_total(tmp_path, capsys):
     assert [line.split() for line in out] == [
         ["10", os.path.relpath(path)], ["6", "f"], ["3", "C"],
         ["10", "total"]]
+
+
+def test_a_missing_path_prints_the_usage_and_exits_2(tmp_path, capsys):
+    # "--help" is a path too: the script takes no options
+    missing = tmp_path / "missing.py"
+    for arg in (str(missing), "--help"):
+        assert code_lines.main([str(tmp_path), arg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            code_lines.USAGE,
+            f"code_lines.py: no such file or directory: {arg}"]

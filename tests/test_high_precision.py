@@ -4,7 +4,8 @@ The oracle follows the branch lists of the paper for each family
 separately: the backward curve through U_l and the forward curve through
 U_0, each parameterized by its terminal stress.  It shares no code with
 the library: its fan integrals are tanh-sinh quadrature on panels graded
-away from zero, and its tangency stresses come from bisection.
+away from zero, and its tangency stresses and thresholds come from a
+safeguarded regula falsi (Oracle._root).
 """
 
 import math
@@ -82,14 +83,14 @@ class Oracle:
         def excess(T):
             return (self.strain_prime(T) * (T - a)
                     - (self.strain(T) - self.strain(a)))
-        return self._bisect(excess, 0, -a)
+        return self._root(excess, 0, -a)
 
     def tangent_from(self, T_0):
         """The stress T of the other sign whose tangency stress is T_0."""
         def excess(T):
             return (self.strain(T) - self.strain(T_0)
                     - self.strain_prime(T_0) * (T - T_0))
-        return self._bisect(excess, -T_0, -4 * T_0)
+        return self._root(excess, -T_0, -4 * T_0)
 
     def second_threshold(self, T_l):
         """T** of the left stress T_l: beyond the tangency stress Tt, the
@@ -99,22 +100,43 @@ class Oracle:
             return -self.second_threshold(-T_l)
         Tt = self.tangency(T_l)
         rhs = (Tt - T_l) ** 2 * self.strain_prime(Tt)
-        return self._bisect(
+        return self._root(
             lambda T: (T - Tt) * (self.strain(T) - self.strain(Tt)) - rhs,
             Tt, -4 * T_l)
 
     @staticmethod
-    def _bisect(fn, a, b):
-        f_a = fn(a)
-        assert f_a * fn(b) < 0
-        for _ in range(190):
-            mid = (a + b) / 2
-            f_mid = fn(mid)
-            if (f_mid < 0) == (f_a < 0):
-                a, f_a = mid, f_mid
+    def _root(fn, a, b):
+        """The root of fn between a and b, where fn changes sign, to a
+        bracket of 1e-48 relative: regula falsi with the Anderson-Björck
+        weight, b the latest point and a the end it keeps.  Where a new
+        point lands on b's side, the value kept at a shrinks, so that a
+        later point lands past the root.  A step that would leave the
+        bracket is a halving, and so is each step after two that together
+        did not halve it.  A step shorter than half the stop is lengthened
+        to it, towards a, which closes the bracket once b is at the root."""
+        f_a, f_b = fn(a), fn(b)
+        assert f_a * f_b < 0
+        halve, older, old = False, abs(b - a), abs(b - a)
+        while True:
+            stop = 1e-48 * max(abs(a), abs(b))
+            if abs(b - a) <= stop:
+                return (a + b) / 2
+            x = b - f_b * (b - a) / (f_b - f_a)
+            if not halve and abs(x - b) < stop / 2:
+                x = b + (stop / 2 if a > b else -stop / 2)
+            elif halve or not min(a, b) < x < max(a, b):
+                x = (a + b) / 2
+            f_x = fn(x)
+            if f_x == 0:
+                return x
+            if (f_x < 0) == (f_b < 0):
+                weight = 1 - f_x / f_b
+                f_a *= weight if weight > 0 else 0.5
             else:
-                b = mid
-        return (a + b) / 2
+                a, f_a = b, f_b
+            b, f_b = x, f_x
+            halve = abs(b - a) > older / 2
+            older, old = old, abs(b - a)
 
     def backward(self, T_l, T):
         """Velocity change along the backward curve from T_l to T."""

@@ -12,7 +12,8 @@ Usage:
 Each PATH is a .py file or a directory searched for them; the default is
 src/barwaves beside this script.  For each module the script prints its
 count, then the count of each of its top-level functions and classes, and
-last the total over all modules.
+last the total over all modules.  A PATH that does not exist prints the
+usage line and that path on stderr, and the script exits with status 2.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import os
 import sys
 import tokenize
 from pathlib import Path
+
+USAGE = "usage: python3 tools/code_lines.py [PATH ...]"
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -69,6 +72,13 @@ def count(source: str) -> tuple[int, list[tuple[str, int]]]:
 def main(argv: list[str]) -> int:
     paths = [Path(p) for p in argv] or [Path(__file__).resolve().parent.parent
                                         / "src" / "barwaves"]
+    missing = [p for p in paths if not p.exists()]
+    if missing:
+        print(USAGE, file=sys.stderr)
+        for p in missing:
+            print(f"code_lines.py: no such file or directory: {p}",
+                  file=sys.stderr)
+        return 2
     files = sorted(f for p in paths
                    for f in (p.rglob("*.py") if p.is_dir() else [p]))
     total = 0
