@@ -18,7 +18,7 @@ import random
 import re
 import stat
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -99,32 +99,19 @@ def _write(text: str, out: str | None) -> None:
             os.close(fd)
 
 
-def _state_doc(s: State) -> dict:
-    return {"T": s.T, "v": s.v}
-
-
 def _pattern_doc(m: Material, pattern: WavePattern) -> dict:
     from .verify import check_dissipation, check_rh
-    slack = check_dissipation(pattern)
     return {
         "material": m.to_dict(),
-        "left": _state_doc(pattern.left_state),
-        "right": _state_doc(pattern.right_state),
+        "left": asdict(pattern.left_state),
+        "right": asdict(pattern.right_state),
         "region_label": pattern.region_label,
         "zero_velocity_case": pattern.zero_velocity_case,
-        "middle_states": [_state_doc(s) for s in pattern.middle_states],
-        "waves": [{
-            "kind": w.kind,
-            "family": w.family,
-            "left": _state_doc(w.left),
-            "right": _state_doc(w.right),
-            "speed_head": w.speed_head,
-            "speed_tail": w.speed_tail,
-            "degenerate": w.degenerate,
-        } for w in pattern.waves],
+        "middle_states": [asdict(s) for s in pattern.middle_states],
+        "waves": [asdict(w) for w in pattern.waves],
         "verification": {
             "rh_residual": check_rh(pattern),
-            "dissipation_slack": slack if math.isfinite(slack) else None,
+            "dissipation_slack": check_dissipation(pattern),
         },
     }
 
@@ -189,14 +176,11 @@ def cmd_atlas(args, m: Material) -> int:
 
 
 def cmd_thresholds(args, m: Material) -> int:
-    th = thresholds(m, args.tl)
-    doc = {
-        "material": m.to_dict(),
-        "T_l": args.tl,
-        "tangent_stress": tangent_point(m, args.tl),
-        "T_star": th.T_star,
-        "T_star_star": th.T_star_star,
-    }
+    # thresholds first: it raises the typed error where tangent_point
+    # would overflow
+    th = asdict(thresholds(m, args.tl))
+    doc = {"material": m.to_dict(), "T_l": args.tl,
+           "tangent_stress": tangent_point(m, args.tl), **th}
     _write(_jsonify(doc) + "\n", args.out)
     return 0
 
@@ -304,6 +288,20 @@ def refinement_study(m: Material, T_l: float, T_r: float,
     return dists
 
 
+def refinement_converges(m: Material, dists) -> bool:
+    """Whether the L1 distances of a refinement study, at resolutions that
+    double, fall monotonically and end below 0.1.  A linear material
+    passes instead when each doubling leaves at most 0.75 of the distance:
+    Lax-Friedrichs smears a linear contact like sqrt(dx), a ratio of
+    2**-0.5, and leaves linear distances above 0.1 at the suite's 800
+    cells."""
+    monotone = all(b < a for a, b in zip(dists, dists[1:]))
+    if m.linear_mode:
+        return monotone and all(b <= 0.75 * a
+                                for a, b in zip(dists, dists[1:]))
+    return monotone and dists[-1] < 0.1
+
+
 def cmd_verify(args, m: Material) -> int:
     if args.trials < 0:
         raise ValueError("verify requires --trials >= 0")
@@ -316,10 +314,9 @@ def cmd_verify(args, m: Material) -> int:
     cells = (200, 400, 800)
     for name, T_l, T_r in CANONICAL_CASES:
         dists = refinement_study(m, T_l, T_r, cells)
-        monotone = all(b < a for a, b in zip(dists, dists[1:]))
         detail = " -> ".join(f"{d:.4f}" for d in dists)
-        rows.append((f"fv-refinement[{name}]", monotone and dists[-1] < 0.1,
-                     detail))
+        rows.append((f"fv-refinement[{name}]",
+                     refinement_converges(m, dists), detail))
     dists = refinement_study(PRESETS["linear"], *CANONICAL_LINEAR, cells)
     rows.append(("fv-linear-closed-form", dists[-1] < 0.05,
                  " -> ".join(f"{d:.4f}" for d in dists)))

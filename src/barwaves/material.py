@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 from .errors import MaterialError, RootNotBracketed
@@ -201,14 +201,8 @@ class Material:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "n": self.n,
-            "rho": self.rho,
-            "linear_mode": self.linear_mode,
-        }
+        """The constructor's fields by name; the derived law is left out."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
 
 #: Shipped presets.  "cubic" admits closed-form tangency (strain is an exact
@@ -303,6 +297,10 @@ def rarefaction_integral(m: Material, T_a: float, T_b: float) -> float:
     nearer zero, or from zero itself for ends of opposite signs, whose two
     fans then add magnitudes.  Each call takes a fan table of its own.
     """
+    for name, value in (("T_a", T_a), ("T_b", T_b)):
+        if not math.isfinite(value):
+            raise ValueError(f"rarefaction_integral requires a finite "
+                             f"{name}, got {value}")
     if T_a == T_b:
         return 0.0
     if m.linear_mode:
@@ -677,6 +675,9 @@ def tangent_point(m: Material, T_anchor: float) -> float:
     terms near the root may overflow), the test of batch._tangency, or
     where math raises it.
     """
+    if not math.isfinite(T_anchor):
+        raise ValueError(f"tangent_point requires a finite T_anchor, "
+                         f"got {T_anchor}")
     if T_anchor == 0.0:
         raise ValueError("tangent_point requires a nonzero anchor stress")
     if m.linear_mode:
@@ -715,6 +716,10 @@ def driving_force(m: Material, T_l: float, T_r: float) -> float:
     opposite signs, the two halves over |T| < k combine into the weight
     2*(|T_r| - |T_l|)*|T|.
     """
+    for name, value in (("T_l", T_l), ("T_r", T_r)):
+        if not math.isfinite(value):
+            raise ValueError(f"driving_force requires a finite {name}, "
+                             f"got {value}")
     if m.linear_mode:
         return 0.0
     a, b = abs(T_l), abs(T_r)
@@ -730,6 +735,8 @@ def driving_force(m: Material, T_l: float, T_r: float) -> float:
 
 def invert_strain(m: Material, eps: float) -> float:
     """The unique stress T with strain(T) = eps (strain is monotone)."""
+    if not math.isfinite(eps):
+        raise ValueError(f"invert_strain requires a finite eps, got {eps}")
     if eps == 0.0:
         return 0.0
     if eps < 0.0:

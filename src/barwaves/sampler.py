@@ -40,11 +40,16 @@ from .wave_curves import BACKWARD, SHOCK, State, Wave
 
 @dataclass(frozen=True, eq=False)
 class Profile:
-    """Sampled similarity profile: read-only float64 arrays of one length,
-    xi strictly increasing, and the stress T and velocity v at each xi."""
+    """Sampled similarity profile: float64 arrays of one length, xi
+    strictly increasing, and the stress T and velocity v at each xi.
+    Construction makes the three arrays it is given read-only, in place."""
     xi: np.ndarray
     T: np.ndarray
     v: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.xi, self.T, self.v):
+            array.flags.writeable = False
 
 
 def _sample_lanes(pattern: WavePattern,
@@ -201,7 +206,4 @@ def profile(pattern: WavePattern, xi_min: float, xi_max: float,
     for i in np.flatnonzero(~keep).tolist():
         keep[i] = pts[i] - pts[:i][keep[:i]][-1] > tol
     merged = pts[keep]
-    prof = Profile(merged, *_sample_lanes(pattern, merged))
-    for field in (prof.xi, prof.T, prof.v):
-        field.flags.writeable = False
-    return prof
+    return Profile(merged, *_sample_lanes(pattern, merged))

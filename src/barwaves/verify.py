@@ -364,7 +364,10 @@ def _invert_strain_grid(m: Material, eps: np.ndarray, T: np.ndarray,
             # too
             stuck = np.flatnonzero(~ok)
             for i in stuck:
-                T[i] = invert_strain(m, float(eps[i]))
+                # a strain that overflowed leaves its stress NaN, which
+                # invert_strain would refuse
+                e = float(eps[i])
+                T[i] = invert_strain(m, e) if math.isfinite(e) else math.nan
             strain_residual_slope(m, T, eps, r, slope, work, k)
             return T, r, slope, updates, stuck.size
         divide(r, slope, work)
@@ -581,10 +584,7 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
                        dx=dx, steps=steps, newton_steps=newton_steps,
                        rescued=rescued)
 
-    prof = Profile(x / t_end, T.copy(), mom / m.rho)  # T is a row of W
-    for field in (prof.xi, prof.T, prof.v):
-        field.flags.writeable = False
-    return prof
+    return Profile(x / t_end, T.copy(), mom / m.rho)  # T is a row of W
 
 
 def l1_distance(a: Profile, b: Profile) -> float:

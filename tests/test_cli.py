@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from barwaves import NoBracket, PRESETS, State, cli, riemann
-from barwaves.cli import main
+from barwaves.cli import main, refinement_converges
 from conftest import ROUNDED_JUMP
 
 
@@ -396,6 +396,16 @@ def test_profile_bytes_are_pinned(tmp_path, args, digest):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args,digest", pinned_digests("json"))
+def test_json_bytes_are_pinned(tmp_path, args, digest):
+    # solve on cubic, quintic and linear, with composite waves (degenerate
+    # left and right) and a zero-velocity case, and thresholds at both
+    # signs of --tl, byte for byte
+    out_path = tmp_path / "out.json"
+    assert main(args + ["--out", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
 def test_solve_byte_stable(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["solve", "--material", "quintic", "--tl", "-0.8", "--vl", "0.7",
@@ -546,6 +556,35 @@ def test_verify_quick_pass(capsys):
     assert "all checks passed" in out
     assert "rh-residual" in out and "fv-refinement" in out
     assert out == VERIFY_CUBIC_SEED_1
+
+
+def test_verify_linear_passes(capsys):
+    # its fv-refinement rows end above 0.1 at 800 cells: the linear gate is
+    # on the rate of refinement
+    rc, out = run(capsys, "verify", "--material", "linear", "--trials", "20")
+    assert rc == 0
+    assert "fv-refinement[composite-backward]  PASS  " in out
+    assert out.endswith("all checks passed\n")
+
+
+@pytest.mark.parametrize("dists,linear_ok,nonlinear_ok", [
+    ([0.2523, 0.1668, 0.1118], True, False),   # sqrt(dx), above 0.1
+    ([0.0829, 0.0497, 0.0291], True, True),
+    ([0.2, 0.15, 0.12], False, False),         # a plateau: ratio 0.8
+    ([0.08, 0.05, 0.051], False, False),       # not monotone
+])
+def test_refinement_gate(cubic, linear, dists, linear_ok, nonlinear_ok):
+    assert refinement_converges(linear, dists) is linear_ok
+    assert refinement_converges(cubic, dists) is nonlinear_ok
+
+
+def test_verify_linear_fails_on_a_plateau(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "refinement_study",
+                        lambda m, T_l, T_r, cells: [0.05, 0.04, 0.035])
+    rc, out = run(capsys, "verify", "--material", "linear", "--trials", "0")
+    assert rc == 1
+    assert "fv-refinement[fan+shock]           FAIL  " in out
+    assert "FAILED: fv-refinement[fan+shock]\n" in out
 
 
 def test_verify_zero_trials_vacuous(capsys):

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import random
+import re
+import subprocess
+import sys
 import types
 
 import mpmath
@@ -25,6 +29,7 @@ from barwaves import (
     tangent_point,
     wave_speed,
 )
+import barwaves
 from barwaves import material
 from barwaves.batch import _NODES, _WEIGHTS
 from barwaves.material import (
@@ -484,6 +489,23 @@ def test_tangent_point_requires_nonzero_anchor(cubic):
         tangent_point(cubic, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name,kernel", [
+    ("T_anchor", tangent_point),
+    ("eps", invert_strain),
+    ("T_a", lambda m, x: rarefaction_integral(m, x, 1.0)),
+    ("T_b", lambda m, x: rarefaction_integral(m, 1.0, x)),
+], ids=["tangent_point", "invert_strain", "rarefaction_integral-T_a",
+        "rarefaction_integral-T_b"])
+def test_kernels_reject_non_finite_stresses(cubic, quintic, name, kernel,
+                                            bad):
+    # these returned NaN, or raised OverflowError (quintic tangent_point)
+    for m in (cubic, quintic):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"a finite {name}, got {bad}")):
+            kernel(m, bad)
+
+
 def test_tangent_point_linear_material_fails(linear):
     with pytest.raises(RootNotBracketed):
         tangent_point(linear, -1.0)
@@ -565,6 +587,30 @@ def test_driving_force_linear_mode_vanishes(linear):
     assert driving_force(linear, -0.4, 1.9) == 0.0
     assert driving_force_integral(linear, -0.4, 1.9) == pytest.approx(
         0.0, abs=1e-13)
+
+
+def test_driving_force_rejects_non_finite_stresses():
+    # a NaN stress never ended _graded's loop over the unbounded knots; a
+    # subprocess with a timeout fails a relapse instead of hanging the suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(barwaves.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("from barwaves import PRESETS, driving_force\n"
+            "nan, inf = float('nan'), float('inf')\n"
+            "for args in ((nan, 1.0), (1.0, nan), (inf, 1.0), (1.0, -inf)):\n"
+            "    try:\n"
+            "        print(driving_force(PRESETS['cubic'], *args))\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env, timeout=60).stdout
+    assert out.splitlines() == [
+        "driving_force requires a finite T_l, got nan",
+        "driving_force requires a finite T_r, got nan",
+        "driving_force requires a finite T_l, got inf",
+        "driving_force requires a finite T_r, got -inf",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,9 @@ def test_profile_requires_an_integer_count_of_two_or_more(case_one, count):
 def test_profile_fields_are_read_only_float_arrays(cubic, case_one):
     fv = fv_reference(cubic, State(-0.5, 0.0), State(-1.0, 0.0),
                       cells=64, cfl=0.5, t_end=0.3)
-    for prof in (profile(case_one, -2.0, 2.0, 11), fv):
+    # a Profile built directly freezes its arrays too
+    built = sampler.Profile(np.array([0.0, 1.0]), np.zeros(2), np.ones(2))
+    for prof in (profile(case_one, -2.0, 2.0, 11), fv, built):
         fields = (prof.xi, prof.T, prof.v)
         assert len({a.shape for a in fields}) == 1
         for a in fields:
