@@ -36,7 +36,6 @@ from .riemann import (
     Thresholds,
     WavePattern,
     solve,
-    solve_linear,
     thresholds,
 )
 from .wave_curves import (
@@ -56,7 +55,7 @@ __all__ = [
     "strain", "strain_prime", "strain_second", "wave_speed",
     "rarefaction_integral", "tangent_point", "driving_force",
     "invert_strain", "load_material", "shock_speed",
-    "solve", "solve_linear", "solve_many", "thresholds",
+    "solve", "solve_many", "thresholds",
     "sample", "profile",
     "check_rh", "check_dissipation", "check_lax", "check_liu",
     "fv_reference", "l1_distance",

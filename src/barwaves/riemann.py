@@ -4,6 +4,9 @@ The self-similar solution is a backward elementary wave from the left state
 to a middle state, followed by a forward elementary wave to the right state.
 ``solve`` finds the middle state on the curve pair of wave_curves and takes
 the finished waves, speeds included, from the pair (WaveCurve.legs).
+A linear-mode material takes its middle state in closed form
+(_linear_middle), its two contacts from the same pair and the label
+"linear", so the waves of every material are built in one place.
 Velocity is strictly increasing along the backward curve and strictly
 decreasing along every forward curve, so the predicted right-state velocity
 is strictly increasing in the middle stress and a bracketed root finder
@@ -71,7 +74,6 @@ from .material import (
     _knee_stress,
     _narrow,
     _newton_bisect,
-    _slope_speed,
     _where,
     strain,
     strain_prime,
@@ -560,27 +562,29 @@ def solve(m: Material, U_l: State, U_r: State) -> WavePattern:
             raise ValueError(f"solve requires finite states, got {name}={x}")
     if U_l == U_r:
         return WavePattern(m, U_l, (), (), "trivial")
-    if m.linear_mode:
-        return solve_linear(m, U_l, U_r)
 
     try:
         back = WaveCurve(m, U_l, BACKWARD)
         fwd = WaveCurve(m, U_r, FORWARD, back.table)
-        T_bar, v_bar, label = _find_middle_stress(m, U_l, U_r, back, fwd)
+        if m.linear_mode:
+            T_bar, v_bar = _linear_middle(m, U_l.T, U_l.v, U_r.T, U_r.v)
+            label, case = "linear", None
+        else:
+            T_bar, v_bar, code = _find_middle_stress(m, U_l, U_r, back, fwd)
+            b = _summary(back.A, back.s, back.Tt, T_bar, U_l.T, _S, _SR)
+            if code < 0:
+                f = _summary(fwd.A, fwd.s, fwd.Tt, T_bar, U_r.T, _X, _X)
+                code = _REGIONS[_region_index(U_l.T, U_r.T, T_bar, b, f)]
+            label, case = _LABELS[code], None
+            if U_l.v == 0.0 and U_r.v == 0.0:
+                case = _ZERO_VELOCITY_CASES[_zero_velocity_index(
+                    U_l.T, U_r.T, T_bar, b == _SR)]
         middle = State(T_bar, v_bar)
         waves = tuple(back.legs(middle) + fwd.legs(middle))
     except OverflowError as exc:
         raise _middle_stress_error(_OVERFLOW, U_l, U_r) from exc
     middles = tuple(w.right for w in waves[:-1])
-    b = _summary(back.A, back.s, back.Tt, T_bar, U_l.T, _S, _SR)
-    if label < 0:
-        f = _summary(fwd.A, fwd.s, fwd.Tt, T_bar, U_r.T, _X, _X)
-        label = _REGIONS[_region_index(U_l.T, U_r.T, T_bar, b, f)]
-    case = None
-    if U_l.v == 0.0 and U_r.v == 0.0:
-        case = _ZERO_VELOCITY_CASES[_zero_velocity_index(
-            U_l.T, U_r.T, T_bar, b == _SR)]
-    return WavePattern(m, U_l, waves, middles, _LABELS[label], case)
+    return WavePattern(m, U_l, waves, middles, label, case)
 
 
 def _linear_middle(m: Material, T_l, v_l, T_r, v_r):
@@ -589,21 +593,4 @@ def _linear_middle(m: Material, T_l, v_l, T_r, v_r):
     k = m.alpha + m.beta
     return (0.5 * (T_r + T_l) + 0.5 * math.sqrt(m.rho / k) * (v_r - v_l),
             0.5 * (v_r + v_l) + 0.5 * math.sqrt(k / m.rho) * (T_r - T_l))
-
-
-def solve_linear(m: Material, U_l: State, U_r: State) -> WavePattern:
-    """Closed-form two-contact solution for a linear-mode material."""
-    if not m.linear_mode:
-        raise ValueError("solve_linear requires a linear_mode material")
-    if U_l == U_r:
-        return WavePattern(m, U_l, (), (), "trivial")
-    c = _slope_speed(m, m.alpha + m.beta)
-    mid = State(*_linear_middle(m, U_l.T, U_l.v, U_r.T, U_r.v))
-    waves = []
-    if mid != U_l:
-        waves.append(Wave(SHOCK, BACKWARD, U_l, mid, -c, -c, "both"))
-    if mid != U_r:
-        waves.append(Wave(SHOCK, FORWARD, mid, U_r, c, c, "both"))
-    middles = tuple(w.right for w in waves[:-1])
-    return WavePattern(m, U_l, tuple(waves), middles, "linear")
 

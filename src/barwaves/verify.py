@@ -456,7 +456,10 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
     summed over every cell's inversion in every step (the scalar rescue of
     a cell is not counted); and `rescued`, the number of cell inversions
     the scalar invert_strain made.  Each step that rescues cells logs one
-    DEBUG line on the `barwaves.verify` logger.
+    DEBUG line on the `barwaves.verify` logger.  Where the strain
+    overflows, the rescue leaves NaN stresses, and fv_reference raises
+    OverflowError there, naming the data; a step without a rescue makes
+    no such check.
     """
     for name, value in (("U_l", U_l), ("U_r", U_r)):
         if not (math.isfinite(value.T) and math.isfinite(value.v)):
@@ -569,6 +572,10 @@ def fv_reference(m: Material, U_l: State, U_r: State, cells: int,
         steps += 1
         newton_steps += updates * cells
         if stuck:
+            if not np.isfinite(T).all():
+                # the rescue leaves NaN where the strain overflowed
+                raise OverflowError(f"fv_reference: the strain overflows "
+                                    f"between {U_l} and {U_r}")
             rescued += stuck
             # imported here: the rescue is rare, and logging costs import
             # time on every start

@@ -109,14 +109,14 @@ def shock_speed(m: Material, T_a: float, T_b: float, family: str) -> float:
     jump conditions: s**2 = (T_b - T_a) / (rho * (strain_b - strain_a)),
     signed by family.  Zero-width jumps, and jumps whose chord slope is
     not positive, fall back to the characteristic speed (the degenerate
-    limit)."""
+    limit); an unknown family raises wave_speed's ValueError."""
     if abs(T_b - T_a) > 1e-14 * max(1.0, abs(T_a), abs(T_b)):
         slope = (strain(m, T_b) - strain(m, T_a)) / (T_b - T_a)
-        if slope > 0.0:
+        if slope > 0.0 and family in (BACKWARD, FORWARD):
             c = _slope_speed(m, slope)
             return -c if family == BACKWARD else c
-    # a zero-width jump, or a strain difference that cancels to 0 or
-    # below: the tangent limit
+    # a zero-width jump, a strain difference that cancels to 0 or below,
+    # or an unknown family, which wave_speed rejects: the tangent limit
     return wave_speed(m, T_a, family)
 
 
@@ -176,7 +176,7 @@ class WaveCurve:
     forward).  For U.T = 0 the curve is a rarefaction both ways, which
     Tt = vt = 0 reproduces.  A linear material has no tangency: Tt = A
     leaves no shock branch, its fans are one line through U, and its legs
-    are the contact ("both" degenerate) of riemann.solve_linear."""
+    are one contact, a shock degenerate at "both" states."""
 
     __slots__ = ("m", "U", "family", "s", "k", "A", "e_A", "Tt", "vt",
                  "table")
@@ -235,8 +235,9 @@ class WaveCurve:
         and every wave's jump comes from its own outer state.  A fan takes
         the characteristic speeds at its ends; a shock degenerate at one
         state takes the characteristic speed there, so it shares its ray
-        with the attached fan edge bit for bit, and any other shock the
-        speed of its jump."""
+        with the attached fan edge bit for bit, a contact (degenerate at
+        both) the characteristic speed of the line, and any other shock
+        the speed of its jump."""
         m, family = self.m, self.family
         U, A, Tt, y = self.U, self.A, self.Tt, self.s * end.T
         if end.T == U.T:
@@ -264,8 +265,8 @@ class WaveCurve:
             if kind == RAREFACTION:
                 head = wave_speed(m, left.T, family)
                 tail = wave_speed(m, right.T, family)
-            elif degenerate in ("left", "right"):
-                at = left if degenerate == "left" else right
+            elif degenerate:
+                at = right if degenerate == "right" else left
                 head = tail = wave_speed(m, at.T, family)
             else:
                 head = tail = shock_speed(m, left.T, right.T, family)

@@ -18,7 +18,6 @@ from barwaves import (
     State,
     rarefaction_integral,
     solve,
-    solve_linear,
     solve_many,
     strain,
     strain_prime,
@@ -683,9 +682,50 @@ def test_linear_random_data_matches_formula(linear):
         assert mid.v == pytest.approx(v_m, abs=1e-12)
 
 
-def test_solve_linear_requires_linear_mode(cubic):
-    with pytest.raises(ValueError):
-        solve_linear(cubic, State(0.0, 0.0), State(1.0, 0.0))
+@pytest.mark.parametrize("m", [PRESETS["linear"],
+                               Material.linear(1.3, -0.7, 2.1),
+                               Material.linear(1e-3, -0.9e-3, 1e3)])
+def test_linear_waves_are_the_curve_pairs_legs(m):
+    # a linear material's waves are built as every other material's: the
+    # legs of its curve pair to the closed-form middle state, each contact
+    # at the characteristic speed, on data at magnitudes 1e-6..1e6 with
+    # equal stresses, equal velocities, and right states on a contact
+    # through the left state, whose solution ends within roundoff of U_r
+    # with no contact of zero stress width
+    rng = random.Random(37)
+    z = math.sqrt((m.alpha + m.beta) / m.rho)
+
+    def value():
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0)
+
+    for kind in range(4):
+        for _ in range(150):
+            T_l, v_l, T_r, v_r = value(), value(), value(), value()
+            if kind == 1:
+                T_r = T_l
+            elif kind == 2:
+                v_r = v_l
+            elif kind == 3:
+                # backward contacts have dv/dT = z, forward ones -z
+                v_r = v_l + rng.choice((1.0, -1.0)) * z * (T_r - T_l)
+            U_l, U_r = State(T_l, v_l), State(T_r, v_r)
+            p = solve(m, U_l, U_r)
+            mid = State(*riemann._linear_middle(m, T_l, v_l, T_r, v_r))
+            back = WaveCurve(m, U_l, BACKWARD)
+            fwd = WaveCurve(m, U_r, FORWARD)
+            assert p.waves == tuple(back.legs(mid) + fwd.legs(mid))
+            assert (p.region_label, p.zero_velocity_case) == ("linear", None)
+            for w in p.waves:
+                assert (w.kind, w.degenerate) == (SHOCK, "both")
+                assert w.left.T != w.right.T
+                assert w.speed_head == w.speed_tail == wave_speed(
+                    m, w.left.T, w.family)
+            if kind == 3:
+                scale = max(abs(v_l), abs(v_r), z * max(abs(T_l), abs(T_r)))
+                right = p.right_state
+                assert abs(right.T - T_r) <= 4 * math.ulp(
+                    max(abs(T_l), abs(T_r)))
+                assert abs(right.v - v_r) <= 4 * math.ulp(scale)
 
 
 # ---------------------------------------------------------------------------

@@ -592,6 +592,27 @@ def test_fv_restarts_cells_whose_closed_form_overflows():
         np.abs(eps))
 
 
+@pytest.mark.parametrize("name,size", [("quintic", 1e100), ("cubic", 1e103)])
+def test_fv_reference_raises_where_the_strain_overflows(name, size):
+    # the rescue leaves NaN where the strain overflowed, which would
+    # otherwise come back as an all-NaN profile
+    U_l, U_r = State(-size, 0.0), State(size, 0.0)
+    with np.errstate(all="ignore"), pytest.raises(OverflowError) as info:
+        fv_reference(PRESETS[name], U_l, U_r, 50, 0.5, 0.3)
+    message = str(info.value)
+    assert "fv_reference" in message
+    assert str(U_l) in message and str(U_r) in message
+
+
+def test_fv_reference_stays_finite_below_the_strain_overflow(cubic):
+    tallies = {}
+    with np.errstate(all="ignore"):
+        fv = fv_reference(cubic, State(-3e102, 0.0), State(3e102, 0.0), 50,
+                          0.5, 0.3, tallies=tallies)
+    assert tallies["rescued"] == 0
+    assert np.all(np.isfinite(fv.T)) and np.all(np.isfinite(fv.v))
+
+
 #: Data with |T|, |v| <= 2 (drawn from seed 1) whose middle stress lies
 #: outside the stress hull of the data, so a wave outruns the scheme's
 #: initial dissipation speed.

@@ -15,14 +15,13 @@ from barwaves import (
     State,
     shock_speed,
     solve,
-    solve_linear,
     strain,
     strain_prime,
     strain_second,
     tangent_point,
     wave_speed,
 )
-from barwaves import material, wave_curves
+from barwaves import material, riemann, wave_curves
 from barwaves.material import (
     _fan,
     _fan_table,
@@ -342,6 +341,13 @@ def test_shock_speed_signs_and_degenerate_width(cubic):
             m, left.T, family)
 
 
+@pytest.mark.parametrize("T_b", [0.4, -1.0])
+def test_shock_speed_rejects_an_unknown_family(cubic, T_b):
+    # the same error as wave_speed's, on jumps of nonzero and zero width
+    with pytest.raises(ValueError, match="unknown family 'sideways'"):
+        shock_speed(cubic, -1.0, T_b, "sideways")
+
+
 # ---------------------------------------------------------------------------
 # the fans a curve keeps within a solve
 
@@ -571,30 +577,31 @@ linear_materials = st.builds(
 
 @given(m=linear_materials, T_l=stress, v_l=stress, T_r=stress, v_r=stress)
 @settings(deadline=None)
-def test_linear_curves_meet_at_solve_linears_middle_state(m, T_l, v_l, T_r,
-                                                         v_r):
+def test_linear_curves_meet_at_solves_middle_state(m, T_l, v_l, T_r, v_r):
     U_l, U_r = State(T_l, v_l), State(T_r, v_r)
     if U_l == U_r:
         return
-    p = solve_linear(m, U_l, U_r)
-    mid = p.waves[0].right if p.waves[0].family == BACKWARD else (
-        p.waves[0].left)
-    # the data's velocity scale: rounding in solve_linear is relative to it
+    p = solve(m, U_l, U_r)
+    mid = State(*riemann._linear_middle(m, T_l, v_l, T_r, v_r))
+    # the data's velocity scale: rounding in the middle state is relative
+    # to it
     scale = max(abs(v_l), abs(v_r), math.sqrt((m.alpha + m.beta) / m.rho)
                 * max(abs(T_l), abs(T_r)))
     back, fwd = WaveCurve(m, U_l, BACKWARD), WaveCurve(m, U_r, FORWARD)
     assert back.v(mid.T) == pytest.approx(mid.v, abs=1e-14 * scale)
     assert fwd.v(mid.T) == pytest.approx(mid.v, abs=1e-14 * scale)
-    # the legs are solve_linear's waves: per family, one shock degenerate
-    # at both states, between the same states
+    # the legs to each curve's own state at the middle stress are solve's
+    # waves, speeds included: per family, one contact (a shock degenerate
+    # at both states) at the characteristic speed
     legs = (back.legs(State(mid.T, back.v(mid.T)))
             + fwd.legs(State(mid.T, fwd.v(mid.T))))
-    waves = {w.family: w for w in p.waves if w.left.T != w.right.T}
-    assert [leg.family for leg in legs] == list(waves)
-    for leg in legs:
-        w = waves[leg.family]
-        assert (leg.kind, leg.degenerate) == (w.kind, w.degenerate) == (
-            SHOCK, "both")
+    assert len(legs) == len(p.waves)
+    for leg, w in zip(legs, p.waves):
+        assert (leg.kind, leg.family, leg.degenerate) == (
+            w.kind, w.family, w.degenerate)
+        assert w.kind == SHOCK and w.degenerate == "both"
+        assert leg.speed_head == leg.speed_tail == w.speed_head == (
+            w.speed_tail) == wave_speed(m, 0.0, w.family)
         for a, b in ((leg.left, w.left), (leg.right, w.right)):
             assert a.T == b.T
             assert a.v == pytest.approx(b.v, abs=1e-14 * scale)
